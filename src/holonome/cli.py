@@ -93,7 +93,7 @@ def main(argv=None):
     p_run.add_argument("--out", default=".", help="output directory (default: .)")
     p_run.add_argument("--trace-csv", action="store_true", help="write CSV traces")
     p_run.add_argument("--h", type=float, default=None, help="override solver step")
-    p_run.add_argument("--tol", type=float, default=None, help="override solver tol")
+    p_run.add_argument("--tol", type=float, default=None, help="override solver tol (per piece, rk4-doubling)")
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="validate a scenario file")

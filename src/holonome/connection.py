@@ -19,7 +19,7 @@ finite differences for derivatives).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .errors import (
 )
 from .exprs import Expr, lit, parse, var
 from .groups import AlgebraElement, StructureGroup, frobenius, so2_generator, so3_basis
-from .paths import ChartPoint
+from .paths import ChartPoint, box_grid
 
 __all__ = [
     "MatrixFunction",
@@ -292,14 +292,12 @@ class Transition:
 class ConnectionForm:
     """Connection coefficients per chart plus transition data.
 
-    Transition compatibility is sampled on overlaps at construction time
-    (set check_compat=False only when rebuilding an already-checked form).
+    Transition compatibility is sampled on overlaps at construction time.
     """
 
     group: StructureGroup
     charts: tuple
     transitions: tuple = ()
-    check_compat: bool = field(default=True, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "charts", tuple(self.charts))
@@ -316,8 +314,7 @@ class ConnectionForm:
                     )
         if self.group.orthogonal:
             self._check_algebra_valued()
-        if self.check_compat:
-            check_transition_compatibility(self)
+        check_transition_compatibility(self)
 
     def _check_algebra_valued(self):
         """Sampled check that every coefficient lands in the Lie algebra."""
@@ -501,11 +498,7 @@ def is_flat(conn, samples=7, tol=1e-6):
     worst = 0.0
     worst_pt = None
     for chart in conn.charts:
-        axes = [np.linspace(lo, hi, samples) for lo, hi in zip(chart.lo, chart.hi)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        for row in pts:
-            pt = ChartPoint(chart.chart_id, row)
+        for pt in box_grid(chart.chart_id, chart.lo, chart.hi, samples):
             norm = curvature_at(conn, pt).max_norm()
             if norm > worst or worst_pt is None:
                 worst, worst_pt = norm, pt

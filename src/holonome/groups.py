@@ -25,6 +25,9 @@ __all__ = [
     "identity_element",
     "rotation_angle",
     "frobenius",
+    "max_spread",
+    "neville_at_zero",
+    "loglog_slope",
     "so2_generator",
     "so3_basis",
     "rotation2",
@@ -224,7 +227,15 @@ def group_log(g):
 # --- projection ----------------------------------------------------------------
 
 def _polar(m):
-    u, _, vt = np.linalg.svd(m)
+    """Orthogonal polar factor u @ vt of m = u diag(sigma) vt: the nearest
+    SO matrix in the Frobenius norm.  Raises SingularInputError when m is
+    numerically singular or has det <= 0.  Returns a raw matrix, so
+    callers inside a loop skip the GroupElement checks."""
+    u, sigma, vt = np.linalg.svd(m)
+    if sigma[-1] <= _DET_TOL:
+        raise SingularInputError("matrix is numerically singular")
+    if np.linalg.det(m) <= 0:
+        raise SingularInputError("projection to SO needs det > 0")
     return u @ vt
 
 
@@ -233,18 +244,36 @@ def project_to_group(m, group):
     operation after a determinant check for GL."""
     m = np.asarray(m, dtype=float)
     if group.orthogonal:
-        u, sigma, vt = np.linalg.svd(m)
-        if sigma[-1] <= _DET_TOL:
-            raise SingularInputError("matrix is numerically singular")
-        if np.linalg.det(m) <= 0:
-            raise SingularInputError("projection to SO needs det > 0")
-        return GroupElement(u @ vt, group)
+        return GroupElement(_polar(m), group)
     if abs(np.linalg.det(m)) <= _DET_TOL:
         raise SingularInputError("matrix is numerically singular")
     return GroupElement(m, group)
 
 
 # --- small helpers used across the package --------------------------------------
+
+def max_spread(mats):
+    """Largest pairwise Frobenius distance, max_{i<j} ||m_i - m_j||_F."""
+    return max(
+        (frobenius(a - b) for i, a in enumerate(mats) for b in mats[i + 1:]), default=0.0
+    )
+
+
+def neville_at_zero(xs, values):
+    """Value at x = 0 of the polynomial through (xs[i], values[i]) by
+    Neville's scheme; values may be numbers or matrices."""
+    v = list(values)
+    n = len(v)
+    for level in range(1, n):
+        for i in range(n - level):
+            v[i] = (xs[i + level] * v[i] - xs[i] * v[i + 1]) / (xs[i + level] - xs[i])
+    return v[0]
+
+
+def loglog_slope(xs, ys):
+    """Least-squares slope of log ys against log xs (ys floored at 1e-300)."""
+    return float(np.polyfit(np.log(xs), np.log(np.maximum(ys, 1e-300)), 1)[0])
+
 
 def so2_generator():
     """The rotation generator J = [[0, -1], [1, 0]]."""

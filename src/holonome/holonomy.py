@@ -17,7 +17,7 @@ from . import exprs
 from .connection import is_flat
 from .errors import NotClosedError, ValidationError
 from .exprs import lit, substitute, var
-from .groups import GroupElement, frobenius, group_log, rotation_angle
+from .groups import GroupElement, frobenius, group_log, max_spread, neville_at_zero, rotation_angle
 from .paths import path_from_exprs, path_point
 from .transport import SolverConfig, engine_oracle, transport
 
@@ -118,16 +118,6 @@ def _rectangle_loop(x, mu, nu, eps):
     return path_from_exprs(x.chart_id, coords)
 
 
-def _neville_matrices(eps, mats):
-    eps = list(eps)
-    v = [m.copy() for m in mats]
-    n = len(v)
-    for level in range(1, n):
-        for i in range(n - level):
-            v[i] = (eps[i + level] * v[i] - eps[i] * v[i + 1]) / (eps[i + level] - eps[i])
-    return v[0]
-
-
 def shrinking_loop_curvature(oracle, x, mu, nu, eps_sweep=(0.2, 0.1, 0.05)):
     """Estimate F_mu_nu(x) from holonomies of coordinate rectangles
     [x, x+eps e_mu, x+eps e_mu+eps e_nu, x+eps e_nu].
@@ -142,7 +132,7 @@ def shrinking_loop_curvature(oracle, x, mu, nu, eps_sweep=(0.2, 0.1, 0.05)):
         estimates.append(group_log(g).matrix / (-(eps**2)))
     diffs = [frobenius(a - b) for a, b in zip(estimates, estimates[1:])]
     degenerate = max(diffs) < 1e-9
-    extrapolated = _neville_matrices(eps_sweep, estimates)
+    extrapolated = neville_at_zero(eps_sweep, estimates)
     if degenerate or len(diffs) < 2:
         return ShrinkingCurvatureReport(
             tuple(eps_sweep), tuple(estimates), extrapolated, None, degenerate
@@ -202,11 +192,7 @@ def homotopy_scan(oracle, family, s_values=None):
     if s_values is None:
         s_values = np.linspace(0.0, 1.0, family.s_samples)
     mats = [oracle(family.member(s)).g.matrix for s in s_values]
-    spread = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            spread = max(spread, frobenius(mats[i] - mats[j]))
-    return HomotopyScanReport(tuple(float(s) for s in s_values), spread)
+    return HomotopyScanReport(tuple(float(s) for s in s_values), max_spread(mats))
 
 
 def standard_homotopy_families(conn, chart_id=None, s_samples=11):

@@ -27,6 +27,7 @@ from .exprs import Expr, lit, parse, substitute, var
 
 __all__ = [
     "ChartPoint",
+    "box_grid",
     "TangentVector",
     "Segment",
     "PathSpec",
@@ -41,8 +42,8 @@ __all__ = [
     "arc_path",
     "path_from_exprs",
     "path_from_strings",
-    "segment_points",
-    "segment_points_and_velocities",
+    "coords_at",
+    "coords_and_velocities",
 ]
 
 _ENDPOINT_TOL = 1e-10
@@ -63,6 +64,14 @@ class ChartPoint:
     @property
     def dim(self):
         return len(self.coords)
+
+
+def box_grid(chart_id, lo, hi, shape):
+    """Uniform grid of ``shape`` points per axis over the box [lo, hi], as
+    ChartPoints with the first axis varying slowest."""
+    axes = [np.linspace(a, b, shape) for a, b in zip(lo, hi)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return [ChartPoint(chart_id, row) for row in np.stack([g.ravel() for g in mesh], axis=1)]
 
 
 @dataclass(frozen=True)
@@ -112,25 +121,25 @@ class Segment:
         return np.array([exprs.evaluate(c, [u]) for c in self.coords])
 
 
-def segment_points(seg, us):
-    """Coordinates at local parameters us; returns (m, n)."""
+def coords_at(coords, us):
+    """Coordinate expressions evaluated at local parameters us; (m, n)."""
     us = np.asarray(us, dtype=float)[:, None]
-    return np.stack([exprs.evaluate_many(c, us) for c in seg.coords], axis=1)
+    return np.stack([exprs.evaluate_many(c, us) for c in coords], axis=1)
 
 
-def segment_points_and_velocities(seg, us):
+def coords_and_velocities(coords, us, width):
     """Coordinates and global-t velocities at local parameters us.
 
-    Returns (points (m, n), velocities (m, n)); velocities carry the
-    1/(t1 - t0) chain-rule factor so they are derivatives in global t.
+    ``width`` is the global parameter range the local parameter [0, 1]
+    spans; velocities carry its 1/width chain-rule factor.  Returns
+    (points (m, n), velocities (m, n)).
     """
     us = np.asarray(us, dtype=float)[:, None]
     pts, vels = [], []
-    scale = 1.0 / (seg.t1 - seg.t0)
-    for c in seg.coords:
+    for c in coords:
         v, g = exprs.evaluate_dual_many(c, us)
         pts.append(v)
-        vels.append(g[:, 0] * scale)
+        vels.append(g[:, 0] / width)
     return np.stack(pts, axis=1), np.stack(vels, axis=1)
 
 
@@ -198,7 +207,7 @@ def path_velocity(gamma, t, side="right"):
     i = gamma.segment_index_at(t, side)
     seg = gamma.segments[i]
     u = (min(max(t, 0.0), 1.0) - seg.t0) / (seg.t1 - seg.t0)
-    pts, vels = segment_points_and_velocities(seg, [u])
+    pts, vels = coords_and_velocities(seg.coords, [u], seg.t1 - seg.t0)
     return TangentVector(ChartPoint(seg.chart_id, pts[0]), vels[0])
 
 

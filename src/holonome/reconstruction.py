@@ -36,8 +36,11 @@ from .groups import (
     group_inverse,
     group_log,
     identity_element,
+    loglog_slope,
+    max_spread,
+    neville_at_zero,
 )
-from .paths import ChartPoint, TangentVector, path_from_exprs, path_point, path_velocity, subpath
+from .paths import TangentVector, box_grid, path_from_exprs, path_point, path_velocity, subpath
 from .transport import SolverConfig, engine_oracle
 
 __all__ = [
@@ -178,17 +181,6 @@ class LemmaReport:
     degenerate: bool
 
 
-def _neville_at_zero(hs, values):
-    """Polynomial extrapolation of values(h) to h = 0."""
-    hs = list(hs)
-    v = list(values)
-    n = len(v)
-    for level in range(1, n):
-        for i in range(n - level):
-            v[i] = (hs[i + level] * v[i] - hs[i] * v[i + 1]) / (hs[i + level] - hs[i])
-    return v[0]
-
-
 def lemma_independence_check(oracle, x, p, v, curved_paths, hs=(1e-2, 5e-3, 2.5e-3)):
     """Same initial velocity forces the same lifted velocity, in the limit.
 
@@ -219,17 +211,13 @@ def lemma_independence_check(oracle, x, p, v, curved_paths, hs=(1e-2, 5e-3, 2.5e
                 raise OracleFailureError(f"oracle failed on a restriction: {err}") from err
             omega = group_log(u_h).matrix / h
             estimates.append(pinv @ omega @ p.matrix)
-        worst = 0.0
-        for i in range(len(estimates)):
-            for j in range(i + 1, len(estimates)):
-                worst = max(worst, frobenius(estimates[i] - estimates[j]))
-        devs.append(worst)
+        devs.append(max_spread(estimates))
 
     degenerate = max(devs) < 1e-10
     if degenerate:
         return LemmaReport(tuple(hs), tuple(devs), None, max(devs), True)
-    slope = float(np.polyfit(np.log(hs), np.log(np.maximum(devs, 1e-300)), 1)[0])
-    extrapolated = abs(_neville_at_zero(hs, devs))
+    slope = loglog_slope(hs, devs)
+    extrapolated = abs(neville_at_zero(hs, devs))
     return LemmaReport(tuple(hs), tuple(devs), slope, extrapolated, False)
 
 
@@ -332,16 +320,6 @@ class RoundtripReport:
         }
 
 
-def _inner_grid(chart, shape=5, shrink=0.5):
-    """Uniform grid over the chart box scaled about its center."""
-    center = 0.5 * (chart.lo + chart.hi)
-    half = shrink * 0.5 * (chart.hi - chart.lo)
-    axes = [np.linspace(c - hw, c + hw, shape) for c, hw in zip(center, half)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=1)
-    return [ChartPoint(chart.chart_id, row) for row in pts]
-
-
 def roundtrip_report(
     conn,
     cfg=None,
@@ -360,7 +338,9 @@ def roundtrip_report(
     """
     cfg = cfg or SolverConfig(h=0.02, project_every=4)
     chart = conn.charts[0] if chart_id is None else conn.chart(chart_id)
-    grid = _inner_grid(chart, shape=grid_shape)
+    center = 0.5 * (chart.lo + chart.hi)
+    quarter = 0.25 * (chart.hi - chart.lo)
+    grid = box_grid(chart.chart_id, center - quarter, center + quarter, grid_shape)
     oracle = engine_oracle(conn, cfg)
 
     X = np.stack([pt.coords for pt in grid])
@@ -381,5 +361,5 @@ def roundtrip_report(
     degenerate = max(max(errors), final_error) < 1e-8
     if degenerate:
         return RoundtripReport(tuple(hs), errors, h_final, final_error, None, True)
-    order = float(np.polyfit(np.log(hs), np.log(np.maximum(errors, 1e-300)), 1)[0])
+    order = loglog_slope(hs, errors)
     return RoundtripReport(tuple(hs), errors, h_final, final_error, order, False)

@@ -51,7 +51,7 @@ from .holonomy import (
     homotopy_scan,
     shrinking_loop_curvature,
 )
-from .paths import ChartPoint, PathSpec, Segment
+from .paths import ChartPoint, PathSpec, Segment, box_grid
 from .reconstruction import reconstruct_connection, roundtrip_report
 from .transport import (
     SolverConfig,
@@ -348,10 +348,7 @@ def _run_task(scenario, task, index, out_dir, trace_csv):
         hi = np.asarray(grid_doc.get("hi", center + quarter), dtype=float)
         h = float(task.get("h", 1e-3))
         params.update({"h": h, "grid": {"lo": lo.tolist(), "hi": hi.tolist(), "shape": shape}})
-        axes = [np.linspace(a, b, shape) for a, b in zip(lo, hi)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        grid = [ChartPoint(chart.chart_id, row)
-                for row in np.stack([g.ravel() for g in mesh], axis=1)]
+        grid = box_grid(chart.chart_id, lo, hi, shape)
         table = reconstruct_connection(engine_oracle(conn, cfg), grid, h, conn.group)
         csv_name = f"reconstruction-{index:02d}.csv"
         table.to_csv(os.path.join(out_dir, csv_name))

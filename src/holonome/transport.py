@@ -12,15 +12,18 @@ leaves its declared chart the crossing parameter is located by bisection
 and the accumulated transport picks up the transition gauge factor
 g(x*)^-1.
 
-The right-hand side is linear in U, so each fixed RK4 step is a matrix
-S(t, h) applied to U; all the S matrices of a piece are assembled in one
-vectorized pass and only the tiny sequential product remains.
+The right-hand side is linear in U, so each RK4 step is a matrix S(t, h)
+applied to U.  Both methods run one pass per piece: the step matrices of an
+even step count n and of n/2 steps are built from one field evaluation, and
+the difference of their products / 15 is the Richardson estimate of the
+piece's error (Hairer, Norsett & Wanner, Solving ODEs I, II.4).
+rk4-doubling repeats the pass with n doubled until the estimate meets tol.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,12 +35,14 @@ from .errors import (
     ValidationError,
 )
 from .exprs import lit, parse, substitute, var
-from .groups import GroupElement, frobenius, project_to_group
+from .groups import GroupElement, _polar, frobenius, loglog_slope, project_to_group
 from .paths import (
     ChartPoint,
     PathSpec,
     arc_path,
     constant_path,
+    coords_and_velocities,
+    coords_at,
     juxtapose,
     line_path,
     path_from_exprs,
@@ -71,10 +76,12 @@ _MIN_DOUBLING_STEP = 1e-7
 class SolverConfig:
     """Integrator settings.
 
-    method: "rk4-fixed" (default) or "rk4-doubling" (adaptive step with a
-    per-step error estimate).  h is the step in the global path parameter,
-    h in (0, 0.1]; project_every counts steps between polar projections;
-    tol is the local error tolerance for the doubling method.
+    method: "rk4-fixed" (default) or "rk4-doubling".  Each chart-resident
+    piece takes the smallest even step count n with steps <= h in the global
+    path parameter, h in (0, 0.1].  rk4-doubling doubles n until the piece's
+    error estimate is <= tol * max(1, ||U||_F): tol is per piece, not per
+    step.  est_error sums the estimates for both methods.  project_every
+    counts steps between polar projections.
     """
 
     method: str = "rk4-fixed"
@@ -123,21 +130,6 @@ class _Piece:
     t_hi: float
 
 
-def _coords_at(coords, us):
-    us = np.asarray(us, dtype=float)[:, None]
-    return np.stack([exprs.evaluate_many(c, us) for c in coords], axis=1)
-
-
-def _coords_and_velocity(coords, us, dt_dw):
-    us = np.asarray(us, dtype=float)[:, None]
-    pts, vels = [], []
-    for c in coords:
-        v, g = exprs.evaluate_dual_many(c, us)
-        pts.append(v)
-        vels.append(g[:, 0] / dt_dw)
-    return np.stack(pts, axis=1), np.stack(vels, axis=1)
-
-
 def _compose_affine(coords, w0, w1):
     """Restrict exprs in w to [w0, w1], rescaled onto a fresh [0, 1]."""
     inner = lit(w0) + lit(w1 - w0) * var(0)
@@ -160,7 +152,7 @@ def _split_segment(conn, seg):
                 f"the chart is {chart.dim}-dimensional"
             )
         us = np.linspace(0.0, 1.0, _SPLIT_SAMPLES)
-        X = _coords_at(coords, us)
+        X = coords_at(coords, us)
         inside = chart.contains_many(X)
         if not inside[0]:
             # starts outside the declared chart: move to a chart that holds it
@@ -186,7 +178,7 @@ def _split_segment(conn, seg):
         width = t_hi - t_lo
         while (hi - lo) * width > _CROSSING_TOL:
             mid = 0.5 * (lo + hi)
-            if chart.contains(_coords_at(coords, [mid])[0]):
+            if chart.contains(coords_at(coords, [mid])[0]):
                 lo = mid
             else:
                 hi = mid
@@ -205,8 +197,8 @@ def _resolve_pieces(conn, gamma):
     gauges = [None]
     for prev, nxt in zip(pieces, pieces[1:]):
         if prev.chart_id == nxt.chart_id:
-            end = _coords_at(prev.coords, [1.0])[0]
-            start = _coords_at(nxt.coords, [0.0])[0]
+            end = coords_at(prev.coords, [1.0])[0]
+            start = coords_at(nxt.coords, [0.0])[0]
             if np.max(np.abs(end - start)) > _JUNCTION_TOL:
                 raise EndpointMismatchError(
                     f"pieces disagree at t={nxt.t_lo:.6g}"
@@ -218,9 +210,9 @@ def _resolve_pieces(conn, gamma):
             raise OutsideChartError(
                 f"no transition from chart {prev.chart_id} to {nxt.chart_id}"
             )
-        end = _coords_at(prev.coords, [1.0])[0]
+        end = coords_at(prev.coords, [1.0])[0]
         mapped = tr.map_coords(end)
-        start = _coords_at(nxt.coords, [0.0])[0]
+        start = coords_at(nxt.coords, [0.0])[0]
         if np.max(np.abs(mapped - start)) > _JUNCTION_TOL:
             raise EndpointMismatchError(
                 f"chart switch at t={nxt.t_lo:.6g} is discontinuous"
@@ -240,9 +232,18 @@ def _step_matrices(M1, M2, M3, dt):
 
 
 def _piece_fields(conn, piece, ts_local):
-    """M(t) = sum_mu A_mu(x(t)) xdot^mu(t) on a grid of local parameters."""
+    """M(t) = sum_mu A_mu(x(t)) xdot^mu(t) on a grid of local parameters.
+
+    Raises OutsideChartError, before any coefficient is evaluated, when a
+    grid point lies off the piece's chart.  The last point is exempt: it is
+    a sampled segment end or a bisected chart exit, just outside the box."""
     chart = conn.chart(piece.chart_id)
-    X, V = _coords_and_velocity(piece.coords, ts_local, piece.t_hi - piece.t_lo)
+    width = piece.t_hi - piece.t_lo
+    X, V = coords_and_velocities(piece.coords, ts_local, width)
+    inside = chart.contains_many(X[:-1])
+    if not inside.all():
+        t = piece.t_lo + ts_local[np.argmin(inside)] * width
+        raise OutsideChartError(f"path leaves chart {piece.chart_id} at t={t:.6g}")
     k = conn.group.k
     M = np.zeros((len(ts_local), k, k))
     for mu in range(chart.dim):
@@ -250,87 +251,87 @@ def _piece_fields(conn, piece, ts_local):
     return X, M
 
 
-def _integrate_piece_fixed(conn, piece, cfg, U, collect, samples):
-    n_steps = max(1, math.ceil((piece.t_hi - piece.t_lo) / cfg.h))
-    dt = (piece.t_hi - piece.t_lo) / n_steps
-    grid = np.linspace(0.0, 1.0, 2 * n_steps + 1)
-    X, M = _piece_fields(conn, piece, grid)
-    S = _step_matrices(M[0:-1:2], M[1::2], M[2::2], dt)
+def _product(S, U, project_every, orthogonal, trail=None):
+    """S[-1] @ ... @ S[0] @ U, snapped back onto the group every
+    project_every steps; appends every partial product to trail if given."""
+    for j, s in enumerate(S, 1):
+        U = s @ U
+        if orthogonal and j % project_every == 0:
+            U = _polar(U)
+        if trail is not None:
+            trail.append(U)
+    return U
+
+
+def _rk4_pass(conn, piece, n, U, project_every, trail):
+    """n RK4 steps (n even) across a piece, starting from U.
+
+    The field is evaluated once, on the 2n + 1 points the n steps need; the
+    n/2 steps of twice the size reuse every other sample.  Returns the
+    n-step product, the Richardson estimate ||U_n - U_{n/2}||_F / 15 of
+    its error, and the field-grid points."""
+    dt = (piece.t_hi - piece.t_lo) / n
+    X, M = _piece_fields(conn, piece, np.linspace(0.0, 1.0, 2 * n + 1))
     orthogonal = conn.group.orthogonal
-    for j in range(n_steps):
-        U = S[j] @ U
-        if orthogonal and (j + 1) % cfg.project_every == 0:
-            U = project_to_group(U, conn.group).matrix
-        if collect:
-            t = piece.t_lo + (j + 1) * dt
-            samples.append((t, ChartPoint(piece.chart_id, X[2 * j + 2]), U))
-    return U, n_steps, 0.0
+    fine = _step_matrices(M[0:-1:2], M[1::2], M[2::2], dt)
+    coarse = _step_matrices(M[0:-1:4], M[2::4], M[4::4], 2.0 * dt)
+    U_fine = _product(fine, U, project_every, orthogonal, trail)
+    U_coarse = _product(coarse, U, project_every, orthogonal)
+    return U_fine, frobenius(U_fine - U_coarse) / 15.0, X
 
 
-def _integrate_piece_doubling(conn, piece, cfg, U, collect, samples):
-    t = piece.t_lo
+def _integrate_piece(conn, piece, cfg, U, samples):
+    """Advance U across one piece; returns (U, steps, error estimate).
+
+    Starts from the smallest even step count whose step is <= h.
+    rk4-fixed stops there; rk4-doubling doubles the count until the
+    estimate is within tol * max(1, ||U||_F).  Appends the accepted pass's
+    samples when samples is a list."""
     width = piece.t_hi - piece.t_lo
-    h = min(cfg.h, width)
-    steps = 0
-    est = 0.0
-    orthogonal = conn.group.orthogonal
-
-    def step_matrix(t0, hh):
-        local = (np.array([t0, t0 + hh / 2.0, t0 + hh]) - piece.t_lo) / width
-        X, M = _piece_fields(conn, piece, local)
-        return _step_matrices(M[0][None], M[1][None], M[2][None], hh)[0], X[2]
-
-    while t < piece.t_hi - 1e-14:
-        h = min(h, piece.t_hi - t)
-        S_full, x_end = step_matrix(t, h)
-        S_h1, _ = step_matrix(t, h / 2.0)
-        S_h2, _ = step_matrix(t + h / 2.0, h / 2.0)
-        U_full = S_full @ U
-        U_half = S_h2 @ (S_h1 @ U)
-        err = frobenius(U_full - U_half) / 15.0
-        tol = cfg.tol * max(1.0, frobenius(U))
-        if err <= tol:
-            U = U_half
-            t += h
-            est += err
-            steps += 1
-            if orthogonal and steps % cfg.project_every == 0:
-                U = project_to_group(U, conn.group).matrix
-            if collect:
-                samples.append((t, ChartPoint(piece.chart_id, x_end), U))
-            if err < tol / 32.0:
-                h = min(2.0 * h, cfg.h)
-        else:
-            h /= 2.0
-            if h < _MIN_DOUBLING_STEP:
-                raise StepUnderflowError(
-                    f"doubling cannot meet tol={cfg.tol:g} with h >= {_MIN_DOUBLING_STEP:g}"
-                )
-    return U, steps, est
+    n = math.ceil(width / cfg.h)
+    n += n % 2
+    prev = math.inf
+    while True:
+        trail = None if samples is None else []
+        U_n, est, X = _rk4_pass(conn, piece, n, U, cfg.project_every, trail)
+        if cfg.method == "rk4-fixed" or est <= cfg.tol * max(1.0, frobenius(U_n)):
+            break
+        if est > prev / 2.0:
+            raise StepUnderflowError(
+                f"doubling cannot meet tol={cfg.tol:g}: the error estimate "
+                f"{est:.3e} stopped shrinking at {n} steps (roundoff floor)"
+            )
+        if width / (2 * n) < _MIN_DOUBLING_STEP:
+            raise StepUnderflowError(
+                f"doubling cannot meet tol={cfg.tol:g} with h >= {_MIN_DOUBLING_STEP:g}"
+            )
+        prev = est
+        n *= 2
+    if samples is not None:
+        dt = width / n
+        samples.extend(
+            (piece.t_lo + (j + 1) * dt, ChartPoint(piece.chart_id, X[2 * j + 2]), Uj)
+            for j, Uj in enumerate(trail)
+        )
+    return U_n, n, est
 
 
 def _run(conn, gamma, cfg, collect):
     pieces, gauges = _resolve_pieces(conn, gamma)
     k = conn.group.k
     U = np.eye(k)
-    start = ChartPoint(pieces[0].chart_id, _coords_at(pieces[0].coords, [0.0])[0])
-    samples = [(0.0, start, U)] if collect else []
+    start = ChartPoint(pieces[0].chart_id, coords_at(pieces[0].coords, [0.0])[0])
+    samples = [(0.0, start, U)] if collect else None
     total_steps = 0
     est = 0.0
     for piece, gauge in zip(pieces, gauges):
         if gauge is not None:
             U = gauge @ U
-        if cfg.method == "rk4-fixed":
-            U, n, e = _integrate_piece_fixed(conn, piece, cfg, U, collect, samples)
-        else:
-            U, n, e = _integrate_piece_doubling(conn, piece, cfg, U, collect, samples)
+        U, n, e = _integrate_piece(conn, piece, cfg, U, samples)
         total_steps += n
         est += e
-    if conn.group.orthogonal:
-        g = project_to_group(U, conn.group)
-    else:
-        g = GroupElement(U, conn.group)
-    end = ChartPoint(pieces[-1].chart_id, _coords_at(pieces[-1].coords, [1.0])[0])
+    g = project_to_group(U, conn.group)
+    end = ChartPoint(pieces[-1].chart_id, coords_at(pieces[-1].coords, [1.0])[0])
     return TransportResult(start, end, g, total_steps, est), samples
 
 
@@ -522,5 +523,4 @@ def endpoint_convergence(conn, gamma, hs=(1e-2, 5e-3, 2.5e-3), cfg=None):
     u2 = run(h_ref / 2.0)
     ref = u2 + (u2 - u1) / 15.0
     errors = tuple(frobenius(run(h) - ref) for h in hs)
-    slope = float(np.polyfit(np.log(hs), np.log(np.maximum(errors, 1e-300)), 1)[0])
-    return ConvergenceReport(tuple(hs), errors, slope)
+    return ConvergenceReport(tuple(hs), errors, loglog_slope(hs, errors))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holonome.connection import (
     ChartSpec,
@@ -34,9 +36,11 @@ from holonome.paths import (
     juxtapose,
     line_path,
     path_from_exprs,
+    path_from_strings,
     path_point,
     path_velocity,
     reparametrize,
+    subpath,
 )
 from holonome.transport import (
     SolverConfig,
@@ -345,6 +349,52 @@ def test_doubling_matches_fixed_step():
     adaptive = transport(conn, gamma, SolverConfig("rk4-doubling", h=0.05, tol=1e-10))
     assert frobenius(fine.g.matrix - adaptive.g.matrix) <= 1e-7
     assert adaptive.est_error > 0.0
+
+
+@pytest.mark.parametrize("h", [2e-2, 1e-2])
+def test_fixed_step_estimate_tracks_true_error(h):
+    """rk4-fixed reports a Richardson estimate, not 0: on a unit circle
+    under abelian-area(1.5) it is within a factor 2 of the error against
+    the Stokes area law, holonomy = rotation by -1.5 pi."""
+    conn = builtin_connection("abelian-area(1.5)")
+    circle = arc_path(0, [0.0, 0.0], 1.0, 0.0, 2.0 * np.pi)
+    res = transport(conn, circle, SolverConfig(h=h))
+    true_error = frobenius(res.g.matrix - rotation2(-1.5 * np.pi))
+    assert 0.5 <= res.est_error / true_error <= 2.0
+
+
+def test_doubling_meets_tolerance_against_area_law():
+    conn = builtin_connection("abelian-area(1.5)")
+    circle = arc_path(0, [0.0, 0.0], 1.0, 0.0, 2.0 * np.pi)
+    res = transport(conn, circle, SolverConfig("rk4-doubling", h=0.05, tol=1e-10))
+    assert frobenius(res.g.matrix - rotation2(-1.5 * np.pi)) <= 1e-9
+    assert res.step_count % 2 == 0
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.floats(min_value=0.1, max_value=0.9),
+    st.sampled_from([SolverConfig(h=1e-3), SolverConfig("rk4-doubling", h=0.05, tol=1e-10)]),
+)
+def test_transport_multiplicative_at_random_splits(s, cfg):
+    """P(gamma) = P(gamma|[s, 1]) P(gamma|[0, s]) for both solver methods."""
+    conn = builtin_connection("levi-civita-s2-stereo")
+    gamma = arc_path(0, [0.2, -0.1], 1.2, 0.3, 4.0)
+    whole = transport(conn, gamma, cfg).g.matrix
+    first = transport(conn, subpath(gamma, 0.0, s), cfg).g.matrix
+    second = transport(conn, subpath(gamma, s, 1.0), cfg).g.matrix
+    assert frobenius(whole - second @ first) <= 1e-8
+
+
+@pytest.mark.parametrize("h", [1e-3, 1e-4])
+def test_chart_exit_between_split_samples_raises(h):
+    """A narrow excursion to x1 = 4.5 at t = 0.503 falls between the chart
+    split's samples; the integrator's own grid catches it before any
+    coefficient is evaluated off chart 0's box [-4, 4]^2."""
+    conn = builtin_connection("levi-civita-s2-twochart")
+    gamma = path_from_strings(0, ["3 + 1.5*exp(-1000000*(x1 - 0.503)^2)", "0.5"])
+    with pytest.raises(OutsideChartError, match=r"t=0\.50"):
+        transport(conn, gamma, SolverConfig(h=h))
 
 
 # --- chart switching -----------------------------------------------------------
