@@ -25,6 +25,7 @@ import numpy as np
 
 from . import exprs
 from .errors import (
+    DomainError,
     OutsideChartError,
     SingularGaugeError,
     ValidationError,
@@ -50,6 +51,10 @@ __all__ = [
 ]
 
 _FD_STEP = 1e-6  # central-difference step for callable-backed derivatives
+_GAUGE_LAW_TOL = 1e-8  # largest gauge-law defect accepted on an overlap
+_OVERLAP_SAMPLES = 20  # overlap points checked per transition
+_OVERLAP_ATTEMPTS = 500  # candidate points drawn to find them
+_OVERLAP_SEED = 20240615
 
 
 # --- matrix-valued functions of chart coordinates -------------------------------
@@ -82,25 +87,16 @@ class ExprMatrixFunction(MatrixFunction):
         self.entries = tuple(tuple(e.with_dim(dim) for e in row) for row in entries)
         self.k = len(self.entries)
         self.dim = dim
+        self._flat = tuple(e for row in self.entries for e in row)  # row-major
 
     def value(self, X):
-        m = X.shape[0]
-        out = np.empty((m, self.k, self.k))
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                out[:, i, j] = exprs.evaluate_many(e, X)
-        return out
+        return exprs.evaluate_many(self._flat, X).reshape(-1, self.k, self.k)
 
     def value_and_grad(self, X):
-        m = X.shape[0]
-        vals = np.empty((m, self.k, self.k))
-        grads = np.empty((m, self.dim, self.k, self.k))
-        for i, row in enumerate(self.entries):
-            for j, e in enumerate(row):
-                v, g = exprs.evaluate_dual_many(e, X)
-                vals[:, i, j] = v
-                grads[:, :, i, j] = g
-        return vals, grads
+        v, g = exprs.evaluate_dual_many(self._flat, X)
+        m, k = len(v), self.k
+        grads = np.ascontiguousarray(np.moveaxis(g, 2, 1)).reshape(m, self.dim, k, k)
+        return v.reshape(m, k, k), grads
 
 
 class ConstantMatrixFunction(MatrixFunction):
@@ -160,53 +156,20 @@ class _ComposedWithMap(MatrixFunction):
         self.dim = dim
         self.k = base.k
 
-    def _map(self, X):
-        return np.stack([exprs.evaluate_many(c, X) for c in self.coord_map], axis=1)
-
     def value(self, X):
-        return self.base.value(self._map(X))
+        return self.base.value(exprs.evaluate_many(self.coord_map, X))
 
     def value_and_grad(self, X):
-        m = X.shape[0]
-        Y = np.empty((m, len(self.coord_map)))
-        J = np.empty((m, len(self.coord_map), self.dim))
-        for i, c in enumerate(self.coord_map):
-            v, g = exprs.evaluate_dual_many(c, X)
-            Y[:, i] = v
-            J[:, i, :] = g[:, : self.dim]
+        Y, J = exprs.evaluate_dual_many(self.coord_map, X)
         v, g = self.base.value_and_grad(Y)
         # chain rule: d_mu (f . phi) = sum_nu (d_nu f)(phi) J^nu_mu
         gx = np.einsum("mnij,mnd->mdij", g, J)
         return v, gx
 
 
-class FiniteDifferenceGrad(MatrixFunction):
-    """Wrap an exact-value function with central-difference derivatives."""
-
-    def __init__(self, base, step=_FD_STEP):
-        self.base = base
-        self.step = step
-        self.dim, self.k = base.dim, base.k
-
-    def value(self, X):
-        return self.base.value(X)
-
-    def value_and_grad(self, X):
-        m = X.shape[0]
-        v = self.base.value(X)
-        g = np.empty((m, self.dim, self.k, self.k))
-        for d in range(self.dim):
-            xp = X.copy()
-            xm = X.copy()
-            xp[:, d] += self.step
-            xm[:, d] -= self.step
-            g[:, d] = (self.base.value(xp) - self.base.value(xm)) / (2.0 * self.step)
-        return v, g
-
-
 class _GaugeTransformedCoefficient(MatrixFunction):
-    """A'_mu = g^-1 A_mu g + g^-1 d_mu g, values exact; use with
-    FiniteDifferenceGrad for derivatives (exact second derivatives of the
+    """A'_mu = g^-1 A_mu g + g^-1 d_mu g, values exact, derivatives by
+    central differences of step _FD_STEP (exact second derivatives of the
     gauge are outside the DSL)."""
 
     def __init__(self, base_mu, gauge, mu):
@@ -221,8 +184,16 @@ class _GaugeTransformedCoefficient(MatrixFunction):
         gi = np.linalg.inv(gv)
         return gi @ a @ gv + gi @ gg[:, self.mu]
 
-    def value_and_grad(self, X):  # pragma: no cover - always wrapped
-        raise NotImplementedError("wrap in FiniteDifferenceGrad")
+    def value_and_grad(self, X):
+        m, n = X.shape
+        # one batch: X, then X + step e_d for every d, then X - step e_d
+        shifted = np.repeat(X[None], 2 * n + 1, axis=0)
+        d = np.arange(n)
+        shifted[1 + d, :, d] += _FD_STEP
+        shifted[1 + n + d, :, d] -= _FD_STEP
+        vals = self.value(shifted.reshape(-1, n)).reshape(2 * n + 1, m, self.k, self.k)
+        grads = (vals[1 : n + 1] - vals[n + 1 :]) / (2.0 * _FD_STEP)
+        return vals[0], np.ascontiguousarray(np.moveaxis(grads, 0, 1))
 
 
 # --- charts, transitions, connection ---------------------------------------------
@@ -273,16 +244,11 @@ class Transition:
         object.__setattr__(self, "coord_map", tuple(self.coord_map))
 
     def map_coords(self, coords):
-        x = np.asarray(coords, dtype=float)
-        return np.array([exprs.evaluate(c, x) for c in self.coord_map])
-
-    def map_coords_many(self, X):
-        return np.stack([exprs.evaluate_many(c, X) for c in self.coord_map], axis=1)
+        return exprs.evaluate_many(self.coord_map, np.asarray(coords, dtype=float)[None, :])[0]
 
     def jacobian(self, coords):
         x = np.asarray(coords, dtype=float)[None, :]
-        rows = [exprs.evaluate_dual_many(c, x)[1][0] for c in self.coord_map]
-        return np.stack(rows, axis=0)
+        return exprs.evaluate_dual_many(self.coord_map, x)[1][0]
 
     def gauge_at(self, coords):
         return self.gauge.at(coords)
@@ -354,53 +320,55 @@ class ConnectionForm:
         return ChartPoint(to_chart, tr.map_coords(point.coords))
 
 
-def _overlap_samples(conn, tr, want=20, attempts=500, seed=20240615):
+def _map_where_defined(coord_map, X):
+    """The rows of X at which coord_map is defined, and their images.  A
+    batch that raises DomainError is halved until the offending rows are
+    isolated and dropped."""
+    try:
+        return X, exprs.evaluate_many(coord_map, X)
+    except DomainError:
+        if len(X) == 1:
+            return X[:0], np.empty((0, len(coord_map)))
+        half = len(X) // 2
+        Xa, Ya = _map_where_defined(coord_map, X[:half])
+        Xb, Yb = _map_where_defined(coord_map, X[half:])
+        return np.concatenate([Xa, Xb]), np.concatenate([Ya, Yb])
+
+
+def _overlap_samples(conn, tr):
     """Deterministic sample points in the from-chart box whose image lands
-    in the to-chart box."""
+    in the to-chart box: (points, images), at most _OVERLAP_SAMPLES rows."""
     src = conn.chart(tr.from_chart)
     dst = conn.chart(tr.to_chart)
-    rng = np.random.default_rng(seed + 17 * tr.from_chart + 31 * tr.to_chart)
-    pts = []
-    for _ in range(attempts):
-        x = rng.uniform(src.lo, src.hi)
-        try:
-            y = tr.map_coords(x)
-        except Exception:
-            continue
-        if dst.contains(y):
-            pts.append((x, y))
-            if len(pts) >= want:
-                break
-    return pts
+    rng = np.random.default_rng(_OVERLAP_SEED + 17 * tr.from_chart + 31 * tr.to_chart)
+    X = rng.uniform(src.lo, src.hi, (_OVERLAP_ATTEMPTS, src.dim))
+    X, Y = _map_where_defined(tr.coord_map, X)
+    inside = dst.contains_many(Y)
+    return X[inside][:_OVERLAP_SAMPLES], Y[inside][:_OVERLAP_SAMPLES]
 
 
-def check_transition_compatibility(conn, tol=1e-8, samples=20):
+def check_transition_compatibility(conn):
     """Sampled check of A' = g^-1 A g + g^-1 dg on every declared overlap."""
     for tr in conn.transitions:
-        pts = _overlap_samples(conn, tr, want=samples)
-        if not pts:
+        X, Y = _overlap_samples(conn, tr)
+        if not len(X):
             raise ValidationError(
                 f"transition {tr.from_chart}->{tr.to_chart}: no overlap samples found"
             )
         src = conn.chart(tr.from_chart)
         dst = conn.chart(tr.to_chart)
-        worst = 0.0
-        for x, y in pts:
-            X = x[None, :]
-            J = tr.jacobian(x)
-            gv, gg = tr.gauge.value_and_grad(X)
-            g = gv[0]
-            gi = np.linalg.inv(g)
-            a_dst = np.stack([f.value(y[None, :])[0] for f in dst.coefficients])
-            a_src = np.stack([f.value(X)[0] for f in src.coefficients])
-            for mu in range(src.dim):
-                lhs = np.einsum("n,nij->ij", J[:, mu], a_dst)
-                rhs = gi @ a_src[mu] @ g + gi @ gg[0, mu]
-                worst = max(worst, frobenius(lhs - rhs))
-        if worst > tol:
+        _, J = exprs.evaluate_dual_many(tr.coord_map, X)  # J[p, nu, mu] = d y^nu / d x^mu
+        g, dg = tr.gauge.value_and_grad(X)
+        gi = np.linalg.inv(g)[:, None]
+        a_dst = np.stack([f.value(Y) for f in dst.coefficients], axis=1)
+        a_src = np.stack([f.value(X) for f in src.coefficients], axis=1)
+        lhs = np.einsum("pnm,pnij->pmij", J, a_dst)
+        rhs = gi @ a_src @ g[:, None] + gi @ dg
+        worst = float(np.max(np.linalg.norm(lhs - rhs, axis=(-2, -1))))
+        if worst > _GAUGE_LAW_TOL:
             raise ValidationError(
                 f"transition {tr.from_chart}->{tr.to_chart} violates the gauge "
-                f"law by {worst:.3e} (tol {tol:.1e})"
+                f"law by {worst:.3e} (tol {_GAUGE_LAW_TOL:.1e})"
             )
 
 
@@ -454,6 +422,20 @@ class CurvatureValue:
         return max(frobenius(m) for m in self.components.values())
 
 
+def _curvature(chart, X, orthogonal):
+    """F_mu_nu = d_mu A_nu - d_nu A_mu + [A_mu, A_nu] for every mu < nu at
+    an (m, n) array of points, as {(mu, nu): (m, k, k) array}."""
+    vals, grads = zip(*(f.value_and_grad(X) for f in chart.coefficients))
+    comps = {}
+    for mu in range(chart.dim):
+        for nu in range(mu + 1, chart.dim):
+            f = grads[nu][:, mu] - grads[mu][:, nu] + vals[mu] @ vals[nu] - vals[nu] @ vals[mu]
+            if orthogonal:
+                f = 0.5 * (f - np.swapaxes(f, 1, 2))  # discard roundoff outside the algebra
+            comps[(mu, nu)] = f
+    return comps
+
+
 def curvature_at(conn, x):
     """F_mu_nu = d_mu A_nu - d_nu A_mu + [A_mu, A_nu].
 
@@ -462,20 +444,9 @@ def curvature_at(conn, x):
     """
     chart = _require_inside(conn, x)
     X = np.asarray(x.coords, dtype=float)[None, :]
-    vals = []
-    grads = []
-    for mu in range(chart.dim):
-        v, g = chart.coefficients[mu].value_and_grad(X)
-        vals.append(v[0])
-        grads.append(g[0])
-    comps = {}
-    for mu in range(chart.dim):
-        for nu in range(mu + 1, chart.dim):
-            f = grads[nu][mu] - grads[mu][nu] + vals[mu] @ vals[nu] - vals[nu] @ vals[mu]
-            if conn.group.orthogonal:
-                f = 0.5 * (f - f.T)  # discard roundoff outside the algebra
-            AlgebraElement(f, conn.group)  # invariant check
-            comps[(mu, nu)] = f
+    comps = {key: f[0] for key, f in _curvature(chart, X, conn.group.orthogonal).items()}
+    for f in comps.values():
+        AlgebraElement(f, conn.group)  # invariant check
     return CurvatureValue(x, comps)
 
 
@@ -498,10 +469,12 @@ def is_flat(conn, samples=7, tol=1e-6):
     worst = 0.0
     worst_pt = None
     for chart in conn.charts:
-        for pt in box_grid(chart.chart_id, chart.lo, chart.hi, samples):
-            norm = curvature_at(conn, pt).max_norm()
-            if norm > worst or worst_pt is None:
-                worst, worst_pt = norm, pt
+        pts = box_grid(chart.chart_id, chart.lo, chart.hi, samples)
+        comps = _curvature(chart, np.array([p.coords for p in pts]), conn.group.orthogonal)
+        norms = np.max([np.linalg.norm(f, axis=(1, 2)) for f in comps.values()], axis=0)
+        i = int(np.argmax(norms))  # the first maximum, as in a scan
+        if norms[i] > worst or worst_pt is None:
+            worst, worst_pt = float(norms[i]), pts[i]
     return FlatnessGridReport(worst <= tol, worst, worst_pt, samples, tol)
 
 
@@ -513,7 +486,7 @@ def _as_matrix_function(g, dim):
     return ExprMatrixFunction(g, dim)
 
 
-def gauge_transform(conn, g, chart_id=None, fd_step=_FD_STEP):
+def gauge_transform(conn, g, chart_id=None):
     """Change of trivialization on one chart: A -> g^-1 A g + g^-1 dg.
 
     The result stores callable coefficients (derivatives by central
@@ -535,10 +508,7 @@ def gauge_transform(conn, g, chart_id=None, fd_step=_FD_STEP):
         raise SingularGaugeError("gauge matrix is singular on the chart")
 
     new_coeffs = tuple(
-        FiniteDifferenceGrad(
-            _GaugeTransformedCoefficient(chart.coefficients[mu], gauge, mu),
-            step=fd_step,
-        )
+        _GaugeTransformedCoefficient(chart.coefficients[mu], gauge, mu)
         for mu in range(chart.dim)
     )
     new_charts = tuple(

@@ -12,7 +12,10 @@ Grammar (whitespace-insensitive, precedence pow > unary minus > * / > + -):
 Expressions are immutable after parsing; evaluation is pure and safe to
 call concurrently.  First derivatives are exact, propagated forward with
 dual numbers.  Evaluation is vectorized: every node operates on numpy
-arrays of sample points in one pass.
+arrays of sample points in one pass, and evaluate_many /
+evaluate_dual_many take a whole vector of expressions (a coordinate map,
+the entries of a matrix) and fill one (m, len(es)) value array and one
+(m, len(es), n) gradient array.
 """
 
 from __future__ import annotations
@@ -454,15 +457,16 @@ def _eval_dual(ast, X):
     raise AssertionError(f"corrupt ast node {ast!r}")
 
 
-def _as_points(e, x):
+def _as_points(es, x):
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[None, :]
     if x.ndim != 2:
         raise DimensionError("points must be a vector or an (m, n) array", 0)
-    if x.shape[1] < e.dim:
+    need = max((e.dim for e in es), default=0)
+    if x.shape[1] < need:
         raise DimensionError(
-            f"expression needs {e.dim} coordinates, got {x.shape[1]}", 0
+            f"expression needs {need} coordinates, got {x.shape[1]}", 0
         )
     return x
 
@@ -473,11 +477,15 @@ def _finite_or_raise(a):
     return a
 
 
-def evaluate_many(e, X):
-    """Evaluate e at an (m, n) array of points; returns (m,)."""
-    X = _as_points(e, X)
+def evaluate_many(es, X):
+    """Evaluate a sequence of expressions at an (m, n) array of points.
+
+    Returns values of shape (m, len(es)): column i holds es[i]."""
+    X = _as_points(es, X)
+    out = np.empty((X.shape[0], len(es)))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = _eval(e.ast, X)
+        for i, e in enumerate(es):
+            out[:, i] = _eval(e.ast, X)
     return _finite_or_raise(out)
 
 
@@ -490,15 +498,23 @@ def evaluate(e, x):
         x = x[None]
     if len(x) != max(e.dim, 1):
         raise DimensionError(f"expression needs {e.dim} coordinates, got {len(x)}", 0)
-    return float(evaluate_many(e, x[None, :])[0])
+    return float(evaluate_many((e,), x[None, :])[0, 0])
 
 
-def evaluate_dual_many(e, X):
-    """Vectorized dual evaluation; returns (values (m,), grads (m, n))."""
-    X = _as_points(e, X)
+def evaluate_dual_many(es, X):
+    """Dual evaluation of a sequence of expressions at an (m, n) array of
+    points.
+
+    Returns (values (m, len(es)), grads (m, len(es), n)): grads[:, i] is
+    the gradient of es[i] with respect to x1..xn."""
+    X = _as_points(es, X)
+    m, n = X.shape
+    vals = np.empty((m, len(es)))
+    grads = np.empty((m, len(es), n))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v, g = _eval_dual(e.ast, X)
-    return _finite_or_raise(v), _finite_or_raise(g)
+        for i, e in enumerate(es):
+            vals[:, i], grads[:, i] = _eval_dual(e.ast, X)
+    return _finite_or_raise(vals), _finite_or_raise(grads)
 
 
 def evaluate_dual(e, x):
@@ -508,8 +524,8 @@ def evaluate_dual(e, x):
         x = x[None]
     if len(x) != max(e.dim, 1):
         raise DimensionError(f"expression needs {e.dim} coordinates, got {len(x)}", 0)
-    v, g = evaluate_dual_many(e, x[None, :])
-    return Dual(float(v[0]), g[0].copy())
+    v, g = evaluate_dual_many((e,), x[None, :])
+    return Dual(float(v[0, 0]), g[0, 0])
 
 
 # --- pretty printing ----------------------------------------------------------

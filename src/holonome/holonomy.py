@@ -162,11 +162,7 @@ class HomotopyFamily:
             raise ValidationError("a homotopy family needs at least 2 s-samples")
         ss = np.linspace(0.0, 1.0, 21)
         for t_end in (0.0, 1.0):
-            pts = np.stack(
-                [exprs.evaluate_many(c, np.stack([np.full(21, t_end), ss], axis=1))
-                 for c in coords],
-                axis=1,
-            )
+            pts = exprs.evaluate_many(coords, np.stack([np.full(21, t_end), ss], axis=1))
             drift = np.max(np.abs(pts - pts[0]))
             if drift > 1e-10:
                 raise ValidationError(

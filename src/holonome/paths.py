@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 _ENDPOINT_TOL = 1e-10
+_MONOTONE_SAMPLES = 101  # points at which reparametrize checks alpha
 
 
 @dataclass(frozen=True)
@@ -118,13 +119,12 @@ class Segment:
         return len(self.coords)
 
     def point_at(self, u):
-        return np.array([exprs.evaluate(c, [u]) for c in self.coords])
+        return exprs.evaluate_many(self.coords, [[u]])[0]
 
 
 def coords_at(coords, us):
     """Coordinate expressions evaluated at local parameters us; (m, n)."""
-    us = np.asarray(us, dtype=float)[:, None]
-    return np.stack([exprs.evaluate_many(c, us) for c in coords], axis=1)
+    return exprs.evaluate_many(coords, np.asarray(us, dtype=float)[:, None])
 
 
 def coords_and_velocities(coords, us, width):
@@ -134,13 +134,8 @@ def coords_and_velocities(coords, us, width):
     spans; velocities carry its 1/width chain-rule factor.  Returns
     (points (m, n), velocities (m, n)).
     """
-    us = np.asarray(us, dtype=float)[:, None]
-    pts, vels = [], []
-    for c in coords:
-        v, g = exprs.evaluate_dual_many(c, us)
-        pts.append(v)
-        vels.append(g[:, 0] / width)
-    return np.stack(pts, axis=1), np.stack(vels, axis=1)
+    pts, grads = exprs.evaluate_dual_many(coords, np.asarray(us, dtype=float)[:, None])
+    return pts, grads[:, :, 0] / width
 
 
 @dataclass(frozen=True)
@@ -304,9 +299,10 @@ def juxtapose(gamma1, gamma2, atlas=None):
     return PathSpec(tuple(segs))
 
 
-def _check_monotone(alpha, samples=101):
-    ts = np.linspace(0.0, 1.0, samples)[:, None]
-    vals, grads = exprs.evaluate_dual_many(alpha, ts)
+def _check_monotone(alpha):
+    ts = np.linspace(0.0, 1.0, _MONOTONE_SAMPLES)[:, None]
+    vals, grads = exprs.evaluate_dual_many((alpha,), ts)
+    vals, slopes = vals[:, 0], grads[:, 0, 0]
     if abs(vals[0]) > 1e-9 or abs(vals[-1] - 1.0) > 1e-9:
         raise NotMonotoneError(
             f"reparametrization must map 0 to 0 and 1 to 1, got "
@@ -314,7 +310,7 @@ def _check_monotone(alpha, samples=101):
         )
     # weakly increasing: the derivative may vanish at isolated points
     # (e.g. t^2 at t = 0) but must never be negative
-    if np.min(grads[:, 0]) < -1e-9:
+    if np.min(slopes) < -1e-9:
         raise NotMonotoneError("reparametrization derivative is negative")
     if np.min(np.diff(vals)) < -1e-12:
         raise NotMonotoneError("reparametrization values are not increasing")

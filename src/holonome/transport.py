@@ -17,7 +17,8 @@ applied to U.  Both methods run one pass per piece: the step matrices of an
 even step count n and of n/2 steps are built from one field evaluation, and
 the difference of their products / 15 is the Richardson estimate of the
 piece's error (Hairer, Norsett & Wanner, Solving ODEs I, II.4).
-rk4-doubling repeats the pass with n doubled until the estimate meets tol.
+rk4-doubling repeats the pass with n doubled until the estimate meets tol;
+each pass takes the previous pass's product as its n/2-step product.
 """
 
 from __future__ import annotations
@@ -263,20 +264,23 @@ def _product(S, U, project_every, orthogonal, trail=None):
     return U
 
 
-def _rk4_pass(conn, piece, n, U, project_every, trail):
+def _rk4_pass(conn, piece, n, U, project_every, trail, U_coarse=None):
     """n RK4 steps (n even) across a piece, starting from U.
 
     The field is evaluated once, on the 2n + 1 points the n steps need; the
-    n/2 steps of twice the size reuse every other sample.  Returns the
+    n/2 steps of twice the size reuse every other sample, unless their
+    product U_coarse is given: the n/2-step pass's own product is that
+    product bit for bit, because its grid and step are.  Returns the
     n-step product, the Richardson estimate ||U_n - U_{n/2}||_F / 15 of
     its error, and the field-grid points."""
     dt = (piece.t_hi - piece.t_lo) / n
     X, M = _piece_fields(conn, piece, np.linspace(0.0, 1.0, 2 * n + 1))
     orthogonal = conn.group.orthogonal
     fine = _step_matrices(M[0:-1:2], M[1::2], M[2::2], dt)
-    coarse = _step_matrices(M[0:-1:4], M[2::4], M[4::4], 2.0 * dt)
     U_fine = _product(fine, U, project_every, orthogonal, trail)
-    U_coarse = _product(coarse, U, project_every, orthogonal)
+    if U_coarse is None:
+        coarse = _step_matrices(M[0:-1:4], M[2::4], M[4::4], 2.0 * dt)
+        U_coarse = _product(coarse, U, project_every, orthogonal)
     return U_fine, frobenius(U_fine - U_coarse) / 15.0, X
 
 
@@ -285,15 +289,17 @@ def _integrate_piece(conn, piece, cfg, U, samples):
 
     Starts from the smallest even step count whose step is <= h.
     rk4-fixed stops there; rk4-doubling doubles the count until the
-    estimate is within tol * max(1, ||U||_F).  Appends the accepted pass's
+    estimate is within tol * max(1, ||U||_F), each pass taking the last
+    one's product as its coarse product.  Appends the accepted pass's
     samples when samples is a list."""
     width = piece.t_hi - piece.t_lo
     n = math.ceil(width / cfg.h)
     n += n % 2
     prev = math.inf
+    U_n = None
     while True:
         trail = None if samples is None else []
-        U_n, est, X = _rk4_pass(conn, piece, n, U, cfg.project_every, trail)
+        U_n, est, X = _rk4_pass(conn, piece, n, U, cfg.project_every, trail, U_n)
         if cfg.method == "rk4-fixed" or est <= cfg.tol * max(1.0, frobenius(U_n)):
             break
         if est > prev / 2.0:

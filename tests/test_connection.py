@@ -2,13 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from holonome import exprs
 from holonome.connection import (
     ChartSpec,
     ConnectionForm,
     ConstantMatrixFunction,
     ExprMatrixFunction,
     Transition,
+    _overlap_samples,
     builtin_connection,
     curvature_at,
     eval_connection,
@@ -16,18 +20,21 @@ from holonome.connection import (
     is_flat,
 )
 from holonome.errors import (
+    DimensionError,
     OutsideChartError,
     SingularGaugeError,
     ValidationError,
 )
-from holonome.exprs import cos, lit, parse, sin, var
+from holonome.exprs import cos, lit, parse, sin, sqrt, var
 from holonome.groups import StructureGroup, frobenius, so2_generator
-from holonome.paths import ChartPoint, TangentVector
+from holonome.paths import ChartPoint, TangentVector, box_grid
 
 from oracles import central_gradient
 
 J = so2_generator()
 SO2 = StructureGroup("SO", 2)
+BUILTINS = ["flat-so2", "abelian-area(1.5)", "constant-so3", "levi-civita-s2-stereo",
+            "levi-civita-s2-twochart", "pure-gauge"]
 
 
 def point(x, y, chart=0):
@@ -201,11 +208,7 @@ def test_builtin_flat_so2_coefficients_vanish():
         assert np.max(np.abs(conn.charts[0].coefficients[mu].value(X))) == 0.0
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["flat-so2", "abelian-area(1.5)", "constant-so3", "levi-civita-s2-stereo",
-     "levi-civita-s2-twochart", "pure-gauge"],
-)
+@pytest.mark.parametrize("name", BUILTINS)
 def test_builtin_coefficients_respect_algebra(name):
     """Skew-symmetry of every coefficient at 100 random domain points."""
     conn = builtin_connection(name)
@@ -245,3 +248,88 @@ def test_incompatible_transition_rejected():
     tr = Transition(0, 1, (x1 / r2, lit(-1.0) * x2 / r2), gauge)
     with pytest.raises(ValidationError):
         ConnectionForm(SO2, (chart0, chart1), (tr,))
+
+
+def test_transition_map_of_wrong_dimension_is_a_dimension_error():
+    """A coordinate map over three coordinates on two-dimensional charts is
+    reported as such, not as a failed search for overlap samples."""
+    twochart = builtin_connection("levi-civita-s2-twochart")
+    tr = Transition(0, 1, (var(2, 3), var(0, 3)), twochart.transitions[0].gauge)
+    with pytest.raises(DimensionError):
+        ConnectionForm(SO2, twochart.charts, (tr,))
+
+
+def test_overlap_samples_skip_points_outside_the_map_domain():
+    """sqrt(x1) is undefined on half of chart 0: those candidates are
+    dropped, and the rest still supply a full set of overlap samples."""
+    zero = ConstantMatrixFunction(np.zeros((2, 2)), 2)
+    chart0 = ChartSpec(0, 2, [-2, -2], [2, 2], (zero, zero))
+    chart1 = ChartSpec(1, 2, [-2, -2], [2, 2], (zero, zero))
+    tr = Transition(0, 1, (sqrt(var(0, 2)), var(1, 2)), ConstantMatrixFunction(np.eye(2), 2))
+    conn = ConnectionForm(SO2, (chart0, chart1), (tr,))
+    X, Y = _overlap_samples(conn, tr)
+    assert len(X) == 20 and np.all(X[:, 0] > 0.0)
+    assert np.array_equal(Y, np.stack([np.sqrt(X[:, 0]), X[:, 1]], axis=1))
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_is_flat_matches_pointwise_curvature(name):
+    """is_flat evaluates the curvature of a whole grid at once; it must
+    report the maximum of curvature_at over the same grid, at the first
+    point that attains it."""
+    conn = builtin_connection(name)
+    rep = is_flat(conn)
+    worst, worst_pt = 0.0, None
+    for chart in conn.charts:
+        for pt in box_grid(chart.chart_id, chart.lo, chart.hi, rep.samples):
+            norm = curvature_at(conn, pt).max_norm()
+            if norm > worst or worst_pt is None:
+                worst, worst_pt = norm, pt
+    assert abs(rep.max_norm - worst) <= 1e-14
+    assert rep.worst_point.chart_id == worst_pt.chart_id
+    assert np.max(np.abs(rep.worst_point.coords - worst_pt.coords)) <= 1e-14
+
+
+def _builtin_expressions():
+    """Every expression the builtins are built from: the entries of each
+    expression-backed coefficient (and of the gauge behind pure-gauge's),
+    each transition map and each transition gauge."""
+    out = []
+
+    def entries(f):
+        if isinstance(f, ExprMatrixFunction):
+            out.extend(e for row in f.entries for e in row)
+
+    for name in BUILTINS:
+        conn = builtin_connection(name)
+        for chart in conn.charts:
+            for f in chart.coefficients:
+                entries(f)
+                entries(getattr(f, "gauge", None))
+        for tr in conn.transitions:
+            out.extend(tr.coord_map)
+            entries(tr.gauge)
+    return tuple(out)
+
+
+_BUILTIN_EXPRS = _builtin_expressions()
+_points = st.lists(
+    st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)), min_size=1, max_size=6
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_points)
+def test_batched_evaluation_matches_pointwise(points):
+    """Column i of evaluate_many / evaluate_dual_many is es[i] evaluated
+    point by point, exactly."""
+    X = np.array(points)
+    vals = exprs.evaluate_many(_BUILTIN_EXPRS, X)
+    dvals, grads = exprs.evaluate_dual_many(_BUILTIN_EXPRS, X)
+    assert vals.shape == dvals.shape == (len(X), len(_BUILTIN_EXPRS))
+    assert grads.shape == (len(X), len(_BUILTIN_EXPRS), 2)
+    for r, x in enumerate(X):
+        for i, e in enumerate(_BUILTIN_EXPRS):
+            d = exprs.evaluate_dual(e, x)
+            assert vals[r, i] == exprs.evaluate(e, x) == d.value == dvals[r, i]
+            assert np.array_equal(grads[r, i], d.deriv)

@@ -351,6 +351,21 @@ def test_doubling_matches_fixed_step():
     assert adaptive.est_error > 0.0
 
 
+def test_doubling_equals_fixed_at_the_accepted_step_count():
+    """Each doubling pass takes the previous pass's product as its coarse
+    product.  That product is the coarse product bit for bit, so the
+    accepted pass equals a rk4-fixed pass at the same even step count."""
+    conn = builtin_connection("levi-civita-s2-stereo")
+    loop = arc_path(0, [0.0, 0.0], 0.5, 0.0, 2.0 * np.pi)
+    adaptive = transport(conn, loop, SolverConfig("rk4-doubling", h=1e-2))
+    n = adaptive.step_count
+    assert n >= 400  # 100 -> 200 -> 400: two passes reuse a product
+    fixed = transport(conn, loop, SolverConfig(h=1.0 / (n - 0.5)))
+    assert fixed.step_count == n
+    assert np.array_equal(fixed.g.matrix, adaptive.g.matrix)
+    assert fixed.est_error == adaptive.est_error
+
+
 @pytest.mark.parametrize("h", [2e-2, 1e-2])
 def test_fixed_step_estimate_tracks_true_error(h):
     """rk4-fixed reports a Richardson estimate, not 0: on a unit circle
