@@ -19,7 +19,6 @@ import sys
 
 from .errors import HolonomeError
 from .scenario import load_scenario, run_scenario
-from .transport import SolverConfig
 
 
 def _shipped_scenarios():
@@ -36,11 +35,10 @@ def _cmd_run(args):
     if args.h is not None or args.tol is not None:
         cfg = scenario.solver
         try:
-            cfg = SolverConfig(
-                cfg.method,
-                args.h if args.h is not None else cfg.h,
-                cfg.project_every,
-                args.tol if args.tol is not None else cfg.tol,
+            cfg = dataclasses.replace(
+                cfg,
+                h=args.h if args.h is not None else cfg.h,
+                tol=args.tol if args.tol is not None else cfg.tol,
             )
         except HolonomeError as err:
             print(f"error: {err}", file=sys.stderr)

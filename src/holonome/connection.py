@@ -419,7 +419,7 @@ class CurvatureValue:
         return -self.components[(nu, mu)]
 
     def max_norm(self):
-        return max(frobenius(m) for m in self.components.values())
+        return max((frobenius(m) for m in self.components.values()), default=0.0)
 
 
 def _curvature(chart, X, orthogonal):
@@ -471,7 +471,9 @@ def is_flat(conn, samples=7, tol=1e-6):
     for chart in conn.charts:
         pts = box_grid(chart.chart_id, chart.lo, chart.hi, samples)
         comps = _curvature(chart, np.array([p.coords for p in pts]), conn.group.orthogonal)
-        norms = np.max([np.linalg.norm(f, axis=(1, 2)) for f in comps.values()], axis=0)
+        norms = np.zeros(len(pts))  # a one-dimensional chart has no components
+        for f in comps.values():
+            norms = np.maximum(norms, np.linalg.norm(f, axis=(1, 2)))
         i = int(np.argmax(norms))  # the first maximum, as in a scan
         if norms[i] > worst or worst_pt is None:
             worst, worst_pt = float(norms[i]), pts[i]
@@ -545,10 +547,6 @@ BUILTIN_NAMES = (
     "levi-civita-s2-twochart",
     "pure-gauge",
 )
-
-
-def _zero_entries(k):
-    return [[lit(0.0) for _ in range(k)] for _ in range(k)]
 
 
 def _times_generator(scalar_expr, gen):

@@ -59,16 +59,10 @@ def holonomy(conn, loop, cfg=None):
     """
     cfg = cfg or SolverConfig()
     start = path_point(loop, 0.0)
-    end = path_point(loop, 1.0)
-    if start.chart_id == end.chart_id:
-        gap = np.max(np.abs(start.coords - end.coords))
-        if gap > _CLOSURE_TOL:
-            raise NotClosedError(f"loop endpoints differ by {gap:.3e}")
-    else:
-        mapped = conn.map_point(end, start.chart_id)
-        gap = np.max(np.abs(start.coords - mapped.coords))
-        if gap > _CLOSURE_TOL:
-            raise NotClosedError(f"loop endpoints differ by {gap:.3e} (after transition)")
+    end = conn.map_point(path_point(loop, 1.0), start.chart_id)
+    gap = np.max(np.abs(start.coords - end.coords))
+    if gap > _CLOSURE_TOL:
+        raise NotClosedError(f"loop endpoints differ by {gap:.3e}")
 
     result = transport(conn, loop, cfg)
     g = result.g

@@ -30,7 +30,7 @@ from __future__ import annotations
 import datetime
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -304,8 +304,7 @@ def _run_task(scenario, task, index, out_dir, trace_csv):
     conn = scenario.connection
     cfg = scenario.solver
     kind = task["kind"]
-    params = {"solver": {"method": cfg.method, "h": cfg.h,
-                         "project_every": cfg.project_every, "tol": cfg.tol}}
+    params = {"solver": asdict(cfg)}
     payload = {}
 
     if kind == "transport":

@@ -6,11 +6,12 @@ with classical RK4 and periodic polar projection back onto the group.
 P(gamma) acts on fiber points by left multiplication in the trivialization,
 so juxtaposition composes as P(g2 * g1) = P(g2) P(g1).
 
-Piecewise paths integrate per smooth piece and multiply.  When a path
-leaves its declared chart the crossing parameter is located by bisection
-(to 1e-12 in t), the remainder is re-expressed through the transition map,
-and the accumulated transport picks up the transition gauge factor
-g(x*)^-1.
+Piecewise paths integrate per smooth piece and multiply.  A piece's own
+field grid is the only chart-membership test: when a grid point lies off
+the chart, the exit is bisected (to 1e-12 in t) from the last grid point
+inside, the piece ends at the last point inside, and the rest starts at the
+first point outside, re-expressed on the chart that holds it, with the
+transition gauge factor g(x*)^-1 applied to the accumulated transport.
 
 The right-hand side is linear in U, so each RK4 step is a matrix S(t, h)
 applied to U.  Both methods run one pass per piece: the step matrices of an
@@ -67,8 +68,8 @@ __all__ = [
     "ConvergenceReport",
 ]
 
-_SPLIT_SAMPLES = 129
 _CROSSING_TOL = 1e-12
+_MAX_CHART_CHANGES = 8  # per segment: chart exits plus moves
 _JUNCTION_TOL = 1e-10
 _MIN_DOUBLING_STEP = 1e-7
 
@@ -137,89 +138,54 @@ def _compose_affine(coords, w0, w1):
     return tuple(substitute(c, [inner]) for c in coords)
 
 
-def _split_segment(conn, seg):
-    """Cut one path segment into chart-resident pieces, re-expressing
-    stretches that leave the declared chart through transition maps."""
-    pending = [(seg.chart_id, seg.coords, seg.t0, seg.t1, 0)]
-    out = []
-    while pending:
-        cid, coords, t_lo, t_hi, depth = pending.pop(0)
-        if depth > 8:
-            raise OutsideChartError("path crosses chart boundaries too many times")
-        chart = conn.chart(cid)
-        if len(coords) != chart.dim:
-            raise ValidationError(
-                f"segment on chart {cid} has {len(coords)} coordinates, "
-                f"the chart is {chart.dim}-dimensional"
-            )
-        us = np.linspace(0.0, 1.0, _SPLIT_SAMPLES)
-        X = coords_at(coords, us)
-        inside = chart.contains_many(X)
-        if not inside[0]:
-            # starts outside the declared chart: move to a chart that holds it
-            for tr in conn.transitions:
-                if tr.from_chart != cid:
-                    continue
-                y0 = tr.map_coords(X[0])
-                if conn.chart(tr.to_chart).contains(y0):
-                    new_coords = tuple(substitute(c, coords) for c in tr.coord_map)
-                    pending.insert(0, (tr.to_chart, new_coords, t_lo, t_hi, depth + 1))
-                    break
-            else:
-                raise OutsideChartError(
-                    f"path point at t={t_lo:.6g} lies outside every reachable chart"
-                )
-            continue
-        if inside.all():
-            out.append(_Piece(cid, coords, t_lo, t_hi))
-            continue
-        # bisect the first exit to 1e-12 in global t; cut on the outside
-        i = int(np.argmin(inside))  # first False
-        lo, hi = us[i - 1], us[i]
-        width = t_hi - t_lo
-        while (hi - lo) * width > _CROSSING_TOL:
-            mid = 0.5 * (lo + hi)
-            if chart.contains(coords_at(coords, [mid])[0]):
-                lo = mid
-            else:
-                hi = mid
-        t_star = t_lo + hi * width
-        out.append(_Piece(cid, _compose_affine(coords, 0.0, hi), t_lo, t_star))
-        pending.insert(0, (cid, _compose_affine(coords, hi, 1.0), t_star, t_hi, depth + 1))
-    return out
+class _ChartExit(OutsideChartError):
+    """A piece's field grid leaves its chart between the local parameters
+    u_in (the last grid point inside) and u_out (the first outside)."""
+
+    def __init__(self, u_in, u_out):
+        super().__init__(f"field grid leaves its chart after u={u_in:.6g}")
+        self.u_in, self.u_out = u_in, u_out
 
 
-def _resolve_pieces(conn, gamma):
-    """All chart-resident pieces of a path plus the transition gauge factor
-    to apply before each piece (None when the chart does not change)."""
-    pieces = []
-    for seg in gamma.segments:
-        pieces.extend(_split_segment(conn, seg))
-    gauges = [None]
-    for prev, nxt in zip(pieces, pieces[1:]):
-        if prev.chart_id == nxt.chart_id:
-            end = coords_at(prev.coords, [1.0])[0]
-            start = coords_at(nxt.coords, [0.0])[0]
-            if np.max(np.abs(end - start)) > _JUNCTION_TOL:
-                raise EndpointMismatchError(
-                    f"pieces disagree at t={nxt.t_lo:.6g}"
-                )
-            gauges.append(None)
-            continue
-        tr = conn.find_transition(prev.chart_id, nxt.chart_id)
-        if tr is None:
-            raise OutsideChartError(
-                f"no transition from chart {prev.chart_id} to {nxt.chart_id}"
-            )
-        end = coords_at(prev.coords, [1.0])[0]
-        mapped = tr.map_coords(end)
-        start = coords_at(nxt.coords, [0.0])[0]
-        if np.max(np.abs(mapped - start)) > _JUNCTION_TOL:
-            raise EndpointMismatchError(
-                f"chart switch at t={nxt.t_lo:.6g} is discontinuous"
-            )
-        gauges.append(np.linalg.inv(tr.gauge_at(end)))
-    return pieces, gauges
+def _bisect_exit(chart, piece, lo, hi):
+    """Narrow a chart exit between local parameters lo (inside) and hi
+    (outside) to _CROSSING_TOL in global t."""
+    width = piece.t_hi - piece.t_lo
+    while (hi - lo) * width > _CROSSING_TOL:
+        mid = 0.5 * (lo + hi)
+        if chart.contains(coords_at(piece.coords, [mid])[0]):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _move(conn, piece, x0):
+    """The piece re-expressed, through a transition, on a chart whose box
+    holds its start point x0."""
+    for tr in conn.transitions:
+        if tr.from_chart == piece.chart_id and conn.chart(tr.to_chart).contains(
+            tr.map_coords(x0)
+        ):
+            coords = tuple(substitute(c, piece.coords) for c in tr.coord_map)
+            return _Piece(tr.to_chart, coords, piece.t_lo, piece.t_hi)
+    raise OutsideChartError(
+        f"path point at t={piece.t_lo:.6g} lies outside every reachable chart"
+    )
+
+
+def _gauge_between(conn, end, start):
+    """The transition gauge factor g(x)^-1 at the end point x of one stretch
+    of path, into the chart of the start point of the next, or None when the
+    chart does not change.  Raises when the two points differ."""
+    gap = np.max(np.abs(conn.map_point(end, start.chart_id).coords - start.coords))
+    if gap > _JUNCTION_TOL:
+        raise EndpointMismatchError(
+            f"path jumps by {gap:.3e} at {np.array_str(start.coords)} on chart {start.chart_id}"
+        )
+    if end.chart_id == start.chart_id:
+        return None
+    return np.linalg.inv(conn.find_transition(end.chart_id, start.chart_id).gauge_at(end.coords))
 
 
 def _step_matrices(M1, M2, M3, dt):
@@ -235,16 +201,16 @@ def _step_matrices(M1, M2, M3, dt):
 def _piece_fields(conn, piece, ts_local):
     """M(t) = sum_mu A_mu(x(t)) xdot^mu(t) on a grid of local parameters.
 
-    Raises OutsideChartError, before any coefficient is evaluated, when a
-    grid point lies off the piece's chart.  The last point is exempt: it is
-    a sampled segment end or a bisected chart exit, just outside the box."""
+    Raises _ChartExit, before any coefficient is evaluated, when a grid
+    point lies off the piece's chart."""
     chart = conn.chart(piece.chart_id)
-    width = piece.t_hi - piece.t_lo
-    X, V = coords_and_velocities(piece.coords, ts_local, width)
-    inside = chart.contains_many(X[:-1])
+    X, V = coords_and_velocities(piece.coords, ts_local, piece.t_hi - piece.t_lo)
+    inside = chart.contains_many(X)
     if not inside.all():
-        t = piece.t_lo + ts_local[np.argmin(inside)] * width
-        raise OutsideChartError(f"path leaves chart {piece.chart_id} at t={t:.6g}")
+        i = int(np.argmin(inside))
+        # X[0] is the start that _run found inside; max() keeps a last-bit
+        # difference between its two evaluations from reading ts_local[-1]
+        raise _ChartExit(ts_local[max(i - 1, 0)], ts_local[i])
     k = conn.group.k
     M = np.zeros((len(ts_local), k, k))
     for mu in range(chart.dim):
@@ -285,7 +251,8 @@ def _rk4_pass(conn, piece, n, U, project_every, trail, U_coarse=None):
 
 
 def _integrate_piece(conn, piece, cfg, U, samples):
-    """Advance U across one piece; returns (U, steps, error estimate).
+    """Advance U across one piece; returns (U, steps, error estimate, the
+    accepted grid's last point).
 
     Starts from the smallest even step count whose step is <= h.
     rk4-fixed stops there; rk4-doubling doubles the count until the
@@ -319,25 +286,62 @@ def _integrate_piece(conn, piece, cfg, U, samples):
             (piece.t_lo + (j + 1) * dt, ChartPoint(piece.chart_id, X[2 * j + 2]), Uj)
             for j, Uj in enumerate(trail)
         )
-    return U_n, n, est
+    return U_n, n, est, X[-1]
 
 
 def _run(conn, gamma, cfg, collect):
-    pieces, gauges = _resolve_pieces(conn, gamma)
-    k = conn.group.k
-    U = np.eye(k)
-    start = ChartPoint(pieces[0].chart_id, coords_at(pieces[0].coords, [0.0])[0])
-    samples = [(0.0, start, U)] if collect else None
+    """Integrate segment by segment, cutting pieces where their field grids
+    leave their charts.  An empty first part (a piece that leaves its chart
+    at its start) takes no steps, but the gauge into its chart applies."""
+    U = np.eye(conn.group.k)
+    samples = [] if collect else None
+    start = end = None
     total_steps = 0
     est = 0.0
-    for piece, gauge in zip(pieces, gauges):
-        if gauge is not None:
-            U = gauge @ U
-        U, n, e = _integrate_piece(conn, piece, cfg, U, samples)
-        total_steps += n
-        est += e
+    for seg in gamma.segments:
+        dim = conn.chart(seg.chart_id).dim
+        if len(seg.coords) != dim:
+            raise ValidationError(
+                f"segment on chart {seg.chart_id} has {len(seg.coords)} coordinates, "
+                f"the chart is {dim}-dimensional"
+            )
+        pending = [_Piece(seg.chart_id, seg.coords, seg.t0, seg.t1)]
+        changes = 0
+        while pending:
+            if changes > _MAX_CHART_CHANGES:
+                raise OutsideChartError("path crosses chart boundaries too many times")
+            piece = pending.pop()
+            chart = conn.chart(piece.chart_id)
+            x0 = coords_at(piece.coords, [0.0])[0]
+            if not chart.contains(x0):
+                pending.append(_move(conn, piece, x0))
+                changes += 1
+                continue
+            here = ChartPoint(piece.chart_id, x0)
+            if start is None:
+                start = here
+                if collect:
+                    samples.append((0.0, start, U))
+            gauge = None if end is None else _gauge_between(conn, end, here)
+            U_in = U if gauge is None else gauge @ U
+            try:
+                U, n, e, x1 = _integrate_piece(conn, piece, cfg, U_in, samples)
+            except _ChartExit as exit_:
+                changes += 1
+                lo, hi = _bisect_exit(chart, piece, exit_.u_in, exit_.u_out)
+                t_lo, width = piece.t_lo, piece.t_hi - piece.t_lo
+                if hi < 1.0:  # else the exit is within _CROSSING_TOL of the end
+                    rest = _compose_affine(piece.coords, hi, 1.0)
+                    pending.append(_Piece(piece.chart_id, rest, t_lo + hi * width, piece.t_hi))
+                if lo > 0.0:
+                    first = _compose_affine(piece.coords, 0.0, lo)
+                    pending.append(_Piece(piece.chart_id, first, t_lo, t_lo + lo * width))
+                    continue
+                U, n, e, x1 = U_in, 0, 0.0, x0
+            total_steps += n
+            est += e
+            end = ChartPoint(piece.chart_id, x1)
     g = project_to_group(U, conn.group)
-    end = ChartPoint(pieces[-1].chart_id, coords_at(pieces[-1].coords, [1.0])[0])
     return TransportResult(start, end, g, total_steps, est), samples
 
 
@@ -499,14 +503,18 @@ def standard_axiom_suite(conn, chart_id=None):
 
 
 def inverse_path_check(conn, gamma, cfg=None):
-    """|| P(reverse gamma) P(gamma) - I ||_F, a consequence of the ODE."""
+    """|| P(reverse gamma) P(gamma) - I ||_F, a consequence of the ODE.
+
+    When the reversed path ends on another chart than gamma starts on, its
+    result is taken back into gamma's start trivialization first."""
     from .paths import reverse_path
 
     cfg = cfg or SolverConfig()
     fwd = transport(conn, gamma, cfg)
     back = transport(conn, reverse_path(gamma), cfg)
-    k = conn.group.k
-    return frobenius(back.g.matrix @ fwd.g.matrix - np.eye(k))
+    gauge = _gauge_between(conn, back.end, fwd.start)
+    U = back.g.matrix @ fwd.g.matrix
+    return frobenius((U if gauge is None else gauge @ U) - np.eye(conn.group.k))
 
 
 @dataclass(frozen=True)

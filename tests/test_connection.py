@@ -333,3 +333,13 @@ def test_batched_evaluation_matches_pointwise(points):
             d = exprs.evaluate_dual(e, x)
             assert vals[r, i] == exprs.evaluate(e, x) == d.value == dvals[r, i]
             assert np.array_equal(grads[r, i], d.deriv)
+
+
+def test_one_dimensional_chart_is_flat():
+    """A one-dimensional chart has no curvature components: max_norm is 0
+    and is_flat reports flat, where both used to raise ValueError."""
+    zero = ConstantMatrixFunction(np.zeros((2, 2)), 1)
+    conn = ConnectionForm(StructureGroup("SO", 2), (ChartSpec(0, 1, [-1], [1], (zero,)),))
+    assert curvature_at(conn, ChartPoint(0, [0.3])).max_norm() == 0.0
+    report = is_flat(conn)
+    assert report.flat and report.max_norm == 0.0

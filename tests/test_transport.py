@@ -1,5 +1,7 @@
 """Transport engine: closed-form checks, axioms, lifting, chart switching."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,9 @@ from holonome.connection import (
     ChartSpec,
     ConnectionForm,
     ConstantMatrixFunction,
+    MatrixFunction,
+    _so2_chart,
+    _stereo_coefficients,
     builtin_connection,
 )
 from holonome.errors import OutsideChartError, StepUnderflowError
@@ -76,6 +81,16 @@ def constant_coefficient_connection(lam):
     chart = ChartSpec(0, 2, [-2, -2], [2, 2],
                       (ConstantMatrixFunction(lam * J, 2), ConstantMatrixFunction(0 * J, 2)))
     return ConnectionForm(SO2, (chart,))
+
+
+def big_chart_reference(twochart, gamma, h):
+    """P(gamma) for a chart-0 path on the stereographic coefficients over
+    one box [-6, 6]^2 that holds it all, taken into the chart-1
+    trivialization of levi-civita-s2-twochart at the path's end."""
+    big = ConnectionForm(SO2, (_so2_chart(0, [-6, -6], [6, 6], *_stereo_coefficients()),))
+    g0 = transport(big, gamma, SolverConfig(h=h)).g.matrix
+    end = path_point(gamma, 1.0).coords
+    return np.linalg.inv(twochart.find_transition(0, 1).gauge_at(end)) @ g0
 
 
 def test_zero_connection_transports_identity():
@@ -401,15 +416,103 @@ def test_transport_multiplicative_at_random_splits(s, cfg):
     assert frobenius(whole - second @ first) <= 1e-8
 
 
-@pytest.mark.parametrize("h", [1e-3, 1e-4])
-def test_chart_exit_between_split_samples_raises(h):
-    """A narrow excursion to x1 = 4.5 at t = 0.503 falls between the chart
-    split's samples; the integrator's own grid catches it before any
-    coefficient is evaluated off chart 0's box [-4, 4]^2."""
+def test_narrow_chart_exit_crosses_into_next_chart():
+    """A narrow excursion to x1 = 4.5 at t = 0.503 leaves chart 0's box
+    [-4, 4]^2 between two samples a coarse pre-scan would take; the field
+    grid at h = 1e-4 catches it, and the path crosses into chart 1."""
     conn = builtin_connection("levi-civita-s2-twochart")
     gamma = path_from_strings(0, ["3 + 1.5*exp(-1000000*(x1 - 0.503)^2)", "0.5"])
-    with pytest.raises(OutsideChartError, match=r"t=0\.50"):
-        transport(conn, gamma, SolverConfig(h=h))
+    res = transport(conn, gamma, SolverConfig(h=1e-4))
+    assert res.end.chart_id == 1
+    assert frobenius(res.g.matrix - big_chart_reference(conn, gamma, 1e-4)) <= 1e-7
+
+
+def test_boundary_start_crosses_into_next_chart():
+    """A segment that starts on chart 0's boundary and leaves at once: the
+    empty chart-0 part is skipped, and the gauge at the start applies."""
+    conn = builtin_connection("levi-civita-s2-twochart")
+    gamma = line_path(ChartPoint(0, [4.0, 0.4]), [5.0, 0.4])
+    res = transport(conn, gamma, SolverConfig(h=1e-3))
+    assert res.end.chart_id == 1
+    assert frobenius(res.g.matrix - big_chart_reference(conn, gamma, 1e-3)) <= 1e-12
+
+
+def test_exit_within_crossing_tolerance_of_the_end_is_dropped():
+    """A segment that leaves chart 0 within 1e-12 of its end stops at its
+    last point inside chart 0; the empty rest is not integrated (0 / 0)."""
+    conn = builtin_connection("levi-civita-s2-twochart")
+    start = ChartPoint(0, [3.5, 0.4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = transport(conn, line_path(start, [4.0 + 1e-14, 0.4]), CFG)
+    ref = transport(conn, line_path(start, [4.0, 0.4]), CFG)
+    assert res.end.chart_id == 0
+    assert frobenius(res.g.matrix - ref.g.matrix) <= 1e-12
+
+
+class BoxChecked(MatrixFunction):
+    """A coefficient that fails the test when evaluated off its chart box."""
+
+    def __init__(self, base, lo, hi):
+        self.base, self.lo, self.hi = base, lo, hi
+        self.dim, self.k = base.dim, base.k
+
+    def _check(self, X):
+        outside = ~np.all((X >= self.lo) & (X <= self.hi), axis=1)
+        assert not outside.any(), f"evaluated off the chart box at {X[outside][:3]}"
+
+    def value(self, X):
+        self._check(X)
+        return self.base.value(X)
+
+    def value_and_grad(self, X):
+        self._check(X)
+        return self.base.value_and_grad(X)
+
+
+def box_checked(conn):
+    charts = tuple(
+        ChartSpec(c.chart_id, c.dim, c.lo, c.hi,
+                  tuple(BoxChecked(f, c.lo, c.hi) for f in c.coefficients))
+        for c in conn.charts
+    )
+    return ConnectionForm(conn.group, charts, conn.transitions)
+
+
+@st.composite
+def chart_crossing_paths(draw):
+    """Lines and arcs on chart 0 whose x1 runs monotonically from inside
+    the box past x1 = 4 or x1 = -4, so they end on chart 1."""
+    side = draw(st.sampled_from([1.0, -1.0]))
+    y0 = draw(st.floats(-1.0, 1.0))
+    if draw(st.booleans()):
+        a, b = draw(st.floats(2.5, 3.9)), draw(st.floats(4.2, 6.0))
+        return line_path(ChartPoint(0, [side * a, y0]), [side * b, draw(st.floats(-1.0, 1.0))])
+    r = draw(st.floats(0.8, 2.0))
+    theta0 = draw(st.floats(np.pi, 1.5 * np.pi))
+    # x1 = 3.5 + r cos(theta) increases on [theta0, 2 pi]; theta -> pi - theta mirrors it
+    if side > 0:
+        return arc_path(0, [3.5, y0], r, theta0, 2.0 * np.pi)
+    return arc_path(0, [-3.5, y0], r, np.pi - theta0, -np.pi)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    chart_crossing_paths(),
+    st.floats(min_value=0.1, max_value=0.9),
+    st.sampled_from([SolverConfig(h=1e-3), SolverConfig("rk4-doubling", h=0.05, tol=1e-10)]),
+)
+def test_chart_crossings_stay_in_the_box_and_compose(gamma, s, cfg):
+    """Across a chart switch no coefficient is evaluated off its chart's
+    box, P(gamma) = P(gamma|[s, 1]) P(gamma|[0, s]), and P(gamma^-1)
+    P(gamma) = I, for both solver methods."""
+    conn = box_checked(builtin_connection("levi-civita-s2-twochart"))
+    whole = transport(conn, gamma, cfg)
+    first = transport(conn, subpath(gamma, 0.0, s), cfg)
+    second = transport(conn, subpath(gamma, s, 1.0), cfg)
+    assert whole.end.chart_id == second.end.chart_id == 1
+    assert frobenius(whole.g.matrix - second.g.matrix @ first.g.matrix) <= 1e-8
+    assert inverse_path_check(conn, gamma, cfg) <= 1e-8
 
 
 # --- chart switching -----------------------------------------------------------
