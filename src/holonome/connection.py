@@ -412,6 +412,10 @@ class CurvatureValue:
 
     def matrix(self, mu, nu):
         if mu == nu:
+            if not self.components:
+                raise ValidationError(
+                    "a one-dimensional chart stores no curvature component to size F[mu][mu] by"
+                )
             k = next(iter(self.components.values())).shape[0]
             return np.zeros((k, k))
         if mu < nu:

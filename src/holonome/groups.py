@@ -134,6 +134,31 @@ class AlgebraElement:
         object.__setattr__(self, "matrix", m)
 
 
+def _elements(mats, group):
+    """GroupElements of a (m, k, k) stack, m >= 1, validated once as a
+    stack: it passes when its worst members pass _check_group_matrix (the
+    largest orthogonality defect, and the smallest det, |det| on GL).  Each
+    element is a read-only view of one copy, built without a check of its
+    own."""
+    mats = np.array(mats, dtype=float)
+    gram = mats.swapaxes(-1, -2) @ mats - np.eye(mats.shape[-1])
+    det = np.linalg.det(mats)
+    worst = {
+        int(np.argmax((gram * gram).sum(axis=(-2, -1)))),
+        int(np.argmin(det if group.orthogonal else np.abs(det))),
+    }
+    for i in worst:
+        _check_group_matrix(mats[i], group)
+    mats.flags.writeable = False
+    out = []
+    for m in mats:
+        g = object.__new__(GroupElement)
+        object.__setattr__(g, "matrix", m)
+        object.__setattr__(g, "group", group)
+        out.append(g)
+    return out
+
+
 def identity_element(group):
     return GroupElement(np.eye(group.k), group)
 
@@ -228,13 +253,14 @@ def group_log(g):
 
 def _polar(m):
     """Orthogonal polar factor u @ vt of m = u diag(sigma) vt: the nearest
-    SO matrix in the Frobenius norm.  Raises SingularInputError when m is
-    numerically singular or has det <= 0.  Returns a raw matrix, so
-    callers inside a loop skip the GroupElement checks."""
+    SO matrix in the Frobenius norm, for each matrix of a (..., k, k)
+    stack.  Raises SingularInputError when any of them is numerically
+    singular or has det <= 0.  Returns raw matrices, so callers skip the
+    GroupElement checks."""
     u, sigma, vt = np.linalg.svd(m)
-    if sigma[-1] <= _DET_TOL:
+    if (sigma[..., -1] <= _DET_TOL).any():
         raise SingularInputError("matrix is numerically singular")
-    if np.linalg.det(m) <= 0:
+    if (np.linalg.det(m) <= 0).any():
         raise SingularInputError("projection to SO needs det > 0")
     return u @ vt
 

@@ -2,7 +2,8 @@
 
     U'(t) = -A_{gamma(t)}(gamma'(t)) U(t),    U(0) = I,
 
-with classical RK4 and periodic polar projection back onto the group.
+with classical RK4 and polar projection back onto the group once per block
+of steps.
 P(gamma) acts on fiber points by left multiplication in the trivialization,
 so juxtaposition composes as P(g2 * g1) = P(g2) P(g1).
 
@@ -19,7 +20,17 @@ even step count n and of n/2 steps are built from one field evaluation, and
 the difference of their products / 15 is the Richardson estimate of the
 piece's error (Hairer, Norsett & Wanner, Solving ODEs I, II.4).
 rk4-doubling repeats the pass with n doubled until the estimate meets tol;
-each pass takes the previous pass's product as its n/2-step product.
+each pass takes the previous pass's product as its n/2-step product and
+the previous pass's field grid as its even points.
+
+Products are tree-ordered.  The steps fall into blocks of project_every;
+each block is multiplied pairwise, ceil(log2 project_every) batched matmuls
+deep, every full block's product is projected in one batched polar call,
+and the projected blocks and the unprojected tail are multiplied by the
+same pairwise tree.  lift_path takes every partial product from a prefix
+scan within the blocks and one across the projected block ends (Blelloch,
+Prefix sums and their applications, 1990).  GL groups take one unprojected
+block.
 """
 
 from __future__ import annotations
@@ -37,7 +48,7 @@ from .errors import (
     ValidationError,
 )
 from .exprs import lit, parse, substitute, var
-from .groups import GroupElement, _polar, frobenius, loglog_slope, project_to_group
+from .groups import GroupElement, _elements, _polar, frobenius, loglog_slope, project_to_group
 from .paths import (
     ChartPoint,
     PathSpec,
@@ -83,7 +94,9 @@ class SolverConfig:
     path parameter, h in (0, 0.1].  rk4-doubling doubles n until the piece's
     error estimate is <= tol * max(1, ||U||_F): tol is per piece, not per
     step.  est_error sums the estimates for both methods.  project_every
-    counts steps between polar projections.
+    is the projection block length: the product of each full block of that
+    many steps is projected onto SO(k) before the tree-ordered product of
+    the blocks; 10**9 means never project.
     """
 
     method: str = "rk4-fixed"
@@ -198,56 +211,119 @@ def _step_matrices(M1, M2, M3, dt):
     return eye - (dt / 6.0) * (M1 + 2.0 * T2 + 2.0 * T3 + T4)
 
 
-def _piece_fields(conn, piece, ts_local):
-    """M(t) = sum_mu A_mu(x(t)) xdot^mu(t) on a grid of local parameters.
+def _piece_fields(conn, piece, n, prev=None):
+    """Grid points X and M(t) = sum_mu A_mu(x(t)) xdot^mu(t) on the 2n + 1
+    local parameters that n steps need.  prev, the (X, M) of the n/2-step
+    grid, supplies the even points: np.linspace nests, so only the odd
+    points are evaluated.
 
     Raises _ChartExit, before any coefficient is evaluated, when a grid
     point lies off the piece's chart."""
     chart = conn.chart(piece.chart_id)
-    X, V = coords_and_velocities(piece.coords, ts_local, piece.t_hi - piece.t_lo)
-    inside = chart.contains_many(X)
+    ts = np.linspace(0.0, 1.0, 2 * n + 1)
+    new = slice(None) if prev is None else slice(1, None, 2)
+    X_new, V = coords_and_velocities(piece.coords, ts[new], piece.t_hi - piece.t_lo)
+    inside = chart.contains_many(X_new)
     if not inside.all():
-        i = int(np.argmin(inside))
+        i = int(np.arange(len(ts))[new][np.argmin(inside)])
         # X[0] is the start that _run found inside; max() keeps a last-bit
-        # difference between its two evaluations from reading ts_local[-1]
-        raise _ChartExit(ts_local[max(i - 1, 0)], ts_local[i])
+        # difference between its two evaluations from reading ts[-1]
+        raise _ChartExit(ts[max(i - 1, 0)], ts[i])
     k = conn.group.k
-    M = np.zeros((len(ts_local), k, k))
+    M_new = np.zeros((len(X_new), k, k))
     for mu in range(chart.dim):
-        M += chart.coefficients[mu].value(X) * V[:, mu, None, None]
+        M_new += chart.coefficients[mu].value(X_new) * V[:, mu, None, None]
+    if prev is None:
+        return X_new, M_new
+    X = np.empty((len(ts), chart.dim))
+    M = np.empty((len(ts), k, k))
+    (X[0::2], M[0::2]), X[1::2], M[1::2] = prev, X_new, M_new
     return X, M
 
 
-def _product(S, U, project_every, orthogonal, trail=None):
-    """S[-1] @ ... @ S[0] @ U, snapped back onto the group every
-    project_every steps; appends every partial product to trail if given."""
-    for j, s in enumerate(S, 1):
-        U = s @ U
-        if orthogonal and j % project_every == 0:
-            U = _polar(U)
-        if trail is not None:
-            trail.append(U)
-    return U
+def _tree(S):
+    """Ordered product S[..., -1, :, :] @ ... @ S[..., 0, :, :] over the
+    step axis -3 of a stack with n >= 1 steps there: each level multiplies
+    neighbouring pairs in one batched matmul, ceil(log2 n) levels."""
+    while S.shape[-3] > 1:
+        odd = S[..., -1:, :, :] if S.shape[-3] % 2 else S[..., :0, :, :]
+        S = np.concatenate([S[..., 1::2, :, :] @ S[..., 0:-1:2, :, :], odd], axis=-3)
+    return S[..., 0, :, :]
 
 
-def _rk4_pass(conn, piece, n, U, project_every, trail, U_coarse=None):
+def _scan(S):
+    """Inclusive ordered prefix products over axis -3, row j being
+    S[..., j, :, :] @ ... @ S[..., 0, :, :]: the Hillis-Steele scan, one
+    batched matmul per doubling of the reach (Blelloch 1990)."""
+    d = 1
+    while d < S.shape[-3]:
+        S = np.concatenate([S[..., :d, :, :], S[..., d:, :, :] @ S[..., :-d, :, :]], axis=-3)
+        d *= 2
+    return S
+
+
+def _blocks(S, project_every, orthogonal):
+    """The (n, k, k) steps as a (blocks, p, k, k) stack of blocks of
+    p = project_every steps, the last padded with identities, and the
+    number of full blocks, whose products get projected.  GL groups, and
+    orthogonal ones with project_every > n, take one unprojected block."""
+    n, k = S.shape[0], S.shape[-1]
+    p = max(min(project_every, n) if orthogonal else n, 1)
+    blocks = -(-n // p)
+    S = np.concatenate([S, np.broadcast_to(np.eye(k), (blocks * p - n, k, k))])
+    return S.reshape(blocks, p, k, k), (n // project_every if orthogonal else 0)
+
+
+def _product(S, U, project_every, orthogonal):
+    """S[-1] @ ... @ S[0] @ U as a tree: the product of each block of
+    project_every steps, snapped back onto the group in one batched polar
+    projection, then the product of the blocks."""
+    B, full = _blocks(S, project_every, orthogonal)
+    if not len(B):
+        return U
+    B = _tree(B)
+    if full:
+        B[:full] = _polar(B[:full])
+    return _tree(B) @ U
+
+
+def _partial_products(S, U, project_every, orthogonal):
+    """Every partial product S[j] @ ... @ S[0] @ U, j < n, with the block
+    ends projected as _product projects them, as an (n, k, k) array: a
+    prefix scan within the blocks, then one across the block ends."""
+    B, full = _blocks(S, project_every, orthogonal)
+    if not len(B):
+        return np.empty((0,) + U.shape)
+    W = _scan(B)
+    if full:
+        W[:full, -1] = _polar(W[:full, -1])
+    ends = _scan(W[:, -1]) @ U
+    before = np.concatenate([U[None], ends[:-1]])
+    return (W @ before[:, None]).reshape(-1, *U.shape)[: len(S)]
+
+
+def _rk4_pass(conn, piece, n, U, project_every, collect, prev=None):
     """n RK4 steps (n even) across a piece, starting from U.
 
     The field is evaluated once, on the 2n + 1 points the n steps need; the
-    n/2 steps of twice the size reuse every other sample, unless their
-    product U_coarse is given: the n/2-step pass's own product is that
-    product bit for bit, because its grid and step are.  Returns the
-    n-step product, the Richardson estimate ||U_n - U_{n/2}||_F / 15 of
-    its error, and the field-grid points."""
+    n/2 steps of twice the size reuse every other sample.  prev, the
+    (product, X, M) of the n/2-step pass, gives that pass's product as the
+    n/2-step product (bit for bit the same: same grid, same step) and its
+    grid as the even points.  Returns the n-step product, the Richardson
+    estimate ||U_n - U_{n/2}||_F / 15 of its error, the grid points X, the
+    field M, and the partial products if collect is set."""
     dt = (piece.t_hi - piece.t_lo) / n
-    X, M = _piece_fields(conn, piece, np.linspace(0.0, 1.0, 2 * n + 1))
+    X, M = _piece_fields(conn, piece, n, None if prev is None else prev[1:])
     orthogonal = conn.group.orthogonal
     fine = _step_matrices(M[0:-1:2], M[1::2], M[2::2], dt)
-    U_fine = _product(fine, U, project_every, orthogonal, trail)
-    if U_coarse is None:
+    U_fine = _product(fine, U, project_every, orthogonal)
+    trail = _partial_products(fine, U, project_every, orthogonal) if collect else None
+    if prev is None:
         coarse = _step_matrices(M[0:-1:4], M[2::4], M[4::4], 2.0 * dt)
         U_coarse = _product(coarse, U, project_every, orthogonal)
-    return U_fine, frobenius(U_fine - U_coarse) / 15.0, X
+    else:
+        U_coarse = prev[0]
+    return U_fine, frobenius(U_fine - U_coarse) / 15.0, X, M, trail
 
 
 def _integrate_piece(conn, piece, cfg, U, samples):
@@ -257,19 +333,20 @@ def _integrate_piece(conn, piece, cfg, U, samples):
     Starts from the smallest even step count whose step is <= h.
     rk4-fixed stops there; rk4-doubling doubles the count until the
     estimate is within tol * max(1, ||U||_F), each pass taking the last
-    one's product as its coarse product.  Appends the accepted pass's
-    samples when samples is a list."""
+    one's product and field grid.  Appends the accepted pass's samples
+    when samples is a list."""
     width = piece.t_hi - piece.t_lo
     n = math.ceil(width / cfg.h)
     n += n % 2
-    prev = math.inf
-    U_n = None
+    prev_est = math.inf
+    prev = None
     while True:
-        trail = None if samples is None else []
-        U_n, est, X = _rk4_pass(conn, piece, n, U, cfg.project_every, trail, U_n)
+        U_n, est, X, M, trail = _rk4_pass(
+            conn, piece, n, U, cfg.project_every, samples is not None, prev
+        )
         if cfg.method == "rk4-fixed" or est <= cfg.tol * max(1.0, frobenius(U_n)):
             break
-        if est > prev / 2.0:
+        if est > prev_est / 2.0:
             raise StepUnderflowError(
                 f"doubling cannot meet tol={cfg.tol:g}: the error estimate "
                 f"{est:.3e} stopped shrinking at {n} steps (roundoff floor)"
@@ -278,7 +355,7 @@ def _integrate_piece(conn, piece, cfg, U, samples):
             raise StepUnderflowError(
                 f"doubling cannot meet tol={cfg.tol:g} with h >= {_MIN_DOUBLING_STEP:g}"
             )
-        prev = est
+        prev_est, prev = est, (U_n, X, M)
         n *= 2
     if samples is not None:
         dt = width / n
@@ -360,14 +437,14 @@ def transport(conn, gamma, cfg=None):
 def lift_path(conn, gamma, p, cfg=None):
     """Horizontal lift through p: samples (t, gamma(t), U(t) p).
 
-    The final sample's group part equals transport(...).g @ p.
+    The final sample's group part equals transport(...).g @ p to
+    roundoff.  The samples are validated against the group as one stack.
     """
     cfg = cfg or SolverConfig()
-    result, raw = _run(conn, gamma, cfg, collect=True)
-    lifted = tuple(
-        (t, pt, GroupElement(U @ p.matrix, conn.group)) for t, pt, U in raw
-    )
-    return LiftedPath(gamma, lifted, p)
+    _, raw = _run(conn, gamma, cfg, collect=True)
+    ts, pts, Us = zip(*raw)
+    gs = _elements(np.stack(Us) @ p.matrix, conn.group)
+    return LiftedPath(gamma, tuple(zip(ts, pts, gs)), p)
 
 
 def engine_oracle(conn, cfg=None):

@@ -343,3 +343,12 @@ def test_one_dimensional_chart_is_flat():
     assert curvature_at(conn, ChartPoint(0, [0.3])).max_norm() == 0.0
     report = is_flat(conn)
     assert report.flat and report.max_norm == 0.0
+
+
+def test_one_dimensional_curvature_matrix_raises_typed_error():
+    """F[0][0] on a one-dimensional chart has no stored component to take
+    its size from; it raises ValidationError, not a bare StopIteration."""
+    zero = ConstantMatrixFunction(np.zeros((2, 2)), 1)
+    conn = ConnectionForm(SO2, (ChartSpec(0, 1, [-1], [1], (zero,)),))
+    with pytest.raises(ValidationError):
+        curvature_at(conn, ChartPoint(0, [0.3])).matrix(0, 0)

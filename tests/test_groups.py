@@ -155,3 +155,39 @@ def test_matrices_are_immutable():
     g = GroupElement(np.eye(2), SO2)
     with pytest.raises(ValueError):
         g.matrix[0, 0] = 5.0
+
+
+def test_polar_projects_a_stack_and_checks_all_of_it():
+    """_polar on a (m, k, k) stack equals _polar on each matrix, and one
+    singular or det < 0 matrix anywhere in the stack raises."""
+    rng = np.random.default_rng(8)
+    stack = np.stack([group_exp(AlgebraElement(random_skew(rng, 3), SO3)).matrix
+                      + 1e-6 * rng.normal(size=(3, 3)) for _ in range(7)])
+    got = groups._polar(stack)
+    for m, g in zip(stack, got):
+        assert np.array_equal(g, groups._polar(m))
+    for bad in (np.zeros((3, 3)), np.diag([-1.0, 1.0, 1.0])):
+        for i in (0, 3, 6):
+            broken = stack.copy()
+            broken[i] = bad
+            with pytest.raises(SingularInputError):
+                groups._polar(broken)
+
+
+def test_elements_validate_the_stack_once():
+    """_elements checks every matrix of a stack against the group, then
+    wraps each as a read-only GroupElement; a stack is not one element."""
+    mats = np.stack([rotation2(a) for a in (0.1, 0.2, 0.3)])
+    gs = groups._elements(mats, SO2)
+    assert all(isinstance(g, GroupElement) and g.group == SO2 for g in gs)
+    assert all(np.array_equal(g.matrix, m) for g, m in zip(gs, mats))
+    with pytest.raises(ValueError):
+        gs[1].matrix[0, 0] = 5.0
+    for bad, group in ((1.5 * np.eye(2), SO2), (np.diag([1.0, -1.0]), SO2),
+                       (np.zeros((2, 2)), GL2)):
+        broken = mats.copy()
+        broken[2] = bad
+        with pytest.raises(GroupInvariantError):
+            groups._elements(broken, group)
+    with pytest.raises(GroupInvariantError):
+        GroupElement(mats, SO2)

@@ -1,10 +1,11 @@
 """Transport engine: closed-form checks, axioms, lifting, chart switching."""
 
+import sys
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from holonome.connection import (
@@ -16,7 +17,7 @@ from holonome.connection import (
     _stereo_coefficients,
     builtin_connection,
 )
-from holonome.errors import OutsideChartError, StepUnderflowError
+from holonome.errors import OutsideChartError, SingularInputError, StepUnderflowError
 from holonome.exprs import lit, parse, var
 from holonome.exprs import cos as ecos
 from holonome.exprs import sin as esin
@@ -49,6 +50,8 @@ from holonome.paths import (
 )
 from holonome.transport import (
     SolverConfig,
+    _partial_products,
+    _product,
     endpoint_convergence,
     engine_oracle,
     inverse_path_check,
@@ -513,6 +516,103 @@ def test_chart_crossings_stay_in_the_box_and_compose(gamma, s, cfg):
     assert whole.end.chart_id == second.end.chart_id == 1
     assert frobenius(whole.g.matrix - second.g.matrix @ first.g.matrix) <= 1e-8
     assert inverse_path_check(conn, gamma, cfg) <= 1e-8
+
+
+# --- the tree-ordered product ---------------------------------------------------
+
+def sequential_product(S, U, p, orthogonal):
+    """The plain loop the tree product reorders: multiply the steps one at
+    a time into a block, and when p steps have gone in (orthogonal groups
+    only), multiply the block's SVD polar factor onto the total.  Returns
+    the product and every partial product."""
+    k = U.shape[0]
+    total, block, partial = U, np.eye(k), []
+    for j, s in enumerate(S, 1):
+        block = s @ block
+        if orthogonal and j % p == 0:
+            u, _, vt = np.linalg.svd(block)
+            total, block = u @ vt @ total, np.eye(k)
+        partial.append(block @ total)
+    return block @ total, partial
+
+
+SO3 = StructureGroup("SO", 3)
+GL3 = StructureGroup("GL", 3)
+
+
+def random_steps(rng, group, n):
+    """n near-identity steps and a start matrix.  Orthogonal steps are
+    I + 0.05 A with A skew, off the group by about 1e-3 as RK4 steps are,
+    so that projection changes the product."""
+    k = group.k
+    noise = rng.normal(size=(n, k, k))
+    if group.orthogonal:
+        skew = rng.normal(size=(k, k))
+        U = group_exp(AlgebraElement(skew - skew.T, group)).matrix
+        return np.eye(k) + 0.05 * (noise - np.swapaxes(noise, 1, 2)), U
+    return np.eye(k) + 0.02 * noise, np.eye(k) + 0.1 * rng.normal(size=(k, k))
+
+
+@seed(20261018)
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([SO2, SO3, GL3]),
+    st.integers(0, 300),
+    st.sampled_from(["1", "3", "8", "n", "n+1", "1e9"]),
+    st.integers(0, 2**32 - 1),
+)
+def test_tree_product_matches_the_sequential_loop(group, n, every, rng_seed):
+    """_product and every row of _partial_products match the sequential
+    loop within 1e-12, for SO(2), SO(3) and GL(3), any step count, and
+    block lengths from 1 to "never project"."""
+    p = {"1": 1, "3": 3, "8": 8, "n": max(n, 1), "n+1": n + 1, "1e9": 10**9}[every]
+    S, U = random_steps(np.random.default_rng(rng_seed), group, n)
+    want, partial = sequential_product(S, U, p, group.orthogonal)
+    assert frobenius(_product(S, U, p, group.orthogonal) - want) <= 1e-12
+    trail = _partial_products(S, U, p, group.orthogonal)
+    assert trail.shape == (n, group.k, group.k)
+    assert all(frobenius(t - w) <= 1e-12 for t, w in zip(trail, partial))
+
+
+@seed(20261019)
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([SO2, SO3]),
+    st.integers(8, 300),
+    st.sampled_from([1, 3, 8]),
+    st.sampled_from(["singular", "reflection"]),
+    st.data(),
+)
+def test_one_bad_block_anywhere_raises(group, n, p, kind, data):
+    """A singular or det < 0 block anywhere in the batch raises
+    SingularInputError from the one batched projection."""
+    S, U = random_steps(np.random.default_rng(n), group, n)
+    j = data.draw(st.integers(0, (n // p) * p - 1))
+    S[j] = 0.0 if kind == "singular" else np.diag([-1.0] + [1.0] * (group.k - 1))
+    with pytest.raises(SingularInputError):
+        _product(S, U, p, True)
+    with pytest.raises(SingularInputError):
+        _partial_products(S, U, p, True)
+
+
+def test_doubling_evaluates_only_the_new_grid_points(monkeypatch):
+    """Each doubling pass takes the even points of its 4n + 1 grid from
+    the previous pass's 2n + 1 grid: 100 -> 200 -> 400 steps evaluate
+    201 + 200 + 400 points, not 201 + 401 + 801."""
+    module = sys.modules["holonome.transport"]  # holonome.transport is the function
+    original = module.coords_and_velocities
+    counted = []
+
+    def counting(coords, us, width):
+        counted.append(len(us))
+        return original(coords, us, width)
+
+    monkeypatch.setattr(module, "coords_and_velocities", counting)
+    conn = builtin_connection("levi-civita-s2-stereo")
+    loop = arc_path(0, [0.0, 0.0], 0.5, 0.0, 2.0 * np.pi)
+    res = transport(conn, loop, SolverConfig("rk4-doubling", h=1e-2))
+    assert res.step_count == 400
+    assert counted == [201, 200, 400]
 
 
 # --- chart switching -----------------------------------------------------------
