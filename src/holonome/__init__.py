@@ -60,6 +60,7 @@ from .transport import (  # noqa: F401
     lift_path,
     standard_axiom_suite,
     transport,
+    transport_many,
     verify_axioms,
 )
 from .reconstruction import (  # noqa: F401

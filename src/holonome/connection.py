@@ -179,21 +179,69 @@ class _GaugeTransformedCoefficient(MatrixFunction):
         self.dim, self.k = base_mu.dim, base_mu.k
 
     def value(self, X):
-        a = self.base_mu.value(X)
-        gv, gg = self.gauge.value_and_grad(X)
-        gi = np.linalg.inv(gv)
-        return gi @ a @ gv + gi @ gg[:, self.mu]
+        return self.transformed(X, _gauge_frame(self.gauge, X))
+
+    def transformed(self, X, frame):
+        """A'_mu at X from the gauge's _gauge_frame at X."""
+        gv, gi, gg = frame
+        return gi @ self.base_mu.value(X) @ gv + gi @ gg[:, self.mu]
 
     def value_and_grad(self, X):
-        m, n = X.shape
-        # one batch: X, then X + step e_d for every d, then X - step e_d
-        shifted = np.repeat(X[None], 2 * n + 1, axis=0)
-        d = np.arange(n)
-        shifted[1 + d, :, d] += _FD_STEP
-        shifted[1 + n + d, :, d] -= _FD_STEP
-        vals = self.value(shifted.reshape(-1, n)).reshape(2 * n + 1, m, self.k, self.k)
-        grads = (vals[1 : n + 1] - vals[n + 1 :]) / (2.0 * _FD_STEP)
-        return vals[0], np.ascontiguousarray(np.moveaxis(grads, 0, 1))
+        return _fd_value_and_grad(self.value(_fd_points(X)), X)
+
+
+def _gauge_frame(gauge, X):
+    """The gauge g, its inverse and its derivatives dg at the points X."""
+    gv, gg = gauge.value_and_grad(X)
+    return gv, np.linalg.inv(gv), gg
+
+
+def _fd_points(X):
+    """The (m, n) points X, then X + _FD_STEP e_d for every axis d, then
+    X - _FD_STEP e_d, as one ((2n + 1) m, n) batch."""
+    n = X.shape[1]
+    shifted = np.repeat(X[None], 2 * n + 1, axis=0)
+    d = np.arange(n)
+    shifted[1 + d, :, d] += _FD_STEP
+    shifted[1 + n + d, :, d] -= _FD_STEP
+    return shifted.reshape(-1, n)
+
+
+def _fd_value_and_grad(vals, X):
+    """Values at X and central-difference derivatives (m, n, k, k), from
+    values at _fd_points(X)."""
+    m, n = X.shape
+    vals = vals.reshape(2 * n + 1, m, *vals.shape[1:])
+    grads = (vals[1 : n + 1] - vals[n + 1 :]) / (2.0 * _FD_STEP)
+    return vals[0], np.ascontiguousarray(np.moveaxis(grads, 0, 1))
+
+
+def _coefficient_values(coefficients, X):
+    """Yield every coefficient's values at the (m, n) points X, in order,
+    one at a time, so a caller that sums them holds one at a time.  The
+    gauge-transformed ones that share a gauge evaluate and invert it once."""
+    frames = {}
+    for f in coefficients:
+        if isinstance(f, _GaugeTransformedCoefficient):
+            if f.gauge not in frames:
+                frames[f.gauge] = _gauge_frame(f.gauge, X)
+            yield f.transformed(X, frames[f.gauge])
+        else:
+            yield f.value(X)
+
+
+def _coefficient_values_and_grads(coefficients, X):
+    """(values, derivatives) of every coefficient at X, in order.  The
+    gauge-transformed ones take their central differences from one
+    evaluation at _fd_points(X)."""
+    gauged = [f for f in coefficients if isinstance(f, _GaugeTransformedCoefficient)]
+    shifted = iter(_coefficient_values(gauged, _fd_points(X)) if gauged else ())
+    return [
+        _fd_value_and_grad(next(shifted), X)
+        if isinstance(f, _GaugeTransformedCoefficient)
+        else f.value_and_grad(X)
+        for f in coefficients
+    ]
 
 
 # --- charts, transitions, connection ---------------------------------------------
@@ -287,8 +335,7 @@ class ConnectionForm:
         rng = np.random.default_rng(73)
         for chart in self.charts:
             X = rng.uniform(chart.lo, chart.hi, (10, chart.dim))
-            for mu, f in enumerate(chart.coefficients):
-                vals = f.value(X)
+            for mu, vals in enumerate(_coefficient_values(chart.coefficients, X)):
                 defect = np.max(np.abs(vals + np.transpose(vals, (0, 2, 1))))
                 if defect > 1e-9:
                     raise ValidationError(
@@ -360,8 +407,8 @@ def check_transition_compatibility(conn):
         _, J = exprs.evaluate_dual_many(tr.coord_map, X)  # J[p, nu, mu] = d y^nu / d x^mu
         g, dg = tr.gauge.value_and_grad(X)
         gi = np.linalg.inv(g)[:, None]
-        a_dst = np.stack([f.value(Y) for f in dst.coefficients], axis=1)
-        a_src = np.stack([f.value(X) for f in src.coefficients], axis=1)
+        a_dst = np.stack(list(_coefficient_values(dst.coefficients, Y)), axis=1)
+        a_src = np.stack(list(_coefficient_values(src.coefficients, X)), axis=1)
         lhs = np.einsum("pnm,pnij->pmij", J, a_dst)
         rhs = gi @ a_src @ g[:, None] + gi @ dg
         worst = float(np.max(np.linalg.norm(lhs - rhs, axis=(-2, -1))))
@@ -395,8 +442,8 @@ def eval_connection(conn, x, v):
     chart = _require_inside(conn, x)
     X = np.asarray(x.coords, dtype=float)[None, :]
     acc = np.zeros((conn.group.k, conn.group.k))
-    for mu in range(chart.dim):
-        acc += chart.coefficients[mu].value(X)[0] * v.components[mu]
+    for mu, a in enumerate(_coefficient_values(chart.coefficients, X)):
+        acc += a[0] * v.components[mu]
     if conn.group.orthogonal:
         acc = 0.5 * (acc - acc.T)
     return AlgebraElement(acc, conn.group)
@@ -429,7 +476,7 @@ class CurvatureValue:
 def _curvature(chart, X, orthogonal):
     """F_mu_nu = d_mu A_nu - d_nu A_mu + [A_mu, A_nu] for every mu < nu at
     an (m, n) array of points, as {(mu, nu): (m, k, k) array}."""
-    vals, grads = zip(*(f.value_and_grad(X) for f in chart.coefficients))
+    vals, grads = zip(*_coefficient_values_and_grads(chart.coefficients, X))
     comps = {}
     for mu in range(chart.dim):
         for nu in range(mu + 1, chart.dim):

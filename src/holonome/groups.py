@@ -150,13 +150,16 @@ def _elements(mats, group):
     for i in worst:
         _check_group_matrix(mats[i], group)
     mats.flags.writeable = False
-    out = []
-    for m in mats:
-        g = object.__new__(GroupElement)
-        object.__setattr__(g, "matrix", m)
-        object.__setattr__(g, "group", group)
-        out.append(g)
-    return out
+    return [_unchecked(m, group) for m in mats]
+
+
+def _unchecked(m, group):
+    """A GroupElement of a read-only float array that is known to pass
+    _check_group_matrix, built without running the check again."""
+    g = object.__new__(GroupElement)
+    object.__setattr__(g, "matrix", m)
+    object.__setattr__(g, "group", group)
+    return g
 
 
 def identity_element(group):
@@ -164,9 +167,14 @@ def identity_element(group):
 
 
 def group_inverse(g):
-    """Group inverse (transpose for orthogonal groups)."""
+    """Group inverse (transpose for orthogonal groups).
+
+    The transpose is not checked again: g^T has the same ||g^T g - I||_F
+    and the same det as g, which passed the check."""
     if g.group.orthogonal:
-        return GroupElement(g.matrix.T.copy(), g.group)
+        m = g.matrix.T.copy()
+        m.flags.writeable = False
+        return _unchecked(m, g.group)
     return GroupElement(np.linalg.inv(g.matrix), g.group)
 
 

@@ -67,6 +67,20 @@ class ChartPoint:
         return len(self.coords)
 
 
+def _chart_points(chart_id, X):
+    """ChartPoints of the rows of an (m, n) array: read-only views of one
+    copy, without the copy and flag-set of one ChartPoint each."""
+    X = np.array(X, dtype=float)
+    X.flags.writeable = False
+    out = []
+    for row in X:
+        pt = object.__new__(ChartPoint)
+        object.__setattr__(pt, "chart_id", chart_id)
+        object.__setattr__(pt, "coords", row)
+        out.append(pt)
+    return out
+
+
 def box_grid(chart_id, lo, hi, shape):
     """Uniform grid of ``shape`` points per axis over the box [lo, hi], as
     ChartPoints with the first axis varying slowest."""

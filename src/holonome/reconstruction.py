@@ -12,6 +12,13 @@ identity and translated, and that equivariance is itself tested rather
 than assumed.  Coefficients are recovered as A_mu(x) = -Omega(e_mu) at
 p = I, grid point by grid point, with an h-sweep convergence report for
 the round trip connection -> transport -> connection.
+
+Any callable PathSpec -> result with a group element g is an oracle.  An
+oracle that also has a many method (engine_oracle's calls transport_many)
+receives every probe of a table in one list, in the order the per-point
+loop would ask for them; one formula turns each probe pair into Omega on
+both routes, and if many raises, the table falls back to the per-point
+loop, so dropped points keep their reasons.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from .errors import (
     OutOfRangeError,
     VelocityMismatchError,
 )
+from .connection import _coefficient_values
 from .exprs import lit, var
 from .groups import (
     AlgebraElement,
@@ -106,24 +114,17 @@ def _straight_probe(x, v, h):
     return path_from_exprs(x.chart_id, coords)
 
 
-def lift_vector(oracle, x, p, v, h):
-    """Lifted velocity of v at the bundle point (x, p).
-
-    Builds the straight coordinate paths x +- t h v, transports along both,
-    and takes the symmetric-difference derivative of the fiber component;
-    by the sign convention the vertical part estimates -A_x(v).
-    """
+def _check_probe(x, v, h):
     if not 1e-6 <= h <= 1e-2:
         raise OutOfRangeError(f"probe step h={h:g} outside [1e-6, 1e-2]")
     if v.base.chart_id != x.chart_id or np.max(np.abs(v.base.coords - x.coords)) > 1e-12:
         raise VelocityMismatchError("tangent vector is not based at the given point")
-    try:
-        u_plus = oracle(_straight_probe(x, v, h)).g
-        u_minus = oracle(_straight_probe(x, v, -h)).g
-    except OutOfBranchError:
-        raise
-    except Exception as err:
-        raise OracleFailureError(f"oracle failed on a probe path: {err}") from err
+
+
+def _lift(x, p, v, h, u_plus, u_minus):
+    """The lift of v at (x, p) from the probe transports u_plus = U(+h) and
+    u_minus = U(-h): Omega = log(u_plus u_minus^-1) / (2h), translated to
+    p and left-trivialized there."""
     diff = GroupElement(u_plus.matrix @ group_inverse(u_minus).matrix, u_plus.group)
     omega = group_log(diff).matrix / (2.0 * h)
     pinv = group_inverse(p).matrix
@@ -133,14 +134,33 @@ def lift_vector(oracle, x, p, v, h):
     return LiftedVector(v, AlgebraElement(vert, p.group), (x, p))
 
 
+def _unit_vector(x, mu):
+    e = np.zeros(x.dim)
+    e[mu] = 1.0
+    return TangentVector(x, e)
+
+
+def lift_vector(oracle, x, p, v, h):
+    """Lifted velocity of v at the bundle point (x, p).
+
+    Builds the straight coordinate paths x +- t h v, transports along both,
+    and takes the symmetric-difference derivative of the fiber component;
+    by the sign convention the vertical part estimates -A_x(v).
+    """
+    _check_probe(x, v, h)
+    try:
+        u_plus = oracle(_straight_probe(x, v, h)).g
+        u_minus = oracle(_straight_probe(x, v, -h)).g
+    except OutOfBranchError:
+        raise
+    except Exception as err:
+        raise OracleFailureError(f"oracle failed on a probe path: {err}") from err
+    return _lift(x, p, v, h, u_plus, u_minus)
+
+
 def horizontal_space(oracle, x, p, h):
     """Reconstructed horizontal space at (x, p): lifts of e_1..e_n."""
-    n = x.dim
-    lifts = []
-    for mu in range(n):
-        e = np.zeros(n)
-        e[mu] = 1.0
-        lifts.append(lift_vector(oracle, x, p, TangentVector(x, e), h))
+    lifts = [lift_vector(oracle, x, p, _unit_vector(x, mu), h) for mu in range(x.dim)]
     return HorizontalBasis((x, p), tuple(lifts))
 
 
@@ -267,22 +287,50 @@ class ReconstructionTable:
                 fh.close()
 
 
+def _probe_transports(oracle, grid, h):
+    """Every probe transport of a reconstruction from one oracle.many call,
+    as {(grid index, mu): (U(+h), U(-h))}, the probes built in the order
+    the per-point loop asks for them.  None when the oracle has no many
+    method or its call raises: the per-point loop then reports every
+    failure as it always has."""
+    many = getattr(oracle, "many", None)
+    if many is None:
+        return None
+    keys, probes = [], []
+    for idx, x in enumerate(grid):
+        for mu in range(x.dim):
+            v = _unit_vector(x, mu)
+            _check_probe(x, v, h)
+            keys.append((idx, mu))
+            probes += [_straight_probe(x, v, h), _straight_probe(x, v, -h)]
+    try:
+        results = list(many(probes))
+        return {key: (results[2 * i].g, results[2 * i + 1].g) for i, key in enumerate(keys)}
+    except Exception:
+        return None
+
+
 def reconstruct_connection(oracle, grid, h, group):
     """Recover the coefficient table A_mu(x_i) = -Omega(e_mu) from any
     transport oracle, at p = I, over the given grid of chart points.
 
-    Grid points where the oracle errors are dropped and reported, never
+    An oracle with a many method (engine_oracle's) answers every probe of
+    the table in one call; any other oracle is asked probe by probe.  Grid
+    points where the oracle errors are dropped and reported, never
     interpolated.
     """
     p = identity_element(group)
+    probed = _probe_transports(oracle, grid, h)
     entries = {}
     dropped = []
     for idx, x in enumerate(grid):
         try:
             for mu in range(x.dim):
-                e = np.zeros(x.dim)
-                e[mu] = 1.0
-                lv = lift_vector(oracle, x, p, TangentVector(x, e), h)
+                v = _unit_vector(x, mu)
+                if probed is None:
+                    lv = lift_vector(oracle, x, p, v, h)
+                else:
+                    lv = _lift(x, p, v, h, *probed[(idx, mu)])
                 entries[(idx, mu)] = -lv.vertical_part.matrix
         except (OracleFailureError, OutOfBranchError) as err:
             dropped.append((x, str(err)))
@@ -344,7 +392,7 @@ def roundtrip_report(
     oracle = engine_oracle(conn, cfg)
 
     X = np.stack([pt.coords for pt in grid])
-    true = [chart.coefficients[mu].value(X) for mu in range(chart.dim)]
+    true = list(_coefficient_values(chart.coefficients, X))
 
     def sweep_error(h):
         table = reconstruct_connection(oracle, grid, h, conn.group)

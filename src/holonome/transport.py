@@ -31,6 +31,15 @@ same pairwise tree.  lift_path takes every partial product from a prefix
 scan within the blocks and one across the projected block ends (Blelloch,
 Prefix sums and their applications, 1990).  GL groups take one unprojected
 block.
+
+The integrator carries a leading path axis.  transport runs a batch of one
+piece at a time; transport_many stacks single-segment paths that share a
+chart and a step count into one pass (one coordinate evaluation on the
+shared grid, one containment test, one coefficient evaluation, one batched
+tree product, one validation of the final elements) and sends every other
+path through transport, with the same results bit for bit.
+engine_oracle's oracle answers one path, and a list of paths through its
+many method.
 """
 
 from __future__ import annotations
@@ -41,8 +50,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprs
+from .connection import _coefficient_values
 from .errors import (
     EndpointMismatchError,
+    HolonomeError,
     OutsideChartError,
     StepUnderflowError,
     ValidationError,
@@ -52,6 +63,7 @@ from .groups import GroupElement, _elements, _polar, frobenius, loglog_slope, pr
 from .paths import (
     ChartPoint,
     PathSpec,
+    _chart_points,
     arc_path,
     constant_path,
     coords_and_velocities,
@@ -68,6 +80,7 @@ __all__ = [
     "TransportResult",
     "LiftedPath",
     "transport",
+    "transport_many",
     "lift_path",
     "engine_oracle",
     "AxiomSuite",
@@ -83,6 +96,9 @@ _CROSSING_TOL = 1e-12
 _MAX_CHART_CHANGES = 8  # per segment: chart exits plus moves
 _JUNCTION_TOL = 1e-10
 _MIN_DOUBLING_STEP = 1e-7
+# transport_many splits a group into batches whose field stack M holds at
+# most this many entries (64 KiB), so a batch's working set stays near 1 MB
+_BATCH_FLOATS = 2**13
 
 
 @dataclass(frozen=True)
@@ -152,12 +168,20 @@ def _compose_affine(coords, w0, w1):
 
 
 class _ChartExit(OutsideChartError):
-    """A piece's field grid leaves its chart between the local parameters
-    u_in (the last grid point inside) and u_out (the first outside)."""
+    """The field grids of a stack of pieces leave their chart.  stays flags
+    the pieces whose grid points all lie inside; u_in (the last grid point
+    inside) and u_out (the first outside) are local parameters of the first
+    piece that leaves.  inside flags each piece's points at the local
+    parameters ts[new]."""
 
-    def __init__(self, u_in, u_out):
-        super().__init__(f"field grid leaves its chart after u={u_in:.6g}")
-        self.u_in, self.u_out = u_in, u_out
+    def __init__(self, ts, new, inside):
+        self.stays = inside.all(axis=1)
+        first = int(np.argmin(self.stays))
+        i = int(np.arange(len(ts))[new][np.argmin(inside[first])])
+        # X[0] is the start that _run found inside; max() keeps a last-bit
+        # difference between its two evaluations from reading ts[-1]
+        self.u_in, self.u_out = ts[max(i - 1, 0)], ts[i]
+        super().__init__(f"field grid leaves its chart after u={self.u_in:.6g}")
 
 
 def _bisect_exit(chart, piece, lo, hi):
@@ -201,6 +225,21 @@ def _gauge_between(conn, end, start):
     return np.linalg.inv(conn.find_transition(end.chart_id, start.chart_id).gauge_at(end.coords))
 
 
+def _step_count(width, h):
+    """The smallest even step count whose step is <= h."""
+    n = math.ceil(width / h)
+    return n + n % 2
+
+
+def _per_piece(values, tail=()):
+    """One value per piece (or per coordinate column), as a scalar when
+    they all agree, which numpy applies far faster than a broadcast array,
+    else as a (len(values), *tail) array.  The results are the same."""
+    if len(set(values)) == 1:
+        return values[0]
+    return np.reshape(values, (-1,) + tail)
+
+
 def _step_matrices(M1, M2, M3, dt):
     """Batched RK4 step matrices for the linear ODE U' = -M(t) U."""
     k = M1.shape[-1]
@@ -211,33 +250,39 @@ def _step_matrices(M1, M2, M3, dt):
     return eye - (dt / 6.0) * (M1 + 2.0 * T2 + 2.0 * T3 + T4)
 
 
-def _piece_fields(conn, piece, n, prev=None):
-    """Grid points X and M(t) = sum_mu A_mu(x(t)) xdot^mu(t) on the 2n + 1
-    local parameters that n steps need.  prev, the (X, M) of the n/2-step
-    grid, supplies the even points: np.linspace nests, so only the odd
-    points are evaluated.
+def _piece_fields(conn, pieces, n, prev=None):
+    """Grid points X (pieces, 2n + 1, dim) and fields M(t) = sum_mu
+    A_mu(x(t)) xdot^mu(t) (pieces, 2n + 1, k, k) on the 2n + 1 local
+    parameters that n steps need, for pieces that share one chart.  One
+    dual evaluation of every piece's coordinates, one containment test and
+    one evaluation of the chart's coefficients cover the whole stack.
+    prev, the (X, M) of the n/2-step grids, supplies the even points:
+    np.linspace nests, so only the odd points are evaluated.
 
     Raises _ChartExit, before any coefficient is evaluated, when a grid
-    point lies off the piece's chart."""
-    chart = conn.chart(piece.chart_id)
+    point lies off the chart."""
+    chart = conn.chart(pieces[0].chart_id)
+    P, dim, k = len(pieces), chart.dim, conn.group.k
     ts = np.linspace(0.0, 1.0, 2 * n + 1)
     new = slice(None) if prev is None else slice(1, None, 2)
-    X_new, V = coords_and_velocities(piece.coords, ts[new], piece.t_hi - piece.t_lo)
-    inside = chart.contains_many(X_new)
+    coords = tuple(c for piece in pieces for c in piece.coords)
+    width = _per_piece([piece.t_hi - piece.t_lo for piece in pieces for _ in range(dim)])
+    X_new, V = coords_and_velocities(coords, ts[new], width)
+    X_new = X_new.reshape(-1, P, dim).swapaxes(0, 1).reshape(-1, dim)
+    V = V.reshape(-1, P, dim).swapaxes(0, 1).reshape(-1, dim)
+    inside = chart.contains_many(X_new).reshape(P, -1)
     if not inside.all():
-        i = int(np.arange(len(ts))[new][np.argmin(inside)])
-        # X[0] is the start that _run found inside; max() keeps a last-bit
-        # difference between its two evaluations from reading ts[-1]
-        raise _ChartExit(ts[max(i - 1, 0)], ts[i])
-    k = conn.group.k
+        raise _ChartExit(ts, new, inside)
     M_new = np.zeros((len(X_new), k, k))
-    for mu in range(chart.dim):
-        M_new += chart.coefficients[mu].value(X_new) * V[:, mu, None, None]
+    values = _coefficient_values(chart.coefficients, X_new)
+    for mu in range(dim):
+        M_new += next(values) * V[:, mu, None, None]
+    X_new, M_new = X_new.reshape(P, -1, dim), M_new.reshape(P, -1, k, k)
     if prev is None:
         return X_new, M_new
-    X = np.empty((len(ts), chart.dim))
-    M = np.empty((len(ts), k, k))
-    (X[0::2], M[0::2]), X[1::2], M[1::2] = prev, X_new, M_new
+    X = np.empty((P, len(ts), dim))
+    M = np.empty((P, len(ts), k, k))
+    (X[:, 0::2], M[:, 0::2]), X[:, 1::2], M[:, 1::2] = prev, X_new, M_new
     return X, M
 
 
@@ -263,67 +308,80 @@ def _scan(S):
 
 
 def _blocks(S, project_every, orthogonal):
-    """The (n, k, k) steps as a (blocks, p, k, k) stack of blocks of
-    p = project_every steps, the last padded with identities, and the
+    """The (..., n, k, k) steps as a (..., blocks, p, k, k) stack of blocks
+    of p = project_every steps, the last padded with identities, and the
     number of full blocks, whose products get projected.  GL groups, and
     orthogonal ones with project_every > n, take one unprojected block."""
-    n, k = S.shape[0], S.shape[-1]
+    lead, n, k = S.shape[:-3], S.shape[-3], S.shape[-1]
     p = max(min(project_every, n) if orthogonal else n, 1)
     blocks = -(-n // p)
-    S = np.concatenate([S, np.broadcast_to(np.eye(k), (blocks * p - n, k, k))])
-    return S.reshape(blocks, p, k, k), (n // project_every if orthogonal else 0)
+    pad = np.broadcast_to(np.eye(k), lead + (blocks * p - n, k, k))
+    S = np.concatenate([S, pad], axis=-3)
+    return S.reshape(lead + (blocks, p, k, k)), (n // project_every if orthogonal else 0)
 
 
 def _product(S, U, project_every, orthogonal):
-    """S[-1] @ ... @ S[0] @ U as a tree: the product of each block of
-    project_every steps, snapped back onto the group in one batched polar
-    projection, then the product of the blocks."""
+    """S[..., -1, :, :] @ ... @ S[..., 0, :, :] @ U over the step axis -3,
+    as a tree: the product of each block of project_every steps, snapped
+    back onto the group in one batched polar projection, then the product
+    of the blocks.  Leading axes are a batch of paths."""
     B, full = _blocks(S, project_every, orthogonal)
-    if not len(B):
+    if not B.shape[-4]:
         return U
     B = _tree(B)
     if full:
-        B[:full] = _polar(B[:full])
+        B[..., :full, :, :] = _polar(B[..., :full, :, :])
     return _tree(B) @ U
 
 
 def _partial_products(S, U, project_every, orthogonal):
-    """Every partial product S[j] @ ... @ S[0] @ U, j < n, with the block
-    ends projected as _product projects them, as an (n, k, k) array: a
-    prefix scan within the blocks, then one across the block ends."""
+    """Every partial product S[..., j, :, :] @ ... @ S[..., 0, :, :] @ U,
+    j < n, with the block ends projected as _product projects them, as an
+    (..., n, k, k) array: a prefix scan within the blocks, then one across
+    the block ends.  U has the leading axes of S."""
     B, full = _blocks(S, project_every, orthogonal)
-    if not len(B):
-        return np.empty((0,) + U.shape)
+    if not B.shape[-4]:
+        return np.empty(S.shape[:-3] + (0,) + U.shape[-2:])
     W = _scan(B)
     if full:
-        W[:full, -1] = _polar(W[:full, -1])
-    ends = _scan(W[:, -1]) @ U
-    before = np.concatenate([U[None], ends[:-1]])
-    return (W @ before[:, None]).reshape(-1, *U.shape)[: len(S)]
+        W[..., :full, -1, :, :] = _polar(W[..., :full, -1, :, :])
+    U = U[..., None, :, :]
+    ends = _scan(W[..., -1, :, :]) @ U
+    before = np.concatenate([U, ends[..., :-1, :, :]], axis=-3)
+    partial = W @ before[..., None, :, :]
+    return partial.reshape(partial.shape[:-4] + (-1,) + U.shape[-2:])[..., : S.shape[-3], :, :]
 
 
-def _rk4_pass(conn, piece, n, U, project_every, collect, prev=None):
-    """n RK4 steps (n even) across a piece, starting from U.
+def _rk4_pass(conn, pieces, n, U, project_every, collect, prev=None):
+    """n RK4 steps (n even) across each of a stack of pieces that share a
+    chart, piece i starting from U[i].
 
-    The field is evaluated once, on the 2n + 1 points the n steps need; the
-    n/2 steps of twice the size reuse every other sample.  prev, the
-    (product, X, M) of the n/2-step pass, gives that pass's product as the
-    n/2-step product (bit for bit the same: same grid, same step) and its
-    grid as the even points.  Returns the n-step product, the Richardson
-    estimate ||U_n - U_{n/2}||_F / 15 of its error, the grid points X, the
-    field M, and the partial products if collect is set."""
-    dt = (piece.t_hi - piece.t_lo) / n
-    X, M = _piece_fields(conn, piece, n, None if prev is None else prev[1:])
+    The fields are evaluated once, on the 2n + 1 points the n steps need;
+    the n/2 steps of twice the size reuse every other sample.  prev, the
+    (products, X, M) of the n/2-step pass, gives that pass's products as
+    the n/2-step products (bit for bit the same: same grid, same step) and
+    its grids as the even points.  Returns the n-step products, the
+    Richardson estimates ||U_n - U_{n/2}||_F / 15 of their errors, the grid
+    points X, the fields M, and the partial products if collect is set."""
+    dt = _per_piece([(piece.t_hi - piece.t_lo) / n for piece in pieces], (1, 1, 1))
+    X, M = _piece_fields(conn, pieces, n, None if prev is None else prev[1:])
     orthogonal = conn.group.orthogonal
-    fine = _step_matrices(M[0:-1:2], M[1::2], M[2::2], dt)
+    fine = _step_matrices(M[:, 0:-1:2], M[:, 1::2], M[:, 2::2], dt)
     U_fine = _product(fine, U, project_every, orthogonal)
     trail = _partial_products(fine, U, project_every, orthogonal) if collect else None
     if prev is None:
-        coarse = _step_matrices(M[0:-1:4], M[2::4], M[4::4], 2.0 * dt)
+        coarse = _step_matrices(M[:, 0:-1:4], M[:, 2::4], M[:, 4::4], 2.0 * dt)
         U_coarse = _product(coarse, U, project_every, orthogonal)
     else:
         U_coarse = prev[0]
-    return U_fine, frobenius(U_fine - U_coarse) / 15.0, X, M, trail
+    est = [frobenius(d) / 15.0 for d in U_fine - U_coarse]
+    return U_fine, est, X, M, trail
+
+
+def _accepted(cfg, U, est):
+    """Whether a pass's product U, with error estimate est, ends its piece:
+    always for rk4-fixed, within tol * max(1, ||U||_F) for rk4-doubling."""
+    return cfg.method == "rk4-fixed" or est <= cfg.tol * max(1.0, frobenius(U))
 
 
 def _integrate_piece(conn, piece, cfg, U, samples):
@@ -336,34 +394,33 @@ def _integrate_piece(conn, piece, cfg, U, samples):
     one's product and field grid.  Appends the accepted pass's samples
     when samples is a list."""
     width = piece.t_hi - piece.t_lo
-    n = math.ceil(width / cfg.h)
-    n += n % 2
+    n = _step_count(width, cfg.h)
     prev_est = math.inf
     prev = None
     while True:
         U_n, est, X, M, trail = _rk4_pass(
-            conn, piece, n, U, cfg.project_every, samples is not None, prev
+            conn, (piece,), n, U[None], cfg.project_every, samples is not None, prev
         )
-        if cfg.method == "rk4-fixed" or est <= cfg.tol * max(1.0, frobenius(U_n)):
+        if _accepted(cfg, U_n[0], est[0]):
             break
-        if est > prev_est / 2.0:
+        if est[0] > prev_est / 2.0:
             raise StepUnderflowError(
                 f"doubling cannot meet tol={cfg.tol:g}: the error estimate "
-                f"{est:.3e} stopped shrinking at {n} steps (roundoff floor)"
+                f"{est[0]:.3e} stopped shrinking at {n} steps (roundoff floor)"
             )
         if width / (2 * n) < _MIN_DOUBLING_STEP:
             raise StepUnderflowError(
                 f"doubling cannot meet tol={cfg.tol:g} with h >= {_MIN_DOUBLING_STEP:g}"
             )
-        prev_est, prev = est, (U_n, X, M)
+        prev_est, prev = est[0], (U_n, X, M)
         n *= 2
     if samples is not None:
         dt = width / n
+        points = _chart_points(piece.chart_id, X[0, 2::2])
         samples.extend(
-            (piece.t_lo + (j + 1) * dt, ChartPoint(piece.chart_id, X[2 * j + 2]), Uj)
-            for j, Uj in enumerate(trail)
+            (piece.t_lo + (j + 1) * dt, pt, Uj) for j, (pt, Uj) in enumerate(zip(points, trail[0]))
         )
-    return U_n, n, est, X[-1]
+    return U_n[0], n, est[0], X[0, -1]
 
 
 def _run(conn, gamma, cfg, collect):
@@ -434,6 +491,76 @@ def transport(conn, gamma, cfg=None):
     return result
 
 
+def transport_many(conn, paths, cfg=None):
+    """[transport(conn, gamma, cfg) for gamma in paths], bit for bit, as a
+    list, computed in batches.
+
+    Single-segment paths are grouped by chart and step count.  Each group
+    takes one pass of the integrator with a leading path axis: one
+    evaluation of every path's coordinates on the shared grid, one
+    containment test, one evaluation of the chart's coefficients, one
+    batched tree product, and one validation of the final elements.  A
+    multi-segment path, a path that starts or leaves off its chart, an
+    rk4-doubling path not accepted on its first pass, and every path of a
+    group whose pass raises run through transport on their own, so a
+    failure raises what transport raises on the first path that fails.
+    """
+    cfg = cfg or SolverConfig()
+    paths = list(paths)
+    out = [None] * len(paths)
+    groups = {}
+    for i, gamma in enumerate(paths):
+        if len(gamma.segments) == 1:
+            seg = gamma.segments[0]
+            key = (seg.chart_id, len(seg.coords), _step_count(seg.t1 - seg.t0, cfg.h))
+            groups.setdefault(key, []).append(i)
+    k = conn.group.k
+    for (_, _, n), members in groups.items():
+        size = max(1, _BATCH_FLOATS // ((2 * n + 1) * k * k))
+        for lo in range(0, len(members), size):
+            idx = members[lo : lo + size]
+            try:
+                done = _transport_group(conn, [paths[i].segments[0] for i in idx], n, cfg)
+            except HolonomeError:
+                continue
+            for i, res in done.items():
+                out[idx[i]] = res
+    return [transport(conn, gamma, cfg) if res is None else res for gamma, res in zip(paths, out)]
+
+
+def _transport_group(conn, segs, n, cfg):
+    """The TransportResults, as _run gives them, of single-segment paths
+    that share a chart, a coordinate count and the step count n, keyed by
+    position in segs.  Leaves out the paths _run must take on their own."""
+    chart = conn.chart(segs[0].chart_id)
+    if chart.dim != len(segs[0].coords):
+        return {}
+    x0 = coords_at(tuple(c for seg in segs for c in seg.coords), [0.0]).reshape(len(segs), -1)
+    keep = np.flatnonzero(chart.contains_many(x0))
+    while len(keep):
+        pieces = [_Piece(chart.chart_id, segs[i].coords, segs[i].t0, segs[i].t1) for i in keep]
+        U = np.broadcast_to(np.eye(conn.group.k), (len(keep), conn.group.k, conn.group.k))
+        try:
+            U, est, X, _, _ = _rk4_pass(conn, pieces, n, U, cfg.project_every, False)
+            break
+        except _ChartExit as exit_:
+            keep = keep[exit_.stays]
+    else:
+        return {}
+    ok = np.array([_accepted(cfg, u, e) for u, e in zip(U, est)])
+    if not ok.any():
+        return {}
+    U = U[ok]
+    gs = _elements(_polar(U) if conn.group.orthogonal else U, conn.group)
+    est = [e for e, accepted in zip(est, ok) if accepted]
+    return {
+        int(i): TransportResult(
+            ChartPoint(chart.chart_id, x0[i]), ChartPoint(chart.chart_id, x[-1]), g, n, e
+        )
+        for i, x, g, e in zip(keep[ok], X[ok], gs, est)
+    }
+
+
 def lift_path(conn, gamma, p, cfg=None):
     """Horizontal lift through p: samples (t, gamma(t), U(t) p).
 
@@ -454,6 +581,7 @@ def engine_oracle(conn, cfg=None):
     def oracle(gamma):
         return transport(conn, gamma, cfg)
 
+    oracle.many = lambda paths: transport_many(conn, paths, cfg)
     return oracle
 
 

@@ -12,6 +12,8 @@ from holonome.connection import (
     ConstantMatrixFunction,
     ExprMatrixFunction,
     Transition,
+    _coefficient_values,
+    _coefficient_values_and_grads,
     _overlap_samples,
     builtin_connection,
     curvature_at,
@@ -182,6 +184,29 @@ def test_gauge_transform_roundtrip(abelian):
         before = abelian.charts[0].coefficients[mu].value(X)
         after = back.charts[0].coefficients[mu].value(X)
         assert np.max(np.abs(before - after)) < 1e-9
+
+
+def test_gauge_is_evaluated_once_per_point_set(abelian, monkeypatch):
+    """A gauge-transformed chart evaluates its gauge once for all mu, on
+    the transport grid and on the curvature's shifted points alike, with
+    values equal to the per-mu coefficients'."""
+    gauged = gauge_transform(abelian, _rotation_gauge())
+    coeffs = gauged.charts[0].coefficients
+    X = np.random.default_rng(5).uniform(-1.5, 1.5, (30, 2))
+    per_mu = [f.value(X) for f in coeffs]
+    per_mu_grads = [f.value_and_grad(X) for f in coeffs]
+    gauge = coeffs[0].gauge
+    calls = []
+    original = type(gauge).value_and_grad
+    monkeypatch.setattr(type(gauge), "value_and_grad",
+                        lambda self, X: calls.append(len(X)) or original(self, X))
+    shared = list(_coefficient_values(coeffs, X))
+    assert calls == [30]
+    assert all(np.array_equal(a, b) for a, b in zip(shared, per_mu))
+    shared_grads = _coefficient_values_and_grads(coeffs, X)
+    assert calls == [30, 5 * 30]
+    for (v, g), (v0, g0) in zip(shared_grads, per_mu_grads):
+        assert np.array_equal(v, v0) and np.array_equal(g, g0)
 
 
 def test_gauge_transform_rejects_singular_gauge(abelian):

@@ -142,6 +142,17 @@ def test_group_inverse():
     assert frobenius(group_inverse(m).matrix @ m.matrix - np.eye(2)) < 1e-14
 
 
+def test_orthogonal_inverse_is_the_unchecked_transpose(monkeypatch):
+    """g^T passes every check g passed, so group_inverse does not run the
+    check again; it returns a read-only copy of the transpose."""
+    g = GroupElement(rotation2(0.8), SO2)
+    monkeypatch.setattr(groups, "_check_group_matrix", lambda m, group: pytest.fail("checked"))
+    inv = group_inverse(g)
+    assert isinstance(inv, GroupElement) and inv.group is SO2
+    assert np.array_equal(inv.matrix, g.matrix.T)
+    assert not inv.matrix.flags.writeable and not np.shares_memory(inv.matrix, g.matrix)
+
+
 def test_rotation_angle():
     assert rotation_angle(GroupElement(rotation2(0.7), SO2)) == pytest.approx(0.7)
     assert rotation_angle(GroupElement(rotation2(-2.5), SO2)) == pytest.approx(-2.5)

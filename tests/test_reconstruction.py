@@ -27,7 +27,14 @@ from holonome.groups import (
     so2_generator,
     so3_basis,
 )
-from holonome.paths import ChartPoint, TangentVector, arc_path, line_path, path_from_exprs
+from holonome.paths import (
+    ChartPoint,
+    TangentVector,
+    arc_path,
+    line_path,
+    path_from_exprs,
+    path_point,
+)
 from holonome.reconstruction import (
     HorizontalBasis,
     LiftedVector,
@@ -38,7 +45,7 @@ from holonome.reconstruction import (
     roundtrip_report,
     split_horizontal_vertical,
 )
-from holonome.transport import SolverConfig, engine_oracle
+from holonome.transport import SolverConfig, engine_oracle, transport, transport_many
 
 J = so2_generator()
 SO2 = StructureGroup("SO", 2)
@@ -332,6 +339,85 @@ def test_reconstruct_drops_edge_points():
     assert len(table.dropped) == 1
     assert table.dropped[0][0] is edge
     assert (0, 0) in table.entries and (1, 0) not in table.entries
+
+
+class RecordingOracle:
+    """A black-box oracle over the engine that records every probe path it
+    is asked for, and refuses the probes that start at a refused point."""
+
+    def __init__(self, conn, refused=None):
+        self.conn, self.refused, self.seen = conn, refused, []
+
+    def check(self, gamma):
+        start = path_point(gamma, 0.0).coords
+        if self.refused is not None and np.array_equal(start, self.refused):
+            raise ValueError(f"no data at {self.refused.tolist()}")
+
+    def __call__(self, gamma):
+        self.seen.append(gamma)
+        self.check(gamma)
+        return transport(self.conn, gamma, CFG)
+
+
+class RecordingManyOracle(RecordingOracle):
+    """The same black box, answering a whole list of probes in one call."""
+
+    many_calls = 0
+
+    def many(self, paths):
+        self.many_calls += 1
+        self.seen.extend(paths)
+        for gamma in paths:
+            self.check(gamma)
+        return transport_many(self.conn, paths, CFG)
+
+
+def table_bits(table):
+    return (
+        {key: mat.tobytes() for key, mat in table.entries.items()},
+        [(x.chart_id, x.coords.tobytes(), reason) for x, reason in table.dropped],
+    )
+
+
+def test_many_oracle_sees_the_probes_of_the_per_point_loop():
+    """An oracle with a many method is asked for the same probe paths, in
+    the same order, as the per-point loop asks a one-path oracle for them,
+    and the two tables match bit for bit."""
+    conn = builtin_connection("constant-so3")
+    grid = grid_points([-1, -1], [1, 1], 3)
+    loop, batch = RecordingOracle(conn), RecordingManyOracle(conn)
+    want = reconstruct_connection(loop, grid, 1e-3, SO3)
+    got = reconstruct_connection(batch, grid, 1e-3, SO3)
+    assert len(loop.seen) == 4 * len(grid)
+    assert batch.many_calls == 1 and batch.seen == loop.seen
+    assert table_bits(got) == table_bits(want)
+
+
+def test_probe_failing_inside_many_drops_exactly_its_point():
+    """A probe that fails inside many drops its grid point alone, with the
+    reason string the per-point loop gives."""
+    conn = builtin_connection("abelian-area(1.5)")
+    grid = grid_points([-1, -1], [1, 1], 3)
+    refused = grid[4].coords
+    batch = RecordingManyOracle(conn, refused)
+    want = reconstruct_connection(RecordingOracle(conn, refused), grid, 1e-3, SO2)
+    got = reconstruct_connection(batch, grid, 1e-3, SO2)
+    assert batch.many_calls == 1
+    assert [x for x, _ in got.dropped] == [grid[4]]
+    assert got.dropped[0][1] == "oracle failed on a probe path: no data at [0.0, 0.0]"
+    assert table_bits(got) == table_bits(want)
+
+
+def test_engine_oracle_table_matches_the_per_point_loop():
+    """engine_oracle's batched table equals, bit for bit, the per-point
+    loop over the same transports, edge points dropped with the same
+    reason."""
+    conn = builtin_connection("pure-gauge")
+    grid = grid_points([-2, -2], [1.5, 1.5], 4)
+    got = reconstruct_connection(engine_oracle(conn, CFG), grid, 1e-3, conn.group)
+    want = reconstruct_connection(lambda g: transport(conn, g, CFG), grid, 1e-3, conn.group)
+    assert 0 < len(got.dropped) < len(grid)
+    assert table_bits(got) == table_bits(want)
 
 
 def test_reconstruction_csv_layout():

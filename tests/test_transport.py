@@ -12,12 +12,18 @@ from holonome.connection import (
     ChartSpec,
     ConnectionForm,
     ConstantMatrixFunction,
+    ExprMatrixFunction,
     MatrixFunction,
     _so2_chart,
     _stereo_coefficients,
     builtin_connection,
 )
-from holonome.errors import OutsideChartError, SingularInputError, StepUnderflowError
+from holonome.errors import (
+    HolonomeError,
+    OutsideChartError,
+    SingularInputError,
+    StepUnderflowError,
+)
 from holonome.exprs import lit, parse, var
 from holonome.exprs import cos as ecos
 from holonome.exprs import sin as esin
@@ -58,6 +64,7 @@ from holonome.transport import (
     lift_path,
     standard_axiom_suite,
     transport,
+    transport_many,
     verify_axioms,
 )
 
@@ -674,3 +681,154 @@ def test_mid_segment_chart_crossing_by_bisection():
     assert res.end.chart_id == 1
     assert np.allclose(res.end.coords, tr.map_coords(end), atol=1e-9)
     assert frobenius(res.g.matrix - expect) <= 1e-8
+
+
+# --- transport_many ------------------------------------------------------------
+
+def gl2_connection():
+    """A DSL-built GL(2) connection with point-dependent, non-skew
+    coefficients."""
+    x1, x2 = var(0, 2), var(1, 2)
+    a1 = ExprMatrixFunction([[lit(0.3) * x2, lit(0.5)], [lit(-0.2), x1 * x2]], 2)
+    a2 = ExprMatrixFunction([[lit(0.1), esin(x1)], [lit(0.4) * x1, lit(-0.3)]], 2)
+    return ConnectionForm(StructureGroup("GL", 2), (ChartSpec(0, 2, [-2, -2], [2, 2], (a1, a2)),))
+
+
+TWOCHART = "levi-civita-s2-twochart"
+MANY_CONNECTIONS = {
+    name: builtin_connection(name)
+    for name in ("abelian-area(1.5)", "constant-so3(0.8,0.6)", "pure-gauge", TWOCHART)
+}
+MANY_CONNECTIONS["gl2"] = gl2_connection()
+MANY_CONFIGS = (
+    SolverConfig(h=0.02, project_every=4),
+    SolverConfig(h=0.05),
+    SolverConfig("rk4-doubling", h=0.1, tol=1e-11),  # rejects the first pass of most lines
+)
+
+
+@st.composite
+def mixed_paths(draw, twochart):
+    """A path of one of the kinds a batch must tell apart: a straight
+    probe, a longer line, a juxtaposition of two lines (multi-segment), a
+    line that leaves chart 0's box (into chart 1 on the two-chart sphere,
+    off every chart elsewhere), and on the two-chart sphere a line on
+    chart 1."""
+    coord = st.floats(-1.5, 1.5)
+    a = np.array([draw(coord), draw(coord)])
+    kinds = ["probe"] * 8 + ["line", "line", "juxtaposed", "juxtaposed"]
+    kind = draw(st.sampled_from(kinds + (["exit", "chart1"] if twochart else ["off"])))
+    if kind == "probe":
+        e = np.eye(2)[draw(st.integers(0, 1))]
+        step = draw(st.sampled_from([1e-2, -1e-2, 1e-3, -1e-3]))
+        return line_path(ChartPoint(0, a), a + step * e)
+    b = a + np.array([draw(st.floats(-0.4, 0.4)), draw(st.floats(-0.4, 0.4))])
+    if kind == "line":
+        return line_path(ChartPoint(0, a), b)
+    if kind == "juxtaposed":
+        return juxtapose(line_path(ChartPoint(0, a), b), line_path(ChartPoint(0, b), a))
+    if kind in ("exit", "off"):  # off: leaves a single chart, so transport raises
+        y = draw(st.floats(-0.5, 0.5))
+        edge = 4.0 if twochart else 2.0
+        return line_path(ChartPoint(0, [edge - 0.4, y]), [edge + 0.4, y])
+    return line_path(ChartPoint(1, a + 2.0), b + 2.0)
+
+
+def bits(res):
+    """Everything transport_many must reproduce, as bytes and exact values."""
+    return (
+        res.g.matrix.tobytes(), res.g.group,
+        res.start.chart_id, res.start.coords.tobytes(),
+        res.end.chart_id, res.end.coords.tobytes(),
+        res.step_count, type(res.est_error), res.est_error,
+    )
+
+
+@seed(20261020)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(MANY_CONNECTIONS)), st.sampled_from(MANY_CONFIGS), st.data())
+def test_transport_many_matches_transport_bit_for_bit(name, cfg, data):
+    """transport_many(conn, paths, cfg)[i] is transport(conn, paths[i], cfg)
+    bit for bit in g, start, end, step_count and est_error, on mixed
+    batches; where a path fails, it raises what the first failure raises."""
+    conn = MANY_CONNECTIONS[name]
+    paths = data.draw(st.lists(mixed_paths(name == TWOCHART), min_size=1, max_size=10))
+    outcomes = []
+    for gamma in paths:
+        try:
+            outcomes.append(bits(transport(conn, gamma, cfg)))
+        except HolonomeError as err:
+            outcomes.append(err)
+            break
+    if isinstance(outcomes[-1], HolonomeError):
+        with pytest.raises(type(outcomes[-1])) as info:
+            transport_many(conn, paths, cfg)
+        assert str(info.value) == str(outcomes[-1])
+    else:
+        assert [bits(res) for res in transport_many(conn, paths, cfg)] == outcomes
+
+
+def test_transport_many_batches_probes_and_runs_the_rest_alone(monkeypatch):
+    """Straight probes on one chart share one pass of the integrator; a
+    multi-segment path and a path that leaves its chart go through
+    transport on their own, in their place."""
+    module = sys.modules["holonome.transport"]
+    passes, alone = [], []
+    original_pass, original_transport = module._rk4_pass, module.transport
+
+    def counting_pass(conn, pieces, *args, **kwargs):
+        passes.append(len(pieces))
+        return original_pass(conn, pieces, *args, **kwargs)
+
+    def counting_transport(conn, gamma, cfg=None):
+        alone.append(gamma)
+        return original_transport(conn, gamma, cfg)
+
+    monkeypatch.setattr(module, "_rk4_pass", counting_pass)
+    monkeypatch.setattr(module, "transport", counting_transport)
+    conn = builtin_connection("levi-civita-s2-twochart")
+    probes = [line_path(ChartPoint(0, [0.1 * i, 0.2]), [0.1 * i + 1e-3, 0.2]) for i in range(6)]
+    exit_ = line_path(ChartPoint(0, [3.6, 0.1]), [4.4, 0.1])
+    loop = juxtapose(probes[0], line_path(ChartPoint(0, [1e-3, 0.2]), [0.0, 0.2]))
+    paths = probes[:3] + [exit_] + probes[3:] + [loop]
+    cfg = SolverConfig(h=0.02, project_every=4)
+    results = transport_many(conn, paths, cfg)
+    assert alone == [exit_, loop]
+    assert passes[:2] == [7, 6]  # the exit leaves the batch, the rest retry
+    assert results[3].end.chart_id == 1
+    assert all(bits(r) == bits(original_transport(conn, g, cfg)) for r, g in zip(results, paths))
+
+
+def test_transport_many_bounds_the_batch_size():
+    """A large group is split into batches, each within the field-stack
+    bound, with unchanged results."""
+    module = sys.modules["holonome.transport"]
+    conn = builtin_connection("constant-so3")
+    cfg = SolverConfig(h=0.02)
+    per_batch = module._BATCH_FLOATS // (101 * 9)
+    paths = [
+        line_path(ChartPoint(0, [0.01 * i, 0.0]), [0.01 * i, 0.01]) for i in range(2 * per_batch + 3)
+    ]
+    assert [bits(r) for r in transport_many(conn, paths, cfg)] == [
+        bits(transport(conn, g, cfg)) for g in paths
+    ]
+
+
+def test_engine_oracle_answers_one_path_and_many():
+    conn = builtin_connection("abelian-area(1.5)")
+    oracle = engine_oracle(conn, CFG)
+    paths = [line_path(ChartPoint(0, [0.0, 0.0]), [0.3, 0.1]), arc_path(0, [0, 0], 0.5, 0.0, 1.0)]
+    assert [bits(r) for r in oracle.many(paths)] == [bits(oracle(g)) for g in paths]
+
+
+def test_lift_path_samples_share_one_read_only_grid():
+    """Sample points are ChartPoints whose coordinates are read-only views
+    of one copy of the accepted grid, equal to the path's points."""
+    conn = builtin_connection("abelian-area(1.5)")
+    gamma = arc_path(0, [0.0, 0.0], 1.0, 0.0, 2.0)
+    samples = lift_path(conn, gamma, identity_element(SO2), SolverConfig(h=0.01)).samples
+    pts = [pt for _, pt, _ in samples[1:]]
+    assert all(type(pt) is ChartPoint and not pt.coords.flags.writeable for pt in pts)
+    assert len({id(pt.coords.base) for pt in pts}) == 1
+    for t, pt, _ in samples[1:]:
+        assert np.allclose(pt.coords, path_point(gamma, t).coords, atol=1e-12)
