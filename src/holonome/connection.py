@@ -52,6 +52,7 @@ __all__ = [
 
 _FD_STEP = 1e-6  # central-difference step for callable-backed derivatives
 _GAUGE_LAW_TOL = 1e-8  # largest gauge-law defect accepted on an overlap
+_GAUGE_ORTHO_TOL = 1e-13  # a gauge value this close to orthogonal is inverted by g^T
 _OVERLAP_SAMPLES = 20  # overlap points checked per transition
 _OVERLAP_ATTEMPTS = 500  # candidate points drawn to find them
 _OVERLAP_SEED = 20240615
@@ -191,9 +192,16 @@ class _GaugeTransformedCoefficient(MatrixFunction):
 
 
 def _gauge_frame(gauge, X):
-    """The gauge g, its inverse and its derivatives dg at the points X."""
+    """The gauge g, its inverse and its derivatives dg at the points X.
+    The inverse is g^T at every point where max |g^T g - I| <=
+    _GAUGE_ORTHO_TOL, and np.linalg.inv at every other point, each point
+    judged on its own."""
     gv, gg = gauge.value_and_grad(X)
-    return gv, np.linalg.inv(gv), gg
+    gi = gv.swapaxes(-1, -2).copy()
+    skew = np.abs(gi @ gv - np.eye(gv.shape[-1])).max(axis=(-2, -1)) > _GAUGE_ORTHO_TOL
+    if skew.any():
+        gi[skew] = np.linalg.inv(gv[skew])
+    return gv, gi, gg
 
 
 def _fd_points(X):

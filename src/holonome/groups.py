@@ -4,6 +4,12 @@ iterates on the group.
 
 All elements are k x k real matrices validated against the group invariants
 at construction.  Instances are immutable; every function here is pure.
+
+Stacks of small matrices are multiplied component-major: a (k, k, ...)
+array holds entry (i, j) of every matrix in one contiguous row, so one
+einsum over those rows (_mul) replaces a per-matrix product.  The polar
+projection runs on such stacks with Newton-Schulz steps; only matrices far
+from the group take a per-matrix SVD.
 """
 
 from __future__ import annotations
@@ -37,6 +43,15 @@ __all__ = [
 _ORTHO_TOL = 1e-9
 _SKEW_TOL = 1e-12
 _DET_TOL = 1e-12
+# Newton-Schulz polar steps run on a matrix whose Gram defect X^T X - I has
+# every entry within _NS_BASIN (the defect then shrinks as about 0.75 d^2 a
+# step), and stop once the matrix's own defect is within _NS_TOL, which is
+# roundoff (it reads at most 2 eps on random rotations of SO(2) and SO(3)).
+# From the basin's edge that takes 4 steps; a matrix that needs more than
+# _NS_STEPS goes to the SVD.
+_NS_BASIN = 0.1
+_NS_TOL = 4.0 * np.finfo(float).eps
+_NS_STEPS = 6
 
 
 def frobenius(m):
@@ -259,18 +274,64 @@ def group_log(g):
 
 # --- projection ----------------------------------------------------------------
 
+def _rows(C):
+    """The (..., k, k) view of a component-major (k, k, ...) stack."""
+    return C.transpose(tuple(range(2, C.ndim)) + (0, 1))
+
+
+def _components(R):
+    """The component-major (k, k, ...) view of a (..., k, k) stack."""
+    return R.transpose((R.ndim - 2, R.ndim - 1) + tuple(range(R.ndim - 2)))
+
+
+def _mul(a, b):
+    """a @ b for every matrix of two component-major (k, k, ...) stacks,
+    whose trailing axes broadcast."""
+    return np.einsum("ij...,jk...->ik...", a, b)
+
+
 def _polar(m):
-    """Orthogonal polar factor u @ vt of m = u diag(sigma) vt: the nearest
-    SO matrix in the Frobenius norm, for each matrix of a (..., k, k)
-    stack.  Raises SingularInputError when any of them is numerically
-    singular or has det <= 0.  Returns raw matrices, so callers skip the
-    GroupElement checks."""
-    u, sigma, vt = np.linalg.svd(m)
-    if (sigma[..., -1] <= _DET_TOL).any():
-        raise SingularInputError("matrix is numerically singular")
-    if (np.linalg.det(m) <= 0).any():
+    """Orthogonal polar factor of each matrix of a (..., k, k) stack: the
+    nearest SO matrix in the Frobenius norm.  See _polar_components."""
+    return _rows(_polar_components(_components(np.asarray(m, dtype=float))))
+
+
+def _polar_components(C):
+    """Orthogonal polar factor of each matrix of a component-major
+    (k, k, ...) stack, as a new stack.
+
+    A matrix whose Gram defect X^T X - I has every entry within _NS_BASIN
+    takes Newton-Schulz steps X <- X (3I - X^T X) / 2 (Higham, Computing
+    the polar decomposition -- with applications, 1986), which converge
+    quadratically to its polar factor, until its own defect is at roundoff.
+    Every other matrix takes the SVD factor u @ vt, and raises
+    SingularInputError when it is numerically singular.  Every choice is
+    made per matrix, so a matrix's factor does not depend on the rest of
+    the stack.  Raises SingularInputError when any factor has det <= 0.
+    Returns raw matrices, so callers skip the GroupElement checks."""
+    k = len(C)
+    given = C.reshape(k, k, -1)
+    eye = np.eye(k)[:, :, None]
+    X = given.copy()
+    G = _mul(X.swapaxes(0, 1), X) - eye
+    defect = np.abs(G).max(axis=(0, 1))
+    newton = defect <= _NS_BASIN
+    going = newton & (defect > _NS_TOL)
+    for _ in range(_NS_STEPS):
+        if not going.any():
+            break
+        X = np.where(going, X - 0.5 * _mul(X, G), X)
+        G = _mul(X.swapaxes(0, 1), X) - eye
+        going &= np.abs(G).max(axis=(0, 1)) > _NS_TOL
+    far = ~newton | going
+    if far.any():
+        u, sigma, vt = np.linalg.svd(_rows(given[..., far]))
+        if (sigma[..., -1] <= _DET_TOL).any():
+            raise SingularInputError("matrix is numerically singular")
+        X[..., far] = _components(u @ vt)
+    if (np.linalg.det(_rows(X)) <= 0).any():
         raise SingularInputError("projection to SO needs det > 0")
-    return u @ vt
+    return X.reshape(C.shape)
 
 
 def project_to_group(m, group):

@@ -14,11 +14,12 @@ p = I, grid point by grid point, with an h-sweep convergence report for
 the round trip connection -> transport -> connection.
 
 Any callable PathSpec -> result with a group element g is an oracle.  An
-oracle that also has a many method (engine_oracle's calls transport_many)
-receives every probe of a table in one list, in the order the per-point
-loop would ask for them; one formula turns each probe pair into Omega on
-both routes, and if many raises, the table falls back to the per-point
-loop, so dropped points keep their reasons.
+oracle that also has a many method (engine_oracle's) receives every probe
+of a table in one list, in the order the per-point loop would ask for
+them, and may answer a probe with the exception it met there.  One formula
+turns each probe pair into Omega on both routes, and a failed probe drops
+its point with the reason the per-point loop gives.  If many raises, the
+table falls back to the per-point loop.
 """
 
 from __future__ import annotations
@@ -148,14 +149,28 @@ def lift_vector(oracle, x, p, v, h):
     by the sign convention the vertical part estimates -A_x(v).
     """
     _check_probe(x, v, h)
+    probes = (_straight_probe(x, v, h), _straight_probe(x, v, -h))
+    return _lift(x, p, v, h, *_probe_elements(oracle, probes))
+
+
+def _probe_elements(answer, probes):
+    """The group elements answer(probe).g of the probes, in order.  An
+    OutOfBranchError passes as it is; any other failure raises
+    OracleFailureError."""
     try:
-        u_plus = oracle(_straight_probe(x, v, h)).g
-        u_minus = oracle(_straight_probe(x, v, -h)).g
+        return [answer(probe).g for probe in probes]
     except OutOfBranchError:
         raise
     except Exception as err:
         raise OracleFailureError(f"oracle failed on a probe path: {err}") from err
-    return _lift(x, p, v, h, u_plus, u_minus)
+
+
+def _answered(answer):
+    """One answer of an oracle's many method: a result as it is, a failure
+    raised."""
+    if isinstance(answer, Exception):
+        raise answer
+    return answer
 
 
 def horizontal_space(oracle, x, p, h):
@@ -288,11 +303,12 @@ class ReconstructionTable:
 
 
 def _probe_transports(oracle, grid, h):
-    """Every probe transport of a reconstruction from one oracle.many call,
-    as {(grid index, mu): (U(+h), U(-h))}, the probes built in the order
-    the per-point loop asks for them.  None when the oracle has no many
-    method or its call raises: the per-point loop then reports every
-    failure as it always has."""
+    """Every probe answer of a reconstruction from one oracle.many call, as
+    {(grid index, mu): (answer for +h, answer for -h)}, the probes built in
+    the order the per-point loop asks for them.  An answer is a result or
+    the exception the oracle met on that probe.  None when the oracle has
+    no many method, or its call raises or answers a different number of
+    probes: the per-point loop then asks probe by probe."""
     many = getattr(oracle, "many", None)
     if many is None:
         return None
@@ -304,10 +320,12 @@ def _probe_transports(oracle, grid, h):
             keys.append((idx, mu))
             probes += [_straight_probe(x, v, h), _straight_probe(x, v, -h)]
     try:
-        results = list(many(probes))
-        return {key: (results[2 * i].g, results[2 * i + 1].g) for i, key in enumerate(keys)}
+        answers = list(many(probes))
     except Exception:
         return None
+    if len(answers) != len(probes):
+        return None
+    return {key: answers[2 * i : 2 * i + 2] for i, key in enumerate(keys)}
 
 
 def reconstruct_connection(oracle, grid, h, group):
@@ -330,7 +348,7 @@ def reconstruct_connection(oracle, grid, h, group):
                 if probed is None:
                     lv = lift_vector(oracle, x, p, v, h)
                 else:
-                    lv = _lift(x, p, v, h, *probed[(idx, mu)])
+                    lv = _lift(x, p, v, h, *_probe_elements(_answered, probed[(idx, mu)]))
                 entries[(idx, mu)] = -lv.vertical_part.matrix
         except (OracleFailureError, OutOfBranchError) as err:
             dropped.append((x, str(err)))

@@ -24,13 +24,20 @@ each pass takes the previous pass's product as its n/2-step product and
 the previous pass's field grid as its even points.
 
 Products are tree-ordered.  The steps fall into blocks of project_every;
-each block is multiplied pairwise, ceil(log2 project_every) batched matmuls
-deep, every full block's product is projected in one batched polar call,
-and the projected blocks and the unprojected tail are multiplied by the
-same pairwise tree.  lift_path takes every partial product from a prefix
-scan within the blocks and one across the projected block ends (Blelloch,
-Prefix sums and their applications, 1990).  GL groups take one unprojected
-block.
+each block is multiplied pairwise, ceil(log2 project_every) levels deep,
+every full block's product is projected in one batched polar call
+(Newton-Schulz steps, see groups._polar_components), and the projected
+blocks and the unprojected tail are multiplied by the same pairwise tree.
+lift_path takes every partial product from a prefix scan within the blocks
+and one across the projected block ends (Blelloch, Prefix sums and their
+applications, 1990).  GL groups take one unprojected block.
+
+Fields, step matrices and blocks are component-major, (k, k, paths,
+steps): the step axis is innermost and each entry (i, j) is one contiguous
+row, so every product of two stacks is one einsum over the rows (_mul).
+_product and _partial_products index their steps (..., n, k, k), as views
+of that storage.  No SVD or matrix inverse runs on the per-step path of a
+well-conditioned orthogonal transport.
 
 The integrator carries a leading path axis.  transport runs a batch of one
 piece at a time; transport_many stacks single-segment paths that share a
@@ -39,7 +46,8 @@ shared grid, one containment test, one coefficient evaluation, one batched
 tree product, one validation of the final elements) and sends every other
 path through transport, with the same results bit for bit.
 engine_oracle's oracle answers one path, and a list of paths through its
-many method.
+many method, which puts each path's failure in its place instead of
+raising.
 """
 
 from __future__ import annotations
@@ -53,13 +61,23 @@ from . import exprs
 from .connection import _coefficient_values
 from .errors import (
     EndpointMismatchError,
-    HolonomeError,
     OutsideChartError,
     StepUnderflowError,
     ValidationError,
 )
 from .exprs import lit, parse, substitute, var
-from .groups import GroupElement, _elements, _polar, frobenius, loglog_slope, project_to_group
+from .groups import (
+    GroupElement,
+    _components,
+    _elements,
+    _mul,
+    _polar,
+    _polar_components,
+    _rows,
+    frobenius,
+    loglog_slope,
+    project_to_group,
+)
 from .paths import (
     ChartPoint,
     PathSpec,
@@ -241,23 +259,24 @@ def _per_piece(values, tail=()):
 
 
 def _step_matrices(M1, M2, M3, dt):
-    """Batched RK4 step matrices for the linear ODE U' = -M(t) U."""
-    k = M1.shape[-1]
-    eye = np.eye(k)
-    T2 = M2 @ (eye - (dt / 2.0) * M1)
-    T3 = M2 @ (eye - (dt / 2.0) * T2)
-    T4 = M3 @ (eye - dt * T3)
-    return eye - (dt / 6.0) * (M1 + 2.0 * T2 + 2.0 * T3 + T4)
+    """RK4 step matrices of the linear ODE U' = -M(t) U from component-major
+    (k, k, paths, n) field stacks, stored component-major and returned as
+    (paths, n, k, k) views."""
+    eye = np.eye(len(M1))[:, :, None, None]
+    T2 = _mul(M2, eye - (dt / 2.0) * M1)
+    T3 = _mul(M2, eye - (dt / 2.0) * T2)
+    T4 = _mul(M3, eye - dt * T3)
+    return _rows(eye - (dt / 6.0) * (M1 + 2.0 * T2 + 2.0 * T3 + T4))
 
 
 def _piece_fields(conn, pieces, n, prev=None):
     """Grid points X (pieces, 2n + 1, dim) and fields M(t) = sum_mu
-    A_mu(x(t)) xdot^mu(t) (pieces, 2n + 1, k, k) on the 2n + 1 local
-    parameters that n steps need, for pieces that share one chart.  One
-    dual evaluation of every piece's coordinates, one containment test and
-    one evaluation of the chart's coefficients cover the whole stack.
-    prev, the (X, M) of the n/2-step grids, supplies the even points:
-    np.linspace nests, so only the odd points are evaluated.
+    A_mu(x(t)) xdot^mu(t), component-major (k, k, pieces, 2n + 1), on the
+    2n + 1 local parameters that n steps need, for pieces that share one
+    chart.  One dual evaluation of every piece's coordinates, one
+    containment test and one evaluation of the chart's coefficients cover
+    the whole stack.  prev, the (X, M) of the n/2-step grids, supplies the
+    even points: np.linspace nests, so only the odd points are evaluated.
 
     Raises _ChartExit, before any coefficient is evaluated, when a grid
     point lies off the chart."""
@@ -277,61 +296,66 @@ def _piece_fields(conn, pieces, n, prev=None):
     values = _coefficient_values(chart.coefficients, X_new)
     for mu in range(dim):
         M_new += next(values) * V[:, mu, None, None]
-    X_new, M_new = X_new.reshape(P, -1, dim), M_new.reshape(P, -1, k, k)
+    X_new = X_new.reshape(P, -1, dim)
+    M_new = np.ascontiguousarray(_components(M_new)).reshape(k, k, P, -1)
     if prev is None:
         return X_new, M_new
     X = np.empty((P, len(ts), dim))
-    M = np.empty((P, len(ts), k, k))
-    (X[:, 0::2], M[:, 0::2]), X[:, 1::2], M[:, 1::2] = prev, X_new, M_new
+    M = np.empty((k, k, P, len(ts)))
+    (X[:, 0::2], M[..., 0::2]), X[:, 1::2], M[..., 1::2] = prev, X_new, M_new
     return X, M
 
 
 def _tree(S):
-    """Ordered product S[..., -1, :, :] @ ... @ S[..., 0, :, :] over the
-    step axis -3 of a stack with n >= 1 steps there: each level multiplies
-    neighbouring pairs in one batched matmul, ceil(log2 n) levels."""
-    while S.shape[-3] > 1:
-        odd = S[..., -1:, :, :] if S.shape[-3] % 2 else S[..., :0, :, :]
-        S = np.concatenate([S[..., 1::2, :, :] @ S[..., 0:-1:2, :, :], odd], axis=-3)
-    return S[..., 0, :, :]
+    """Ordered product S[..., n - 1] @ ... @ S[..., 0] over the last axis of
+    a component-major (k, k, ..., n) stack, n >= 1: each level multiplies
+    neighbouring pairs in one einsum, ceil(log2 n) levels."""
+    while S.shape[-1] > 1:
+        pairs = _mul(S[..., 1::2], S[..., 0:-1:2])
+        S = np.concatenate([pairs, S[..., -1:]], axis=-1) if S.shape[-1] % 2 else pairs
+    return S[..., 0]
 
 
 def _scan(S):
-    """Inclusive ordered prefix products over axis -3, row j being
-    S[..., j, :, :] @ ... @ S[..., 0, :, :]: the Hillis-Steele scan, one
-    batched matmul per doubling of the reach (Blelloch 1990)."""
+    """Inclusive ordered prefix products over the last axis of a
+    component-major stack, entry j being S[..., j] @ ... @ S[..., 0]: the
+    Hillis-Steele scan, one einsum per doubling of the reach (Blelloch
+    1990)."""
     d = 1
-    while d < S.shape[-3]:
-        S = np.concatenate([S[..., :d, :, :], S[..., d:, :, :] @ S[..., :-d, :, :]], axis=-3)
+    while d < S.shape[-1]:
+        S = np.concatenate([S[..., :d], _mul(S[..., d:], S[..., :-d])], axis=-1)
         d *= 2
     return S
 
 
 def _blocks(S, project_every, orthogonal):
-    """The (..., n, k, k) steps as a (..., blocks, p, k, k) stack of blocks
-    of p = project_every steps, the last padded with identities, and the
-    number of full blocks, whose products get projected.  GL groups, and
-    orthogonal ones with project_every > n, take one unprojected block."""
-    lead, n, k = S.shape[:-3], S.shape[-3], S.shape[-1]
+    """The (..., n, k, k) steps as a fresh component-major (k, k, ...,
+    blocks, p) stack of blocks of p = project_every steps, the last padded
+    with identities, and the number of full blocks, whose products get
+    projected.  GL groups, and orthogonal ones with project_every > n, take
+    one unprojected block."""
+    C = _components(S)
+    n = C.shape[-1]
     p = max(min(project_every, n) if orthogonal else n, 1)
     blocks = -(-n // p)
-    pad = np.broadcast_to(np.eye(k), lead + (blocks * p - n, k, k))
-    S = np.concatenate([S, pad], axis=-3)
-    return S.reshape(lead + (blocks, p, k, k)), (n // project_every if orthogonal else 0)
+    eye = np.eye(len(C)).reshape(C.shape[:2] + (1,) * (C.ndim - 2))
+    C = np.concatenate([C, np.broadcast_to(eye, C.shape[:-1] + (blocks * p - n,))], axis=-1)
+    return C.reshape(C.shape[:-1] + (blocks, p)), (n // project_every if orthogonal else 0)
 
 
 def _product(S, U, project_every, orthogonal):
     """S[..., -1, :, :] @ ... @ S[..., 0, :, :] @ U over the step axis -3,
     as a tree: the product of each block of project_every steps, snapped
     back onto the group in one batched polar projection, then the product
-    of the blocks.  Leading axes are a batch of paths."""
+    of the blocks.  Leading axes are a batch of paths.  The work runs
+    component-major, whatever the layout of S."""
     B, full = _blocks(S, project_every, orthogonal)
-    if not B.shape[-4]:
+    if not B.shape[-2]:
         return U
-    B = _tree(B)
+    W = _tree(B)
     if full:
-        B[..., :full, :, :] = _polar(B[..., :full, :, :])
-    return _tree(B) @ U
+        W[..., :full] = _polar_components(W[..., :full])
+    return _rows(_tree(W)) @ U
 
 
 def _partial_products(S, U, project_every, orthogonal):
@@ -340,16 +364,17 @@ def _partial_products(S, U, project_every, orthogonal):
     (..., n, k, k) array: a prefix scan within the blocks, then one across
     the block ends.  U has the leading axes of S."""
     B, full = _blocks(S, project_every, orthogonal)
-    if not B.shape[-4]:
+    n = S.shape[-3]
+    if not B.shape[-2]:
         return np.empty(S.shape[:-3] + (0,) + U.shape[-2:])
     W = _scan(B)
     if full:
-        W[..., :full, -1, :, :] = _polar(W[..., :full, -1, :, :])
-    U = U[..., None, :, :]
-    ends = _scan(W[..., -1, :, :]) @ U
-    before = np.concatenate([U, ends[..., :-1, :, :]], axis=-3)
-    partial = W @ before[..., None, :, :]
-    return partial.reshape(partial.shape[:-4] + (-1,) + U.shape[-2:])[..., : S.shape[-3], :, :]
+        W[..., :full, -1] = _polar_components(W[..., :full, -1])
+    U = _components(U)[..., None]
+    ends = _mul(_scan(W[..., -1]), U)
+    before = np.concatenate([U, ends[..., :-1]], axis=-1)
+    partial = _mul(W, before[..., None])
+    return _rows(partial.reshape(partial.shape[:-2] + (-1,))[..., :n])
 
 
 def _rk4_pass(conn, pieces, n, U, project_every, collect, prev=None):
@@ -363,14 +388,14 @@ def _rk4_pass(conn, pieces, n, U, project_every, collect, prev=None):
     its grids as the even points.  Returns the n-step products, the
     Richardson estimates ||U_n - U_{n/2}||_F / 15 of their errors, the grid
     points X, the fields M, and the partial products if collect is set."""
-    dt = _per_piece([(piece.t_hi - piece.t_lo) / n for piece in pieces], (1, 1, 1))
+    dt = _per_piece([(piece.t_hi - piece.t_lo) / n for piece in pieces], (1,))
     X, M = _piece_fields(conn, pieces, n, None if prev is None else prev[1:])
     orthogonal = conn.group.orthogonal
-    fine = _step_matrices(M[:, 0:-1:2], M[:, 1::2], M[:, 2::2], dt)
+    fine = _step_matrices(M[..., 0:-1:2], M[..., 1::2], M[..., 2::2], dt)
     U_fine = _product(fine, U, project_every, orthogonal)
     trail = _partial_products(fine, U, project_every, orthogonal) if collect else None
     if prev is None:
-        coarse = _step_matrices(M[:, 0:-1:4], M[:, 2::4], M[:, 4::4], 2.0 * dt)
+        coarse = _step_matrices(M[..., 0:-1:4], M[..., 2::4], M[..., 4::4], 2.0 * dt)
         U_coarse = _product(coarse, U, project_every, orthogonal)
     else:
         U_coarse = prev[0]
@@ -502,11 +527,33 @@ def transport_many(conn, paths, cfg=None):
     batched tree product, and one validation of the final elements.  A
     multi-segment path, a path that starts or leaves off its chart, an
     rk4-doubling path not accepted on its first pass, and every path of a
-    group whose pass raises run through transport on their own, so a
-    failure raises what transport raises on the first path that fails.
+    group whose pass raises run through transport on their own, in order,
+    so a failure raises what transport raises on the first path that fails.
     """
     cfg = cfg or SolverConfig()
     paths = list(paths)
+    out = _batched(conn, paths, cfg)
+    return [transport(conn, gamma, cfg) if res is None else res for gamma, res in zip(paths, out)]
+
+
+def _transport_each(conn, paths, cfg):
+    """transport_many's list with every failure in its place: for each
+    path, its TransportResult or the exception that transport raises on
+    it."""
+    out = _batched(conn, paths, cfg)
+    for i, gamma in enumerate(paths):
+        if out[i] is None:
+            try:
+                out[i] = transport(conn, gamma, cfg)
+            except Exception as err:
+                out[i] = err
+    return out
+
+
+def _batched(conn, paths, cfg):
+    """The TransportResults of the paths that batched passes settle, in
+    their places in a list over paths; None where a path must run through
+    transport on its own."""
     out = [None] * len(paths)
     groups = {}
     for i, gamma in enumerate(paths):
@@ -521,11 +568,11 @@ def transport_many(conn, paths, cfg=None):
             idx = members[lo : lo + size]
             try:
                 done = _transport_group(conn, [paths[i].segments[0] for i in idx], n, cfg)
-            except HolonomeError:
+            except Exception:
                 continue
             for i, res in done.items():
                 out[idx[i]] = res
-    return [transport(conn, gamma, cfg) if res is None else res for gamma, res in zip(paths, out)]
+    return out
 
 
 def _transport_group(conn, segs, n, cfg):
@@ -575,13 +622,16 @@ def lift_path(conn, gamma, p, cfg=None):
 
 
 def engine_oracle(conn, cfg=None):
-    """The engine's own transport as an oracle PathSpec -> TransportResult."""
+    """The engine's own transport as an oracle PathSpec -> TransportResult.
+    Its many method answers a list of paths at once, with each path's
+    TransportResult, or the exception transport raised for it, in its
+    place (see transport_many)."""
     cfg = cfg or SolverConfig()
 
     def oracle(gamma):
         return transport(conn, gamma, cfg)
 
-    oracle.many = lambda paths: transport_many(conn, paths, cfg)
+    oracle.many = lambda paths: _transport_each(conn, list(paths), cfg)
     return oracle
 
 

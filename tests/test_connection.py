@@ -14,6 +14,7 @@ from holonome.connection import (
     Transition,
     _coefficient_values,
     _coefficient_values_and_grads,
+    _gauge_frame,
     _overlap_samples,
     builtin_connection,
     curvature_at,
@@ -172,6 +173,28 @@ def test_gauge_transform_conjugates_curvature(abelian):
         f_before = curvature_at(abelian, point(*x)).matrix(0, 1)
         f_after = curvature_at(gauged, point(*x)).matrix(0, 1)
         assert frobenius(f_after - np.linalg.inv(g) @ f_before @ g) < 1e-8
+
+
+@pytest.mark.parametrize("seed_", [0, 1, 2])
+def test_gauge_inverse_is_chosen_point_by_point(seed_):
+    """A GL(2) gauge (1 + x1 x2) R(x1 + x2) is orthogonal exactly where
+    x1 x2 = 0.  On a mixed point set, the inverse at each point is g^T
+    where g is orthogonal and np.linalg.inv elsewhere, and equals the
+    inverse computed from that point alone."""
+    x1, x2 = var(0, 2), var(1, 2)
+    s, w = lit(1.0) + x1 * x2, x1 + x2
+    gauge = ExprMatrixFunction([[s * cos(w), lit(-1.0) * s * sin(w)], [s * sin(w), s * cos(w)]], 2)
+    rng = np.random.default_rng(seed_)
+    X = rng.uniform(-1.5, 1.5, size=(12, 2))
+    X[rng.permutation(12)[:5], rng.integers(0, 2, 5)] = 0.0
+    gv, gi, _ = _gauge_frame(gauge, X)
+    orthogonal = X[:, 0] * X[:, 1] == 0.0
+    assert 0 < orthogonal.sum() < len(X)
+    for i in range(len(X)):
+        want = gv[i].T if orthogonal[i] else np.linalg.inv(gv[i])
+        assert np.array_equal(gi[i], want)
+        assert np.array_equal(gi[i], _gauge_frame(gauge, X[i : i + 1])[1][0])
+        assert frobenius(gi[i] @ gv[i] - np.eye(2)) <= 1e-14
 
 
 def test_gauge_transform_roundtrip(abelian):

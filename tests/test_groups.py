@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from holonome import groups
 from holonome.errors import GroupInvariantError, OutOfBranchError, SingularInputError
@@ -183,6 +185,85 @@ def test_polar_projects_a_stack_and_checks_all_of_it():
             broken[i] = bad
             with pytest.raises(SingularInputError):
                 groups._polar(broken)
+
+
+def near_orthogonal_stack(rng, k, m, scale):
+    """m rotations of SO(k), each pushed off the group by a perturbation
+    of size scale times a factor in [1e-6, 1], so that the stack spans
+    defects from roundoff to the edge of the Newton-Schulz basin."""
+    group = {2: SO2, 3: SO3}[k]
+    rot = np.stack(
+        [group_exp(AlgebraElement(random_skew(rng, k, 3.0), group)).matrix for _ in range(m)]
+    )
+    sizes = scale * 10.0 ** rng.uniform(-6.0, 0.0, size=(m, 1, 1))
+    return rot + sizes * rng.normal(size=(m, k, k))
+
+
+def svd_polar(m):
+    u, _, vt = np.linalg.svd(m)
+    return u @ vt
+
+
+@seed(20261021)
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([2, 3]),
+    st.integers(1, 40),
+    st.sampled_from([1e-12, 1e-6, 1e-3, 0.03]),
+    st.integers(0, 2**32 - 1),
+)
+def test_polar_matches_the_svd_factor(k, m, scale, rng_seed):
+    """On near-orthogonal stacks, the Newton-Schulz factor equals the SVD
+    polar factor within 1e-14, entry by entry."""
+    stack = near_orthogonal_stack(np.random.default_rng(rng_seed), k, m, scale)
+    assert np.abs(groups._polar(stack) - svd_polar(stack)).max() <= 1e-14
+
+
+@seed(20261022)
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([2, 3]),
+    st.integers(1, 30),
+    st.sampled_from([1e-12, 1e-6, 0.03]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_polar_of_each_matrix_is_its_own(k, m, scale, far_off, rng_seed):
+    """_polar(S)[i] equals _polar(S[i:i+1])[0] bit for bit: no matrix's
+    iteration count or route depends on the rest of the stack, also when S
+    holds a far-off matrix, which takes the SVD route."""
+    rng = np.random.default_rng(rng_seed)
+    stack = near_orthogonal_stack(rng, k, m, scale)
+    if far_off:
+        i = rng.integers(m)
+        stack[i] = stack[i] * 3.0 + rng.normal(size=(k, k))
+        stack[i, :, 0] *= np.sign(np.linalg.det(stack[i]))
+    got = groups._polar(stack)
+    for i in range(m):
+        assert np.array_equal(got[i], groups._polar(stack[i : i + 1])[0])
+
+
+@seed(20261023)
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([2, 3]),
+    st.integers(1, 30),
+    st.sampled_from(["singular", "reflection", "flipped"]),
+    st.data(),
+)
+def test_one_bad_matrix_anywhere_in_the_stack_raises(k, m, kind, data):
+    """A singular matrix, a reflection, or a near-orthogonal matrix with
+    det < 0 anywhere in the stack raises SingularInputError."""
+    stack = near_orthogonal_stack(np.random.default_rng(m), k, m, 1e-6)
+    i = data.draw(st.integers(0, m - 1))
+    if kind == "singular":
+        stack[i, :, -1] = 0.0
+    elif kind == "reflection":
+        stack[i] = np.diag([-1.0] + [1.0] * (k - 1))
+    else:
+        stack[i, :, 0] *= -1.0
+    with pytest.raises(SingularInputError):
+        groups._polar(stack)
 
 
 def test_elements_validate_the_stack_once():

@@ -2,8 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
-from holonome.connection import builtin_connection, curvature_at
+from holonome.connection import (
+    ExprMatrixFunction,
+    builtin_connection,
+    curvature_at,
+    gauge_transform,
+)
 from holonome.errors import NotClosedError, ValidationError
 from holonome.exprs import lit, parse, var
 from holonome.exprs import cos as ecos
@@ -122,6 +129,54 @@ def test_holonomy_conjugates_under_gauge_transformation():
     h_before = holonomy(conn, loop, CFG).g.matrix
     h_after = holonomy(gauged, loop, CFG).g.matrix
     g0 = ExprMatrixFunction(entries, 2).at(np.array([0.0, 0.0]))
+    assert frobenius(h_after - np.linalg.inv(g0) @ h_before @ g0) <= 1e-8
+
+
+def rotation_gauge(f, axis):
+    """The entries of exp(f J) for an expression f of the coordinates: a
+    rotation by f in the plane for SO(2), and about the unit axis by
+    Rodrigues' formula, exp(f J) = I + sin f J + (1 - cos f) J^2, for SO(3)."""
+    if axis is None:
+        return [[ecos(f), lit(-1.0) * esin(f)], [esin(f), ecos(f)]]
+    J = sum(a * e for a, e in zip(axis, so3_basis()))
+    J2 = J @ J
+    s, c = esin(f), lit(1.0) - ecos(f)
+    return [
+        [lit(float(i == j)) + lit(J[i, j]) * s + lit(J2[i, j]) * c for j in range(3)]
+        for i in range(3)
+    ]
+
+
+@seed(20261024)
+@settings(max_examples=20, deadline=None)
+@given(
+    st.sampled_from(["abelian-area(1.5)", "constant-so3"]),
+    st.lists(st.floats(-1.2, 1.2), min_size=6, max_size=6),
+    st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+    st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+    st.floats(0.3, 0.8),
+    st.floats(0.0, 2.0 * np.pi),
+)
+def test_holonomy_conjugates_under_random_gauges(name, coeffs, axis, centre, radius, phase):
+    """For a random gauge exp(f(x) J), f a polynomial of degree 2, the
+    holonomy of a loop based at x0 becomes g(x0)^-1 H g(x0), with g(x0)
+    away from the identity."""
+    conn = builtin_connection(name)
+    x1, x2 = var(0, 2), var(1, 2)
+    a, b, c, d, e, q = (lit(v) for v in coeffs)
+    f = a + b * x1 + c * x2 + d * x1 * x2 + e * x1 * x1 + q * x2 * x2
+    if conn.group.k == 3:
+        assume(np.linalg.norm(axis) > 0.1)
+        axis = np.asarray(axis) / np.linalg.norm(axis)
+    else:
+        axis = None
+    entries = rotation_gauge(f, axis)
+    loop = arc_path(0, centre, radius, phase, phase + 2.0 * np.pi)
+    x0 = np.asarray(centre) + radius * np.array([np.cos(phase), np.sin(phase)])
+    g0 = ExprMatrixFunction(entries, 2).at(x0)
+    assume(frobenius(g0 - np.eye(conn.group.k)) > 0.1)
+    h_before = holonomy(conn, loop, CFG).g.matrix
+    h_after = holonomy(gauge_transform(conn, entries), loop, CFG).g.matrix
     assert frobenius(h_after - np.linalg.inv(g0) @ h_before @ g0) <= 1e-8
 
 

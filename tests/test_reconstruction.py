@@ -9,6 +9,7 @@ from holonome.connection import (
     ChartSpec,
     ConnectionForm,
     ConstantMatrixFunction,
+    MatrixFunction,
     builtin_connection,
     curvature_at,
 )
@@ -417,6 +418,75 @@ def test_engine_oracle_table_matches_the_per_point_loop():
     got = reconstruct_connection(engine_oracle(conn, CFG), grid, 1e-3, conn.group)
     want = reconstruct_connection(lambda g: transport(conn, g, CFG), grid, 1e-3, conn.group)
     assert 0 < len(got.dropped) < len(grid)
+    assert table_bits(got) == table_bits(want)
+
+
+class CountingOracle:
+    """engine_oracle, counting the calls that reach it one path at a time
+    and through many."""
+
+    def __init__(self, conn):
+        self.inner, self.calls, self.many_calls = engine_oracle(conn, CFG), 0, 0
+
+    def __call__(self, gamma):
+        self.calls += 1
+        return self.inner(gamma)
+
+    def many(self, paths):
+        self.many_calls += 1
+        return self.inner.many(paths)
+
+
+def test_engine_oracle_keeps_its_batch_when_probes_fail():
+    """engine_oracle's many answers a failed probe with its error in its
+    place, so a table with dropped edge points comes from the one batched
+    call, with no probe asked again one at a time, and is byte-identical
+    to the per-point loop's table."""
+    conn = builtin_connection("abelian-area(1.5)")
+    grid = grid_points([-2, -2], [1, 1], 5)
+    oracle = CountingOracle(conn)
+    got = reconstruct_connection(oracle, grid, 1e-3, conn.group)
+    want = reconstruct_connection(lambda g: transport(conn, g, CFG), grid, 1e-3, conn.group)
+    assert (oracle.many_calls, oracle.calls) == (1, 0)
+    assert len(got.dropped) == 9
+    assert all(reason.startswith("oracle failed on a probe path: ") for _, reason in got.dropped)
+    assert table_bits(got) == table_bits(want)
+    buf_got, buf_want = io.StringIO(), io.StringIO()
+    got.to_csv(buf_got)
+    want.to_csv(buf_want)
+    assert buf_got.getvalue() == buf_want.getvalue()
+
+
+class UndefinedAbove(MatrixFunction):
+    """A constant GL(2) coefficient that raises ValueError, not a
+    HolonomeError, wherever it is asked for a point with x2 > cut."""
+
+    def __init__(self, cut):
+        self.cut, self.dim, self.k = cut, 2, 2
+
+    def value(self, X):
+        if (X[:, 1] > self.cut).any():
+            raise ValueError(f"undefined above x2 = {self.cut}")
+        return np.broadcast_to([[0.2, -0.5], [0.5, 0.1]], (len(X), 2, 2)).copy()
+
+
+def test_engine_oracle_keeps_its_batch_when_a_coefficient_raises():
+    """A probe whose transport raises some other exception than a
+    HolonomeError, here a ValueError from a user-supplied coefficient,
+    drops its point from the one batched call too, with the per-point
+    loop's reason and a byte-identical table."""
+    f = UndefinedAbove(0.5)
+    gl2 = StructureGroup("GL", 2)
+    conn = ConnectionForm(gl2, (ChartSpec(0, 2, [-2, -2], [2, 2], (f, f)),))
+    grid = grid_points([-1, -1], [1, 1], 3)
+    oracle = CountingOracle(conn)
+    got = reconstruct_connection(oracle, grid, 1e-3, gl2)
+    want = reconstruct_connection(lambda g: transport(conn, g, CFG), grid, 1e-3, gl2)
+    assert (oracle.many_calls, oracle.calls) == (1, 0)
+    assert [x.coords[1] for x, _ in got.dropped] == [1.0, 1.0, 1.0]
+    assert {reason for _, reason in got.dropped} == {
+        "oracle failed on a probe path: undefined above x2 = 0.5"
+    }
     assert table_bits(got) == table_bits(want)
 
 

@@ -525,6 +525,32 @@ def test_chart_crossings_stay_in_the_box_and_compose(gamma, s, cfg):
     assert inverse_path_check(conn, gamma, cfg) <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "name, gamma",
+    [
+        ("levi-civita-s2-stereo", arc_path(0, [0.0, 0.0], 0.7, 0.0, 2.0 * np.pi)),
+        ("pure-gauge", arc_path(0, [0.2, -0.1], 0.8, 0.0, 2.0 * np.pi)),
+        ("constant-so3", arc_path(0, [0.1, 0.0], 0.9, 0.0, 2.0 * np.pi)),
+    ],
+)
+def test_no_svd_or_inverse_on_the_per_step_path(monkeypatch, name, gamma):
+    """A well-conditioned SO(2) or SO(3) transport at h = 1e-3, the
+    gauge-transformed pure-gauge included, runs with np.linalg.svd and
+    np.linalg.inv disabled, and gives the same result."""
+    conn = builtin_connection(name)
+    cfg = SolverConfig(h=1e-3)
+    want = transport(conn, gamma, cfg)
+
+    def refuse(*args, **kwargs):
+        pytest.fail("a per-matrix LAPACK call on the per-step path")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    got = transport(conn, gamma, cfg)
+    assert got.step_count == want.step_count == 1000
+    assert np.array_equal(got.g.matrix, want.g.matrix)
+
+
 # --- the tree-ordered product ---------------------------------------------------
 
 def sequential_product(S, U, p, orthogonal):
@@ -812,6 +838,41 @@ def test_transport_many_bounds_the_batch_size():
     assert [bits(r) for r in transport_many(conn, paths, cfg)] == [
         bits(transport(conn, g, cfg)) for g in paths
     ]
+
+
+class UndefinedAbove(MatrixFunction):
+    """A constant GL(2) coefficient that raises ValueError, not a
+    HolonomeError, wherever it is asked for a point with x2 > cut: a
+    user-supplied function that fails on part of its chart."""
+
+    def __init__(self, cut):
+        self.cut, self.dim, self.k = cut, 2, 2
+
+    def value(self, X):
+        if (X[:, 1] > self.cut).any():
+            raise ValueError(f"undefined above x2 = {self.cut}")
+        return np.broadcast_to([[0.2, -0.5], [0.5, 0.1]], (len(X), 2, 2)).copy()
+
+
+def test_many_keeps_every_failure_in_its_place_and_transport_many_raises_the_first():
+    """A path off its chart fails with a HolonomeError, a later path in the
+    same group with a ValueError from its coefficient.  engine_oracle's
+    many answers each with its own exception and the rest with their
+    results; transport_many raises the first failure, the HolonomeError."""
+    f = UndefinedAbove(1.0)
+    conn = ConnectionForm(StructureGroup("GL", 2), (ChartSpec(0, 2, [-2, -2], [2, 2], (f, f)),))
+    ok = [line_path(ChartPoint(0, [0.1 * i, 0.0]), [0.1 * i + 0.01, 0.0]) for i in range(3)]
+    off = line_path(ChartPoint(0, [1.9, 0.0]), [2.01, 0.0])
+    undefined = line_path(ChartPoint(0, [0.0, 1.5]), [0.01, 1.5])
+    paths = [ok[0], off, ok[1], undefined, ok[2]]
+    cfg = SolverConfig(h=1e-3)
+    answers = engine_oracle(conn, cfg).many(paths)
+    assert [type(a) for a in answers[1::2]] == [OutsideChartError, ValueError]
+    assert [bits(a) for a in answers[::2]] == [bits(transport(conn, g, cfg)) for g in ok]
+    with pytest.raises(OutsideChartError):
+        transport_many(conn, paths, cfg)
+    with pytest.raises(ValueError):
+        transport_many(conn, paths[2:], cfg)
 
 
 def test_engine_oracle_answers_one_path_and_many():
