@@ -11,15 +11,19 @@ which is sampled on chart overlaps at load time.  Fiber coordinates
 transform as q' = g(x)^-1 q; the transport engine multiplies by that
 factor when a path switches charts.
 
-Coefficients are either expression-backed (exact derivatives via dual
-numbers) or callable-backed (after a gauge transformation, with central
-finite differences for derivatives).
+Coefficients are expression-backed, constant, or gauge-transformed, and
+every kind has exact derivatives: expressions through exprs.diff, and a
+gauge transformation by the product rule with the gauge's second
+derivatives.  A chart compiles the field M = sum_mu A_mu(x) xdot^mu of
+its expression-backed and constant coefficients into one exprs Program,
+which writes each entry of M as one row.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -50,7 +54,6 @@ __all__ = [
     "BUILTIN_NAMES",
 ]
 
-_FD_STEP = 1e-6  # central-difference step for callable-backed derivatives
 _GAUGE_LAW_TOL = 1e-8  # largest gauge-law defect accepted on an overlap
 _GAUGE_ORTHO_TOL = 1e-13  # a gauge value this close to orthogonal is inverted by g^T
 _OVERLAP_SAMPLES = 20  # overlap points checked per transition
@@ -90,14 +93,33 @@ class ExprMatrixFunction(MatrixFunction):
         self.dim = dim
         self._flat = tuple(e for row in self.entries for e in row)  # row-major
 
+    @cached_property
+    def _program(self):
+        return exprs.Program(self._flat)
+
+    @cached_property
+    def _dual_program(self):
+        return exprs.Program(self._flat, self.dim)
+
+    @cached_property
+    def _second_program(self):
+        first = [exprs.diff(e, b) for b in range(self.dim) for e in self._flat]
+        return exprs.Program(first, self.dim)
+
     def value(self, X):
-        return exprs.evaluate_many(self._flat, X).reshape(-1, self.k, self.k)
+        return exprs.evaluate_many(self._program, X).reshape(-1, self.k, self.k)
 
     def value_and_grad(self, X):
-        v, g = exprs.evaluate_dual_many(self._flat, X)
+        v, g = exprs.evaluate_dual_many(self._dual_program, X)
         m, k = len(v), self.k
         grads = np.ascontiguousarray(np.moveaxis(g, 2, 1)).reshape(m, self.dim, k, k)
         return v.reshape(m, k, k), grads
+
+    def second_derivatives(self, X):
+        """(m, n, n, k, k): entry [p, a, b] is d_a d_b of the matrix at X[p]."""
+        _, h = exprs.evaluate_dual_many(self._second_program, X)
+        m, n, k = len(h), self.dim, self.k
+        return np.moveaxis(h.reshape(m, n, k, k, n), 4, 1)
 
 
 class ConstantMatrixFunction(MatrixFunction):
@@ -112,6 +134,9 @@ class ConstantMatrixFunction(MatrixFunction):
     def value_and_grad(self, X):
         m = X.shape[0]
         return self.value(X), np.zeros((m, self.dim, self.k, self.k))
+
+    def second_derivatives(self, X):
+        return np.zeros((X.shape[0], self.dim, self.dim, self.k, self.k))
 
 
 class _Inverse(MatrixFunction):
@@ -169,9 +194,14 @@ class _ComposedWithMap(MatrixFunction):
 
 
 class _GaugeTransformedCoefficient(MatrixFunction):
-    """A'_mu = g^-1 A_mu g + g^-1 d_mu g, values exact, derivatives by
-    central differences of step _FD_STEP (exact second derivatives of the
-    gauge are outside the DSL)."""
+    """A'_mu = g^-1 A_mu g + g^-1 d_mu g for an expression-backed or
+    constant gauge g.  Its derivatives are exact, by the product rule:
+
+        d_nu A'_mu = d_nu(g^-1) A_mu g + g^-1 (d_nu A_mu) g + g^-1 A_mu d_nu g
+                     + d_nu(g^-1) d_mu g + g^-1 d_nu d_mu g,
+
+    with d_nu(g^-1) = -g^-1 (d_nu g) g^-1 and the gauge's second
+    derivatives from exprs.diff."""
 
     def __init__(self, base_mu, gauge, mu):
         self.base_mu = base_mu
@@ -188,7 +218,25 @@ class _GaugeTransformedCoefficient(MatrixFunction):
         return gi @ self.base_mu.value(X) @ gv + gi @ gg[:, self.mu]
 
     def value_and_grad(self, X):
-        return _fd_value_and_grad(self.value(_fd_points(X)), X)
+        return self.transformed_and_grad(
+            X, _gauge_frame(self.gauge, X), self.gauge.second_derivatives(X)
+        )
+
+    def transformed_and_grad(self, X, frame, second):
+        """A'_mu and its derivatives (m, n, k, k) at X from the gauge's
+        _gauge_frame and second derivatives at X."""
+        gv, gi, gg = frame
+        a, da = self.base_mu.value_and_grad(X)
+        gi_, gv_, a_ = gi[:, None], gv[:, None], a[:, None]
+        dgi = -gi_ @ gg @ gi_  # d_nu g^-1, for every nu
+        grad = (
+            dgi @ a_ @ gv_
+            + gi_ @ da @ gv_
+            + gi_ @ a_ @ gg
+            + dgi @ gg[:, self.mu, None]
+            + gi_ @ second[:, :, self.mu]
+        )
+        return self.transformed(X, frame), grad
 
 
 def _gauge_frame(gauge, X):
@@ -202,26 +250,6 @@ def _gauge_frame(gauge, X):
     if skew.any():
         gi[skew] = np.linalg.inv(gv[skew])
     return gv, gi, gg
-
-
-def _fd_points(X):
-    """The (m, n) points X, then X + _FD_STEP e_d for every axis d, then
-    X - _FD_STEP e_d, as one ((2n + 1) m, n) batch."""
-    n = X.shape[1]
-    shifted = np.repeat(X[None], 2 * n + 1, axis=0)
-    d = np.arange(n)
-    shifted[1 + d, :, d] += _FD_STEP
-    shifted[1 + n + d, :, d] -= _FD_STEP
-    return shifted.reshape(-1, n)
-
-
-def _fd_value_and_grad(vals, X):
-    """Values at X and central-difference derivatives (m, n, k, k), from
-    values at _fd_points(X)."""
-    m, n = X.shape
-    vals = vals.reshape(2 * n + 1, m, *vals.shape[1:])
-    grads = (vals[1 : n + 1] - vals[n + 1 :]) / (2.0 * _FD_STEP)
-    return vals[0], np.ascontiguousarray(np.moveaxis(grads, 0, 1))
 
 
 def _coefficient_values(coefficients, X):
@@ -240,16 +268,18 @@ def _coefficient_values(coefficients, X):
 
 def _coefficient_values_and_grads(coefficients, X):
     """(values, derivatives) of every coefficient at X, in order.  The
-    gauge-transformed ones take their central differences from one
-    evaluation at _fd_points(X)."""
-    gauged = [f for f in coefficients if isinstance(f, _GaugeTransformedCoefficient)]
-    shifted = iter(_coefficient_values(gauged, _fd_points(X)) if gauged else ())
-    return [
-        _fd_value_and_grad(next(shifted), X)
-        if isinstance(f, _GaugeTransformedCoefficient)
-        else f.value_and_grad(X)
-        for f in coefficients
-    ]
+    gauge-transformed ones that share a gauge evaluate and invert it, and
+    take its second derivatives, once."""
+    frames = {}
+    out = []
+    for f in coefficients:
+        if isinstance(f, _GaugeTransformedCoefficient):
+            if f.gauge not in frames:
+                frames[f.gauge] = _gauge_frame(f.gauge, X), f.gauge.second_derivatives(X)
+            out.append(f.transformed_and_grad(X, *frames[f.gauge]))
+        else:
+            out.append(f.value_and_grad(X))
+    return out
 
 
 # --- charts, transitions, connection ---------------------------------------------
@@ -286,6 +316,46 @@ class ChartSpec:
     def contains_many(self, X):
         return np.all((X >= self.lo) & (X <= self.hi), axis=1)
 
+    @cached_property
+    def _field(self):
+        """The field program over the coordinates x1..x<dim> and the
+        velocities x<dim+1>..x<2 dim>: one output per entry of
+        M = sum_mu A_mu xdot^mu, row-major, summing the terms of the
+        expression-backed and constant coefficients in mu order and leaving
+        out their zero entries.  Also the (mu, coefficient) pairs of every
+        other coefficient."""
+        dim, k = self.dim, self.coefficients[0].k
+        sums = [None] * (k * k)
+        others = []
+        for mu, f in enumerate(self.coefficients):
+            if isinstance(f, ExprMatrixFunction):
+                entries = f._flat
+            elif isinstance(f, ConstantMatrixFunction):
+                entries = [lit(c) for c in f.matrix.ravel()]
+            else:
+                others.append((mu, f))
+                continue
+            v = var(dim + mu, 2 * dim)
+            for i, e in enumerate(entries):
+                if e.ast[0] == "num" and e.ast[1] == 0.0:
+                    continue
+                sums[i] = e * v if sums[i] is None else sums[i] + e * v
+        return exprs.Program([lit(0.0) if s is None else s for s in sums]), tuple(others)
+
+    def field(self, X, V, out):
+        """M = sum_mu A_mu(x) xdot^mu at the m points whose coordinates are
+        the rows of X and whose velocities are the rows of V, both (dim, m),
+        written into the contiguous (k, k, m) array out: the field program
+        writes each entry's row, then every other coefficient adds its
+        value(X) xdot^mu."""
+        program, others = self._field
+        rows = out.reshape(-1, out.shape[-1])
+        program.run([*X, *V], rows)
+        exprs._finite_or_raise(rows)
+        values = _coefficient_values([f for _, f in others], X.T)
+        for (mu, _), a in zip(others, values):
+            out += np.moveaxis(a, 0, -1) * V[mu]
+
 
 @dataclass(frozen=True)
 class Transition:
@@ -299,8 +369,12 @@ class Transition:
     def __post_init__(self):
         object.__setattr__(self, "coord_map", tuple(self.coord_map))
 
+    @cached_property
+    def _map_program(self):
+        return exprs.Program(self.coord_map)
+
     def map_coords(self, coords):
-        return exprs.evaluate_many(self.coord_map, np.asarray(coords, dtype=float)[None, :])[0]
+        return exprs.evaluate_many(self._map_program, np.asarray(coords, dtype=float)[None, :])[0]
 
     def jacobian(self, coords):
         x = np.asarray(coords, dtype=float)[None, :]
@@ -375,18 +449,18 @@ class ConnectionForm:
         return ChartPoint(to_chart, tr.map_coords(point.coords))
 
 
-def _map_where_defined(coord_map, X):
-    """The rows of X at which coord_map is defined, and their images.  A
-    batch that raises DomainError is halved until the offending rows are
-    isolated and dropped."""
+def _map_where_defined(program, X):
+    """The rows of X at which the compiled coordinate map is defined, and
+    their images.  A batch that raises DomainError is halved until the
+    offending rows are isolated and dropped."""
     try:
-        return X, exprs.evaluate_many(coord_map, X)
+        return X, exprs.evaluate_many(program, X)
     except DomainError:
         if len(X) == 1:
-            return X[:0], np.empty((0, len(coord_map)))
+            return X[:0], np.empty((0, program.size))
         half = len(X) // 2
-        Xa, Ya = _map_where_defined(coord_map, X[:half])
-        Xb, Yb = _map_where_defined(coord_map, X[half:])
+        Xa, Ya = _map_where_defined(program, X[:half])
+        Xb, Yb = _map_where_defined(program, X[half:])
         return np.concatenate([Xa, Xb]), np.concatenate([Ya, Yb])
 
 
@@ -397,7 +471,7 @@ def _overlap_samples(conn, tr):
     dst = conn.chart(tr.to_chart)
     rng = np.random.default_rng(_OVERLAP_SEED + 17 * tr.from_chart + 31 * tr.to_chart)
     X = rng.uniform(src.lo, src.hi, (_OVERLAP_ATTEMPTS, src.dim))
-    X, Y = _map_where_defined(tr.coord_map, X)
+    X, Y = _map_where_defined(tr._map_program, X)
     inside = dst.contains_many(Y)
     return X[inside][:_OVERLAP_SAMPLES], Y[inside][:_OVERLAP_SAMPLES]
 
@@ -498,8 +572,9 @@ def _curvature(chart, X, orthogonal):
 def curvature_at(conn, x):
     """F_mu_nu = d_mu A_nu - d_nu A_mu + [A_mu, A_nu].
 
-    Exact up to DSL derivative accuracy for expression-backed coefficients;
-    central finite differences for callable-backed ones.
+    The derivatives are exact for expression-backed, constant and
+    gauge-transformed coefficients (see _GaugeTransformedCoefficient); any
+    other MatrixFunction supplies its own value_and_grad.
     """
     chart = _require_inside(conn, x)
     X = np.asarray(x.coords, dtype=float)[None, :]
@@ -541,17 +616,27 @@ def is_flat(conn, samples=7, tol=1e-6):
 
 # --- gauge transformation ----------------------------------------------------------
 
-def _as_matrix_function(g, dim):
-    if isinstance(g, MatrixFunction):
+def _as_gauge(g, dim):
+    """The gauge as an ExprMatrixFunction or a ConstantMatrixFunction: the
+    kinds whose second derivatives, which the curvature of the transformed
+    chart needs, are exact."""
+    if isinstance(g, (ExprMatrixFunction, ConstantMatrixFunction)):
         return g
+    if isinstance(g, MatrixFunction):
+        raise ValidationError(
+            f"a gauge must be expression entries, an ExprMatrixFunction or a "
+            f"ConstantMatrixFunction, not a {type(g).__name__}"
+        )
     return ExprMatrixFunction(g, dim)
 
 
 def gauge_transform(conn, g, chart_id=None):
     """Change of trivialization on one chart: A -> g^-1 A g + g^-1 dg.
 
-    The result stores callable coefficients (derivatives by central
-    differences).  Transition gauges touching the chart are adjusted so the
+    g is given by expression entries, an ExprMatrixFunction or a
+    ConstantMatrixFunction; any other MatrixFunction raises
+    ValidationError.  The new coefficients have exact values and
+    derivatives.  Transition gauges touching the chart are adjusted so the
     compatibility law keeps holding.
     """
     if chart_id is None:
@@ -559,7 +644,7 @@ def gauge_transform(conn, g, chart_id=None):
             raise ValidationError("chart_id is required on a multi-chart connection")
         chart_id = conn.charts[0].chart_id
     chart = conn.chart(chart_id)
-    gauge = _as_matrix_function(g, chart.dim)
+    gauge = _as_gauge(g, chart.dim)
 
     # sampled invertibility check
     rng = np.random.default_rng(97)

@@ -10,16 +10,21 @@ Grammar (whitespace-insensitive, precedence pow > unary minus > * / > + -):
     FUNC   in {sin, cos, exp, log, sqrt, atan2}
 
 Expressions are immutable after parsing; evaluation is pure and safe to
-call concurrently.  First derivatives are exact, propagated forward with
-dual numbers.  Evaluation is vectorized: every node operates on numpy
-arrays of sample points in one pass, and evaluate_many /
-evaluate_dual_many take a whole vector of expressions (a coordinate map,
-the entries of a matrix) and fill one (m, len(es)) value array and one
-(m, len(es), n) gradient array.
+call concurrently.  First derivatives are exact: diff differentiates an
+expression symbolically, by source transformation rather than operator
+overloading (Griewank & Walther, Evaluating Derivatives, 2nd ed., SIAM
+2008).  Evaluation is compiled and vectorized: a Program turns a vector of
+expressions (a coordinate map, the entries of a matrix), and optionally
+their gradients, into one flat, hash-consed list of numpy calls on whole
+arrays of sample points, so a subtree shared between outputs is evaluated
+once.  evaluate_many / evaluate_dual_many take such a vector, or a Program
+that an object evaluated again and again compiled once, and fill one
+(m, len(es)) value array and one (m, len(es), n) gradient array.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
@@ -41,6 +46,8 @@ __all__ = [
     "evaluate_dual",
     "evaluate_many",
     "evaluate_dual_many",
+    "diff",
+    "Program",
     "pretty",
     "substitute",
     "lit",
@@ -338,154 +345,302 @@ def _check_var_indices(ast, dim):
             _check_var_indices(a, dim)
 
 
-# --- evaluation ---------------------------------------------------------------
+# --- symbolic differentiation ---------------------------------------------------
 
-def _eval(ast, X):
-    """Evaluate ast on points X of shape (m, n); returns shape (m,)."""
+_ZERO = ("num", 0.0)
+_ONE = ("num", 1.0)
+
+
+def _times(a, b):
+    """a*b with 0*a, a*0, 1*a and a*1 folded (a literal -0.0 is a 0 too)."""
+    if a == _ZERO or b == _ZERO:
+        return _ZERO
+    if a == _ONE:
+        return b
+    if b == _ONE:
+        return a
+    return ("mul", a, b)
+
+
+def _plus(a, b):
+    if a == _ZERO:
+        return b
+    if b == _ZERO:
+        return a
+    return ("add", a, b)
+
+
+def _minus(a, b):
+    return a if b == _ZERO else ("sub", a, b)
+
+
+def _d(ast, axis, memo):
+    """d ast / d x<axis+1> as an AST, each rule written in the order of
+    operations forward-mode dual numbers use.  memo maps the id() of every
+    subtree of ast already differentiated, so a subtree shared by object is
+    differentiated once."""
     op = ast[0]
     if op == "num":
-        return np.full(X.shape[0], ast[1])
+        return _ZERO
     if op == "var":
-        return X[:, ast[1]].copy()
+        return _ONE if ast[1] == axis else _ZERO
+    done = memo.get(id(ast))
+    if done is not None:
+        return done
     if op == "neg":
-        return -_eval(ast[1], X)
-    if op == "pow":
-        return _eval(ast[1], X) ** ast[2]
-    if op == "add":
-        return _eval(ast[1], X) + _eval(ast[2], X)
-    if op == "sub":
-        return _eval(ast[1], X) - _eval(ast[2], X)
-    if op == "mul":
-        return _eval(ast[1], X) * _eval(ast[2], X)
-    if op == "div":
-        num = _eval(ast[1], X)
-        den = _eval(ast[2], X)
-        if np.any(den == 0.0):
-            raise DomainError("division by zero")
-        return num / den
-    if op == "call":
-        name = ast[1]
-        if name == "atan2":
-            y = _eval(ast[2][0], X)
-            x = _eval(ast[2][1], X)
-            if np.any((y == 0.0) & (x == 0.0)):
-                raise DomainError("atan2(0, 0) is undefined")
-            return np.arctan2(y, x)
-        a = _eval(ast[2][0], X)
-        if name == "sin":
-            return np.sin(a)
-        if name == "cos":
-            return np.cos(a)
-        if name == "exp":
-            return np.exp(a)
-        if name == "log":
-            if np.any(a <= 0.0):
-                raise DomainError("log of a non-positive value")
-            return np.log(a)
-        if name == "sqrt":
-            if np.any(a < 0.0):
-                raise DomainError("sqrt of a negative value")
-            return np.sqrt(a)
-    raise AssertionError(f"corrupt ast node {ast!r}")
-
-
-def _eval_dual(ast, X):
-    """Evaluate ast with forward-mode duals.
-
-    Returns (values (m,), grads (m, n)).
-    """
-    m, n = X.shape
-    op = ast[0]
-    if op == "num":
-        return np.full(m, ast[1]), np.zeros((m, n))
-    if op == "var":
-        g = np.zeros((m, n))
-        g[:, ast[1]] = 1.0
-        return X[:, ast[1]].copy(), g
-    if op == "neg":
-        v, g = _eval_dual(ast[1], X)
-        return -v, -g
-    if op == "pow":
-        v, g = _eval_dual(ast[1], X)
-        k = ast[2]
+        da = _d(ast[1], axis, memo)
+        out = _ZERO if da == _ZERO else ("neg", da)
+    elif op == "pow":
+        a, k = ast[1], ast[2]
         if k == 0:
-            return np.ones(m), np.zeros((m, n))
-        return v**k, (k * v ** (k - 1))[:, None] * g
-    if op in ("add", "sub"):
-        va, ga = _eval_dual(ast[1], X)
-        vb, gb = _eval_dual(ast[2], X)
-        if op == "add":
-            return va + vb, ga + gb
-        return va - vb, ga - gb
-    if op == "mul":
-        va, ga = _eval_dual(ast[1], X)
-        vb, gb = _eval_dual(ast[2], X)
-        return va * vb, va[:, None] * gb + vb[:, None] * ga
-    if op == "div":
-        va, ga = _eval_dual(ast[1], X)
-        vb, gb = _eval_dual(ast[2], X)
-        if np.any(vb == 0.0):
-            raise DomainError("division by zero")
-        return va / vb, (ga * vb[:, None] - va[:, None] * gb) / (vb**2)[:, None]
-    if op == "call":
-        name = ast[1]
-        if name == "atan2":
-            vy, gy = _eval_dual(ast[2][0], X)
-            vx, gx = _eval_dual(ast[2][1], X)
-            r2 = vx**2 + vy**2
-            if np.any(r2 == 0.0):
-                raise DomainError("atan2(0, 0) is undefined")
-            return np.arctan2(vy, vx), (vx[:, None] * gy - vy[:, None] * gx) / r2[:, None]
-        v, g = _eval_dual(ast[2][0], X)
-        if name == "sin":
-            return np.sin(v), np.cos(v)[:, None] * g
-        if name == "cos":
-            return np.cos(v), -np.sin(v)[:, None] * g
-        if name == "exp":
-            ev = np.exp(v)
-            return ev, ev[:, None] * g
+            out = _ZERO
+        else:
+            out = _times(_times(("num", float(k)), ("pow", a, k - 1)), _d(a, axis, memo))
+    elif op in ("add", "sub"):
+        da, db = _d(ast[1], axis, memo), _d(ast[2], axis, memo)
+        out = _plus(da, db) if op == "add" else _minus(da, db)
+    elif op == "mul":
+        a, b = ast[1], ast[2]
+        out = _plus(_times(a, _d(b, axis, memo)), _times(b, _d(a, axis, memo)))
+    elif op == "div":
+        a, b = ast[1], ast[2]
+        top = _minus(_times(_d(a, axis, memo), b), _times(a, _d(b, axis, memo)))
+        out = ("div", top, ("pow", b, 2))
+    elif op == "call" and ast[1] == "atan2":
+        y, x = ast[2]
+        top = _minus(_times(x, _d(y, axis, memo)), _times(y, _d(x, axis, memo)))
+        out = ("div", top, ("add", ("pow", x, 2), ("pow", y, 2)))
+    elif op == "call":
+        name, a = ast[1], ast[2][0]
+        da = _d(a, axis, memo)
         if name == "log":
-            if np.any(v <= 0.0):
-                raise DomainError("log of a non-positive value")
-            return np.log(v), g / v[:, None]
-        if name == "sqrt":
-            # derivative 1/(2 sqrt v) blows up at 0, so dual mode needs v > 0
-            if np.any(v <= 0.0):
-                raise DomainError("sqrt derivative needs a positive argument")
-            sv = np.sqrt(v)
-            return sv, g / (2.0 * sv)[:, None]
-    raise AssertionError(f"corrupt ast node {ast!r}")
+            out = ("div", da, a)
+        elif name == "sqrt":
+            out = ("div", da, _times(("num", 2.0), ast))
+        elif name == "sin":
+            out = _times(("call", "cos", (a,)), da)
+        elif name == "cos":
+            out = _times(("neg", ("call", "sin", (a,))), da)
+        else:  # exp
+            out = _times(ast, da)
+    else:
+        raise AssertionError(f"corrupt ast node {ast!r}")
+    memo[id(ast)] = out
+    return out
 
 
-def _as_points(es, x):
+def diff(e, axis):
+    """The exact partial derivative d e / d x<axis+1> (axis 0-based), as an
+    expression.  Only exact identities are folded: 0*a, 1*a, a + 0 and
+    a - 0, so constants differentiate to nothing."""
+    return Expr(_d(e.ast, axis, {}), e.dim)
+
+
+# --- compiled evaluation ----------------------------------------------------------
+
+def _div(a, b):
+    if np.any(b == 0.0):
+        raise DomainError("division by zero")
+    return a / b
+
+
+def _log(a):
+    if np.any(a <= 0.0):
+        raise DomainError("log of a non-positive value")
+    return np.log(a)
+
+
+def _sqrt(a):
+    if np.any(a < 0.0):
+        raise DomainError("sqrt of a negative value")
+    return np.sqrt(a)
+
+
+def _sqrt_differentiable(a):
+    # the derivative 1/(2 sqrt a) blows up at 0, so gradients need a > 0
+    if np.any(a <= 0.0):
+        raise DomainError("sqrt derivative needs a positive argument")
+    return np.sqrt(a)
+
+
+def _pow(a, k):
+    # through an array, so a constant base takes ndarray power, as points do
+    return np.asarray(a) ** int(k)
+
+
+def _atan2(y, x):
+    if np.any((y == 0.0) & (x == 0.0)):
+        raise DomainError("atan2(0, 0) is undefined")
+    return np.arctan2(y, x)
+
+
+def _atan2_differentiable(y, x):
+    # the derivative divides by x^2 + y^2
+    if np.any(x**2 + y**2 == 0.0):
+        raise DomainError("atan2(0, 0) is undefined")
+    return np.arctan2(y, x)
+
+
+_BINARY = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": _div}
+_DERIVATIVE_BINARY = dict(_BINARY, div=np.divide)
+_CALLS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": _log, "sqrt": _sqrt, "atan2": _atan2}
+_DIFFERENTIABLE_CALLS = dict(_CALLS, sqrt=_sqrt_differentiable, atan2=_atan2_differentiable)
+
+
+class Program:
+    """A vector of expressions compiled into one flat list of prebound
+    numpy calls.
+
+    The outputs are the values of es and, with grad_axes = n, the
+    derivatives diff(es[i], d) for every i and every d < n, in that order.
+    Nodes are hash-consed on (op, operand registers, constant), so each
+    distinct subtree of all the outputs is evaluated once per run, and each
+    intermediate is released after its last use.  Every node of the values
+    keeps its domain check; with gradients, sqrt needs a positive argument
+    and atan2 a nonzero x^2 + y^2, as their derivatives do.  A Program is
+    immutable and belongs to whoever compiled it: an object that is
+    evaluated again and again compiles its own once.
+    """
+
+    def __init__(self, es, grad_axes=0):
+        roots = []
+        self.dim = 0
+        for e in es:
+            roots.append(e.ast)
+            self.dim = max(self.dim, e.dim)
+        self.size = size = len(roots)
+        self.grad_axes = grad_axes
+        if grad_axes:
+            memos = [{} for _ in range(grad_axes)]
+            roots += [_d(a, d, memos[d]) for a in roots[:size] for d in range(grad_axes)]
+        calls = _DIFFERENTIABLE_CALLS if grad_axes else _CALLS
+        binary = _BINARY
+        regs = []  # initial register contents: constants, else None
+        keys = {}  # node key -> register
+        seen = {}  # id(ast) -> register, for inner nodes of roots shared by object
+        inputs = []  # (register, axis)
+        code = []  # (fn, operand a, operand b or None, register)
+        made = {}  # register -> the instruction that computes it
+        last = {}  # register -> the last instruction that reads it
+        copysign = math.copysign
+
+        def visit(ast):
+            op = ast[0]
+            if op == "num" or op == "var":
+                # a leaf is keyed by its value, the sign of a zero included
+                key = (ast[1], copysign(1.0, ast[1])) if op == "num" else ast
+                r = keys.get(key)
+                if r is None:
+                    r = keys[key] = len(regs)
+                    if op == "num":
+                        regs.append(np.float64(ast[1]))  # numpy's arithmetic, as points get
+                    else:
+                        regs.append(None)
+                        inputs.append((r, ast[1]))
+                return r
+            r = seen.get(id(ast))
+            if r is not None:
+                return r
+            fn = binary.get(op)
+            if fn is not None:
+                a, b = visit(ast[1]), visit(ast[2])
+            elif op == "call":
+                op = ast[1]
+                fn, a = calls[op], visit(ast[2][0])
+                b = visit(ast[2][1]) if op == "atan2" else None
+            elif op == "neg":
+                fn, a, b = np.negative, visit(ast[1]), None
+            else:  # pow
+                fn, a, b = _pow, visit(ast[1]), visit(("num", float(ast[2])))
+            key = (op, a, b)
+            r = keys.get(key)
+            if r is None:
+                i = len(code)
+                r = keys[key] = len(regs)
+                regs.append(None)
+                made[r] = last[r] = i
+                if a in made:
+                    last[a] = i
+                if b in made:
+                    last[b] = i
+                code.append((fn, a, b, r))
+            seen[id(ast)] = r
+            return r
+
+        outs = list(map(visit, roots[:size]))
+        # a quotient that only a derivative has divides unchecked, as dual
+        # numbers did: an infinite derivative fails the final finite check
+        binary = _DERIVATIVE_BINARY
+        outs += map(visit, roots[size:])
+        del visit  # it refers to itself: a cycle only the garbage collector would free
+        dead = {}  # instruction -> registers released after it
+        for r, i in last.items():
+            dead[i] = dead.get(i, ()) + (r,)
+        rows = {}  # instruction -> output rows it writes
+        self._direct = []  # outputs that are an input or a constant
+        for row, r in enumerate(outs):
+            if r in made:
+                rows[made[r]] = rows.get(made[r], ()) + (row,)
+            else:
+                self._direct.append((row, r))
+        self._regs = regs
+        self._inputs = inputs
+        self._code = code
+        for i, (fn, a, b, dst) in enumerate(code):
+            code[i] = (fn, a, b, dst, dead.get(i, ()), rows.get(i, ()))
+
+    def run(self, cols, out):
+        """Evaluate at the m >= 1 points whose coordinate x<d+1> is the (m,)
+        array cols[d], writing output i into out[i]."""
+        regs = self._regs.copy()
+        for r, axis in self._inputs:
+            regs[r] = cols[axis]
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for fn, a, b, dst, dead, rows in self._code:
+                value = regs[dst] = fn(regs[a]) if b is None else fn(regs[a], regs[b])
+                for i in rows:
+                    out[i][...] = value
+                for r in dead:
+                    regs[r] = None
+        for i, r in self._direct:
+            out[i][...] = regs[r]
+
+
+def _as_points(dim, x):
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[None, :]
     if x.ndim != 2:
         raise DimensionError("points must be a vector or an (m, n) array", 0)
-    need = max((e.dim for e in es), default=0)
-    if x.shape[1] < need:
+    if x.shape[1] < dim:
         raise DimensionError(
-            f"expression needs {need} coordinates, got {x.shape[1]}", 0
+            f"expression needs {dim} coordinates, got {x.shape[1]}", 0
         )
     return x
 
 
+def _columns(X):
+    return list(X.T)
+
+
 def _finite_or_raise(a):
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise DomainError("evaluation overflowed to inf/nan")
     return a
 
 
 def evaluate_many(es, X):
-    """Evaluate a sequence of expressions at an (m, n) array of points.
+    """Evaluate a sequence of expressions, or a Program compiled from one
+    without gradients, at an (m, n) array of points.
 
     Returns values of shape (m, len(es)): column i holds es[i]."""
-    X = _as_points(es, X)
-    out = np.empty((X.shape[0], len(es)))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i, e in enumerate(es):
-            out[:, i] = _eval(e.ast, X)
+    program = es if isinstance(es, Program) else Program(es)
+    if program.grad_axes:
+        raise DimensionError("a program with gradients is evaluated by evaluate_dual_many", 0)
+    X = _as_points(program.dim, X)
+    out = np.empty((X.shape[0], program.size))
+    if len(X):
+        program.run(_columns(X), out.T)
     return _finite_or_raise(out)
 
 
@@ -502,18 +657,26 @@ def evaluate(e, x):
 
 
 def evaluate_dual_many(es, X):
-    """Dual evaluation of a sequence of expressions at an (m, n) array of
-    points.
+    """Values and exact gradients of a sequence of expressions, or of a
+    Program compiled from one with gradients in every coordinate of X, at
+    an (m, n) array of points.
 
     Returns (values (m, len(es)), grads (m, len(es), n)): grads[:, i] is
     the gradient of es[i] with respect to x1..xn."""
-    X = _as_points(es, X)
+    if isinstance(es, Program):
+        program, X = es, _as_points(es.dim, X)
+    else:
+        X = _as_points(max((e.dim for e in es), default=0), X)
+        program = Program(es, X.shape[1])
     m, n = X.shape
-    vals = np.empty((m, len(es)))
-    grads = np.empty((m, len(es), n))
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i, e in enumerate(es):
-            vals[:, i], grads[:, i] = _eval_dual(e.ast, X)
+    if program.grad_axes != n:
+        raise DimensionError(
+            f"program has gradients in {program.grad_axes} coordinates, points have {n}", 0
+        )
+    vals = np.empty((m, program.size))
+    grads = np.empty((m, program.size, n))
+    if m:
+        program.run(_columns(X), [*vals.T, *grads.reshape(m, -1).T])
     return _finite_or_raise(vals), _finite_or_raise(grads)
 
 

@@ -3,8 +3,10 @@
 A path is a list of segments; each segment names a chart and carries one
 coordinate expression per axis in the local parameter x1 in [0, 1], plus the
 global parameter subrange it occupies.  The global parameter always runs
-over [0, 1].  Velocities come from exact dual-number derivatives, rescaled
-by the segment chain rule.
+over [0, 1].  Velocities come from exact symbolic derivatives (exprs.diff),
+rescaled by the segment chain rule.  A segment compiles its coordinates,
+and its coordinates with their derivatives, into exprs Programs on first
+use, so a path evaluated again and again compiles once.
 
 The path algebra here (constant paths, juxtaposition, reparametrization,
 reversal) is what the transport axioms quantify over.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +45,6 @@ __all__ = [
     "arc_path",
     "path_from_exprs",
     "path_from_strings",
-    "coords_at",
     "coords_and_velocities",
 ]
 
@@ -132,24 +134,35 @@ class Segment:
     def dim(self):
         return len(self.coords)
 
+    @cached_property
+    def _program(self):
+        return exprs.Program(self.coords)
+
+    @cached_property
+    def _dual_program(self):
+        return exprs.Program(self.coords, 1)
+
     def point_at(self, u):
-        return exprs.evaluate_many(self.coords, [[u]])[0]
+        # a one-point evaluation is all fixed cost: the program runs
+        # directly, without evaluate_many's input checks and allocations
+        out = np.empty(len(self.coords))
+        self._program.run([np.array([u], dtype=float)], out[:, None])
+        return exprs._finite_or_raise(out)
 
 
-def coords_at(coords, us):
-    """Coordinate expressions evaluated at local parameters us; (m, n)."""
-    return exprs.evaluate_many(coords, np.asarray(us, dtype=float)[:, None])
-
-
-def coords_and_velocities(coords, us, width):
-    """Coordinates and global-t velocities at local parameters us.
-
-    ``width`` is the global parameter range the local parameter [0, 1]
-    spans; velocities carry its 1/width chain-rule factor.  Returns
-    (points (m, n), velocities (m, n)).
+def coords_and_velocities(segments, us, out):
+    """Coordinates and global-t velocities of segments at their local
+    parameters us, written component-major into out = (X, V), two
+    (dim, len(segments), len(us)) arrays, and returned.  Each segment's
+    velocities carry its 1/(t1 - t0) chain-rule factor.
     """
-    pts, grads = exprs.evaluate_dual_many(coords, np.asarray(us, dtype=float)[:, None])
-    return pts, grads[:, :, 0] / width
+    X, V = out
+    us = np.asarray(us, dtype=float)[:, None]
+    for p, seg in enumerate(segments):
+        pts, grads = exprs.evaluate_dual_many(seg._dual_program, us)
+        X[:, p] = pts.T
+        np.divide(grads[:, :, 0].T, seg.t1 - seg.t0, out=V[:, p])
+    return out
 
 
 @dataclass(frozen=True)
@@ -216,8 +229,8 @@ def path_velocity(gamma, t, side="right"):
     i = gamma.segment_index_at(t, side)
     seg = gamma.segments[i]
     u = (min(max(t, 0.0), 1.0) - seg.t0) / (seg.t1 - seg.t0)
-    pts, vels = coords_and_velocities(seg.coords, [u], seg.t1 - seg.t0)
-    return TangentVector(ChartPoint(seg.chart_id, pts[0]), vels[0])
+    X, V = coords_and_velocities((seg,), [u], np.empty((2, seg.dim, 1, 1)))
+    return TangentVector(ChartPoint(seg.chart_id, X[:, 0, 0]), V[:, 0, 0])
 
 
 # --- constructors ---------------------------------------------------------------
@@ -333,10 +346,11 @@ def _check_monotone(alpha):
 
 def _invert_monotone(alpha, target):
     """Solve alpha(t) = target on [0, 1] by bisection."""
+    program = exprs.Program((alpha,))
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if exprs.evaluate(alpha, [mid]) < target:
+        if exprs.evaluate_many(program, [[mid]])[0, 0] < target:
             lo = mid
         else:
             hi = mid

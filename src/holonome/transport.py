@@ -41,10 +41,11 @@ well-conditioned orthogonal transport.
 
 The integrator carries a leading path axis.  transport runs a batch of one
 piece at a time; transport_many stacks single-segment paths that share a
-chart and a step count into one pass (one coordinate evaluation on the
-shared grid, one containment test, one coefficient evaluation, one batched
-tree product, one validation of the final elements) and sends every other
-path through transport, with the same results bit for bit.
+chart and a step count into one pass (each path's compiled coordinates on
+the shared grid, one containment test, one run of the chart's compiled
+field, one batched tree product, one validation of the final elements)
+and sends every other path through transport, with the same results bit
+for bit.
 engine_oracle's oracle answers one path, and a list of paths through its
 many method, which puts each path's failure in its place instead of
 raising.
@@ -58,7 +59,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprs
-from .connection import _coefficient_values
 from .errors import (
     EndpointMismatchError,
     OutsideChartError,
@@ -81,11 +81,11 @@ from .groups import (
 from .paths import (
     ChartPoint,
     PathSpec,
+    Segment,
     _chart_points,
     arc_path,
     constant_path,
     coords_and_velocities,
-    coords_at,
     juxtapose,
     line_path,
     path_from_exprs,
@@ -168,17 +168,6 @@ class LiftedPath:
     start_fiber_point: GroupElement
 
 
-@dataclass(frozen=True)
-class _Piece:
-    """Chart-resident stretch of a path: coordinate expressions in a local
-    parameter w in [0, 1] over the global range [t_lo, t_hi]."""
-
-    chart_id: int
-    coords: tuple
-    t_lo: float
-    t_hi: float
-
-
 def _compose_affine(coords, w0, w1):
     """Restrict exprs in w to [w0, w1], rescaled onto a fresh [0, 1]."""
     inner = lit(w0) + lit(w1 - w0) * var(0)
@@ -203,12 +192,12 @@ class _ChartExit(OutsideChartError):
 
 
 def _bisect_exit(chart, piece, lo, hi):
-    """Narrow a chart exit between local parameters lo (inside) and hi
-    (outside) to _CROSSING_TOL in global t."""
-    width = piece.t_hi - piece.t_lo
+    """Narrow a chart exit of a piece (a Segment) between local parameters
+    lo (inside) and hi (outside) to _CROSSING_TOL in global t."""
+    width = piece.t1 - piece.t0
     while (hi - lo) * width > _CROSSING_TOL:
         mid = 0.5 * (lo + hi)
-        if chart.contains(coords_at(piece.coords, [mid])[0]):
+        if chart.contains(piece.point_at(mid)):
             lo = mid
         else:
             hi = mid
@@ -223,9 +212,9 @@ def _move(conn, piece, x0):
             tr.map_coords(x0)
         ):
             coords = tuple(substitute(c, piece.coords) for c in tr.coord_map)
-            return _Piece(tr.to_chart, coords, piece.t_lo, piece.t_hi)
+            return Segment(tr.to_chart, coords, piece.t0, piece.t1)
     raise OutsideChartError(
-        f"path point at t={piece.t_lo:.6g} lies outside every reachable chart"
+        f"path point at t={piece.t0:.6g} lies outside every reachable chart"
     )
 
 
@@ -270,13 +259,14 @@ def _step_matrices(M1, M2, M3, dt):
 
 
 def _piece_fields(conn, pieces, n, prev=None):
-    """Grid points X (pieces, 2n + 1, dim) and fields M(t) = sum_mu
-    A_mu(x(t)) xdot^mu(t), component-major (k, k, pieces, 2n + 1), on the
-    2n + 1 local parameters that n steps need, for pieces that share one
-    chart.  One dual evaluation of every piece's coordinates, one
-    containment test and one evaluation of the chart's coefficients cover
-    the whole stack.  prev, the (X, M) of the n/2-step grids, supplies the
-    even points: np.linspace nests, so only the odd points are evaluated.
+    """Grid points X and fields M(t) = sum_mu A_mu(x(t)) xdot^mu(t), both
+    component-major, (dim, pieces, 2n + 1) and (k, k, pieces, 2n + 1), on
+    the 2n + 1 local parameters that n steps need, for pieces (Segments)
+    that share one chart.  Each piece's compiled coordinates and
+    velocities, one containment test and one run of the chart's compiled
+    field, which writes every entry of M as one row, cover the whole
+    stack.  prev, the (X, M) of the n/2-step grids, supplies the even
+    points: np.linspace nests, so only the odd points are evaluated.
 
     Raises _ChartExit, before any coefficient is evaluated, when a grid
     point lies off the chart."""
@@ -284,25 +274,20 @@ def _piece_fields(conn, pieces, n, prev=None):
     P, dim, k = len(pieces), chart.dim, conn.group.k
     ts = np.linspace(0.0, 1.0, 2 * n + 1)
     new = slice(None) if prev is None else slice(1, None, 2)
-    coords = tuple(c for piece in pieces for c in piece.coords)
-    width = _per_piece([piece.t_hi - piece.t_lo for piece in pieces for _ in range(dim)])
-    X_new, V = coords_and_velocities(coords, ts[new], width)
-    X_new = X_new.reshape(-1, P, dim).swapaxes(0, 1).reshape(-1, dim)
-    V = V.reshape(-1, P, dim).swapaxes(0, 1).reshape(-1, dim)
-    inside = chart.contains_many(X_new).reshape(P, -1)
+    m = len(ts[new])
+    X_new, V = coords_and_velocities(
+        pieces, ts[new], (np.empty((dim, P, m)), np.empty((dim, P, m)))
+    )
+    inside = chart.contains_many(X_new.reshape(dim, -1).T).reshape(P, -1)
     if not inside.all():
         raise _ChartExit(ts, new, inside)
-    M_new = np.zeros((len(X_new), k, k))
-    values = _coefficient_values(chart.coefficients, X_new)
-    for mu in range(dim):
-        M_new += next(values) * V[:, mu, None, None]
-    X_new = X_new.reshape(P, -1, dim)
-    M_new = np.ascontiguousarray(_components(M_new)).reshape(k, k, P, -1)
+    M_new = np.empty((k, k, P, m))
+    chart.field(X_new.reshape(dim, -1), V.reshape(dim, -1), M_new.reshape(k, k, -1))
     if prev is None:
         return X_new, M_new
-    X = np.empty((P, len(ts), dim))
+    X = np.empty((dim, P, len(ts)))
     M = np.empty((k, k, P, len(ts)))
-    (X[:, 0::2], M[..., 0::2]), X[:, 1::2], M[..., 1::2] = prev, X_new, M_new
+    (X[..., 0::2], M[..., 0::2]), X[..., 1::2], M[..., 1::2] = prev, X_new, M_new
     return X, M
 
 
@@ -388,7 +373,7 @@ def _rk4_pass(conn, pieces, n, U, project_every, collect, prev=None):
     its grids as the even points.  Returns the n-step products, the
     Richardson estimates ||U_n - U_{n/2}||_F / 15 of their errors, the grid
     points X, the fields M, and the partial products if collect is set."""
-    dt = _per_piece([(piece.t_hi - piece.t_lo) / n for piece in pieces], (1,))
+    dt = _per_piece([(piece.t1 - piece.t0) / n for piece in pieces], (1,))
     X, M = _piece_fields(conn, pieces, n, None if prev is None else prev[1:])
     orthogonal = conn.group.orthogonal
     fine = _step_matrices(M[..., 0:-1:2], M[..., 1::2], M[..., 2::2], dt)
@@ -418,7 +403,7 @@ def _integrate_piece(conn, piece, cfg, U, samples):
     estimate is within tol * max(1, ||U||_F), each pass taking the last
     one's product and field grid.  Appends the accepted pass's samples
     when samples is a list."""
-    width = piece.t_hi - piece.t_lo
+    width = piece.t1 - piece.t0
     n = _step_count(width, cfg.h)
     prev_est = math.inf
     prev = None
@@ -441,11 +426,11 @@ def _integrate_piece(conn, piece, cfg, U, samples):
         n *= 2
     if samples is not None:
         dt = width / n
-        points = _chart_points(piece.chart_id, X[0, 2::2])
+        points = _chart_points(piece.chart_id, X[:, 0, 2::2].T)
         samples.extend(
-            (piece.t_lo + (j + 1) * dt, pt, Uj) for j, (pt, Uj) in enumerate(zip(points, trail[0]))
+            (piece.t0 + (j + 1) * dt, pt, Uj) for j, (pt, Uj) in enumerate(zip(points, trail[0]))
         )
-    return U_n[0], n, est[0], X[0, -1]
+    return U_n[0], n, est[0], X[:, 0, -1]
 
 
 def _run(conn, gamma, cfg, collect):
@@ -464,14 +449,14 @@ def _run(conn, gamma, cfg, collect):
                 f"segment on chart {seg.chart_id} has {len(seg.coords)} coordinates, "
                 f"the chart is {dim}-dimensional"
             )
-        pending = [_Piece(seg.chart_id, seg.coords, seg.t0, seg.t1)]
+        pending = [seg]
         changes = 0
         while pending:
             if changes > _MAX_CHART_CHANGES:
                 raise OutsideChartError("path crosses chart boundaries too many times")
             piece = pending.pop()
             chart = conn.chart(piece.chart_id)
-            x0 = coords_at(piece.coords, [0.0])[0]
+            x0 = piece.point_at(0.0)
             if not chart.contains(x0):
                 pending.append(_move(conn, piece, x0))
                 changes += 1
@@ -488,13 +473,13 @@ def _run(conn, gamma, cfg, collect):
             except _ChartExit as exit_:
                 changes += 1
                 lo, hi = _bisect_exit(chart, piece, exit_.u_in, exit_.u_out)
-                t_lo, width = piece.t_lo, piece.t_hi - piece.t_lo
+                t_lo, width = piece.t0, piece.t1 - piece.t0
                 if hi < 1.0:  # else the exit is within _CROSSING_TOL of the end
                     rest = _compose_affine(piece.coords, hi, 1.0)
-                    pending.append(_Piece(piece.chart_id, rest, t_lo + hi * width, piece.t_hi))
+                    pending.append(Segment(piece.chart_id, rest, t_lo + hi * width, piece.t1))
                 if lo > 0.0:
                     first = _compose_affine(piece.coords, 0.0, lo)
-                    pending.append(_Piece(piece.chart_id, first, t_lo, t_lo + lo * width))
+                    pending.append(Segment(piece.chart_id, first, t_lo, t_lo + lo * width))
                     continue
                 U, n, e, x1 = U_in, 0, 0.0, x0
             total_steps += n
@@ -578,14 +563,14 @@ def _batched(conn, paths, cfg):
 def _transport_group(conn, segs, n, cfg):
     """The TransportResults, as _run gives them, of single-segment paths
     that share a chart, a coordinate count and the step count n, keyed by
-    position in segs.  Leaves out the paths _run must take on their own."""
+    position in segs.  Leaves out the paths _run must take on their own:
+    those whose grids, their start included, leave the chart."""
     chart = conn.chart(segs[0].chart_id)
     if chart.dim != len(segs[0].coords):
         return {}
-    x0 = coords_at(tuple(c for seg in segs for c in seg.coords), [0.0]).reshape(len(segs), -1)
-    keep = np.flatnonzero(chart.contains_many(x0))
+    keep = np.arange(len(segs))
     while len(keep):
-        pieces = [_Piece(chart.chart_id, segs[i].coords, segs[i].t0, segs[i].t1) for i in keep]
+        pieces = [segs[i] for i in keep]
         U = np.broadcast_to(np.eye(conn.group.k), (len(keep), conn.group.k, conn.group.k))
         try:
             U, est, X, _, _ = _rk4_pass(conn, pieces, n, U, cfg.project_every, False)
@@ -602,9 +587,9 @@ def _transport_group(conn, segs, n, cfg):
     est = [e for e, accepted in zip(est, ok) if accepted]
     return {
         int(i): TransportResult(
-            ChartPoint(chart.chart_id, x0[i]), ChartPoint(chart.chart_id, x[-1]), g, n, e
+            ChartPoint(chart.chart_id, x0), ChartPoint(chart.chart_id, x1), g, n, e
         )
-        for i, x, g, e in zip(keep[ok], X[ok], gs, est)
+        for i, x0, x1, g, e in zip(keep[ok], X[:, ok, 0].T, X[:, ok, -1].T, gs, est)
     }
 
 

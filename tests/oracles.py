@@ -1,11 +1,14 @@
 """Independent numerical oracles used by the tests.
 
 Deliberately dumb implementations: brute-force Taylor series, Jacobi
-rotations, trapezoid quadrature, central differences.  They share no code
-with the package paths they check.
+rotations, trapezoid quadrature, central differences, and tree walkers of
+the expression DSL (a plain one and one with forward-mode dual numbers).
+They share no code with the package paths they check.
 """
 
 import numpy as np
+
+from holonome.errors import DomainError
 
 
 def taylor_expm(m, terms=30):
@@ -79,3 +82,126 @@ def abelian_loop_exponent(a_funcs, curve, curve_dot, steps=100_000):
     return total / steps
 
 
+
+
+def walk(ast, X):
+    """Value of a DSL AST at the points X (m, n) by walking the tree, every
+    node evaluated where it occurs, with the DSL's domain checks."""
+    op = ast[0]
+    if op == "num":
+        return np.full(X.shape[0], ast[1])
+    if op == "var":
+        return X[:, ast[1]].copy()
+    if op == "neg":
+        return -walk(ast[1], X)
+    if op == "pow":
+        return walk(ast[1], X) ** ast[2]
+    if op in ("add", "sub", "mul"):
+        a, b = walk(ast[1], X), walk(ast[2], X)
+        return a + b if op == "add" else a - b if op == "sub" else a * b
+    if op == "div":
+        num, den = walk(ast[1], X), walk(ast[2], X)
+        if np.any(den == 0.0):
+            raise DomainError("division by zero")
+        return num / den
+    name, args = ast[1], ast[2]
+    if name == "atan2":
+        y, x = walk(args[0], X), walk(args[1], X)
+        if np.any((y == 0.0) & (x == 0.0)):
+            raise DomainError("atan2(0, 0) is undefined")
+        return np.arctan2(y, x)
+    a = walk(args[0], X)
+    if name == "log":
+        if np.any(a <= 0.0):
+            raise DomainError("log of a non-positive value")
+        return np.log(a)
+    if name == "sqrt":
+        if np.any(a < 0.0):
+            raise DomainError("sqrt of a negative value")
+        return np.sqrt(a)
+    return {"sin": np.sin, "cos": np.cos, "exp": np.exp}[name](a)
+
+
+def walk_dual(ast, X):
+    """(values (m,), gradients (m, n)) of a DSL AST at the points X by
+    forward-mode dual numbers, walking the tree."""
+    m, n = X.shape
+    op = ast[0]
+    if op == "num":
+        return np.full(m, ast[1]), np.zeros((m, n))
+    if op == "var":
+        g = np.zeros((m, n))
+        g[:, ast[1]] = 1.0
+        return X[:, ast[1]].copy(), g
+    if op == "neg":
+        v, g = walk_dual(ast[1], X)
+        return -v, -g
+    if op == "pow":
+        v, g = walk_dual(ast[1], X)
+        k = ast[2]
+        if k == 0:
+            return np.ones(m), np.zeros((m, n))
+        return v**k, (k * v ** (k - 1))[:, None] * g
+    if op in ("add", "sub", "mul", "div"):
+        va, ga = walk_dual(ast[1], X)
+        vb, gb = walk_dual(ast[2], X)
+        if op == "add":
+            return va + vb, ga + gb
+        if op == "sub":
+            return va - vb, ga - gb
+        if op == "mul":
+            return va * vb, va[:, None] * gb + vb[:, None] * ga
+        if np.any(vb == 0.0):
+            raise DomainError("division by zero")
+        return va / vb, (ga * vb[:, None] - va[:, None] * gb) / (vb**2)[:, None]
+    name, args = ast[1], ast[2]
+    if name == "atan2":
+        vy, gy = walk_dual(args[0], X)
+        vx, gx = walk_dual(args[1], X)
+        r2 = vx**2 + vy**2
+        if np.any(r2 == 0.0):
+            raise DomainError("atan2(0, 0) is undefined")
+        return np.arctan2(vy, vx), (vx[:, None] * gy - vy[:, None] * gx) / r2[:, None]
+    v, g = walk_dual(args[0], X)
+    if name == "sin":
+        return np.sin(v), np.cos(v)[:, None] * g
+    if name == "cos":
+        return np.cos(v), -np.sin(v)[:, None] * g
+    if name == "exp":
+        ev = np.exp(v)
+        return ev, ev[:, None] * g
+    if name == "log":
+        if np.any(v <= 0.0):
+            raise DomainError("log of a non-positive value")
+        return np.log(v), g / v[:, None]
+    # the derivative 1/(2 sqrt v) blows up at 0, so dual mode needs v > 0
+    if np.any(v <= 0.0):
+        raise DomainError("sqrt derivative needs a positive argument")
+    sv = np.sqrt(v)
+    return sv, g / (2.0 * sv)[:, None]
+
+
+def _finite(a):
+    if not np.all(np.isfinite(a)):
+        raise DomainError("evaluation overflowed to inf/nan")
+    return a
+
+
+def walk_many(es, X):
+    """Column i: es[i] by walk at the points X, then the finite check."""
+    out = np.empty((X.shape[0], len(es)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i, e in enumerate(es):
+            out[:, i] = walk(e.ast, X)
+    return _finite(out)
+
+
+def walk_dual_many(es, X):
+    """(values (m, len(es)), gradients (m, len(es), n)) by walk_dual, then
+    the finite checks."""
+    m, n = X.shape
+    vals, grads = np.empty((m, len(es))), np.empty((m, len(es), n))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i, e in enumerate(es):
+            vals[:, i], grads[:, i] = walk_dual(e.ast, X)
+    return _finite(vals), _finite(grads)

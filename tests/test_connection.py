@@ -1,5 +1,7 @@
 """Connection forms: evaluation, curvature, gauge transformation, builtins."""
 
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from holonome.connection import (
     ConnectionForm,
     ConstantMatrixFunction,
     ExprMatrixFunction,
+    MatrixFunction,
     Transition,
     _coefficient_values,
     _coefficient_values_and_grads,
@@ -211,8 +214,8 @@ def test_gauge_transform_roundtrip(abelian):
 
 def test_gauge_is_evaluated_once_per_point_set(abelian, monkeypatch):
     """A gauge-transformed chart evaluates its gauge once for all mu, on
-    the transport grid and on the curvature's shifted points alike, with
-    values equal to the per-mu coefficients'."""
+    the transport grid and for the curvature alike, with values and
+    derivatives equal to the per-mu coefficients'."""
     gauged = gauge_transform(abelian, _rotation_gauge())
     coeffs = gauged.charts[0].coefficients
     X = np.random.default_rng(5).uniform(-1.5, 1.5, (30, 2))
@@ -222,12 +225,12 @@ def test_gauge_is_evaluated_once_per_point_set(abelian, monkeypatch):
     calls = []
     original = type(gauge).value_and_grad
     monkeypatch.setattr(type(gauge), "value_and_grad",
-                        lambda self, X: calls.append(len(X)) or original(self, X))
+                        lambda self, X: (self is gauge and calls.append(len(X))) or original(self, X))
     shared = list(_coefficient_values(coeffs, X))
     assert calls == [30]
     assert all(np.array_equal(a, b) for a, b in zip(shared, per_mu))
     shared_grads = _coefficient_values_and_grads(coeffs, X)
-    assert calls == [30, 5 * 30]
+    assert calls == [30, 30]
     for (v, g), (v0, g0) in zip(shared_grads, per_mu_grads):
         assert np.array_equal(v, v0) and np.array_equal(g, g0)
 
@@ -400,3 +403,67 @@ def test_one_dimensional_curvature_matrix_raises_typed_error():
     conn = ConnectionForm(SO2, (ChartSpec(0, 1, [-1], [1], (zero,)),))
     with pytest.raises(ValidationError):
         curvature_at(conn, ChartPoint(0, [0.3])).matrix(0, 0)
+
+
+def test_stereo_field_evaluates_its_shared_denominator_once(monkeypatch):
+    """The stereographic chart's field program squares x1 and x2, and so
+    forms 1 + x1^2 + x2^2, once per run, and divides by it once per
+    coefficient, where entry-by-entry evaluation did each four times.  It
+    writes the same numbers as summing A_mu(x) xdot^mu."""
+    calls = collections.Counter()
+    pow_, div = exprs._pow, exprs._BINARY["div"]
+    monkeypatch.setattr(exprs, "_pow", lambda a, k: calls.update(["pow"]) or pow_(a, k))
+    monkeypatch.setitem(exprs._BINARY, "div", lambda a, b: calls.update(["div"]) or div(a, b))
+    chart = builtin_connection("levi-civita-s2-stereo").charts[0]
+    rng = np.random.default_rng(8)
+    X, V = rng.uniform(-2.0, 2.0, (2, 40)), rng.uniform(-1.0, 1.0, (2, 40))
+    out = np.empty((2, 2, 40))
+    calls.clear()
+    chart.field(X, V, out)
+    assert calls == {"pow": 2, "div": 2}
+    want = sum(np.moveaxis(f.value(X.T), 0, -1) * V[mu] for mu, f in enumerate(chart.coefficients))
+    assert np.array_equal(out, want)
+
+
+def test_gauge_transformed_curvature_is_exact():
+    """Exact second derivatives of the gauge: pure-gauge is flat to
+    roundoff on the 7 x 7 grid, and a GL(2) gauge conjugates the curvature
+    of abelian-area(1.5) to roundoff, with derivatives that central
+    differences of the values confirm."""
+    assert is_flat(builtin_connection("pure-gauge")).max_norm <= 1e-13
+    x1, x2 = var(0, 2), var(1, 2)
+    s, w = lit(1.0) + lit(0.25) * x1 * x2, x1 - lit(0.5) * x2
+    entries = [[s * cos(w), lit(-1.0) * s * sin(w)], [s * sin(w), s * cos(w)]]
+    base = ConnectionForm(StructureGroup("GL", 2), builtin_connection("abelian-area(1.5)").charts)
+    gauged = gauge_transform(base, entries)
+    g = ExprMatrixFunction(entries, 2)
+    rng = np.random.default_rng(21)
+    for x in rng.uniform(-1.5, 1.5, (10, 2)):
+        gx = g.at(x)
+        f_before = curvature_at(base, point(*x)).matrix(0, 1)
+        f_after = curvature_at(gauged, point(*x)).matrix(0, 1)
+        assert frobenius(f_after - np.linalg.inv(gx) @ f_before @ gx) <= 1e-12
+        for mu, f in enumerate(gauged.charts[0].coefficients):
+            _, grad = f.value_and_grad(x[None, :])
+            for i in range(2):
+                for j in range(2):
+                    fd = central_gradient(lambda y: f.at(y)[i, j], x)
+                    assert np.allclose(grad[0, :, i, j], fd, atol=1e-8)
+
+
+def test_gauge_transform_takes_gauges_with_exact_second_derivatives(abelian):
+    """Expression entries, an ExprMatrixFunction or a ConstantMatrixFunction
+    are gauges; any other MatrixFunction is refused."""
+
+    class Opaque(MatrixFunction):
+        dim, k = 2, 2
+
+        def value(self, X):
+            return np.broadcast_to(np.eye(2), (len(X), 2, 2)).copy()
+
+    with pytest.raises(ValidationError):
+        gauge_transform(abelian, Opaque())
+    c, s = np.cos(0.3), np.sin(0.3)
+    rotated = gauge_transform(abelian, ConstantMatrixFunction([[c, -s], [s, c]], 2))
+    f = curvature_at(rotated, point(0.2, -0.4)).matrix(0, 1)
+    assert frobenius(f - 1.5 * J) <= 1e-14

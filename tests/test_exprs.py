@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from holonome import exprs
@@ -16,7 +16,7 @@ from holonome.errors import (
     UnknownIdentifierError,
 )
 
-from oracles import central_gradient
+from oracles import central_gradient, walk_dual_many, walk_many
 
 
 def test_parse_zero_literal():
@@ -198,3 +198,134 @@ def test_integer_power_matches_repeated_multiplication(k, base):
     e = exprs.var(0, 1) ** k
     got = exprs.evaluate(e, (base,))
     assert got == pytest.approx(float(base) ** k, rel=1e-12, abs=1e-12)
+
+
+# --- compiled programs against the reference tree walkers ---------------------
+
+_x1, _x2 = exprs.var(0, 2), exprs.var(1, 2)
+_leaves = st.one_of(
+    st.sampled_from([_x1, _x2]),
+    st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(0.1, 2.0), st.floats(-2.0, -0.1)
+    ).map(exprs.lit),
+)
+
+
+def _grow(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(
+        children.map(lambda a: -a),
+        st.tuples(children, st.integers(0, 3)).map(lambda t: t[0] ** t[1]),
+        pairs.map(lambda t: t[0] + t[1]),
+        pairs.map(lambda t: t[0] - t[1]),
+        pairs.map(lambda t: t[0] * t[1]),
+        pairs.map(lambda t: t[0] / t[1]),
+        pairs.map(lambda t: exprs.atan2(*t)),
+        st.sampled_from([exprs.sin, exprs.cos, exprs.exp, exprs.log, exprs.sqrt]).flatmap(
+            lambda f: children.map(f)
+        ),
+    )
+
+
+_trees = st.recursive(_leaves, _grow, max_leaves=8)
+
+
+@st.composite
+def _shared_vectors(draw):
+    """Expression vectors whose outputs share subtrees, by object and by
+    structure: each output combines members of one drawn pool."""
+    pool = draw(st.lists(_trees, min_size=1, max_size=4))
+    pick = st.sampled_from(pool)
+    combine = st.sampled_from([
+        lambda a, b: a,
+        lambda a, b: a + b,
+        lambda a, b: a * b,
+        lambda a, b: a / b,
+        lambda a, b: exprs.sin(a) - exprs.log(b),
+        lambda a, b: exprs.sqrt(a) * exprs.substitute(b, [_x1, _x2]),  # b rebuilt: equal, not shared
+    ])
+    return [draw(combine)(draw(pick), draw(pick)) for _ in range(draw(st.integers(1, 4)))]
+
+
+_coordinates = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 0.5]), st.floats(1e-3, 2.0), st.floats(-2.0, -1e-3)
+)
+_point_sets = st.integers(1, 4).flatmap(
+    lambda m: st.lists(st.tuples(_coordinates, _coordinates), min_size=m, max_size=m)
+).map(np.array)
+
+
+def _outcome(f):
+    """What f returns, or the message of the DomainError it raises."""
+    try:
+        return f()
+    except DomainError as err:
+        return str(err)
+
+
+_shared_log = exprs.log(_x1 - _x2)  # a domain fault at x1 = x2, inside a shared subtree
+_faults = [
+    [_shared_log + _x1, exprs.sin(_shared_log) * _shared_log],
+    [exprs.sqrt(_x1 * _x2), exprs.sqrt(_x1) / exprs.lit(2.0)],  # sqrt' at 0 where x1 x2 = 0
+    [exprs.atan2(_x2, _x1) + _x1 / _x2],
+]
+
+
+@seed(20261018)
+@settings(max_examples=400, deadline=None)
+@given(_shared_vectors(), _point_sets)
+@example(_faults[0], np.array([[1.0, 0.5], [0.5, 0.5]]))
+@example(_faults[1], np.array([[1.0, 0.5], [0.0, 0.5]]))
+@example(_faults[2], np.array([[0.0, 0.0]]))
+def test_compiled_values_are_the_tree_walkers_bit_for_bit(es, X):
+    """evaluate_many on random vectors with shared subtrees: the same bits
+    as walking every tree, or a DomainError with the same message on the
+    same points."""
+    got = _outcome(lambda: exprs.evaluate_many(es, X))
+    want = _outcome(lambda: walk_many(es, X))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert got.tobytes() == want.tobytes()
+
+
+@seed(20261018)
+@settings(max_examples=400, deadline=None)
+@given(_shared_vectors(), _point_sets)
+@example(_faults[0], np.array([[1.0, 0.5], [0.5, 0.5]]))
+@example(_faults[1], np.array([[1.0, 0.5], [0.0, 0.5]]))
+@example(_faults[2], np.array([[0.0, 0.0]]))
+def test_compiled_gradients_match_dual_numbers(es, X):
+    """evaluate_dual_many, built on diff: the values bit for bit and the
+    gradients within 1e-12 relative of forward-mode dual numbers, or a
+    DomainError with the same message on the same points (sqrt' at 0
+    included)."""
+    got = _outcome(lambda: exprs.evaluate_dual_many(es, X))
+    want = _outcome(lambda: walk_dual_many(es, X))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert got[0].tobytes() == want[0].tobytes()
+        np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=0.0)
+
+
+def test_sqrt_derivative_needs_a_positive_argument():
+    e = exprs.sqrt(exprs.var(0, 1))
+    assert exprs.evaluate(e, (0.0,)) == 0.0
+    with pytest.raises(DomainError, match="sqrt derivative needs a positive argument"):
+        exprs.evaluate_dual(e, (0.0,))
+
+
+def test_diff_folds_only_exact_identities():
+    x1, x2 = exprs.var(0, 2), exprs.var(1, 2)
+    assert exprs.diff(x1 * x2, 0).ast == x2.ast  # 0*x1 + 1*x2 folded
+    assert exprs.diff(exprs.lit(3.0) + x2, 0).ast == ("num", 0.0)
+    assert exprs.diff(exprs.sin(x1), 0).ast == ("call", "cos", (x1.ast,))
+    assert exprs.diff(x1 / x2, 1).ast == (
+        "div", ("sub", ("num", 0.0), x1.ast), ("pow", x2.ast, 2)
+    )
+    # the derivative is an ordinary expression: it prints and parses back
+    d = exprs.diff(exprs.atan2(x2, x1 * x1) * exprs.sqrt(x2), 0)
+    assert exprs.parse(exprs.pretty(d), 2).ast == d.ast

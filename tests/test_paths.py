@@ -1,5 +1,7 @@
 """Path algebra: evaluation, velocities, juxtaposition, reparametrization."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from holonome.paths import (
     Segment,
     arc_path,
     constant_path,
+    coords_and_velocities,
     juxtapose,
     line_path,
     path_from_exprs,
@@ -167,3 +170,39 @@ def test_path_from_exprs_multi_segment_even_split():
     gamma = path_from_exprs(0, [[u, lit(0.0)], [lit(1.0), u]])
     assert gamma.segments[0].t1 == pytest.approx(0.5)
     assert np.allclose(path_point(gamma, 0.5).coords, [1.0, 0.0])
+
+
+# --- compiled coordinates: a fixed cost per segment, paid once ---------------
+
+def test_segment_compiles_each_program_once(monkeypatch):
+    """Repeated point_at, path_point, path_velocity and
+    coords_and_velocities calls compile the segment's coordinates once and
+    its coordinates with velocities once."""
+    gamma = arc_path(0, [0.0, 0.0], 1.0, 0.0, 2.0)
+    seg = gamma.segments[0]
+    compiled = []
+    original = exprs.Program.__init__
+
+    def counting(self, es, grad_axes=0):
+        compiled.append(grad_axes)
+        original(self, es, grad_axes)
+
+    monkeypatch.setattr(exprs.Program, "__init__", counting)
+    out = np.empty((2, 2, 1, 3))
+    for u in (0.0, 0.25, 0.5, 1.0):
+        seg.point_at(u)
+        path_point(gamma, u)
+        path_velocity(gamma, u)
+        coords_and_velocities((seg,), [0.0, u, 1.0], out)
+    assert compiled == [0, 1]
+    assert np.allclose(out[0, :, 0, 1], [np.cos(2.0), np.sin(2.0)], atol=1e-15)
+    assert np.allclose(out[1, :, 0, 1], [-2.0 * np.sin(2.0), 2.0 * np.cos(2.0)], atol=1e-14)
+
+
+def test_segment_programs_are_freed_with_the_segment():
+    seg = Segment(0, (lit(0.1) + var(0), lit(0.2) * var(0)), 0.0, 1.0)
+    seg.point_at(0.5)
+    coords_and_velocities((seg,), [0.5], np.empty((2, 2, 1, 1)))
+    programs = [weakref.ref(seg._program), weakref.ref(seg._dual_program)]
+    del seg
+    assert [ref() for ref in programs] == [None, None]
