@@ -174,19 +174,20 @@ class _Product(MatrixFunction):
 
 
 class _ComposedWithMap(MatrixFunction):
-    """f(phi(x)) for an expression-backed coordinate map phi."""
+    """f(phi(x)) for the coordinate map phi of a Transition, on a dim-dim
+    chart, evaluated by the transition's compiled programs."""
 
-    def __init__(self, base, coord_map, dim):
+    def __init__(self, base, transition, dim):
         self.base = base
-        self.coord_map = tuple(coord_map)
+        self.transition = transition
         self.dim = dim
         self.k = base.k
 
     def value(self, X):
-        return self.base.value(exprs.evaluate_many(self.coord_map, X))
+        return self.base.value(exprs.evaluate_many(self.transition._map_program, X))
 
     def value_and_grad(self, X):
-        Y, J = exprs.evaluate_dual_many(self.coord_map, X)
+        Y, J = exprs.evaluate_dual_many(self.transition._dual_program(self.dim), X)
         v, g = self.base.value_and_grad(Y)
         # chain rule: d_mu (f . phi) = sum_nu (d_nu f)(phi) J^nu_mu
         gx = np.einsum("mnij,mnd->mdij", g, J)
@@ -373,12 +374,24 @@ class Transition:
     def _map_program(self):
         return exprs.Program(self.coord_map)
 
+    @cached_property
+    def _dual_programs(self):
+        return {}
+
+    def _dual_program(self, n):
+        """The coordinate map with its gradients in n coordinates, compiled
+        on first use."""
+        program = self._dual_programs.get(n)
+        if program is None:
+            program = self._dual_programs[n] = exprs.Program(self.coord_map, n)
+        return program
+
     def map_coords(self, coords):
         return exprs.evaluate_many(self._map_program, np.asarray(coords, dtype=float)[None, :])[0]
 
     def jacobian(self, coords):
         x = np.asarray(coords, dtype=float)[None, :]
-        return exprs.evaluate_dual_many(self.coord_map, x)[1][0]
+        return exprs.evaluate_dual_many(self._dual_program(x.shape[1]), x)[1][0]
 
     def gauge_at(self, coords):
         return self.gauge.at(coords)
@@ -486,7 +499,7 @@ def check_transition_compatibility(conn):
             )
         src = conn.chart(tr.from_chart)
         dst = conn.chart(tr.to_chart)
-        _, J = exprs.evaluate_dual_many(tr.coord_map, X)  # J[p, nu, mu] = d y^nu / d x^mu
+        _, J = exprs.evaluate_dual_many(tr._dual_program(src.dim), X)  # J[p, nu, mu] = d y^nu / d x^mu
         g, dg = tr.gauge.value_and_grad(X)
         gi = np.linalg.inv(g)[:, None]
         a_dst = np.stack(list(_coefficient_values(dst.coefficients, Y)), axis=1)
@@ -673,7 +686,7 @@ def gauge_transform(conn, g, chart_id=None):
             h = _Product(_Inverse(gauge), tr.gauge)
             new_transitions.append(Transition(tr.from_chart, tr.to_chart, tr.coord_map, h))
         elif tr.to_chart == chart_id:
-            composed = _ComposedWithMap(gauge, tr.coord_map, conn.chart(tr.from_chart).dim)
+            composed = _ComposedWithMap(gauge, tr, conn.chart(tr.from_chart).dim)
             h = _Product(tr.gauge, composed)
             new_transitions.append(Transition(tr.from_chart, tr.to_chart, tr.coord_map, h))
         else:

@@ -699,7 +699,10 @@ _PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4}
 def _pp(ast, parent_prec):
     op = ast[0]
     if op == "num":
-        return repr(ast[1])
+        # a negative literal (-0.0 included) is parenthesized, so that it
+        # binds as an atom: it reparses as the negation of its magnitude
+        s = repr(ast[1])
+        return f"({s})" if math.copysign(1.0, ast[1]) < 0 else s
     if op == "var":
         return f"x{ast[1] + 1}"
     if op == "call":
@@ -720,7 +723,9 @@ def _pp(ast, parent_prec):
 
 
 def pretty(e):
-    """Render an Expr to source that reparses to the identical AST."""
+    """Render an Expr to source that reparses to an expression with the same
+    value at every point.  Parsed expressions come back as the identical
+    AST; a negative literal comes back as the negation of its magnitude."""
     return _pp(e.ast, 0)
 
 

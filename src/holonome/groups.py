@@ -9,7 +9,13 @@ Stacks of small matrices are multiplied component-major: a (k, k, ...)
 array holds entry (i, j) of every matrix in one contiguous row, so one
 einsum over those rows (_mul) replaces a per-matrix product.  The polar
 projection runs on such stacks with Newton-Schulz steps; only matrices far
-from the group take a per-matrix SVD.
+from the group take a per-matrix SVD.  The logarithm runs on (m, k, k)
+stacks too (inverse scaling and squaring, Higham, Functions of Matrices,
+2008, 11.5): each matrix takes its own count of Denman-Beavers square
+roots, through one batched inverse per step, and of series terms, so its
+log is bit for bit the log of a stack of one; group_log is that stack of
+one.  Stacks of group and algebra matrices are validated once, through
+their worst members.
 """
 
 from __future__ import annotations
@@ -149,12 +155,11 @@ class AlgebraElement:
         object.__setattr__(self, "matrix", m)
 
 
-def _elements(mats, group):
-    """GroupElements of a (m, k, k) stack, m >= 1, validated once as a
-    stack: it passes when its worst members pass _check_group_matrix (the
-    largest orthogonality defect, and the smallest det, |det| on GL).  Each
-    element is a read-only view of one copy, built without a check of its
-    own."""
+def _validated(mats, group):
+    """A (m, k, k) stack, m >= 1, as a read-only float copy, validated once
+    as a stack: it passes when its worst members pass _check_group_matrix
+    (the largest orthogonality defect, and the smallest det, |det| on
+    GL)."""
     mats = np.array(mats, dtype=float)
     gram = mats.swapaxes(-1, -2) @ mats - np.eye(mats.shape[-1])
     det = np.linalg.det(mats)
@@ -165,7 +170,24 @@ def _elements(mats, group):
     for i in worst:
         _check_group_matrix(mats[i], group)
     mats.flags.writeable = False
-    return [_unchecked(m, group) for m in mats]
+    return mats
+
+
+def _elements(mats, group):
+    """GroupElements of a (m, k, k) stack, m >= 1, validated once as a
+    stack (_validated).  Each element is a read-only view of one copy,
+    built without a check of its own."""
+    return [_unchecked(m, group) for m in _validated(mats, group)]
+
+
+def _algebra_checked(mats, group):
+    """A (m, k, k) stack of Lie-algebra matrices, checked once as a stack:
+    it passes when its least skew member (on SO/U1) passes the
+    AlgebraElement check."""
+    if len(mats):
+        worst = int(np.argmax(_norms(mats + mats.swapaxes(-1, -2)))) if group.orthogonal else 0
+        AlgebraElement(mats[worst], group)
+    return mats
 
 
 def _unchecked(m, group):
@@ -215,36 +237,78 @@ def _expm(m):
     return acc
 
 
-def _sqrtm_db(m):
-    """Denman-Beavers square root iteration (valid near the identity)."""
-    y = m.copy()
-    z = np.eye(m.shape[0])
+def _norms(S):
+    """frobenius of every matrix of a (m, k, k) stack, bit for bit: each is
+    the same dot product of the flattened matrix with itself."""
+    R = S.reshape(len(S), S.shape[-2] * S.shape[-1])
+    return np.sqrt(np.matmul(R[:, None, :], R[:, :, None])[:, 0, 0])
+
+
+def _sqrtm_db(S):
+    """Denman-Beavers square root iteration (valid near the identity) on a
+    (m, k, k) stack, one batched inverse per step for the matrices still
+    going; each stops once its own ||y^2 - s||_F <= 1e-15 max(1, ||s||_F)."""
+    Y = S.copy()
+    Z = np.broadcast_to(np.eye(S.shape[-1]), S.shape).copy()
+    scale = 1e-15 * np.maximum(1.0, _norms(S))
+    live = np.arange(len(S))
     for _ in range(60):
-        y_next = 0.5 * (y + np.linalg.inv(z))
-        z_next = 0.5 * (z + np.linalg.inv(y))
-        y, z = y_next, z_next
-        if frobenius(y @ y - m) < 1e-15 * max(1.0, frobenius(m)):
+        y, z = Y[live], Z[live]
+        Y[live] = y_next = 0.5 * (y + np.linalg.inv(z))
+        Z[live] = 0.5 * (z + np.linalg.inv(y))
+        live = live[~(_norms(y_next @ y_next - S[live]) < scale[live])]
+        if not len(live):
             break
-    return y
+    return Y
 
 
-def _logm(m):
-    """Inverse scaling-and-squaring logarithm; caller guards the branch."""
-    x = m.copy()
-    s = 0
-    while frobenius(x - np.eye(x.shape[0])) > 0.25 and s < 40:
-        x = _sqrtm_db(x)
-        s += 1
-    e = x - np.eye(x.shape[0])
-    term = e.copy()
-    acc = e.copy()
+def _logm(S):
+    """Principal logarithm of every matrix of a (m, k, k) stack by inverse
+    scaling and squaring (Higham, Functions of Matrices, SIAM 2008, 11.5);
+    callers guard the branch.  Each matrix takes its own count s of square
+    roots, until ||x - I||_F <= 0.25 (at most 40), and its own count of
+    Mercator series terms, until a term's norm is below 1e-18, so its log
+    does not depend on the rest of the stack."""
+    eye = np.eye(S.shape[-1])
+    X = np.array(S, dtype=float)
+    s = np.zeros(len(X), dtype=int)
+    roots = np.flatnonzero(_norms(X - eye) > 0.25)
+    while len(roots):
+        X[roots] = _sqrtm_db(X[roots])
+        s[roots] += 1
+        roots = roots[(_norms(X[roots] - eye) > 0.25) & (s[roots] < 40)]
+    E = X - eye
+    acc = E.copy()
+    term = E.copy()
+    live = np.arange(len(X))
     for i in range(2, 60):
-        term = term @ e
-        inc = term / i if i % 2 else -term / i
-        acc = acc + inc
-        if frobenius(term) < 1e-18:
+        term = term @ E[live]
+        acc[live] += term / i if i % 2 else -term / i
+        going = ~(_norms(term) < 1e-18)
+        live, term = live[going], term[going]
+        if not len(live):
             break
-    return acc * (2.0**s)
+    return acc * (2.0**s)[:, None, None]
+
+
+def _algebra_logs(S, group):
+    """The principal logs of a (m, k, k) stack of group matrices inside the
+    branch (_check_branch), as one checked stack; on SO/U1 the roundoff of
+    each log is cleaned up to the skew matrix it must be."""
+    a = _logm(S)
+    if group.orthogonal:
+        a = 0.5 * (a - a.swapaxes(-1, -2))
+    return _algebra_checked(a, group)
+
+
+def _check_branch(m):
+    """Raises OutOfBranchError unless ||m - I||_F < 1, the principal branch
+    on which group_log inverts group_exp."""
+    dist = frobenius(m - np.eye(len(m)))
+    if dist >= 1.0:
+        raise OutOfBranchError(
+            f"||g - I||_F = {dist:.3f} >= 1: outside the principal branch"
+        )
 
 
 def group_exp(a):
@@ -259,17 +323,11 @@ def group_exp(a):
 def group_log(g):
     """Principal matrix logarithm; requires ||g - I||_F < 1.
 
-    Inverse of group_exp within 1e-10 on its branch.
+    Inverse of group_exp within 1e-10 on its branch.  The log of a stack
+    of one (_algebra_logs).
     """
-    dist = frobenius(g.matrix - np.eye(g.group.k))
-    if dist >= 1.0:
-        raise OutOfBranchError(
-            f"||g - I||_F = {dist:.3f} >= 1: outside the principal branch"
-        )
-    a = _logm(np.asarray(g.matrix, dtype=float))
-    if g.group.orthogonal:
-        a = 0.5 * (a - a.T)  # roundoff cleanup; log of orthogonal is skew
-    return AlgebraElement(a, g.group)
+    _check_branch(g.matrix)
+    return AlgebraElement(_algebra_logs(g.matrix[None], g.group)[0], g.group)
 
 
 # --- projection ----------------------------------------------------------------

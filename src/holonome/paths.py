@@ -6,7 +6,12 @@ global parameter subrange it occupies.  The global parameter always runs
 over [0, 1].  Velocities come from exact symbolic derivatives (exprs.diff),
 rescaled by the segment chain rule.  A segment compiles its coordinates,
 and its coordinates with their derivatives, into exprs Programs on first
-use, so a path evaluated again and again compiles once.
+use, so a path evaluated again and again compiles once.  A straight
+segment, whose every coordinate has the AST lit(a) + lit(b)*x1 (what
+line_path and the reconstruction probes build), compiles nothing: it is
+evaluated in closed form, a + b u with the constant velocity
+b/(t1 - t0), bit for bit what its programs give, and a batch writes all
+its straight segments with one broadcast.  The choice reads the AST alone.
 
 The path algebra here (constant paths, juxtaposition, reparametrization,
 reversal) is what the transport axioms quantify over.
@@ -142,7 +147,36 @@ class Segment:
     def _dual_program(self):
         return exprs.Program(self.coords, 1)
 
+    @cached_property
+    def _line(self):
+        """(a, b, v) when every coordinate's AST is lit(a) + lit(b)*x1, as
+        _line_segment builds it for line_path and the reconstruction
+        probes: the segment is then the line a + b u with the constant
+        global-t velocity v = b'/(t1 - t0), where b' is b with a zero of
+        either sign written +0.0, as diff folds it.  None for any other
+        AST: the segment runs its compiled programs.  Both give the same
+        bits."""
+        a, b = [], []
+        for c in self.coords:
+            ast = c.ast
+            if not (
+                ast[0] == "add"
+                and ast[1][0] == "num"
+                and ast[2][0] == "mul"
+                and ast[2][1][0] == "num"
+                and ast[2][2] == ("var", 0)
+            ):
+                return None
+            a.append(ast[1][1])
+            b.append(ast[2][1][1])
+        a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+        return a, b, (b + 0.0) / (self.t1 - self.t0)  # -0.0 + 0.0 is +0.0
+
     def point_at(self, u):
+        line = self._line
+        if line is not None:
+            with np.errstate(over="ignore", invalid="ignore"):  # as in a program run
+                return exprs._finite_or_raise(line[0] + line[1] * u)
         # a one-point evaluation is all fixed cost: the program runs
         # directly, without evaluate_many's input checks and allocations
         out = np.empty(len(self.coords))
@@ -154,14 +188,25 @@ def coords_and_velocities(segments, us, out):
     """Coordinates and global-t velocities of segments at their local
     parameters us, written component-major into out = (X, V), two
     (dim, len(segments), len(us)) arrays, and returned.  Each segment's
-    velocities carry its 1/(t1 - t0) chain-rule factor.
+    velocities carry its 1/(t1 - t0) chain-rule factor.  The straight
+    segments (Segment._line) are written by one broadcast, the others by
+    their compiled programs.
     """
     X, V = out
-    us = np.asarray(us, dtype=float)[:, None]
-    for p, seg in enumerate(segments):
-        pts, grads = exprs.evaluate_dual_many(seg._dual_program, us)
-        X[:, p] = pts.T
-        np.divide(grads[:, :, 0].T, seg.t1 - seg.t0, out=V[:, p])
+    us = np.asarray(us, dtype=float)
+    lines = [seg._line for seg in segments]
+    straight = [p for p, line in enumerate(lines) if line is not None]
+    if straight:
+        a, b, v = (np.stack(c, axis=1)[..., None] for c in zip(*(lines[p] for p in straight)))
+        at = slice(None) if len(straight) == len(segments) else straight
+        with np.errstate(over="ignore", invalid="ignore"):  # as in a program run
+            X[:, at] = exprs._finite_or_raise(a + b * us)
+        V[:, at] = exprs._finite_or_raise(v)
+    for p, (seg, line) in enumerate(zip(segments, lines)):
+        if line is None:
+            pts, grads = exprs.evaluate_dual_many(seg._dual_program, us[:, None])
+            X[:, p] = pts.T
+            np.divide(grads[:, :, 0].T, seg.t1 - seg.t0, out=V[:, p])
     return out
 
 
@@ -275,9 +320,17 @@ def line_path(a, b_coords, chart_id=None):
         a_coords = np.asarray(a, dtype=float)
         chart_id = 0 if chart_id is None else chart_id
     b = np.asarray(b_coords, dtype=float)
-    u = var(0)
-    coords = [lit(ai) + lit(bi - ai) * u for ai, bi in zip(a_coords, b)]
-    return path_from_exprs(chart_id, coords)
+    return _line_segment(chart_id, a_coords, [bi - ai for ai, bi in zip(a_coords, b)])
+
+
+def _line_segment(chart_id, a, b):
+    """The one-segment path a + b u, u in [0, 1], its coordinates built in
+    one step as the AST lit(a_i) + lit(b_i)*x1 that Segment._line reads."""
+    coords = tuple(
+        Expr(("add", ("num", float(ai)), ("mul", ("num", float(bi)), ("var", 0))), 1)
+        for ai, bi in zip(a, b)
+    )
+    return PathSpec((Segment(chart_id, coords, 0.0, 1.0),))
 
 
 def arc_path(chart_id, center, radius, theta0, theta1):

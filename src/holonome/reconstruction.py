@@ -16,10 +16,17 @@ the round trip connection -> transport -> connection.
 Any callable PathSpec -> result with a group element g is an oracle.  An
 oracle that also has a many method (engine_oracle's) receives every probe
 of a table in one list, in the order the per-point loop would ask for
-them, and may answer a probe with the exception it met there.  One formula
-turns each probe pair into Omega on both routes, and a failed probe drops
-its point with the reason the per-point loop gives.  If many raises, the
-table falls back to the per-point loop.
+them, and may answer a probe with the exception it met there.  A failed
+probe drops its point with the reason the per-point loop gives.  If many
+raises, the table falls back to the per-point loop.
+
+Both routes collect the pairs (U(+h), U(-h)) of a table and form
+D = U(+h) U(-h)^-1 as each pair arrives, with the principal-branch test
+||D - I||_F < 1, so a point stops asking for probes at the first pair
+that leaves the branch and drops with the log's reason.  Then every D is
+validated as one stack, one stacked logarithm (groups._logm) gives every
+Omega, and the vertical parts are checked for skewness as one stack.
+lift_vector runs the same helper on one pair.
 """
 
 from __future__ import annotations
@@ -37,10 +44,12 @@ from .errors import (
     VelocityMismatchError,
 )
 from .connection import _coefficient_values
-from .exprs import lit, var
 from .groups import (
     AlgebraElement,
-    GroupElement,
+    _algebra_checked,
+    _algebra_logs,
+    _check_branch,
+    _validated,
     frobenius,
     group_inverse,
     group_log,
@@ -49,7 +58,7 @@ from .groups import (
     max_spread,
     neville_at_zero,
 )
-from .paths import TangentVector, box_grid, path_from_exprs, path_point, path_velocity, subpath
+from .paths import TangentVector, _line_segment, box_grid, path_point, path_velocity, subpath
 from .transport import SolverConfig, engine_oracle
 
 __all__ = [
@@ -110,9 +119,7 @@ class HorizontalBasis:
 
 
 def _straight_probe(x, v, h):
-    u = var(0)
-    coords = [lit(xi) + lit(h * vi) * u for xi, vi in zip(x.coords, v.components)]
-    return path_from_exprs(x.chart_id, coords)
+    return _line_segment(x.chart_id, x.coords, h * v.components)
 
 
 def _check_probe(x, v, h):
@@ -122,17 +129,29 @@ def _check_probe(x, v, h):
         raise VelocityMismatchError("tangent vector is not based at the given point")
 
 
-def _lift(x, p, v, h, u_plus, u_minus):
-    """The lift of v at (x, p) from the probe transports u_plus = U(+h) and
-    u_minus = U(-h): Omega = log(u_plus u_minus^-1) / (2h), translated to
-    p and left-trivialized there."""
-    diff = GroupElement(u_plus.matrix @ group_inverse(u_minus).matrix, u_plus.group)
-    omega = group_log(diff).matrix / (2.0 * h)
-    pinv = group_inverse(p).matrix
-    vert = pinv @ omega @ p.matrix
-    if p.group.orthogonal:
-        vert = 0.5 * (vert - vert.T)
-    return LiftedVector(v, AlgebraElement(vert, p.group), (x, p))
+def _probe_pair(oracle, x, v, h):
+    """The transports (U(+h), U(-h)) along the straight probes x +- t h v,
+    asked of the oracle in that order."""
+    _check_probe(x, v, h)
+    return _probe_elements(oracle, (_straight_probe(x, v, h), _straight_probe(x, v, -h)))
+
+
+def _difference(u_plus, u_minus):
+    """D = u_plus u_minus^-1 of one probe pair, as a matrix."""
+    return u_plus.matrix @ group_inverse(u_minus).matrix
+
+
+def _vertical_parts(formed, kept, h, p):
+    """Validates every probe difference D in formed as one stack, and
+    returns, as one checked stack, the vertical parts at p of the lifts of
+    the ones at positions kept, which passed _check_branch: Omega =
+    log(D) / (2h), translated to p and left-trivialized there."""
+    group = p.group
+    omega = _algebra_logs(_validated(formed, group)[kept], group) / (2.0 * h)
+    vert = group_inverse(p).matrix @ omega @ p.matrix
+    if group.orthogonal:
+        vert = 0.5 * (vert - vert.swapaxes(-1, -2))
+    return _algebra_checked(vert, group)
 
 
 def _unit_vector(x, mu):
@@ -148,9 +167,10 @@ def lift_vector(oracle, x, p, v, h):
     and takes the symmetric-difference derivative of the fiber component;
     by the sign convention the vertical part estimates -A_x(v).
     """
-    _check_probe(x, v, h)
-    probes = (_straight_probe(x, v, h), _straight_probe(x, v, -h))
-    return _lift(x, p, v, h, *_probe_elements(oracle, probes))
+    d = _difference(*_probe_pair(oracle, x, v, h))
+    _check_branch(d)
+    vert = _vertical_parts([d], [0], h, p)[0]
+    return LiftedVector(v, AlgebraElement(vert, p.group), (x, p))
 
 
 def _probe_elements(answer, probes):
@@ -334,26 +354,33 @@ def reconstruct_connection(oracle, grid, h, group):
 
     An oracle with a many method (engine_oracle's) answers every probe of
     the table in one call; any other oracle is asked probe by probe.  Grid
-    points where the oracle errors are dropped and reported, never
-    interpolated.
+    points where the oracle errors, or whose D = U(+h) U(-h)^-1 lies
+    outside the log's principal branch, are dropped and reported, never
+    interpolated: each pair is branch-tested as it arrives.  The table's
+    differences are then validated, and their logs taken, as one stack.
     """
-    p = identity_element(group)
     probed = _probe_transports(oracle, grid, h)
-    entries = {}
-    dropped = []
+    formed, kept, keys, dropped = [], [], [], []
     for idx, x in enumerate(grid):
+        mine = []
         try:
             for mu in range(x.dim):
-                v = _unit_vector(x, mu)
                 if probed is None:
-                    lv = lift_vector(oracle, x, p, v, h)
+                    pair = _probe_pair(oracle, x, _unit_vector(x, mu), h)
                 else:
-                    lv = _lift(x, p, v, h, *_probe_elements(_answered, probed[(idx, mu)]))
-                entries[(idx, mu)] = -lv.vertical_part.matrix
+                    pair = _probe_elements(_answered, probed[(idx, mu)])
+                formed.append(_difference(*pair))
+                _check_branch(formed[-1])
+                mine.append(len(formed) - 1)
         except (OracleFailureError, OutOfBranchError) as err:
             dropped.append((x, str(err)))
-            for mu in range(x.dim):
-                entries.pop((idx, mu), None)
+            continue
+        kept += mine
+        keys += [(idx, mu) for mu in range(x.dim)]
+    entries = {}
+    if formed:
+        vert = _vertical_parts(formed, kept, h, identity_element(group))
+        entries = dict(zip(keys, -vert))
     return ReconstructionTable(tuple(grid), entries, h, tuple(dropped))
 
 

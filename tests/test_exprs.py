@@ -329,3 +329,34 @@ def test_diff_folds_only_exact_identities():
     # the derivative is an ordinary expression: it prints and parses back
     d = exprs.diff(exprs.atan2(x2, x1 * x1) * exprs.sqrt(x2), 0)
     assert exprs.parse(exprs.pretty(d), 2).ast == d.ast
+
+
+# --- printing: negative literals reparse to the same value --------------------
+
+def test_negative_literals_print_in_parentheses():
+    """A negative literal, -0.0 included, prints in parentheses, so it
+    reparses as the negation of its magnitude and binds as an atom."""
+    x1 = exprs.var(0, 1)
+    assert exprs.pretty(exprs.lit(-2.0) ** 2) == "(-2.0)^2"
+    assert exprs.evaluate(exprs.parse(exprs.pretty(exprs.lit(-2.0) ** 2), 1), (0.0,)) == 4.0
+    assert exprs.pretty(-exprs.lit(-1.0)) == "-(-1.0)"
+    assert exprs.parse("-(-1.0)", 1).ast == ("neg", ("neg", ("num", 1.0)))
+    assert exprs.pretty(exprs.lit(-0.0)) == "(-0.0)"
+    assert exprs.pretty(x1 - exprs.lit(-3.5)) == "x1 - (-3.5)"
+    assert exprs.pretty(exprs.lit(0.0) + x1) == "0.0 + x1"
+
+
+@seed(20261026)
+@settings(max_examples=400, deadline=None)
+@given(_trees, _point_sets)
+def test_printed_expressions_reparse_to_the_same_values(e, X):
+    """parse(pretty(e)) has e's value at every point, bit for bit (or the
+    same DomainError), on random trees with negative and -0.0 literals."""
+    again = exprs.parse(exprs.pretty(e), 2)
+    got = _outcome(lambda: exprs.evaluate_many((again,), X))
+    want = _outcome(lambda: exprs.evaluate_many((e,), X))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not isinstance(got, str), got
+        assert got.tobytes() == want.tobytes()

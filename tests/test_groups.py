@@ -283,3 +283,67 @@ def test_elements_validate_the_stack_once():
             groups._elements(broken, group)
     with pytest.raises(GroupInvariantError):
         GroupElement(mats, SO2)
+
+
+# --- the stacked logarithm ----------------------------------------------------
+
+def log_stack(rng, group, m, dists):
+    """m group matrices g with ||g - I||_F about each of dists in turn:
+    rotations exp(a) on SO, I + noise on GL."""
+    k = group.k
+    out = []
+    for i in range(m):
+        d = dists[i % len(dists)]
+        if group.orthogonal:
+            a = rng.normal(size=(k, k))
+            a = a - a.T
+            # ||exp(a) - I||_F is about ||a||_F for small a
+            out.append(group_exp(AlgebraElement(a * d / frobenius(a), group)).matrix)
+        else:
+            e = rng.normal(size=(k, k))
+            out.append(np.eye(k) + e * d / frobenius(e))
+    return np.stack(out)
+
+
+@seed(20261024)
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([SO2, SO3, GL2]),
+    st.integers(1, 12),
+    st.lists(st.sampled_from([1e-6, 0.01, 0.2, 0.3, 0.6, 0.95]), min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+def test_log_of_each_matrix_is_its_own(group, m, dists, rng_seed):
+    """_logm(S)[i] equals _logm(S[i:i+1])[0] bit for bit: each matrix
+    takes its own count of square roots (past 0.25) and of series terms,
+    whatever the rest of the stack needs."""
+    stack = log_stack(np.random.default_rng(rng_seed), group, m, dists)
+    got = groups._logm(stack)
+    for i in range(m):
+        assert np.array_equal(got[i], groups._logm(stack[i : i + 1])[0])
+
+
+def test_stacked_log_takes_square_roots_where_needed():
+    """Past ||g - I||_F = 0.25 a matrix takes Denman-Beavers square roots:
+    its log still inverts group_exp within 1e-12, on SO(2), SO(3) and
+    GL(2), through group_log, a stack of one."""
+    rng = np.random.default_rng(41)
+    for group in (SO2, SO3, GL2):
+        stack = log_stack(rng, group, 6, [0.05, 0.4, 0.9])
+        assert (np.linalg.norm(stack - np.eye(group.k), axis=(1, 2)) > 0.25).sum() >= 2
+        for g in stack:
+            back = group_exp(group_log(GroupElement(g, group))).matrix
+            assert frobenius(back - g) <= 1e-12
+
+
+def test_stacked_algebra_check_catches_any_non_skew_member():
+    """_algebra_checked checks a stack as one: a stack whose members are
+    all skew passes, and one non-skew member raises the AlgebraElement
+    error on SO; GL has no skew condition."""
+    mats = np.stack([0.1 * J, 0.2 * J, 0.3 * J])
+    assert groups._algebra_checked(mats, SO2) is mats
+    broken = mats.copy()
+    broken[1, 0, 0] = 1e-6
+    with pytest.raises(GroupInvariantError, match="not skew-symmetric"):
+        groups._algebra_checked(broken, SO2)
+    assert groups._algebra_checked(broken, GL2) is broken

@@ -4,6 +4,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from holonome import exprs, paths
 from holonome.errors import (
@@ -206,3 +208,80 @@ def test_segment_programs_are_freed_with_the_segment():
     programs = [weakref.ref(seg._program), weakref.ref(seg._dual_program)]
     del seg
     assert [ref() for ref in programs] == [None, None]
+
+
+# --- straight segments: the closed form is the compiled program, bit for bit --
+
+_slopes = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-3.0, 3.0))
+_offsets = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3.0, 3.0))
+_ranges = st.sampled_from([(0.0, 1.0), (0.0, 0.5), (0.25, 0.75), (0.1, 0.3)])
+_params = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _segments(draw, straight):
+    """A 2-dim Segment whose coordinates are lit(a) + lit(b)*x1, straight,
+    or an arc, or a look-alike of a line that must not take the closed
+    form."""
+    t0, t1 = draw(_ranges)
+    u = var(0)
+    if straight:
+        coords = tuple(lit(draw(_offsets)) + lit(draw(_slopes)) * u for _ in range(2))
+    else:
+        a, b = draw(_offsets), draw(_slopes)
+        coords = draw(st.sampled_from([
+            (exprs.cos(lit(b) * u), exprs.sin(lit(b) * u)),
+            (u, lit(a) + lit(b) * u),
+            (lit(b) * u + lit(a), lit(a) + lit(b) * u),
+            (lit(a) + u * lit(b), lit(a) + lit(b) * u),
+            (lit(a) - lit(b) * u, lit(a) + lit(b) * u),
+        ]))
+    return Segment(0, coords, t0, t1)
+
+
+def _programmed(seg, us):
+    """Coordinates and global-t velocities of seg from its compiled
+    programs, as (dim, len(us)) arrays."""
+    pts, grads = exprs.evaluate_dual_many(seg._dual_program, np.asarray(us)[:, None])
+    return pts.T, grads[:, :, 0].T / (seg.t1 - seg.t0)
+
+
+@seed(20261025)
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.booleans(), st.data()), min_size=1, max_size=5),
+       st.lists(_params, min_size=1, max_size=6))
+def test_straight_segments_equal_their_programs_bit_for_bit(picks, us):
+    """point_at, path_point, path_velocity and coords_and_velocities give
+    the compiled programs' bits on straight segments (slopes of +-0.0, 1.0
+    and others), also in batches mixed with curved segments and with
+    look-alikes of a line, which take the program route."""
+    segs = [data.draw(_segments(straight)) for straight, data in picks]
+    for seg, (straight, _) in zip(segs, picks):
+        assert (seg._line is not None) == straight
+    X, V = coords_and_velocities(segs, us, np.empty((2, 2, len(segs), len(us))))
+    for p, seg in enumerate(segs):
+        want_x, want_v = _programmed(seg, us)
+        assert X[:, p].tobytes() == want_x.tobytes()
+        assert V[:, p].tobytes() == want_v.tobytes()
+        gamma = PathSpec((Segment(seg.chart_id, seg.coords, 0.0, 1.0),))
+        for j, u in enumerate(us):
+            assert seg.point_at(u).tobytes() == want_x[:, j].tobytes()
+            at = path_point(gamma, u).coords
+            program = exprs.evaluate_many(seg._program, [[u]])[0]
+            assert at.tobytes() == program.tobytes()
+            vel = path_velocity(gamma, u)
+            want = _programmed(gamma.segments[0], [u])
+            assert vel.base.coords.tobytes() == want[0][:, 0].tobytes()
+            assert vel.components.tobytes() == want[1][:, 0].tobytes()
+
+
+def test_straight_segment_keeps_the_finite_check():
+    """A line that overflows raises the DomainError its program raises."""
+    seg = Segment(0, (lit(1e308) + lit(1e308) * var(0),), 0.0, 1.0)
+    assert seg._line is not None
+    with pytest.raises(exprs.DomainError, match="overflowed"):
+        seg.point_at(1.0)
+    with pytest.raises(exprs.DomainError, match="overflowed"):
+        coords_and_velocities((seg,), [0.0, 1.0], np.empty((2, 1, 1, 2)))
+    with pytest.raises(exprs.DomainError, match="overflowed"):
+        exprs.evaluate_many(seg._program, [[1.0]])

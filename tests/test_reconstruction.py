@@ -1,14 +1,18 @@
 """Converse direction: lifted velocities, horizontal spaces, round trips."""
 
 import io
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from holonome import exprs
 from holonome.connection import (
     ChartSpec,
     ConnectionForm,
     ConstantMatrixFunction,
+    ExprMatrixFunction,
     MatrixFunction,
     builtin_connection,
     curvature_at,
@@ -532,3 +536,87 @@ def test_roundtrip_levi_civita_second_order():
     assert report.order >= 1.7
     assert report.final_error <= 5e-4
     assert report.passed
+
+
+# --- the principal branch, tested pair by pair --------------------------------
+
+def steep_connection():
+    """SO(2) with A_1 = 50 x1^2 J and A_2 = 50 x2^2 J: at h = 1e-2 the
+    probe difference along a direction where the coefficient is 50 J turns
+    by about 1 rad, so ||D - I||_F is about 1.36, outside the log's
+    principal branch."""
+    x1, x2 = var(0, 2), var(1, 2)
+
+    def times_j(scalar):
+        return ExprMatrixFunction([[lit(0.0), lit(-1.0) * scalar], [scalar, lit(0.0)]], 2)
+
+    coeffs = (times_j(lit(50.0) * x1 * x1), times_j(lit(50.0) * x2 * x2))
+    return ConnectionForm(SO2, (ChartSpec(0, 2, [-2, -2], [2, 2], coeffs),))
+
+
+def probe_sequence(points_and_dirs, h):
+    """The straight probes x + t h e_mu and x - t h e_mu of each (x, mu),
+    in order, as the reconstruction builds them."""
+    out = []
+    for x, mu in points_and_dirs:
+        for step in (h, -h):
+            coords = [lit(xi) + lit(step * float(i == mu)) * var(0) for i, xi in enumerate(x.coords)]
+            out.append(path_from_exprs(x.chart_id, coords))
+    return out
+
+
+def test_out_of_branch_points_drop_on_both_routes():
+    """A grid point whose probe difference leaves the principal branch is
+    dropped with the branch reason on the per-point loop and on the many
+    route.  The loop stops asking for a point's probes at the direction
+    that leaves the branch, and the two tables match byte for byte."""
+    conn = steep_connection()
+    grid = [ChartPoint(0, c) for c in ([0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5])]
+    loop, batch = RecordingOracle(conn), RecordingManyOracle(conn)
+    want = reconstruct_connection(loop, grid, 1e-2, SO2)
+    got = reconstruct_connection(batch, grid, 1e-2, SO2)
+    asked = [(grid[0], 0), (grid[0], 1), (grid[1], 0), (grid[2], 0), (grid[2], 1),
+             (grid[3], 0), (grid[3], 1)]
+    assert loop.seen == probe_sequence(asked, 1e-2)
+    assert batch.many_calls == 1 and len(batch.seen) == 4 * len(grid)
+    assert [x for x, _ in got.dropped] == [grid[1], grid[2]]
+    for _, reason in got.dropped:
+        assert re.fullmatch(r"\|\|g - I\|\|_F = 1\.3\d\d >= 1: outside the principal branch", reason)
+    assert sorted(got.entries) == [(0, 0), (0, 1), (3, 0), (3, 1)]
+    assert table_bits(got) == table_bits(want)
+    buf_got, buf_want = io.StringIO(), io.StringIO()
+    got.to_csv(buf_got)
+    want.to_csv(buf_want)
+    assert buf_got.getvalue() == buf_want.getvalue()
+
+
+def test_probe_tables_compile_no_program(monkeypatch):
+    """After one warm-up transport, a table through engine_oracle and a
+    table through a closed-form oracle that calls path_point construct no
+    exprs.Program: every probe is a straight segment, evaluated in closed
+    form."""
+    conn = builtin_connection("constant-so3")
+    A = [f.at([0.0, 0.0]) for f in conn.charts[0].coefficients]
+    transport(conn, line_path(ChartPoint(0, [0.0, 0.0]), [0.1, 0.0]), CFG)
+
+    def closed_form(gamma):
+        a, b = path_point(gamma, 0.0).coords, path_point(gamma, 1.0).coords
+        step = -(A[0] * (b[0] - a[0]) + A[1] * (b[1] - a[1]))
+        return SimpleNamespace(g=group_exp(AlgebraElement(step, SO3)))
+
+    compiled = []
+    original = exprs.Program.__init__
+
+    def counting(self, es, grad_axes=0):
+        compiled.append(es)
+        original(self, es, grad_axes)
+
+    monkeypatch.setattr(exprs.Program, "__init__", counting)
+    grid = grid_points([-1, -1], [1, 1], 3)
+    engine = reconstruct_connection(engine_oracle(conn, CFG), grid, 1e-3, SO3)
+    closed = reconstruct_connection(closed_form, grid, 1e-3, SO3)
+    assert compiled == []
+    for table in (engine, closed):
+        assert not table.dropped and len(table.entries) == 2 * len(grid)
+        for (_, mu), mat in table.entries.items():
+            assert frobenius(mat - A[mu]) <= 1e-8

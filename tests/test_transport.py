@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from holonome import exprs
+
 from holonome.connection import (
     ChartSpec,
     ConnectionForm,
@@ -17,6 +19,7 @@ from holonome.connection import (
     _so2_chart,
     _stereo_coefficients,
     builtin_connection,
+    gauge_transform,
 )
 from holonome.errors import (
     HolonomeError,
@@ -445,6 +448,34 @@ def test_boundary_start_crosses_into_next_chart():
     res = transport(conn, gamma, SolverConfig(h=1e-3))
     assert res.end.chart_id == 1
     assert frobenius(res.g.matrix - big_chart_reference(conn, gamma, 1e-3)) <= 1e-12
+
+
+def test_crossing_into_a_gauge_transformed_chart_compiles_its_map_once(monkeypatch):
+    """Five transports of a line that crosses into a gauge-transformed
+    chart 1 of the two-chart sphere evaluate the transition gauge g(phi(x))
+    and the transition map by programs cached on their objects: the map is
+    compiled at most once in all, not once per transport."""
+    twochart = builtin_connection("levi-civita-s2-twochart")
+    w = lit(0.3) * var(0, 2) * var(1, 2)
+    conn = gauge_transform(twochart, [[ecos(w), -esin(w)], [esin(w), ecos(w)]], chart_id=1)
+    maps = {tr.coord_map for tr in conn.transitions}
+    compiled = []
+    original = exprs.Program.__init__
+
+    def counting(self, es, grad_axes=0):
+        compiled.append(tuple(es) in maps)
+        original(self, es, grad_axes)
+
+    monkeypatch.setattr(exprs.Program, "__init__", counting)
+    gamma = line_path(ChartPoint(0, [3.5, 0.4]), [4.5, 0.4])
+    ends = [transport(conn, gamma, CFG) for _ in range(5)]
+    assert all(res.end.chart_id == 1 for res in ends)
+    assert sum(compiled) <= 1
+    compiled.clear()
+    tr = conn.find_transition(0, 1)
+    for x in ([0.5, 0.3], [1.5, -0.2]):
+        tr.jacobian(x)
+    assert sum(compiled) <= 1
 
 
 def test_exit_within_crossing_tolerance_of_the_end_is_dropped():
