@@ -11,12 +11,14 @@ which is sampled on chart overlaps at load time.  Fiber coordinates
 transform as q' = g(x)^-1 q; the transport engine multiplies by that
 factor when a path switches charts.
 
-Coefficients are expression-backed, constant, or gauge-transformed, and
-every kind has exact derivatives: expressions through exprs.diff, and a
-gauge transformation by the product rule with the gauge's second
-derivatives.  A chart compiles the field M = sum_mu A_mu(x) xdot^mu of
-its expression-backed and constant coefficients into one exprs Program,
-which writes each entry of M as one row.
+Coefficients are expression-backed or constant, with exact derivatives
+through exprs.diff; any other MatrixFunction supplies its own.  A chart
+compiles the field M = sum_mu A_mu(x) xdot^mu of its expression-backed and
+constant coefficients into one exprs Program, which writes each entry of M
+as one row.  gauge_transform applies the law above to expression entries,
+so a gauge-transformed chart is an expression chart like any other: g^-1
+is the adjugate over the determinant, both by cofactor expansion, and dg
+comes from exprs.diff.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ __all__ = [
 ]
 
 _GAUGE_LAW_TOL = 1e-8  # largest gauge-law defect accepted on an overlap
-_GAUGE_ORTHO_TOL = 1e-13  # a gauge value this close to orthogonal is inverted by g^T
 _OVERLAP_SAMPLES = 20  # overlap points checked per transition
 _OVERLAP_ATTEMPTS = 500  # candidate points drawn to find them
 _OVERLAP_SEED = 20240615
@@ -84,11 +85,24 @@ class MatrixFunction:
         return self.value(np.asarray(x, dtype=float)[None, :])[0]
 
 
+def _square(rows, what):
+    """rows as a tuple of k rows of k entries each, k >= 1, or
+    ValidationError."""
+    try:
+        rows = tuple(tuple(row) for row in rows)
+    except TypeError:
+        rows = ()
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise ValidationError(f"{what} entries must form a k x k square")
+    return rows
+
+
 class ExprMatrixFunction(MatrixFunction):
     """Entries given by DSL expressions; derivatives are exact."""
 
     def __init__(self, entries, dim):
-        self.entries = tuple(tuple(e.with_dim(dim) for e in row) for row in entries)
+        rows = _square(entries, "an ExprMatrixFunction's")
+        self.entries = tuple(tuple(e.with_dim(dim) for e in row) for row in rows)
         self.k = len(self.entries)
         self.dim = dim
         self._flat = tuple(e for row in self.entries for e in row)  # row-major
@@ -101,11 +115,6 @@ class ExprMatrixFunction(MatrixFunction):
     def _dual_program(self):
         return exprs.Program(self._flat, self.dim)
 
-    @cached_property
-    def _second_program(self):
-        first = [exprs.diff(e, b) for b in range(self.dim) for e in self._flat]
-        return exprs.Program(first, self.dim)
-
     def value(self, X):
         return exprs.evaluate_many(self._program, X).reshape(-1, self.k, self.k)
 
@@ -115,16 +124,10 @@ class ExprMatrixFunction(MatrixFunction):
         grads = np.ascontiguousarray(np.moveaxis(g, 2, 1)).reshape(m, self.dim, k, k)
         return v.reshape(m, k, k), grads
 
-    def second_derivatives(self, X):
-        """(m, n, n, k, k): entry [p, a, b] is d_a d_b of the matrix at X[p]."""
-        _, h = exprs.evaluate_dual_many(self._second_program, X)
-        m, n, k = len(h), self.dim, self.k
-        return np.moveaxis(h.reshape(m, n, k, k, n), 4, 1)
-
 
 class ConstantMatrixFunction(MatrixFunction):
     def __init__(self, matrix, dim):
-        self.matrix = np.asarray(matrix, dtype=float)
+        self.matrix = np.array(_square(matrix, "a ConstantMatrixFunction's"), dtype=float)
         self.k = self.matrix.shape[0]
         self.dim = dim
 
@@ -134,153 +137,6 @@ class ConstantMatrixFunction(MatrixFunction):
     def value_and_grad(self, X):
         m = X.shape[0]
         return self.value(X), np.zeros((m, self.dim, self.k, self.k))
-
-    def second_derivatives(self, X):
-        return np.zeros((X.shape[0], self.dim, self.dim, self.k, self.k))
-
-
-class _Inverse(MatrixFunction):
-    def __init__(self, base):
-        self.base = base
-        self.dim, self.k = base.dim, base.k
-
-    def value(self, X):
-        return np.linalg.inv(self.base.value(X))
-
-    def value_and_grad(self, X):
-        v, g = self.base.value_and_grad(X)
-        vi = np.linalg.inv(v)
-        # d(g^-1) = -g^-1 (dg) g^-1, batched over points and directions
-        gi = -np.einsum("mij,mdjk,mkl->mdil", vi, g, vi)
-        return vi, gi
-
-
-class _Product(MatrixFunction):
-    def __init__(self, a, b):
-        self.a, self.b = a, b
-        self.dim, self.k = a.dim, a.k
-
-    def value(self, X):
-        return self.a.value(X) @ self.b.value(X)
-
-    def value_and_grad(self, X):
-        va, ga = self.a.value_and_grad(X)
-        vb, gb = self.b.value_and_grad(X)
-        v = va @ vb
-        g = np.einsum("mdij,mjk->mdik", ga, vb) + np.einsum(
-            "mij,mdjk->mdik", va, gb
-        )
-        return v, g
-
-
-class _ComposedWithMap(MatrixFunction):
-    """f(phi(x)) for the coordinate map phi of a Transition, on a dim-dim
-    chart, evaluated by the transition's compiled programs."""
-
-    def __init__(self, base, transition, dim):
-        self.base = base
-        self.transition = transition
-        self.dim = dim
-        self.k = base.k
-
-    def value(self, X):
-        return self.base.value(exprs.evaluate_many(self.transition._map_program, X))
-
-    def value_and_grad(self, X):
-        Y, J = exprs.evaluate_dual_many(self.transition._dual_program(self.dim), X)
-        v, g = self.base.value_and_grad(Y)
-        # chain rule: d_mu (f . phi) = sum_nu (d_nu f)(phi) J^nu_mu
-        gx = np.einsum("mnij,mnd->mdij", g, J)
-        return v, gx
-
-
-class _GaugeTransformedCoefficient(MatrixFunction):
-    """A'_mu = g^-1 A_mu g + g^-1 d_mu g for an expression-backed or
-    constant gauge g.  Its derivatives are exact, by the product rule:
-
-        d_nu A'_mu = d_nu(g^-1) A_mu g + g^-1 (d_nu A_mu) g + g^-1 A_mu d_nu g
-                     + d_nu(g^-1) d_mu g + g^-1 d_nu d_mu g,
-
-    with d_nu(g^-1) = -g^-1 (d_nu g) g^-1 and the gauge's second
-    derivatives from exprs.diff."""
-
-    def __init__(self, base_mu, gauge, mu):
-        self.base_mu = base_mu
-        self.gauge = gauge
-        self.mu = mu
-        self.dim, self.k = base_mu.dim, base_mu.k
-
-    def value(self, X):
-        return self.transformed(X, _gauge_frame(self.gauge, X))
-
-    def transformed(self, X, frame):
-        """A'_mu at X from the gauge's _gauge_frame at X."""
-        gv, gi, gg = frame
-        return gi @ self.base_mu.value(X) @ gv + gi @ gg[:, self.mu]
-
-    def value_and_grad(self, X):
-        return self.transformed_and_grad(
-            X, _gauge_frame(self.gauge, X), self.gauge.second_derivatives(X)
-        )
-
-    def transformed_and_grad(self, X, frame, second):
-        """A'_mu and its derivatives (m, n, k, k) at X from the gauge's
-        _gauge_frame and second derivatives at X."""
-        gv, gi, gg = frame
-        a, da = self.base_mu.value_and_grad(X)
-        gi_, gv_, a_ = gi[:, None], gv[:, None], a[:, None]
-        dgi = -gi_ @ gg @ gi_  # d_nu g^-1, for every nu
-        grad = (
-            dgi @ a_ @ gv_
-            + gi_ @ da @ gv_
-            + gi_ @ a_ @ gg
-            + dgi @ gg[:, self.mu, None]
-            + gi_ @ second[:, :, self.mu]
-        )
-        return self.transformed(X, frame), grad
-
-
-def _gauge_frame(gauge, X):
-    """The gauge g, its inverse and its derivatives dg at the points X.
-    The inverse is g^T at every point where max |g^T g - I| <=
-    _GAUGE_ORTHO_TOL, and np.linalg.inv at every other point, each point
-    judged on its own."""
-    gv, gg = gauge.value_and_grad(X)
-    gi = gv.swapaxes(-1, -2).copy()
-    skew = np.abs(gi @ gv - np.eye(gv.shape[-1])).max(axis=(-2, -1)) > _GAUGE_ORTHO_TOL
-    if skew.any():
-        gi[skew] = np.linalg.inv(gv[skew])
-    return gv, gi, gg
-
-
-def _coefficient_values(coefficients, X):
-    """Yield every coefficient's values at the (m, n) points X, in order,
-    one at a time, so a caller that sums them holds one at a time.  The
-    gauge-transformed ones that share a gauge evaluate and invert it once."""
-    frames = {}
-    for f in coefficients:
-        if isinstance(f, _GaugeTransformedCoefficient):
-            if f.gauge not in frames:
-                frames[f.gauge] = _gauge_frame(f.gauge, X)
-            yield f.transformed(X, frames[f.gauge])
-        else:
-            yield f.value(X)
-
-
-def _coefficient_values_and_grads(coefficients, X):
-    """(values, derivatives) of every coefficient at X, in order.  The
-    gauge-transformed ones that share a gauge evaluate and invert it, and
-    take its second derivatives, once."""
-    frames = {}
-    out = []
-    for f in coefficients:
-        if isinstance(f, _GaugeTransformedCoefficient):
-            if f.gauge not in frames:
-                frames[f.gauge] = _gauge_frame(f.gauge, X), f.gauge.second_derivatives(X)
-            out.append(f.transformed_and_grad(X, *frames[f.gauge]))
-        else:
-            out.append(f.value_and_grad(X))
-    return out
 
 
 # --- charts, transitions, connection ---------------------------------------------
@@ -353,9 +209,8 @@ class ChartSpec:
         rows = out.reshape(-1, out.shape[-1])
         program.run([*X, *V], rows)
         exprs._finite_or_raise(rows)
-        values = _coefficient_values([f for _, f in others], X.T)
-        for (mu, _), a in zip(others, values):
-            out += np.moveaxis(a, 0, -1) * V[mu]
+        for mu, f in others:
+            out += np.moveaxis(f.value(X.T), 0, -1) * V[mu]
 
 
 @dataclass(frozen=True)
@@ -430,7 +285,8 @@ class ConnectionForm:
         rng = np.random.default_rng(73)
         for chart in self.charts:
             X = rng.uniform(chart.lo, chart.hi, (10, chart.dim))
-            for mu, vals in enumerate(_coefficient_values(chart.coefficients, X)):
+            for mu, f in enumerate(chart.coefficients):
+                vals = f.value(X)
                 defect = np.max(np.abs(vals + np.transpose(vals, (0, 2, 1))))
                 if defect > 1e-9:
                     raise ValidationError(
@@ -502,8 +358,8 @@ def check_transition_compatibility(conn):
         _, J = exprs.evaluate_dual_many(tr._dual_program(src.dim), X)  # J[p, nu, mu] = d y^nu / d x^mu
         g, dg = tr.gauge.value_and_grad(X)
         gi = np.linalg.inv(g)[:, None]
-        a_dst = np.stack(list(_coefficient_values(dst.coefficients, Y)), axis=1)
-        a_src = np.stack(list(_coefficient_values(src.coefficients, X)), axis=1)
+        a_dst = np.stack([f.value(Y) for f in dst.coefficients], axis=1)
+        a_src = np.stack([f.value(X) for f in src.coefficients], axis=1)
         lhs = np.einsum("pnm,pnij->pmij", J, a_dst)
         rhs = gi @ a_src @ g[:, None] + gi @ dg
         worst = float(np.max(np.linalg.norm(lhs - rhs, axis=(-2, -1))))
@@ -537,8 +393,8 @@ def eval_connection(conn, x, v):
     chart = _require_inside(conn, x)
     X = np.asarray(x.coords, dtype=float)[None, :]
     acc = np.zeros((conn.group.k, conn.group.k))
-    for mu, a in enumerate(_coefficient_values(chart.coefficients, X)):
-        acc += a[0] * v.components[mu]
+    for mu, f in enumerate(chart.coefficients):
+        acc += f.value(X)[0] * v.components[mu]
     if conn.group.orthogonal:
         acc = 0.5 * (acc - acc.T)
     return AlgebraElement(acc, conn.group)
@@ -571,7 +427,7 @@ class CurvatureValue:
 def _curvature(chart, X, orthogonal):
     """F_mu_nu = d_mu A_nu - d_nu A_mu + [A_mu, A_nu] for every mu < nu at
     an (m, n) array of points, as {(mu, nu): (m, k, k) array}."""
-    vals, grads = zip(*_coefficient_values_and_grads(chart.coefficients, X))
+    vals, grads = zip(*(f.value_and_grad(X) for f in chart.coefficients))
     comps = {}
     for mu in range(chart.dim):
         for nu in range(mu + 1, chart.dim):
@@ -585,9 +441,10 @@ def _curvature(chart, X, orthogonal):
 def curvature_at(conn, x):
     """F_mu_nu = d_mu A_nu - d_nu A_mu + [A_mu, A_nu].
 
-    The derivatives are exact for expression-backed, constant and
-    gauge-transformed coefficients (see _GaugeTransformedCoefficient); any
-    other MatrixFunction supplies its own value_and_grad.
+    The derivatives are exact for expression-backed and constant
+    coefficients, through exprs.diff, and gauge_transform writes its
+    coefficients as expressions; any other MatrixFunction supplies its own
+    value_and_grad.
     """
     chart = _require_inside(conn, x)
     X = np.asarray(x.coords, dtype=float)[None, :]
@@ -629,47 +486,96 @@ def is_flat(conn, samples=7, tol=1e-6):
 
 # --- gauge transformation ----------------------------------------------------------
 
-def _as_gauge(g, dim):
-    """The gauge as an ExprMatrixFunction or a ConstantMatrixFunction: the
-    kinds whose second derivatives, which the curvature of the transformed
-    chart needs, are exact."""
-    if isinstance(g, (ExprMatrixFunction, ConstantMatrixFunction)):
-        return g
-    if isinstance(g, MatrixFunction):
-        raise ValidationError(
-            f"a gauge must be expression entries, an ExprMatrixFunction or a "
-            f"ConstantMatrixFunction, not a {type(g).__name__}"
-        )
-    return ExprMatrixFunction(g, dim)
+def _entries(f, what):
+    """The entries of an ExprMatrixFunction, or of a ConstantMatrixFunction
+    as literals.  Any other MatrixFunction is opaque to the symbolic gauge
+    law and raises ValidationError."""
+    if isinstance(f, ExprMatrixFunction):
+        return f.entries
+    if isinstance(f, ConstantMatrixFunction):
+        return tuple(tuple(lit(c) for c in row) for row in f.matrix)
+    raise ValidationError(
+        f"{what} is an opaque {type(f).__name__}: gauge_transform needs "
+        f"expression entries, an ExprMatrixFunction or a ConstantMatrixFunction"
+    )
+
+
+def _times(a, b):
+    return Expr(exprs._times(a.ast, b.ast), max(a.dim, b.dim))
+
+
+def _sum(terms):
+    """The sum of expressions, leaving out literal zeros."""
+    ast, dim = exprs._ZERO, 0
+    for t in terms:
+        ast, dim = exprs._plus(ast, t.ast), max(dim, t.dim)
+    return Expr(ast, dim)
+
+
+def _matmul(a, b):
+    """The product of two k x k expression matrices."""
+    k = len(a)
+    return [[_sum(_times(a[i][l], b[l][j]) for l in range(k)) for j in range(k)] for i in range(k)]
+
+
+def _det(m):
+    """Determinant by cofactor expansion along the first row (1 for the
+    empty matrix)."""
+    return _sum(_times(m[0][j], _cofactor(m, 0, j)) for j in range(len(m))) if m else lit(1.0)
+
+
+def _cofactor(m, i, j):
+    """(-1)^(i+j) times the determinant of m without row i and column j."""
+    d = _det([row[:j] + row[j + 1:] for r, row in enumerate(m) if r != i])
+    if (i + j) % 2 == 0:
+        return d
+    return lit(-d.ast[1]) if d.ast[0] == "num" else -d
 
 
 def gauge_transform(conn, g, chart_id=None):
     """Change of trivialization on one chart: A -> g^-1 A g + g^-1 dg.
 
-    g is given by expression entries, an ExprMatrixFunction or a
-    ConstantMatrixFunction; any other MatrixFunction raises
-    ValidationError.  The new coefficients have exact values and
-    derivatives.  Transition gauges touching the chart are adjusted so the
-    compatibility law keeps holding.
+    g is given by k x k expression entries, an ExprMatrixFunction or a
+    ConstantMatrixFunction, k the group's.  The law is applied to
+    expressions: g^-1 = adj(g) / det(g), both by cofactor expansion, and
+    dg from exprs.diff, so the new coefficients are ExprMatrixFunctions
+    with exact values and derivatives.  Transition gauges touching the
+    chart are adjusted so the compatibility law keeps holding.  A gauge, a
+    coefficient of the chart or a transition gauge touching it that is any
+    other MatrixFunction raises ValidationError.
     """
     if chart_id is None:
         if len(conn.charts) != 1:
             raise ValidationError("chart_id is required on a multi-chart connection")
         chart_id = conn.charts[0].chart_id
     chart = conn.chart(chart_id)
-    gauge = _as_gauge(g, chart.dim)
+    if not isinstance(g, MatrixFunction):
+        g = ExprMatrixFunction(g, chart.dim)
+    k = conn.group.k
+    if g.k != k:
+        raise ValidationError(f"the gauge is {g.k}x{g.k}, the group needs {k}x{k}")
+    gauge = _entries(g, "the gauge")
+    adj = [[_cofactor(gauge, j, i) for j in range(k)] for i in range(k)]
+    det = _sum(_times(gauge[0][j], adj[j][0]) for j in range(k)).with_dim(chart.dim)
 
     # sampled invertibility check
     rng = np.random.default_rng(97)
     sample = rng.uniform(chart.lo, chart.hi, size=(20, chart.dim))
-    dets = np.linalg.det(gauge.value(sample))
-    if np.min(np.abs(dets)) <= 1e-9:
+    if np.min(np.abs(exprs.evaluate_many((det,), sample))) <= 1e-9:
         raise SingularGaugeError("gauge matrix is singular on the chart")
 
-    new_coeffs = tuple(
-        _GaugeTransformedCoefficient(chart.coefficients[mu], gauge, mu)
-        for mu in range(chart.dim)
-    )
+    def inverse_times(m):
+        """g^-1 m, each entry of adj(g) m over det(g)."""
+        return [[e if e.ast == exprs._ZERO else e / det for e in row] for row in _matmul(adj, m)]
+
+    new_coeffs = []
+    for mu, f in enumerate(chart.coefficients):
+        ag = _matmul(_entries(f, f"chart {chart_id} coefficient A_{mu + 1}"), gauge)
+        ag_dg = [  # A_mu g + d_mu g
+            [_sum((x, exprs.diff(e, mu))) for x, e in zip(ag_row, g_row)]
+            for ag_row, g_row in zip(ag, gauge)
+        ]
+        new_coeffs.append(ExprMatrixFunction(inverse_times(ag_dg), chart.dim))
     new_charts = tuple(
         ChartSpec(c.chart_id, c.dim, c.lo, c.hi, new_coeffs)
         if c.chart_id == chart_id
@@ -682,15 +588,16 @@ def gauge_transform(conn, g, chart_id=None):
     # h' = h (g o phi) on the to side
     new_transitions = []
     for tr in conn.transitions:
-        if tr.from_chart == chart_id:
-            h = _Product(_Inverse(gauge), tr.gauge)
-            new_transitions.append(Transition(tr.from_chart, tr.to_chart, tr.coord_map, h))
-        elif tr.to_chart == chart_id:
-            composed = _ComposedWithMap(gauge, tr, conn.chart(tr.from_chart).dim)
-            h = _Product(tr.gauge, composed)
-            new_transitions.append(Transition(tr.from_chart, tr.to_chart, tr.coord_map, h))
-        else:
+        if chart_id not in (tr.from_chart, tr.to_chart):
             new_transitions.append(tr)
+            continue
+        h = _entries(tr.gauge, f"transition {tr.from_chart}->{tr.to_chart}'s gauge")
+        if tr.from_chart == chart_id:
+            h = inverse_times(h)
+        if tr.to_chart == chart_id:
+            h = _matmul(h, [[exprs.substitute(e, tr.coord_map) for e in row] for row in gauge])
+        h = ExprMatrixFunction(h, conn.chart(tr.from_chart).dim)
+        new_transitions.append(Transition(tr.from_chart, tr.to_chart, tr.coord_map, h))
     return ConnectionForm(conn.group, new_charts, tuple(new_transitions))
 
 

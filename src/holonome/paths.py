@@ -74,18 +74,21 @@ class ChartPoint:
         return len(self.coords)
 
 
+def _wrap_point(chart_id, coords):
+    """A ChartPoint on coords itself, a read-only float array that nothing
+    else writes, without ChartPoint's copy and flag-set."""
+    pt = object.__new__(ChartPoint)
+    object.__setattr__(pt, "chart_id", chart_id)
+    object.__setattr__(pt, "coords", coords)
+    return pt
+
+
 def _chart_points(chart_id, X):
     """ChartPoints of the rows of an (m, n) array: read-only views of one
-    copy, without the copy and flag-set of one ChartPoint each."""
+    copy."""
     X = np.array(X, dtype=float)
     X.flags.writeable = False
-    out = []
-    for row in X:
-        pt = object.__new__(ChartPoint)
-        object.__setattr__(pt, "chart_id", chart_id)
-        object.__setattr__(pt, "coords", row)
-        out.append(pt)
-    return out
+    return [_wrap_point(chart_id, row) for row in X]
 
 
 def box_grid(chart_id, lo, hi, shape):
@@ -242,13 +245,17 @@ class PathSpec:
     def breakpoints(self):
         return [s.t0 for s in self.segments[1:]]
 
+    @cached_property
+    def _starts(self):
+        return [s.t0 for s in self.segments]
+
     def segment_index_at(self, t, side="right"):
         """Segment owning parameter t; the right segment wins at interior
         breakpoints (the left one at t = 1), side="left" flips that."""
         if t < -1e-12 or t > 1.0 + 1e-12:
             raise OutOfRangeError(f"parameter {t} outside [0, 1]")
         t = min(max(t, 0.0), 1.0)
-        starts = [s.t0 for s in self.segments]
+        starts = self._starts
         if side == "left":
             i = bisect.bisect_left(starts, t) - 1
             i = max(i, 0)
@@ -262,7 +269,9 @@ def path_point(gamma, t, side="right"):
     i = gamma.segment_index_at(t, side)
     seg = gamma.segments[i]
     u = (min(max(t, 0.0), 1.0) - seg.t0) / (seg.t1 - seg.t0)
-    return ChartPoint(seg.chart_id, seg.point_at(u))
+    coords = seg.point_at(u)  # a fresh array
+    coords.flags.writeable = False
+    return _wrap_point(seg.chart_id, coords)
 
 
 def path_velocity(gamma, t, side="right"):

@@ -43,7 +43,6 @@ from .errors import (
     OutOfRangeError,
     VelocityMismatchError,
 )
-from .connection import _coefficient_values
 from .groups import (
     AlgebraElement,
     _algebra_checked,
@@ -437,7 +436,7 @@ def roundtrip_report(
     oracle = engine_oracle(conn, cfg)
 
     X = np.stack([pt.coords for pt in grid])
-    true = list(_coefficient_values(chart.coefficients, X))
+    true = [f.value(X) for f in chart.coefficients]
 
     def sweep_error(h):
         table = reconstruct_connection(oracle, grid, h, conn.group)

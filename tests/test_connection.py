@@ -15,9 +15,6 @@ from holonome.connection import (
     ExprMatrixFunction,
     MatrixFunction,
     Transition,
-    _coefficient_values,
-    _coefficient_values_and_grads,
-    _gauge_frame,
     _overlap_samples,
     builtin_connection,
     curvature_at,
@@ -178,28 +175,6 @@ def test_gauge_transform_conjugates_curvature(abelian):
         assert frobenius(f_after - np.linalg.inv(g) @ f_before @ g) < 1e-8
 
 
-@pytest.mark.parametrize("seed_", [0, 1, 2])
-def test_gauge_inverse_is_chosen_point_by_point(seed_):
-    """A GL(2) gauge (1 + x1 x2) R(x1 + x2) is orthogonal exactly where
-    x1 x2 = 0.  On a mixed point set, the inverse at each point is g^T
-    where g is orthogonal and np.linalg.inv elsewhere, and equals the
-    inverse computed from that point alone."""
-    x1, x2 = var(0, 2), var(1, 2)
-    s, w = lit(1.0) + x1 * x2, x1 + x2
-    gauge = ExprMatrixFunction([[s * cos(w), lit(-1.0) * s * sin(w)], [s * sin(w), s * cos(w)]], 2)
-    rng = np.random.default_rng(seed_)
-    X = rng.uniform(-1.5, 1.5, size=(12, 2))
-    X[rng.permutation(12)[:5], rng.integers(0, 2, 5)] = 0.0
-    gv, gi, _ = _gauge_frame(gauge, X)
-    orthogonal = X[:, 0] * X[:, 1] == 0.0
-    assert 0 < orthogonal.sum() < len(X)
-    for i in range(len(X)):
-        want = gv[i].T if orthogonal[i] else np.linalg.inv(gv[i])
-        assert np.array_equal(gi[i], want)
-        assert np.array_equal(gi[i], _gauge_frame(gauge, X[i : i + 1])[1][0])
-        assert frobenius(gi[i] @ gv[i] - np.eye(2)) <= 1e-14
-
-
 def test_gauge_transform_roundtrip(abelian):
     w = var(0, 2) * var(1, 2)
     forward = _rotation_gauge()
@@ -210,29 +185,6 @@ def test_gauge_transform_roundtrip(abelian):
         before = abelian.charts[0].coefficients[mu].value(X)
         after = back.charts[0].coefficients[mu].value(X)
         assert np.max(np.abs(before - after)) < 1e-9
-
-
-def test_gauge_is_evaluated_once_per_point_set(abelian, monkeypatch):
-    """A gauge-transformed chart evaluates its gauge once for all mu, on
-    the transport grid and for the curvature alike, with values and
-    derivatives equal to the per-mu coefficients'."""
-    gauged = gauge_transform(abelian, _rotation_gauge())
-    coeffs = gauged.charts[0].coefficients
-    X = np.random.default_rng(5).uniform(-1.5, 1.5, (30, 2))
-    per_mu = [f.value(X) for f in coeffs]
-    per_mu_grads = [f.value_and_grad(X) for f in coeffs]
-    gauge = coeffs[0].gauge
-    calls = []
-    original = type(gauge).value_and_grad
-    monkeypatch.setattr(type(gauge), "value_and_grad",
-                        lambda self, X: (self is gauge and calls.append(len(X))) or original(self, X))
-    shared = list(_coefficient_values(coeffs, X))
-    assert calls == [30]
-    assert all(np.array_equal(a, b) for a, b in zip(shared, per_mu))
-    shared_grads = _coefficient_values_and_grads(coeffs, X)
-    assert calls == [30, 30]
-    for (v, g), (v0, g0) in zip(shared_grads, per_mu_grads):
-        assert np.array_equal(v, v0) and np.array_equal(g, g0)
 
 
 def test_gauge_transform_rejects_singular_gauge(abelian):
@@ -467,3 +419,98 @@ def test_gauge_transform_takes_gauges_with_exact_second_derivatives(abelian):
     rotated = gauge_transform(abelian, ConstantMatrixFunction([[c, -s], [s, c]], 2))
     f = curvature_at(rotated, point(0.2, -0.4)).matrix(0, 1)
     assert frobenius(f - 1.5 * J) <= 1e-14
+
+
+def test_matrix_entries_must_form_a_square():
+    """A ragged coefficient, a gauge of the wrong size and a ragged gauge
+    raise ValidationError, where they built a GL(2) chart that transported
+    without error, raised a bare numpy ValueError, and raised
+    SingularGaugeError; so do constant matrices that are not square."""
+    x1 = var(0, 2)
+    zero, one = lit(0.0), lit(1.0)
+    with pytest.raises(ValidationError):
+        ExprMatrixFunction([[zero, x1], [zero]], 2)
+    abelian = builtin_connection("abelian-area")
+    rot3 = [[one, zero, zero], [zero, cos(x1), -sin(x1)], [zero, sin(x1), cos(x1)]]
+    with pytest.raises(ValidationError):
+        gauge_transform(abelian, rot3)
+    with pytest.raises(ValidationError):
+        gauge_transform(abelian, [[one, zero], [zero]])
+    for bad in ([[1.0, 0.0], [0.0]], [[1.0, 0.0]], [], 1.0):
+        with pytest.raises(ValidationError):
+            ConstantMatrixFunction(bad, 2)
+
+
+def test_gl3_gauge_takes_the_cofactor_inverse():
+    """A GL(3) gauge (1 + x1^2) R(x2), R a rotation about a generic axis,
+    has det != 1 and no zero entry, so every cofactor of its inverse
+    counts: the curvature of constant-so3 on GL(3) is conjugated to
+    roundoff, and the new coefficients' exact derivatives match central
+    differences of their values."""
+    x1, x2 = var(0, 2), var(1, 2)
+    axis = np.array([1.0, 2.0, 2.0]) / 3.0
+    K = np.cross(np.eye(3), axis)  # K v = axis x v
+    K2 = K @ K
+    s = lit(1.0) + x1**2
+    entries = [
+        [s * (lit(float(i == j)) + lit(K[i, j]) * sin(x2) + lit(K2[i, j]) * (lit(1.0) - cos(x2)))
+         for j in range(3)]
+        for i in range(3)
+    ]
+    base = ConnectionForm(StructureGroup("GL", 3), builtin_connection("constant-so3").charts)
+    gauged = gauge_transform(base, entries)
+    g = ExprMatrixFunction(entries, 2)
+    for x in np.random.default_rng(23).uniform(-1.5, 1.5, (8, 2)):
+        gx = g.at(x)
+        assert abs(np.linalg.det(gx) - (1.0 + x[0] ** 2) ** 3) <= 1e-12
+        f_before = curvature_at(base, point(*x)).matrix(0, 1)
+        f_after = curvature_at(gauged, point(*x)).matrix(0, 1)
+        assert frobenius(f_after - np.linalg.inv(gx) @ f_before @ gx) <= 1e-12
+        for f in gauged.charts[0].coefficients:
+            _, grad = f.value_and_grad(x[None, :])
+            for i in range(3):
+                for j in range(3):
+                    fd = central_gradient(lambda y: f.at(y)[i, j], x)
+                    assert np.allclose(grad[0, :, i, j], fd, atol=1e-8)
+
+
+class _Opaque(MatrixFunction):
+    """A matrix function with no expression entries behind it."""
+
+    def __init__(self, base):
+        self.base, self.dim, self.k = base, base.dim, base.k
+
+    def value(self, X):
+        return self.base.value(X)
+
+    def value_and_grad(self, X):
+        return self.base.value_and_grad(X)
+
+
+def test_gauge_transform_refuses_opaque_coefficients_and_transition_gauges(abelian):
+    """gauge_transform writes the new coefficients and transition gauges as
+    expressions; a chart coefficient or a transition gauge it must rewrite
+    that is an opaque MatrixFunction raises ValidationError."""
+    rotation = _rotation_gauge()
+    chart = abelian.charts[0]
+    opaque_chart = ChartSpec(0, 2, chart.lo, chart.hi, (chart.coefficients[0], _Opaque(chart.coefficients[1])))
+    with pytest.raises(ValidationError, match="opaque"):
+        gauge_transform(ConnectionForm(SO2, (opaque_chart,)), rotation)
+    twochart = builtin_connection("levi-civita-s2-twochart")
+    opaque = tuple(Transition(tr.from_chart, tr.to_chart, tr.coord_map, _Opaque(tr.gauge))
+                   for tr in twochart.transitions)
+    for chart_id, transitions in ((1, opaque[:1]), (1, opaque[1:]), (0, opaque)):
+        conn = ConnectionForm(SO2, twochart.charts, transitions)
+        with pytest.raises(ValidationError, match="opaque"):
+            gauge_transform(conn, rotation, chart_id=chart_id)
+
+
+@pytest.mark.parametrize("name", BUILTINS + ["gauged-twochart"])
+def test_every_coefficient_compiles_into_the_field_program(name):
+    """Every builtin chart, and both charts of a two-chart sphere gauge
+    transformed on chart 1, leave no coefficient outside the field program."""
+    if name == "gauged-twochart":
+        conn = gauge_transform(builtin_connection("levi-civita-s2-twochart"), _rotation_gauge(), chart_id=1)
+    else:
+        conn = builtin_connection(name)
+    assert all(chart._field[1] == () for chart in conn.charts)

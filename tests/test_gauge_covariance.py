@@ -1,0 +1,149 @@
+"""Gauge covariance over random gauges.
+
+Random SO(2) gauges exp(p(x) J) and SO(3) gauges Rz(p1) Ry(p2) Rx(p3), each
+angle a quadratic polynomial of the coordinates plus a sine and a cosine
+term, are applied to abelian-area, constant-so3 and chart 1 of the
+two-chart sphere.  The curvature conjugates, g then g^-1 gives back the
+coefficients, and across the two charts the gauge law holds and the
+holonomy of a loop based on the gauged chart conjugates.
+"""
+
+import numpy as np
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from holonome.connection import (
+    ExprMatrixFunction,
+    builtin_connection,
+    check_transition_compatibility,
+    curvature_at,
+    gauge_transform,
+)
+from holonome.exprs import cos, lit, sin, var
+from holonome.groups import frobenius
+from holonome.holonomy import holonomy
+from holonome.paths import ChartPoint, PathSpec, Segment
+from holonome.transport import SolverConfig
+
+CFG = SolverConfig(h=1e-3)
+# (builtin, chart the gauge acts on)
+CASES = [("abelian-area(1.5)", 0), ("constant-so3", 0), ("levi-civita-s2-twochart", 1)]
+_CONNECTIONS = {name: builtin_connection(name) for name, _ in CASES}
+
+
+@st.composite
+def angles(draw, scale=0.5):
+    """p(x) = c0 + c1 x1 + c2 x2 + c3 x1 x2 + c4 x1^2 + c5 x2^2
+    + a sin(w0 x1 + w1 x2) + b cos(w2 x1 + w3 x2), coefficients of size
+    up to scale and frequencies up to 1."""
+    x1, x2 = var(0, 2), var(1, 2)
+    c = [lit(v) for v in draw(st.lists(st.floats(-scale, scale), min_size=8, max_size=8))]
+    w = [lit(v) for v in draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))]
+    poly = c[0] + c[1] * x1 + c[2] * x2 + c[3] * x1 * x2 + c[4] * x1**2 + c[5] * x2**2
+    return poly + c[6] * sin(w[0] * x1 + w[1] * x2) + c[7] * cos(w[2] * x1 + w[3] * x2)
+
+
+def _rotation(p, i, j, k):
+    """Entries of the rotation by angle p in the (i, j) coordinate plane of
+    R^k: exp(p J) for the generator with J[i, j] = -1 and J[j, i] = 1."""
+    m = [[lit(float(r == c)) for c in range(k)] for r in range(k)]
+    m[i][i] = m[j][j] = cos(p)
+    m[i][j], m[j][i] = -sin(p), sin(p)
+    return m
+
+
+def _matmul(a, b):
+    """Product of two expression matrices, leaving out literal-zero terms."""
+
+    def zero(e):
+        return e.ast == ("num", 0.0)
+
+    out = []
+    for row in a:
+        out.append([])
+        for col in zip(*b):
+            terms = [x * y for x, y in zip(row, col) if not (zero(x) or zero(y))]
+            out[-1].append(sum(terms[1:], terms[0]) if terms else lit(0.0))
+    return out
+
+
+@st.composite
+def gauges(draw, k, scale=0.5):
+    """Random SO(k) gauge entries, k = 2 or 3."""
+    if k == 2:
+        return _rotation(draw(angles(scale)), 0, 1, 2)
+    rz, ry, rx = (_rotation(draw(angles(scale)), i, j, 3) for i, j in ((0, 1), (2, 0), (1, 2)))
+    return _matmul(_matmul(rz, ry), rx)
+
+
+@st.composite
+def gauged_cases(draw, scale=0.5):
+    name, chart_id = draw(st.sampled_from(CASES))
+    conn = _CONNECTIONS[name]
+    return conn, chart_id, draw(gauges(conn.group.k, scale))
+
+
+def _transpose(entries):
+    return [list(col) for col in zip(*entries)]
+
+
+@seed(20261027)
+@settings(max_examples=12, deadline=None)
+@given(gauged_cases(), st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8))
+def test_curvature_conjugates_under_random_gauges(case, fractions):
+    """F' = g^-1 F g at four random points of the gauged chart."""
+    conn, chart_id, entries = case
+    gauged = gauge_transform(conn, entries, chart_id=chart_id)
+    chart = conn.chart(chart_id)
+    g = ExprMatrixFunction(entries, 2)
+    for f in np.reshape(fractions, (4, 2)):
+        x = chart.lo + f * (chart.hi - chart.lo)
+        gx = g.at(x)
+        f_before = curvature_at(conn, ChartPoint(chart_id, x)).matrix(0, 1)
+        f_after = curvature_at(gauged, ChartPoint(chart_id, x)).matrix(0, 1)
+        assert frobenius(f_after - gx.T @ f_before @ gx) <= 1e-12
+
+
+@seed(20261028)
+@settings(max_examples=10, deadline=None)
+@given(gauged_cases(), st.lists(st.floats(0.0, 1.0), min_size=20, max_size=20))
+def test_gauge_then_inverse_gives_back_the_coefficients(case, fractions):
+    """gauge_transform by g, then by g^-1 = g^T, gives back every
+    coefficient value at ten random points of the chart."""
+    conn, chart_id, entries = case
+    back = gauge_transform(
+        gauge_transform(conn, entries, chart_id=chart_id), _transpose(entries), chart_id=chart_id
+    )
+    chart = conn.chart(chart_id)
+    X = chart.lo + np.reshape(fractions, (10, 2)) * (chart.hi - chart.lo)
+    for before, after in zip(chart.coefficients, back.chart(chart_id).coefficients):
+        assert np.max(np.abs(after.value(X) - before.value(X))) <= 1e-12
+
+
+def _two_chart_loop(r0):
+    """A loop based at (r0, 0) on chart 1 of the two-chart sphere: half the
+    circle of radius r0 on chart 1, then the other half on chart 0, where
+    it is the circle of radius 1 / r0."""
+    u = var(0)
+    seg1 = Segment(1, (lit(r0) * cos(lit(np.pi) * u), lit(r0) * sin(lit(np.pi) * u)), 0.0, 0.5)
+    ang = lit(np.pi) + lit(np.pi) * u
+    seg0 = Segment(0, (cos(ang) / lit(r0), -sin(ang) / lit(r0)), 0.5, 1.0)
+    return PathSpec((seg1, seg0))
+
+
+@seed(20261029)
+@settings(max_examples=8, deadline=None)
+@given(gauges(2, scale=0.3), st.floats(0.8, 1.5))
+def test_two_chart_gauge_keeps_the_law_and_conjugates_the_holonomy(entries, r0):
+    """Chart 1 of the two-chart sphere gauged by a random g: the transition
+    gauges still satisfy the gauge law on the overlaps, and a loop based at
+    x0 on chart 1 that crosses into chart 0 and back has holonomy
+    g(x0)^-1 H g(x0)."""
+    conn = _CONNECTIONS["levi-civita-s2-twochart"]
+    gauged = gauge_transform(conn, entries, chart_id=1)
+    check_transition_compatibility(gauged)
+    loop = _two_chart_loop(r0)
+    g0 = ExprMatrixFunction(entries, 2).at(np.array([r0, 0.0]))
+    h_before = holonomy(conn, loop, CFG).g.matrix
+    h_after = holonomy(gauged, loop, CFG).g.matrix
+    assert frobenius(h_after - g0.T @ h_before @ g0) <= 1e-8

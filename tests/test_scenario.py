@@ -85,6 +85,16 @@ def test_inline_connection_must_be_algebra_valued():
         load_scenario(doc)
 
 
+def test_inline_coefficients_must_be_square():
+    """A ragged coefficient matrix is refused with ValidationError, where
+    loading raised a bare numpy ValueError."""
+    with open(shipped("inline-connection.json")) as fh:
+        doc = json.load(fh)
+    doc["connection"]["charts"][0]["coefficients"][0] = [["0", "-1.5"], ["1.5"]]
+    with pytest.raises(ValidationError):
+        load_scenario(doc)
+
+
 def test_bad_expression_is_rejected_with_location():
     doc = copy.deepcopy(MINIMAL)
     doc["paths"]["line"]["segments"][0]["coords"] = ["x1 +", "0"]
