@@ -19,7 +19,7 @@ from .errors import NotClosedError, ValidationError
 from .exprs import lit, substitute, var
 from .groups import GroupElement, frobenius, group_log, max_spread, neville_at_zero, rotation_angle
 from .paths import path_from_exprs, path_point
-from .transport import SolverConfig, engine_oracle, transport
+from .transport import SolverConfig, _results, engine_oracle, transport
 
 __all__ = [
     "HolonomyResult",
@@ -178,11 +178,24 @@ class HomotopyScanReport:
 
 def homotopy_scan(oracle, family, s_values=None):
     """Transport every member gamma_s and report the spread
-    max_{s,s'} ||P(gamma_s) - P(gamma_s')||_F."""
-    if s_values is None:
-        s_values = np.linspace(0.0, 1.0, family.s_samples)
-    mats = [oracle(family.member(s)).g.matrix for s in s_values]
-    return HomotopyScanReport(tuple(float(s) for s in s_values), max_spread(mats))
+    max_{s,s'} ||P(gamma_s) - P(gamma_s')||_F.  The oracle answers every
+    member at once (see transport._results)."""
+    return _scans(oracle, [family], s_values)[0]
+
+
+def _scans(oracle, families, s_values=None):
+    """homotopy_scan of each family, with the members of all of them asked
+    of the oracle in one list, family by family."""
+    grids = [
+        np.linspace(0.0, 1.0, fam.s_samples) if s_values is None else s_values
+        for fam in families
+    ]
+    members = [fam.member(s) for fam, ss in zip(families, grids) for s in ss]
+    mats = iter([res.g.matrix for res in _results(oracle, members)])
+    return [
+        HomotopyScanReport(tuple(float(s) for s in ss), max_spread([next(mats) for _ in ss]))
+        for ss in grids
+    ]
 
 
 def standard_homotopy_families(conn, chart_id=None, s_samples=11):
@@ -253,16 +266,15 @@ class FlatnessVerdict:
 
 
 def flatness_verdict(conn, cfg=None, samples=7, tol=_FLAT_TOL):
-    """Grid curvature plus homotopy spread on three canned families.
+    """Grid curvature plus homotopy spread on three canned families, whose
+    33 members the engine transports in one batch.
 
     FLAT iff both stay below tol; CURVED iff both exceed it; INCONSISTENT
     otherwise, which signals a bug or a threshold miscalibration."""
     cfg = cfg or SolverConfig()
     grid = is_flat(conn, samples=samples, tol=tol)
-    oracle = engine_oracle(conn, cfg)
-    spreads = tuple(
-        homotopy_scan(oracle, fam).spread for fam in standard_homotopy_families(conn)
-    )
+    scans = _scans(engine_oracle(conn, cfg), standard_homotopy_families(conn))
+    spreads = tuple(scan.spread for scan in scans)
     flat_by_curvature = grid.max_norm <= tol
     flat_by_spread = max(spreads) <= tol
     if flat_by_curvature and flat_by_spread:

@@ -58,7 +58,7 @@ from .groups import (
     neville_at_zero,
 )
 from .paths import TangentVector, _line_segment, box_grid, path_point, path_velocity, subpath
-from .transport import SolverConfig, engine_oracle
+from .transport import SolverConfig, _answered, _many_answers, engine_oracle
 
 __all__ = [
     "LiftedVector",
@@ -182,14 +182,6 @@ def _probe_elements(answer, probes):
         raise
     except Exception as err:
         raise OracleFailureError(f"oracle failed on a probe path: {err}") from err
-
-
-def _answered(answer):
-    """One answer of an oracle's many method: a result as it is, a failure
-    raised."""
-    if isinstance(answer, Exception):
-        raise answer
-    return answer
 
 
 def horizontal_space(oracle, x, p, h):
@@ -328,8 +320,7 @@ def _probe_transports(oracle, grid, h):
     the exception the oracle met on that probe.  None when the oracle has
     no many method, or its call raises or answers a different number of
     probes: the per-point loop then asks probe by probe."""
-    many = getattr(oracle, "many", None)
-    if many is None:
+    if getattr(oracle, "many", None) is None:
         return None
     keys, probes = [], []
     for idx, x in enumerate(grid):
@@ -338,11 +329,8 @@ def _probe_transports(oracle, grid, h):
             _check_probe(x, v, h)
             keys.append((idx, mu))
             probes += [_straight_probe(x, v, h), _straight_probe(x, v, -h)]
-    try:
-        answers = list(many(probes))
-    except Exception:
-        return None
-    if len(answers) != len(probes):
+    answers = _many_answers(oracle, probes)
+    if answers is None:
         return None
     return {key: answers[2 * i : 2 * i + 2] for i, key in enumerate(keys)}
 

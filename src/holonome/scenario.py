@@ -95,11 +95,15 @@ def _need(doc, key, where, kind=None):
     return value
 
 
-def _parse_entries(rows, dim, where):
+def _matrix_function(rows, dim, where):
     try:
-        return [[parse(str(cell), dim) for cell in row] for row in rows]
+        entries = [[parse(str(cell), dim) for cell in row] for row in rows]
     except HolonomeError as err:
         raise SchemaError(f"bad expression: {err}", where) from None
+    try:
+        return ExprMatrixFunction(entries, dim)
+    except HolonomeError as err:
+        raise SchemaError(str(err), where) from None
 
 
 def _parse_list(sources, dim, where):
@@ -131,7 +135,7 @@ def _load_connection(doc, where):
         if len(coeff_rows) != dim:
             raise SchemaError(f"need {dim} coefficient matrices", cw)
         coeffs = tuple(
-            ExprMatrixFunction(_parse_entries(rows, dim, f"{cw}.coefficients[{mu}]"), dim)
+            _matrix_function(rows, dim, f"{cw}.coefficients[{mu}]")
             for mu, rows in enumerate(coeff_rows)
         )
         charts.append(ChartSpec(int(_need(cdoc, "id", cw)), dim, box[0], box[1], coeffs))
@@ -139,11 +143,11 @@ def _load_connection(doc, where):
     for i, tdoc in enumerate(doc.get("transitions", [])):
         tw = f"{where}.transitions[{i}]"
         src = int(_need(tdoc, "from", tw))
-        dim = next(c.dim for c in charts if c.chart_id == src)
-        coord_map = _parse_list(_need(tdoc, "map", tw, list), dim, f"{tw}.map")
-        gauge = ExprMatrixFunction(
-            _parse_entries(_need(tdoc, "gauge", tw, list), dim, f"{tw}.gauge"), dim
-        )
+        dims = [c.dim for c in charts if c.chart_id == src]
+        if not dims:
+            raise SchemaError(f"no chart has id {src}", f"{tw}.from")
+        coord_map = _parse_list(_need(tdoc, "map", tw, list), dims[0], f"{tw}.map")
+        gauge = _matrix_function(_need(tdoc, "gauge", tw, list), dims[0], f"{tw}.gauge")
         transitions.append(Transition(src, int(_need(tdoc, "to", tw)), coord_map, gauge))
     try:
         return ConnectionForm(group, tuple(charts), tuple(transitions))

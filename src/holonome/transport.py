@@ -48,7 +48,8 @@ and sends every other path through transport, with the same results bit
 for bit.
 engine_oracle's oracle answers one path, and a list of paths through its
 many method, which puts each path's failure in its place instead of
-raising.
+raising.  The lab asks any oracle for all the paths of a check at once
+(_results): through many when the oracle has one, else path by path.
 """
 
 from __future__ import annotations
@@ -115,8 +116,12 @@ _MAX_CHART_CHANGES = 8  # per segment: chart exits plus moves
 _JUNCTION_TOL = 1e-10
 _MIN_DOUBLING_STEP = 1e-7
 # transport_many splits a group into batches whose field stack M holds at
-# most this many entries (64 KiB), so a batch's working set stays near 1 MB
-_BATCH_FLOATS = 2**13
+# most this many entries (256 KiB).  It fits four SO(2) paths of 1000 steps
+# (8004 entries each), so the lab's scans at h = 1e-3 share the fixed cost
+# of a pass; at 2**13 each such path took a pass alone.  Peak RSS bounds
+# it: on the lab_scenarios benchmark, 2**15 read +2.1%, 2**16 +6.1% and
+# 2**17 +14% against 2**13, for -28%, -34% and -36% of op_cost_p50.
+_BATCH_FLOATS = 2**15
 
 
 @dataclass(frozen=True)
@@ -620,6 +625,39 @@ def engine_oracle(conn, cfg=None):
     return oracle
 
 
+def _many_answers(oracle, paths):
+    """oracle.many's answers to a list of paths, in order: for each path its
+    result, or the exception the oracle met on it.  None when the oracle has
+    no many method, or the call raises or answers another number of paths;
+    the caller then asks the oracle path by path."""
+    many = getattr(oracle, "many", None)
+    if many is None:
+        return None
+    try:
+        answers = list(many(paths))
+    except Exception:
+        return None
+    return answers if len(answers) == len(paths) else None
+
+
+def _results(oracle, paths):
+    """[oracle(gamma) for gamma in paths], asked in one oracle.many call when
+    the oracle answers it.  The first path that fails, in order, raises what
+    oracle(gamma) raised on it."""
+    answers = _many_answers(oracle, paths)
+    if answers is None:
+        return [oracle(gamma) for gamma in paths]
+    return [_answered(answer) for answer in answers]
+
+
+def _answered(answer):
+    """One answer of an oracle's many method: a result as it is, a failure
+    raised."""
+    if isinstance(answer, Exception):
+        raise answer
+    return answer
+
+
 # --- axiom verification -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -666,40 +704,39 @@ def verify_axioms(oracle, suite, tol=1e-7):
     """Check identity on constants, reparametrization invariance, and
     juxtaposition multiplicativity against any transport oracle.
 
+    Every query path is built first, in the order a check-by-check loop
+    asks for them, and the oracle answers them all at once (see _results).
     Failures are report entries, never exceptions.
     """
-    checks = 0
-    const_dev = 0.0
-    seen = set()
+    queries, seen = [], set()
     for gamma in suite.paths:
         for t in (0.0, 1.0):
             x = path_point(gamma, t)
             key = (x.chart_id, tuple(np.round(x.coords, 12)))
-            if key in seen:
-                continue
-            seen.add(key)
-            res = oracle(constant_path(x))
-            k = res.g.group.k
-            const_dev = max(const_dev, frobenius(res.g.matrix - np.eye(k)))
-            checks += 1
-
-    reparam_dev = 0.0
+            if key not in seen:
+                seen.add(key)
+                queries.append(constant_path(x))
     for gamma in suite.paths:
-        base = oracle(gamma).g.matrix
-        for alpha in suite.reparametrizations:
-            other = oracle(reparametrize(gamma, alpha)).g.matrix
-            reparam_dev = max(reparam_dev, frobenius(other - base))
-            checks += 1
-
-    juxt_dev = 0.0
+        queries += [gamma] + [reparametrize(gamma, alpha) for alpha in suite.reparametrizations]
     for g1, g2 in suite.juxtapositions:
-        whole = oracle(juxtapose(g1, g2, suite.atlas)).g.matrix
-        left = oracle(g1).g.matrix
-        right = oracle(g2).g.matrix
-        juxt_dev = max(juxt_dev, frobenius(whole - right @ left))
-        checks += 1
+        queries += [juxtapose(g1, g2, suite.atlas), g1, g2]
+    ms = iter([res.g.matrix for res in _results(oracle, queries)])
 
-    return AxiomReport(const_dev, reparam_dev, juxt_dev, tol, checks)
+    const_dev = 0.0
+    for _ in range(len(seen)):
+        m = next(ms)
+        const_dev = max(const_dev, frobenius(m - np.eye(len(m))))
+    reparam_dev = 0.0
+    for _ in suite.paths:
+        base = next(ms)
+        for _ in suite.reparametrizations:
+            reparam_dev = max(reparam_dev, frobenius(next(ms) - base))
+    juxt_dev = 0.0
+    for _ in suite.juxtapositions:
+        whole, left, right = next(ms), next(ms), next(ms)
+        juxt_dev = max(juxt_dev, frobenius(whole - right @ left))
+    checks = len(seen) + len(suite.paths) * len(suite.reparametrizations)
+    return AxiomReport(const_dev, reparam_dev, juxt_dev, tol, checks + len(suite.juxtapositions))
 
 
 def standard_axiom_suite(conn, chart_id=None):

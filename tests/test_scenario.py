@@ -85,14 +85,42 @@ def test_inline_connection_must_be_algebra_valued():
         load_scenario(doc)
 
 
-def test_inline_coefficients_must_be_square():
-    """A ragged coefficient matrix is refused with ValidationError, where
-    loading raised a bare numpy ValueError."""
+def _inline_doc():
     with open(shipped("inline-connection.json")) as fh:
-        doc = json.load(fh)
+        return json.load(fh)
+
+
+def test_inline_coefficients_must_be_square():
+    """A ragged coefficient matrix is refused with a SchemaError at its place
+    in the document, where loading once raised a bare numpy ValueError."""
+    doc = _inline_doc()
     doc["connection"]["charts"][0]["coefficients"][0] = [["0", "-1.5"], ["1.5"]]
-    with pytest.raises(ValidationError):
+    with pytest.raises(SchemaError) as err:
         load_scenario(doc)
+    assert err.value.where == "$.connection.charts[0].coefficients[0]"
+
+
+def test_ragged_transition_gauge_is_a_schema_error():
+    doc = _inline_doc()
+    doc["connection"]["transitions"] = [
+        {"from": 0, "to": 0, "map": ["x1", "x2"], "gauge": [["1", "0"], ["0"]]}
+    ]
+    with pytest.raises(SchemaError) as err:
+        load_scenario(doc)
+    assert err.value.where == "$.connection.transitions[0].gauge"
+
+
+def test_transition_from_an_undeclared_chart_is_a_schema_error():
+    """A transition from a chart id that no chart has is refused at its
+    'from' field, where loading raised a bare StopIteration."""
+    doc = _inline_doc()
+    doc["connection"]["transitions"] = [
+        {"from": 99, "to": 0, "map": ["x1", "x2"], "gauge": [["1", "0"], ["0", "1"]]}
+    ]
+    with pytest.raises(SchemaError) as err:
+        load_scenario(doc)
+    assert err.value.where == "$.connection.transitions[0].from"
+    assert "99" in str(err.value)
 
 
 def test_bad_expression_is_rejected_with_location():
