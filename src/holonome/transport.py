@@ -39,13 +39,17 @@ _product and _partial_products index their steps (..., n, k, k), as views
 of that storage.  No SVD or matrix inverse runs on the per-step path of a
 well-conditioned orthogonal transport.
 
-The integrator carries a leading path axis.  transport runs a batch of one
-piece at a time; transport_many stacks single-segment paths that share a
-chart and a step count into one pass (each path's compiled coordinates on
-the shared grid, one containment test, one run of the chart's compiled
-field, one batched tree product, one validation of the final elements)
-and sends every other path through transport, with the same results bit
-for bit.
+The integrator carries a leading path axis, and one driver (_drive) runs
+transport, transport_many, lift_path and engine_oracle's many:
+transport is a batch of one.  Each path is a generator (_walk) that asks
+for one pass of one piece at a time.  The driver groups the pending
+passes of all paths by chart, step count and whether they continue a
+doubling, runs each group as batches of one pass (each piece's compiled
+coordinates on the shared grid, one containment test, one run of the
+chart's compiled field, one batched tree product), hands each path its
+answer, and projects the finished products as one stack.  A piece that
+leaves its chart is cut by its own path; a batch that raises anything
+else runs again piece by piece, so each path meets its own failure.
 engine_oracle's oracle answers one path, and a list of paths through its
 many method, which puts each path's failure in its place instead of
 raising.  The lab asks any oracle for all the paths of a check at once
@@ -180,20 +184,13 @@ def _compose_affine(coords, w0, w1):
 
 
 class _ChartExit(OutsideChartError):
-    """The field grids of a stack of pieces leave their chart.  stays flags
-    the pieces whose grid points all lie inside; u_in (the last grid point
-    inside) and u_out (the first outside) are local parameters of the first
-    piece that leaves.  inside flags each piece's points at the local
-    parameters ts[new]."""
+    """Field grids of a stack of pieces that leave their chart.  exits maps
+    the position of each piece that leaves to (u_in, u_out), the local
+    parameters of its last grid point inside and of its first outside."""
 
-    def __init__(self, ts, new, inside):
-        self.stays = inside.all(axis=1)
-        first = int(np.argmin(self.stays))
-        i = int(np.arange(len(ts))[new][np.argmin(inside[first])])
-        # X[0] is the start that _run found inside; max() keeps a last-bit
-        # difference between its two evaluations from reading ts[-1]
-        self.u_in, self.u_out = ts[max(i - 1, 0)], ts[i]
-        super().__init__(f"field grid leaves its chart after u={self.u_in:.6g}")
+    def __init__(self, exits):
+        self.exits = exits
+        super().__init__("field grid leaves its chart")
 
 
 def _bisect_exit(chart, piece, lo, hi):
@@ -243,15 +240,6 @@ def _step_count(width, h):
     return n + n % 2
 
 
-def _per_piece(values, tail=()):
-    """One value per piece (or per coordinate column), as a scalar when
-    they all agree, which numpy applies far faster than a broadcast array,
-    else as a (len(values), *tail) array.  The results are the same."""
-    if len(set(values)) == 1:
-        return values[0]
-    return np.reshape(values, (-1,) + tail)
-
-
 def _step_matrices(M1, M2, M3, dt):
     """RK4 step matrices of the linear ODE U' = -M(t) U from component-major
     (k, k, paths, n) field stacks, stored component-major and returned as
@@ -285,7 +273,10 @@ def _piece_fields(conn, pieces, n, prev=None):
     )
     inside = chart.contains_many(X_new.reshape(dim, -1).T).reshape(P, -1)
     if not inside.all():
-        raise _ChartExit(ts, new, inside)
+        i = np.arange(len(ts))[new][np.argmin(inside, axis=1)]
+        # a start outside (the first grid point) reads ts[0], not ts[-1]
+        u_in, u_out = ts[np.maximum(i - 1, 0)], ts[i]
+        raise _ChartExit({p: (u_in[p], u_out[p]) for p in np.flatnonzero(~inside.all(axis=1))})
     M_new = np.empty((k, k, P, m))
     chart.field(X_new.reshape(dim, -1), V.reshape(dim, -1), M_new.reshape(k, k, -1))
     if prev is None:
@@ -377,13 +368,17 @@ def _rk4_pass(conn, pieces, n, U, project_every, collect, prev=None):
     the n/2-step products (bit for bit the same: same grid, same step) and
     its grids as the even points.  Returns the n-step products, the
     Richardson estimates ||U_n - U_{n/2}||_F / 15 of their errors, the grid
-    points X, the fields M, and the partial products if collect is set."""
-    dt = _per_piece([(piece.t1 - piece.t0) / n for piece in pieces], (1,))
+    points X, the fields M, and the partial products of each piece if
+    collect is set, else None for each."""
+    # one step per piece, as a scalar when they all agree, which numpy
+    # applies far faster than a broadcast column; the results are the same
+    dts = [(piece.t1 - piece.t0) / n for piece in pieces]
+    dt = dts[0] if len(set(dts)) == 1 else np.reshape(dts, (-1, 1))
     X, M = _piece_fields(conn, pieces, n, None if prev is None else prev[1:])
     orthogonal = conn.group.orthogonal
     fine = _step_matrices(M[..., 0:-1:2], M[..., 1::2], M[..., 2::2], dt)
     U_fine = _product(fine, U, project_every, orthogonal)
-    trail = _partial_products(fine, U, project_every, orthogonal) if collect else None
+    trail = _partial_products(fine, U, project_every, orthogonal) if collect else [None] * len(U)
     if prev is None:
         coarse = _step_matrices(M[..., 0:-1:4], M[..., 2::4], M[..., 4::4], 2.0 * dt)
         U_coarse = _product(coarse, U, project_every, orthogonal)
@@ -393,57 +388,26 @@ def _rk4_pass(conn, pieces, n, U, project_every, collect, prev=None):
     return U_fine, est, X, M, trail
 
 
-def _accepted(cfg, U, est):
-    """Whether a pass's product U, with error estimate est, ends its piece:
-    always for rk4-fixed, within tol * max(1, ||U||_F) for rk4-doubling."""
-    return cfg.method == "rk4-fixed" or est <= cfg.tol * max(1.0, frobenius(U))
+def _walk(conn, gamma, cfg, U, samples):
+    """The transport of one path, as a generator that _drive runs.  Each
+    pass of the integrator it needs is yielded as (piece, n, U_in, prev)
+    and answered with the pass's (U, est, first, last, X, M, partial
+    products) for that piece, first and last being the ChartPoints of its
+    grid ends, or with a _ChartExit thrown in.  Returns (start, end, U,
+    steps, est), U unprojected; U is the identity on entry.
 
+    Integrates segment by segment, cutting pieces where their field grids
+    leave their charts.  The path's first piece is tested on its own grid
+    alone; every other piece's start is tested before its pass, since the
+    gauge into its chart needs it.  An empty first part (a piece that
+    leaves its chart at its start) takes no steps, but the gauge into its
+    chart applies.
 
-def _integrate_piece(conn, piece, cfg, U, samples):
-    """Advance U across one piece; returns (U, steps, error estimate, the
-    accepted grid's last point).
-
-    Starts from the smallest even step count whose step is <= h.
-    rk4-fixed stops there; rk4-doubling doubles the count until the
+    Each piece starts from the smallest even step count whose step is
+    <= h.  rk4-fixed stops there; rk4-doubling doubles the count until the
     estimate is within tol * max(1, ||U||_F), each pass taking the last
-    one's product and field grid.  Appends the accepted pass's samples
-    when samples is a list."""
-    width = piece.t1 - piece.t0
-    n = _step_count(width, cfg.h)
-    prev_est = math.inf
-    prev = None
-    while True:
-        U_n, est, X, M, trail = _rk4_pass(
-            conn, (piece,), n, U[None], cfg.project_every, samples is not None, prev
-        )
-        if _accepted(cfg, U_n[0], est[0]):
-            break
-        if est[0] > prev_est / 2.0:
-            raise StepUnderflowError(
-                f"doubling cannot meet tol={cfg.tol:g}: the error estimate "
-                f"{est[0]:.3e} stopped shrinking at {n} steps (roundoff floor)"
-            )
-        if width / (2 * n) < _MIN_DOUBLING_STEP:
-            raise StepUnderflowError(
-                f"doubling cannot meet tol={cfg.tol:g} with h >= {_MIN_DOUBLING_STEP:g}"
-            )
-        prev_est, prev = est[0], (U_n, X, M)
-        n *= 2
-    if samples is not None:
-        dt = width / n
-        points = _chart_points(piece.chart_id, X[:, 0, 2::2].T)
-        samples.extend(
-            (piece.t0 + (j + 1) * dt, pt, Uj) for j, (pt, Uj) in enumerate(zip(points, trail[0]))
-        )
-    return U_n[0], n, est[0], X[:, 0, -1]
-
-
-def _run(conn, gamma, cfg, collect):
-    """Integrate segment by segment, cutting pieces where their field grids
-    leave their charts.  An empty first part (a piece that leaves its chart
-    at its start) takes no steps, but the gauge into its chart applies."""
-    U = np.eye(conn.group.k)
-    samples = [] if collect else None
+    one's product and field grid as prev.  When samples is a list, appends
+    the (t, point, U) of every step after the start, for lift_path."""
     start = end = None
     total_steps = 0
     est = 0.0
@@ -461,37 +425,155 @@ def _run(conn, gamma, cfg, collect):
                 raise OutsideChartError("path crosses chart boundaries too many times")
             piece = pending.pop()
             chart = conn.chart(piece.chart_id)
-            x0 = piece.point_at(0.0)
-            if not chart.contains(x0):
-                pending.append(_move(conn, piece, x0))
-                changes += 1
-                continue
-            here = ChartPoint(piece.chart_id, x0)
-            if start is None:
-                start = here
-                if collect:
-                    samples.append((0.0, start, U))
+            here = None
+            if start is not None or changes:
+                here = ChartPoint(piece.chart_id, piece.point_at(0.0))
+                if not chart.contains(here.coords):
+                    pending.append(_move(conn, piece, here.coords))
+                    changes += 1
+                    continue
             gauge = None if end is None else _gauge_between(conn, end, here)
             U_in = U if gauge is None else gauge @ U
+            width = piece.t1 - piece.t0
+            n = _step_count(width, cfg.h)
+            prev_est, prev = math.inf, None
             try:
-                U, n, e, x1 = _integrate_piece(conn, piece, cfg, U_in, samples)
+                while True:
+                    U_n, e, first, last, X, M, trail = yield piece, n, U_in, prev
+                    if cfg.method == "rk4-fixed" or e <= cfg.tol * max(1.0, frobenius(U_n)):
+                        break
+                    if e > prev_est / 2.0:
+                        raise StepUnderflowError(
+                            f"doubling cannot meet tol={cfg.tol:g}: the error estimate "
+                            f"{e:.3e} stopped shrinking at {n} steps (roundoff floor)"
+                        )
+                    if width / (2 * n) < _MIN_DOUBLING_STEP:
+                        raise StepUnderflowError(
+                            f"doubling cannot meet tol={cfg.tol:g} "
+                            f"with h >= {_MIN_DOUBLING_STEP:g}"
+                        )
+                    prev_est, prev = e, (U_n, X, M)
+                    n *= 2
             except _ChartExit as exit_:
+                here = here or ChartPoint(piece.chart_id, piece.point_at(0.0))
+                if not chart.contains(here.coords):  # a first piece, tested on its grid alone
+                    pending.append(_move(conn, piece, here.coords))
+                    changes += 1
+                    continue
+                start = start or here
                 changes += 1
-                lo, hi = _bisect_exit(chart, piece, exit_.u_in, exit_.u_out)
-                t_lo, width = piece.t0, piece.t1 - piece.t0
+                lo, hi = _bisect_exit(chart, piece, *exit_.exits[0])
                 if hi < 1.0:  # else the exit is within _CROSSING_TOL of the end
                     rest = _compose_affine(piece.coords, hi, 1.0)
-                    pending.append(Segment(piece.chart_id, rest, t_lo + hi * width, piece.t1))
+                    pending.append(Segment(piece.chart_id, rest, piece.t0 + hi * width, piece.t1))
                 if lo > 0.0:
-                    first = _compose_affine(piece.coords, 0.0, lo)
-                    pending.append(Segment(piece.chart_id, first, t_lo, t_lo + lo * width))
+                    part = _compose_affine(piece.coords, 0.0, lo)
+                    pending.append(Segment(piece.chart_id, part, piece.t0, piece.t0 + lo * width))
                     continue
-                U, n, e, x1 = U_in, 0, 0.0, x0
+                U_n, n, e, last = U_in, 0, 0.0, here
+            start = start or here or first
+            if n and samples is not None:
+                points = _chart_points(piece.chart_id, X[:, 2::2].T)
+                samples.extend(
+                    (piece.t0 + (j + 1) * (width / n), pt, Uj)
+                    for j, (pt, Uj) in enumerate(zip(points, trail))
+                )
+            U = U_n
             total_steps += n
             est += e
-            end = ChartPoint(piece.chart_id, x1)
-    g = project_to_group(U, conn.group)
-    return TransportResult(start, end, g, total_steps, est), samples
+            end = last
+    return start, end, U, total_steps, est
+
+
+def _drive(conn, paths, cfg, samples=None):
+    """The transport of each path, in order: its TransportResult, or the
+    exception it raised.  The one driver of transport, transport_many,
+    lift_path and engine_oracle's many.
+
+    Each path runs as a _walk.  The passes the walks ask for are grouped
+    by chart, step count and whether they continue a doubling, and each
+    group runs as batches of one _rk4_pass whose field stack holds at most
+    _BATCH_FLOATS entries.  A walk takes its answer, and asks for its next
+    pass, as soon as its batch is done.  A piece whose grid leaves its
+    chart gets its own _ChartExit, and the rest of its batch passes again;
+    a batch that raises anything else runs again piece by piece, so each
+    failure reaches its own path.  The finished products are projected
+    onto the group as one stack.  samples, when a list, collects the lift
+    of the one path (see lift_path)."""
+    k = conn.group.k
+    eye = np.eye(k)
+    out = [None] * len(paths)
+    walks = [_walk(conn, gamma, cfg, eye, samples) for gamma in paths]
+    asks = []
+
+    def advance(i, step, arg=None):
+        try:
+            asks.append((i,) + step(arg))
+        except StopIteration as stop:
+            out[i] = stop.value
+        except Exception as err:
+            out[i] = err
+
+    def answer(batch):
+        while batch:
+            pieces = [ask[1] for ask in batch]
+            U = np.array([ask[3] for ask in batch])
+            prevs = [ask[4] for ask in batch]
+            prev = None
+            if prevs[0] is not None:
+                prev = tuple(np.stack(part, axis) for part, axis in zip(zip(*prevs), (0, 1, 2)))
+            try:
+                U_n, est, X, M, trail = _rk4_pass(
+                    conn, pieces, batch[0][2], U, cfg.project_every, samples is not None, prev
+                )
+                break
+            except _ChartExit as exit_:
+                for p, at in exit_.exits.items():
+                    advance(batch[p][0], walks[batch[p][0]].throw, _ChartExit({0: at}))
+                batch = [ask for p, ask in enumerate(batch) if p not in exit_.exits]
+            except Exception as err:
+                if len(batch) == 1:
+                    advance(batch[0][0], walks[batch[0][0]].throw, err)
+                else:
+                    for ask in batch:
+                        answer([ask])
+                return
+        else:
+            return
+        firsts = _chart_points(pieces[0].chart_id, X[:, :, 0].T)
+        lasts = _chart_points(pieces[0].chart_id, X[:, :, -1].T)
+        fields = zip(U_n, est, firsts, lasts, X.swapaxes(0, 1), M.transpose(2, 0, 1, 3), trail)
+        for (i, *_), piece_fields in zip(batch, fields):
+            advance(i, walks[i].send, piece_fields)
+
+    for i, walk in enumerate(walks):
+        advance(i, walk.send)
+    while asks:
+        groups = {}
+        for ask in asks:
+            groups.setdefault((ask[1].chart_id, ask[2], ask[4] is None), []).append(ask)
+        asks = []
+        for (_, n, _), members in groups.items():
+            size = max(1, _BATCH_FLOATS // ((2 * n + 1) * k * k))
+            for lo in range(0, len(members), size):
+                answer(members[lo : lo + size])
+    # the finished walks' products, projected as one stack, or one by one
+    # when the stack fails, so that each failure is in its place
+    done = [i for i, res in enumerate(out) if isinstance(res, tuple)]
+    Us = np.array([out[i][2] for i in done]).reshape(-1, k, k)
+    try:
+        gs = _elements(_polar(Us) if conn.group.orthogonal else Us, conn.group) if done else []
+    except Exception:
+        gs = []
+        for U in Us:
+            try:
+                gs.append(project_to_group(U, conn.group))
+            except Exception as err:
+                gs.append(err)
+    for i, g in zip(done, gs):
+        start, end, _, steps, est = out[i]
+        out[i] = g if isinstance(g, Exception) else TransportResult(start, end, g, steps, est)
+    return out
 
 
 def transport(conn, gamma, cfg=None):
@@ -501,101 +583,18 @@ def transport(conn, gamma, cfg=None):
     start chart to fiber coordinates in the trivialization of the end
     chart.  Multiplicative over segment splits by construction.
     """
-    cfg = cfg or SolverConfig()
-    result, _ = _run(conn, gamma, cfg, collect=False)
-    return result
+    return _answered(_drive(conn, [gamma], cfg or SolverConfig())[0])
 
 
 def transport_many(conn, paths, cfg=None):
     """[transport(conn, gamma, cfg) for gamma in paths], bit for bit, as a
-    list, computed in batches.
-
-    Single-segment paths are grouped by chart and step count.  Each group
-    takes one pass of the integrator with a leading path axis: one
-    evaluation of every path's coordinates on the shared grid, one
-    containment test, one evaluation of the chart's coefficients, one
-    batched tree product, and one validation of the final elements.  A
-    multi-segment path, a path that starts or leaves off its chart, an
-    rk4-doubling path not accepted on its first pass, and every path of a
-    group whose pass raises run through transport on their own, in order,
-    so a failure raises what transport raises on the first path that fails.
-    """
-    cfg = cfg or SolverConfig()
-    paths = list(paths)
-    out = _batched(conn, paths, cfg)
-    return [transport(conn, gamma, cfg) if res is None else res for gamma, res in zip(paths, out)]
-
-
-def _transport_each(conn, paths, cfg):
-    """transport_many's list with every failure in its place: for each
-    path, its TransportResult or the exception that transport raises on
-    it."""
-    out = _batched(conn, paths, cfg)
-    for i, gamma in enumerate(paths):
-        if out[i] is None:
-            try:
-                out[i] = transport(conn, gamma, cfg)
-            except Exception as err:
-                out[i] = err
-    return out
-
-
-def _batched(conn, paths, cfg):
-    """The TransportResults of the paths that batched passes settle, in
-    their places in a list over paths; None where a path must run through
-    transport on its own."""
-    out = [None] * len(paths)
-    groups = {}
-    for i, gamma in enumerate(paths):
-        if len(gamma.segments) == 1:
-            seg = gamma.segments[0]
-            key = (seg.chart_id, len(seg.coords), _step_count(seg.t1 - seg.t0, cfg.h))
-            groups.setdefault(key, []).append(i)
-    k = conn.group.k
-    for (_, _, n), members in groups.items():
-        size = max(1, _BATCH_FLOATS // ((2 * n + 1) * k * k))
-        for lo in range(0, len(members), size):
-            idx = members[lo : lo + size]
-            try:
-                done = _transport_group(conn, [paths[i].segments[0] for i in idx], n, cfg)
-            except Exception:
-                continue
-            for i, res in done.items():
-                out[idx[i]] = res
-    return out
-
-
-def _transport_group(conn, segs, n, cfg):
-    """The TransportResults, as _run gives them, of single-segment paths
-    that share a chart, a coordinate count and the step count n, keyed by
-    position in segs.  Leaves out the paths _run must take on their own:
-    those whose grids, their start included, leave the chart."""
-    chart = conn.chart(segs[0].chart_id)
-    if chart.dim != len(segs[0].coords):
-        return {}
-    keep = np.arange(len(segs))
-    while len(keep):
-        pieces = [segs[i] for i in keep]
-        U = np.broadcast_to(np.eye(conn.group.k), (len(keep), conn.group.k, conn.group.k))
-        try:
-            U, est, X, _, _ = _rk4_pass(conn, pieces, n, U, cfg.project_every, False)
-            break
-        except _ChartExit as exit_:
-            keep = keep[exit_.stays]
-    else:
-        return {}
-    ok = np.array([_accepted(cfg, u, e) for u, e in zip(U, est)])
-    if not ok.any():
-        return {}
-    U = U[ok]
-    gs = _elements(_polar(U) if conn.group.orthogonal else U, conn.group)
-    est = [e for e, accepted in zip(est, ok) if accepted]
-    return {
-        int(i): TransportResult(
-            ChartPoint(chart.chart_id, x0), ChartPoint(chart.chart_id, x1), g, n, e
-        )
-        for i, x0, x1, g, e in zip(keep[ok], X[:, ok, 0].T, X[:, ok, -1].T, gs, est)
-    }
+    list, computed by the one driver in shared passes: the pieces of all
+    the paths that share a chart and a step count run through one pass of
+    the integrator with a leading path axis (one evaluation of their
+    coordinates, one containment test, one evaluation of the chart's
+    coefficients, one batched tree product).  When a path fails, raises
+    what transport raises on the first path that fails."""
+    return [_answered(res) for res in _drive(conn, list(paths), cfg or SolverConfig())]
 
 
 def lift_path(conn, gamma, p, cfg=None):
@@ -604,9 +603,9 @@ def lift_path(conn, gamma, p, cfg=None):
     The final sample's group part equals transport(...).g @ p to
     roundoff.  The samples are validated against the group as one stack.
     """
-    cfg = cfg or SolverConfig()
-    _, raw = _run(conn, gamma, cfg, collect=True)
-    ts, pts, Us = zip(*raw)
+    samples = []
+    start = _answered(_drive(conn, [gamma], cfg or SolverConfig(), samples)[0]).start
+    ts, pts, Us = zip((0.0, start, np.eye(conn.group.k)), *samples)
     gs = _elements(np.stack(Us) @ p.matrix, conn.group)
     return LiftedPath(gamma, tuple(zip(ts, pts, gs)), p)
 
@@ -621,7 +620,7 @@ def engine_oracle(conn, cfg=None):
     def oracle(gamma):
         return transport(conn, gamma, cfg)
 
-    oracle.many = lambda paths: _transport_each(conn, list(paths), cfg)
+    oracle.many = lambda paths: _drive(conn, list(paths), cfg)
     return oracle
 
 

@@ -825,24 +825,25 @@ def test_transport_many_matches_transport_bit_for_bit(name, cfg, data):
         assert [bits(res) for res in transport_many(conn, paths, cfg)] == outcomes
 
 
-def test_transport_many_batches_probes_and_runs_the_rest_alone(monkeypatch):
-    """Straight probes on one chart share one pass of the integrator; a
-    multi-segment path and a path that leaves its chart go through
-    transport on their own, in their place."""
+def test_transport_many_shares_passes_across_chart_exits_and_segments(monkeypatch):
+    """Straight probes on one chart share one pass of the integrator.  A
+    path that leaves its chart and a multi-segment loop stay in the one
+    driver: the exit's piece before the boundary shares a pass with the
+    loop's second segment, and its rest runs on chart 1.  No path goes
+    through transport."""
     module = sys.modules["holonome.transport"]
-    passes, alone = [], []
+    passes = []
     original_pass, original_transport = module._rk4_pass, module.transport
 
     def counting_pass(conn, pieces, *args, **kwargs):
-        passes.append(len(pieces))
+        passes.append(list(pieces))
         return original_pass(conn, pieces, *args, **kwargs)
 
-    def counting_transport(conn, gamma, cfg=None):
-        alone.append(gamma)
-        return original_transport(conn, gamma, cfg)
+    def refused_transport(conn, gamma, cfg=None):
+        raise AssertionError("a path went through transport")
 
     monkeypatch.setattr(module, "_rk4_pass", counting_pass)
-    monkeypatch.setattr(module, "transport", counting_transport)
+    monkeypatch.setattr(module, "transport", refused_transport)
     conn = builtin_connection("levi-civita-s2-twochart")
     probes = [line_path(ChartPoint(0, [0.1 * i, 0.2]), [0.1 * i + 1e-3, 0.2]) for i in range(6)]
     exit_ = line_path(ChartPoint(0, [3.6, 0.1]), [4.4, 0.1])
@@ -850,8 +851,14 @@ def test_transport_many_batches_probes_and_runs_the_rest_alone(monkeypatch):
     paths = probes[:3] + [exit_] + probes[3:] + [loop]
     cfg = SolverConfig(h=0.02, project_every=4)
     results = transport_many(conn, paths, cfg)
-    assert alone == [exit_, loop]
-    assert passes[:2] == [7, 6]  # the exit leaves the batch, the rest retry
+    assert [len(pieces) for pieces in passes] == [7, 6, 1, 2, 1]
+    assert passes[0][3] is exit_.segments[0]  # leaves its chart; the rest pass again
+    assert passes[2] == [loop.segments[0]]
+    shared = passes[3]
+    assert shared[1] is loop.segments[1]
+    assert shared[0].chart_id == 0 and shared[0].t0 == 0.0 and 0.0 < shared[0].t1 < 1.0
+    assert shared[0].point_at(0.0).tolist() == [3.6, 0.1]  # the exit's part before the boundary
+    assert passes[4][0].chart_id == 1 and passes[4][0].t1 == 1.0
     assert results[3].end.chart_id == 1
     assert all(bits(r) == bits(original_transport(conn, g, cfg)) for r, g in zip(results, paths))
 
