@@ -601,12 +601,21 @@ def lift_path(conn, gamma, p, cfg=None):
     """Horizontal lift through p: samples (t, gamma(t), U(t) p).
 
     The final sample's group part equals transport(...).g @ p to
-    roundoff.  The samples are validated against the group as one stack.
+    roundoff.  On orthogonal groups the samples U(t) are projected onto
+    the group as one stack, as transport projects its product, since
+    between the projected block ends they drift off SO(k).  With
+    projection off (project_every beyond the path's step count) they stay
+    as integrated, so a drift past the group tolerance raises.  The
+    samples are validated against the group as one stack.
     """
+    cfg = cfg or SolverConfig()
     samples = []
-    start = _answered(_drive(conn, [gamma], cfg or SolverConfig(), samples)[0]).start
-    ts, pts, Us = zip((0.0, start, np.eye(conn.group.k)), *samples)
-    gs = _elements(np.stack(Us) @ p.matrix, conn.group)
+    res = _answered(_drive(conn, [gamma], cfg, samples)[0])
+    ts, pts, Us = zip((0.0, res.start, np.eye(conn.group.k)), *samples)
+    Us = np.stack(Us)
+    if conn.group.orthogonal and cfg.project_every <= res.step_count:
+        Us = _polar(Us)
+    gs = _elements(Us @ p.matrix, conn.group)
     return LiftedPath(gamma, tuple(zip(ts, pts, gs)), p)
 
 

@@ -277,6 +277,33 @@ def test_cli_trace_csv(tmp_path):
     assert float(first[0]) == 0.0
 
 
+def test_cli_trace_csv_lifts_an_so3_arc_with_short_projection_blocks(tmp_path):
+    """--trace-csv lifts the path, and the lift projects its samples onto
+    the group as transport projects its result.  On a constant-so3 arc at
+    h = 0.02 with project_every = 4 the partial products within a block
+    drift off SO(3) by up to 1e-5; the run exits 0 with the flag as it
+    does without it, and the trace ends at the transport."""
+    doc = {
+        "version": 1,
+        "connection": {"builtin": "constant-so3(0.8,0.6)"},
+        "paths": {"arc": {"segments": [
+            {"chart": 0, "coords": ["0.1 + 0.8*cos(6.2*x1)", "0.1 + 0.8*sin(6.2*x1)"]}
+        ]}},
+        "solver": {"method": "rk4-fixed", "h": 0.02, "project_every": 4},
+        "tasks": [{"kind": "transport", "path": "arc"}],
+    }
+    path = tmp_path / "arc.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o"
+    for flags in ([], ["--trace-csv"]):
+        assert cli_main(["run", str(path), "--out", str(out), *flags]) == 0
+    result = json.loads((out / "report.json").read_text())["tasks"][0]["result"]
+    rows = (out / result["trace_csv"]).read_text().strip().splitlines()
+    last = np.array(rows[-1].split(",")[4:], dtype=float).reshape(3, 3)
+    assert np.allclose(last, result["g"]["matrix"], atol=1e-12)
+    assert np.allclose(last.T @ last, np.eye(3), atol=1e-13)
+
+
 def test_adaptive_solver_selected_from_scenario(tmp_path):
     doc = copy.deepcopy(MINIMAL)
     doc["connection"] = {"builtin": "constant-so3"}
