@@ -95,6 +95,16 @@ def _need(doc, key, where, kind=None):
     return value
 
 
+def _as(value, kind, where):
+    """A scalar field's value converted by kind (int or float), or a
+    SchemaError at where, the field's path in the document."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        noun = "an integer" if kind is int else "a number"
+        raise SchemaError(f"expected {noun}, got {value!r}", where) from None
+
+
 def _matrix_function(rows, dim, where):
     try:
         entries = [[parse(str(cell), dim) for cell in row] for row in rows]
@@ -122,12 +132,12 @@ def _load_connection(doc, where):
     group_doc = _need(doc, "group", where, dict)
     group = StructureGroup(
         _need(group_doc, "kind", f"{where}.group", str),
-        int(_need(group_doc, "k", f"{where}.group")),
+        _as(_need(group_doc, "k", f"{where}.group"), int, f"{where}.group.k"),
     )
     charts = []
     for i, cdoc in enumerate(_need(doc, "charts", where, list)):
         cw = f"{where}.charts[{i}]"
-        dim = int(_need(cdoc, "dim", cw))
+        dim = _as(_need(cdoc, "dim", cw), int, f"{cw}.dim")
         box = _need(cdoc, "box", cw, list)
         if len(box) != 2:
             raise SchemaError("box must be [lo, hi]", cw)
@@ -138,17 +148,19 @@ def _load_connection(doc, where):
             _matrix_function(rows, dim, f"{cw}.coefficients[{mu}]")
             for mu, rows in enumerate(coeff_rows)
         )
-        charts.append(ChartSpec(int(_need(cdoc, "id", cw)), dim, box[0], box[1], coeffs))
+        chart_id = _as(_need(cdoc, "id", cw), int, f"{cw}.id")
+        charts.append(ChartSpec(chart_id, dim, box[0], box[1], coeffs))
     transitions = []
     for i, tdoc in enumerate(doc.get("transitions", [])):
         tw = f"{where}.transitions[{i}]"
-        src = int(_need(tdoc, "from", tw))
+        src = _as(_need(tdoc, "from", tw), int, f"{tw}.from")
         dims = [c.dim for c in charts if c.chart_id == src]
         if not dims:
             raise SchemaError(f"no chart has id {src}", f"{tw}.from")
         coord_map = _parse_list(_need(tdoc, "map", tw, list), dims[0], f"{tw}.map")
         gauge = _matrix_function(_need(tdoc, "gauge", tw, list), dims[0], f"{tw}.gauge")
-        transitions.append(Transition(src, int(_need(tdoc, "to", tw)), coord_map, gauge))
+        dst = _as(_need(tdoc, "to", tw), int, f"{tw}.to")
+        transitions.append(Transition(src, dst, coord_map, gauge))
     try:
         return ConnectionForm(group, tuple(charts), tuple(transitions))
     except HolonomeError as err:
@@ -163,7 +175,11 @@ def _load_path(doc, where):
         sw = f"{where}.segments[{i}]"
         coords = _parse_list(_need(sdoc, "coords", sw, list), 1, f"{sw}.coords")
         rng = sdoc.get("range", [i / n, (i + 1) / n])
-        segs.append(Segment(int(_need(sdoc, "chart", sw)), coords, rng[0], rng[1]))
+        if not isinstance(rng, list) or len(rng) != 2:
+            raise SchemaError(f"range must be [t0, t1], got {rng!r}", f"{sw}.range")
+        t0, t1 = (_as(t, float, f"{sw}.range") for t in rng)
+        chart_id = _as(_need(sdoc, "chart", sw), int, f"{sw}.chart")
+        segs.append(Segment(chart_id, coords, t0, t1))
     try:
         return PathSpec(tuple(segs))
     except HolonomeError as err:
@@ -172,10 +188,10 @@ def _load_path(doc, where):
 
 def _load_family(doc, where):
     coords = _parse_list(_need(doc, "coords", where, list), 2, f"{where}.coords")
+    chart_id = _as(_need(doc, "chart", where), int, f"{where}.chart")
+    s_samples = _as(doc.get("s_samples", 11), int, f"{where}.s_samples")
     try:
-        return HomotopyFamily(
-            int(_need(doc, "chart", where)), coords, int(doc.get("s_samples", 11))
-        )
+        return HomotopyFamily(chart_id, coords, s_samples)
     except HolonomeError as err:
         raise SchemaError(str(err), where) from None
 
@@ -212,13 +228,13 @@ def load_scenario(path_or_doc):
         for name, fdoc in doc.get("families", {}).items()
     }
     sdoc = doc.get("solver", {})
+    numbers = (
+        _as(sdoc.get("h", 1e-3), float, "$.solver.h"),
+        _as(sdoc.get("project_every", 8), int, "$.solver.project_every"),
+        _as(sdoc.get("tol", 1e-10), float, "$.solver.tol"),
+    )
     try:
-        solver = SolverConfig(
-            sdoc.get("method", "rk4-fixed"),
-            float(sdoc.get("h", 1e-3)),
-            int(sdoc.get("project_every", 8)),
-            float(sdoc.get("tol", 1e-10)),
-        )
+        solver = SolverConfig(sdoc.get("method", "rk4-fixed"), *numbers)
     except HolonomeError as err:
         raise SchemaError(str(err), "$.solver") from None
 

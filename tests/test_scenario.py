@@ -123,6 +123,38 @@ def test_transition_from_an_undeclared_chart_is_a_schema_error():
     assert "99" in str(err.value)
 
 
+MALFORMED_FIELDS = {
+    "one-entry range": (("paths", "unit-x", "segments", 0, "range"), [0.0],
+                        "$.paths.unit-x.segments[0].range"),
+    "word dim": (("connection", "charts", 0, "dim"), "two", "$.connection.charts[0].dim"),
+    "word h": (("solver", "h"), "fine", "$.solver.h"),
+    "list k": (("connection", "group", "k"), [2], "$.connection.group.k"),
+    "null chart": (("paths", "unit-x", "segments", 0, "chart"), None,
+                   "$.paths.unit-x.segments[0].chart"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FIELDS))
+def test_malformed_scalar_field_is_a_schema_error(name, tmp_path, capsys):
+    """A scalar field that will not convert is refused with a SchemaError
+    at its place in the document, where loading once raised a bare
+    IndexError, ValueError or TypeError; holonome validate reports it and
+    exits 1 instead of crashing."""
+    keys, value, where = MALFORMED_FIELDS[name]
+    doc = _inline_doc()
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    with pytest.raises(SchemaError) as err:
+        load_scenario(doc)
+    assert err.value.where == where
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["validate", str(path)]) == 1
+    assert where in capsys.readouterr().err
+
+
 def test_bad_expression_is_rejected_with_location():
     doc = copy.deepcopy(MINIMAL)
     doc["paths"]["line"]["segments"][0]["coords"] = ["x1 +", "0"]
