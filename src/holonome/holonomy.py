@@ -118,12 +118,13 @@ def shrinking_loop_curvature(oracle, x, mu, nu, eps_sweep=(0.2, 0.1, 0.05)):
 
     Reports the per-eps estimates, the polynomial eps -> 0 extrapolation,
     and the observed order (from successive differences; expected >= 1,
-    or degenerate when the estimate is already eps-independent)."""
-    estimates = []
-    for eps in eps_sweep:
-        loop = _rectangle_loop(x, mu, nu, eps)
-        g = oracle(loop).g
-        estimates.append(group_log(g).matrix / (-(eps**2)))
+    or degenerate when the estimate is already eps-independent).  The
+    oracle answers every rectangle at once (see transport._results)."""
+    loops = [_rectangle_loop(x, mu, nu, eps) for eps in eps_sweep]
+    estimates = [
+        group_log(res.g).matrix / (-(eps**2))
+        for res, eps in zip(_results(oracle, loops), eps_sweep)
+    ]
     diffs = [frobenius(a - b) for a, b in zip(estimates, estimates[1:])]
     degenerate = max(diffs) < 1e-9
     extrapolated = neville_at_zero(eps_sweep, estimates)

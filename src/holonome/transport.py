@@ -96,6 +96,7 @@ from .paths import (
     path_from_exprs,
     path_point,
     reparametrize,
+    reverse_path,
 )
 
 __all__ = [
@@ -791,12 +792,9 @@ def inverse_path_check(conn, gamma, cfg=None):
     """|| P(reverse gamma) P(gamma) - I ||_F, a consequence of the ODE.
 
     When the reversed path ends on another chart than gamma starts on, its
-    result is taken back into gamma's start trivialization first."""
-    from .paths import reverse_path
-
-    cfg = cfg or SolverConfig()
-    fwd = transport(conn, gamma, cfg)
-    back = transport(conn, reverse_path(gamma), cfg)
+    result is taken back into gamma's start trivialization first.  Both
+    paths go through one transport_many call."""
+    fwd, back = transport_many(conn, [gamma, reverse_path(gamma)], cfg)
     gauge = _gauge_between(conn, back.end, fwd.start)
     U = back.g.matrix @ fwd.g.matrix
     return frobenius((U if gauge is None else gauge @ U) - np.eye(conn.group.k))
