@@ -825,6 +825,58 @@ def test_transport_many_matches_transport_bit_for_bit(name, cfg, data):
         assert [bits(res) for res in transport_many(conn, paths, cfg)] == outcomes
 
 
+@st.composite
+def driver_paths(draw, twochart):
+    """A path of a kind mixed_paths draws, or a circular arc; on the
+    two-chart sphere the arc may be a loop that crosses into chart 1 and
+    back."""
+    if draw(st.integers(0, 3)):
+        return draw(mixed_paths(twochart))
+    if twochart and draw(st.booleans()):
+        centre = (draw(st.floats(2.8, 3.2)), draw(st.floats(-0.3, 0.3)))
+        return arc_path(0, centre, draw(st.floats(1.5, 2.2)), np.pi, 3.0 * np.pi)
+    centre = (draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5)))
+    start = draw(st.floats(0.0, 6.0))
+    return arc_path(0, centre, draw(st.floats(0.1, 0.9)), start, start + draw(st.floats(0.5, 6.3)))
+
+
+def outcome(answer):
+    """A transport's bits, or its failure's type and message."""
+    if isinstance(answer, Exception):
+        return type(answer), str(answer)
+    return bits(answer)
+
+
+@seed(20261021)
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(sorted(MANY_CONNECTIONS)),
+    st.sampled_from(MANY_CONFIGS),
+    st.sampled_from([64, 1024, 4096]),
+    st.data(),
+)
+def test_each_path_is_the_same_alone_shuffled_and_in_small_batches(name, cfg, cap, data):
+    """The one driver gives each path the same bits, or the same failure,
+    whether it runs alone (transport), in a shuffled batch (engine_oracle's
+    many), or in batches cut small by a lower _BATCH_FLOATS, across
+    probes, lines, juxtapositions, chart exits, arcs, two-chart crossings
+    and rk4-doubling."""
+    conn = MANY_CONNECTIONS[name]
+    paths = data.draw(st.lists(driver_paths(name == TWOCHART), min_size=1, max_size=8))
+    order = data.draw(st.permutations(range(len(paths))))
+    alone = []
+    for gamma in paths:
+        try:
+            alone.append(outcome(transport(conn, gamma, cfg)))
+        except HolonomeError as err:
+            alone.append(outcome(err))
+    shuffled = engine_oracle(conn, cfg).many([paths[i] for i in order])
+    assert [outcome(shuffled[order.index(i)]) for i in range(len(paths))] == alone
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sys.modules["holonome.transport"], "_BATCH_FLOATS", cap)
+        assert [outcome(answer) for answer in engine_oracle(conn, cfg).many(paths)] == alone
+
+
 def test_transport_many_shares_passes_across_chart_exits_and_segments(monkeypatch):
     """Straight probes on one chart share one pass of the integrator.  A
     path that leaves its chart and a multi-segment loop stay in the one
