@@ -543,9 +543,9 @@ def _drive(conn, paths, cfg, samples=None):
             return
         firsts = _chart_points(pieces[0].chart_id, X[:, :, 0].T)
         lasts = _chart_points(pieces[0].chart_id, X[:, :, -1].T)
-        fields = zip(U_n, est, firsts, lasts, X.swapaxes(0, 1), M.transpose(2, 0, 1, 3), trail)
-        for (i, *_), piece_fields in zip(batch, fields):
-            advance(i, walks[i].send, piece_fields)
+        replies = zip(U_n, est, firsts, lasts, X.swapaxes(0, 1), M.transpose(2, 0, 1, 3), trail)
+        for (i, *_), reply in zip(batch, replies):
+            advance(i, walks[i].send, reply)
 
     for i, walk in enumerate(walks):
         advance(i, walk.send)
