@@ -516,7 +516,9 @@ def _drive(conn, paths, cfg, samples=None):
             out[i] = err
 
     def answer(batch):
-        while batch:
+        todo = [batch]
+        while todo:
+            batch = todo.pop()
             pieces = [ask[1] for ask in batch]
             U = np.array([ask[3] for ask in batch])
             prevs = [ask[4] for ask in batch]
@@ -527,25 +529,24 @@ def _drive(conn, paths, cfg, samples=None):
                 U_n, est, X, M, trail = _rk4_pass(
                     conn, pieces, batch[0][2], U, cfg.project_every, samples is not None, prev
                 )
-                break
             except _ChartExit as exit_:
                 for p, at in exit_.exits.items():
                     advance(batch[p][0], walks[batch[p][0]].throw, _ChartExit({0: at}))
-                batch = [ask for p, ask in enumerate(batch) if p not in exit_.exits]
+                stay = [ask for p, ask in enumerate(batch) if p not in exit_.exits]
+                if stay:
+                    todo.append(stay)
+                continue
             except Exception as err:
-                if len(batch) == 1:
-                    advance(batch[0][0], walks[batch[0][0]].throw, err)
+                if len(batch) > 1:
+                    todo += [[ask] for ask in batch]
                 else:
-                    for ask in batch:
-                        answer([ask])
-                return
-        else:
-            return
-        firsts = _chart_points(pieces[0].chart_id, X[:, :, 0].T)
-        lasts = _chart_points(pieces[0].chart_id, X[:, :, -1].T)
-        replies = zip(U_n, est, firsts, lasts, X.swapaxes(0, 1), M.transpose(2, 0, 1, 3), trail)
-        for (i, *_), reply in zip(batch, replies):
-            advance(i, walks[i].send, reply)
+                    advance(batch[0][0], walks[batch[0][0]].throw, err)
+                continue
+            firsts = _chart_points(pieces[0].chart_id, X[:, :, 0].T)
+            lasts = _chart_points(pieces[0].chart_id, X[:, :, -1].T)
+            grids = X.swapaxes(0, 1), M.transpose(2, 0, 1, 3)
+            for (i, *_), reply in zip(batch, zip(U_n, est, firsts, lasts, *grids, trail)):
+                advance(i, walks[i].send, reply)
 
     for i, walk in enumerate(walks):
         advance(i, walk.send)
