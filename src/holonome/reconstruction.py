@@ -13,20 +13,21 @@ than assumed.  Coefficients are recovered as A_mu(x) = -Omega(e_mu) at
 p = I, grid point by grid point, with an h-sweep convergence report for
 the round trip connection -> transport -> connection.
 
-Any callable PathSpec -> result with a group element g is an oracle.  An
-oracle that also has a many method (engine_oracle's) receives every probe
-of a table in one list, in the order the per-point loop would ask for
-them, and may answer a probe with the exception it met there.  A failed
-probe drops its point with the reason the per-point loop gives.  If many
-raises, the table falls back to the per-point loop.
+Any callable PathSpec -> result with a group element g is an oracle.
+Every check here builds all its probe paths first and asks for them
+through transport._asker: an oracle with a many method (engine_oracle's)
+gets them all in one list and may answer a probe with the exception it
+met there; any other oracle is asked for each probe only when the check
+reaches it.  _probe_elements turns the answers into group elements or an
+OracleFailureError.
 
-Both routes collect the pairs (U(+h), U(-h)) of a table and form
-D = U(+h) U(-h)^-1 as each pair arrives, with the principal-branch test
-||D - I||_F < 1, so a point stops asking for probes at the first pair
-that leaves the branch and drops with the log's reason.  Then every D is
-validated as one stack, one stacked logarithm (groups._logm) gives every
-Omega, and the vertical parts are checked for skewness as one stack.
-lift_vector runs the same helper on one pair.
+A table walks its grid point by point and forms D = U(+h) U(-h)^-1 of
+each pair, with the principal-branch test ||D - I||_F < 1, so a point
+stops asking at the first pair that fails or leaves the branch and drops
+with that reason.  Then every D is validated as one stack, one stacked
+logarithm (groups._logm) gives every Omega, and the vertical parts are
+checked for skewness as one stack.  lift_vector runs the same helpers on
+one pair.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .groups import (
     neville_at_zero,
 )
 from .paths import TangentVector, _line_segment, box_grid, path_point, path_velocity, subpath
-from .transport import SolverConfig, _answered, _many_answers, engine_oracle
+from .transport import SolverConfig, _answered, _asker, engine_oracle
 
 __all__ = [
     "LiftedVector",
@@ -117,22 +118,25 @@ class HorizontalBasis:
         return float(s[0] / s[-1]) if s[-1] > 0 else np.inf
 
 
-def _straight_probe(x, v, h):
-    return _line_segment(x.chart_id, x.coords, h * v.components)
-
-
-def _check_probe(x, v, h):
+def _probes(x, v, h):
+    """The straight probe paths x + t h v and x - t h v, in that order."""
     if not 1e-6 <= h <= 1e-2:
         raise OutOfRangeError(f"probe step h={h:g} outside [1e-6, 1e-2]")
     if v.base.chart_id != x.chart_id or np.max(np.abs(v.base.coords - x.coords)) > 1e-12:
         raise VelocityMismatchError("tangent vector is not based at the given point")
+    return [_line_segment(x.chart_id, x.coords, step * v.components) for step in (h, -h)]
 
 
-def _probe_pair(oracle, x, v, h):
-    """The transports (U(+h), U(-h)) along the straight probes x +- t h v,
-    asked of the oracle in that order."""
-    _check_probe(x, v, h)
-    return _probe_elements(oracle, (_straight_probe(x, v, h), _straight_probe(x, v, -h)))
+def _probe_elements(ask, indices, what="a probe path"):
+    """The group elements of the answers ask(i) for i in indices, asked in
+    order.  An OutOfBranchError passes as it is; any other failure raises
+    OracleFailureError, naming what was asked for."""
+    try:
+        return [_answered(ask(i)).g for i in indices]
+    except OutOfBranchError:
+        raise
+    except Exception as err:
+        raise OracleFailureError(f"oracle failed on {what}: {err}") from err
 
 
 def _difference(u_plus, u_minus):
@@ -166,22 +170,10 @@ def lift_vector(oracle, x, p, v, h):
     and takes the symmetric-difference derivative of the fiber component;
     by the sign convention the vertical part estimates -A_x(v).
     """
-    d = _difference(*_probe_pair(oracle, x, v, h))
+    d = _difference(*_probe_elements(_asker(oracle, _probes(x, v, h)), (0, 1)))
     _check_branch(d)
     vert = _vertical_parts([d], [0], h, p)[0]
     return LiftedVector(v, AlgebraElement(vert, p.group), (x, p))
-
-
-def _probe_elements(answer, probes):
-    """The group elements answer(probe).g of the probes, in order.  An
-    OutOfBranchError passes as it is; any other failure raises
-    OracleFailureError."""
-    try:
-        return [answer(probe).g for probe in probes]
-    except OutOfBranchError:
-        raise
-    except Exception as err:
-        raise OracleFailureError(f"oracle failed on a probe path: {err}") from err
 
 
 def horizontal_space(oracle, x, p, h):
@@ -247,14 +239,13 @@ def lemma_independence_check(oracle, x, p, v, curved_paths, hs=(1e-2, 5e-3, 2.5e
             raise VelocityMismatchError("paths do not share the initial velocity")
 
     pinv = group_inverse(p).matrix
+    n = len(curved_paths)
+    ask = _asker(oracle, [subpath(gamma, 0.0, h) for h in hs for gamma in curved_paths])
     devs = []
-    for h in hs:
+    for j, h in enumerate(hs):
         estimates = []
-        for gamma in curved_paths:
-            try:
-                u_h = oracle(subpath(gamma, 0.0, h)).g
-            except Exception as err:
-                raise OracleFailureError(f"oracle failed on a restriction: {err}") from err
+        for i in range(j * n, j * n + n):
+            [u_h] = _probe_elements(ask, [i], "a restriction")
             omega = group_log(u_h).matrix / h
             estimates.append(pinv @ omega @ p.matrix)
         devs.append(max_spread(estimates))
@@ -313,50 +304,29 @@ class ReconstructionTable:
                 fh.close()
 
 
-def _probe_transports(oracle, grid, h):
-    """Every probe answer of a reconstruction from one oracle.many call, as
-    {(grid index, mu): (answer for +h, answer for -h)}, the probes built in
-    the order the per-point loop asks for them.  An answer is a result or
-    the exception the oracle met on that probe.  None when the oracle has
-    no many method, or its call raises or answers a different number of
-    probes: the per-point loop then asks probe by probe."""
-    if getattr(oracle, "many", None) is None:
-        return None
-    keys, probes = [], []
-    for idx, x in enumerate(grid):
-        for mu in range(x.dim):
-            v = _unit_vector(x, mu)
-            _check_probe(x, v, h)
-            keys.append((idx, mu))
-            probes += [_straight_probe(x, v, h), _straight_probe(x, v, -h)]
-    answers = _many_answers(oracle, probes)
-    if answers is None:
-        return None
-    return {key: answers[2 * i : 2 * i + 2] for i, key in enumerate(keys)}
-
-
 def reconstruct_connection(oracle, grid, h, group):
     """Recover the coefficient table A_mu(x_i) = -Omega(e_mu) from any
     transport oracle, at p = I, over the given grid of chart points.
 
-    An oracle with a many method (engine_oracle's) answers every probe of
-    the table in one call; any other oracle is asked probe by probe.  Grid
-    points where the oracle errors, or whose D = U(+h) U(-h)^-1 lies
-    outside the log's principal branch, are dropped and reported, never
-    interpolated: each pair is branch-tested as it arrives.  The table's
-    differences are then validated, and their logs taken, as one stack.
+    Every probe of the table is built first, point by point and e_1..e_n
+    at each, and asked for through transport._asker: an oracle with a many
+    method (engine_oracle's) answers them all in one call, any other is
+    asked probe by probe as the walk below reaches them.  Grid points where
+    the oracle errors, or whose D = U(+h) U(-h)^-1 lies outside the log's
+    principal branch, are dropped and reported, never interpolated: each
+    pair is branch-tested as it arrives.  The table's differences are then
+    validated, and their logs taken, as one stack.
     """
-    probed = _probe_transports(oracle, grid, h)
+    ask = _asker(oracle, [probe for x in grid for mu in range(x.dim)
+                          for probe in _probes(x, _unit_vector(x, mu), h)])
     formed, kept, keys, dropped = [], [], [], []
+    end = 0
     for idx, x in enumerate(grid):
+        start, end = end, end + 2 * x.dim
         mine = []
         try:
-            for mu in range(x.dim):
-                if probed is None:
-                    pair = _probe_pair(oracle, x, _unit_vector(x, mu), h)
-                else:
-                    pair = _probe_elements(_answered, probed[(idx, mu)])
-                formed.append(_difference(*pair))
+            for i in range(start, end, 2):
+                formed.append(_difference(*_probe_elements(ask, (i, i + 1))))
                 _check_branch(formed[-1])
                 mine.append(len(formed) - 1)
         except (OracleFailureError, OutOfBranchError) as err:

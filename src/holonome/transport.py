@@ -52,8 +52,9 @@ leaves its chart is cut by its own path; a batch that raises anything
 else runs again piece by piece, so each path meets its own failure.
 engine_oracle's oracle answers one path, and a list of paths through its
 many method, which puts each path's failure in its place instead of
-raising.  The lab asks any oracle for all the paths of a check at once
-(_results): through many when the oracle has one, else path by path.
+raising.  Every lab check asks its oracle through one helper (_asker):
+all the paths of the check in one many call when the oracle answers it
+so, else path by path, each path only when the check needs its answer.
 """
 
 from __future__ import annotations
@@ -635,29 +636,36 @@ def engine_oracle(conn, cfg=None):
     return oracle
 
 
-def _many_answers(oracle, paths):
-    """oracle.many's answers to a list of paths, in order: for each path its
-    result, or the exception the oracle met on it.  None when the oracle has
-    no many method, or the call raises or answers another number of paths;
-    the caller then asks the oracle path by path."""
+def _asker(oracle, paths):
+    """ask(i), the oracle's answer for paths[i]: its result, or the
+    exception it met there.  An oracle whose many method answers the whole
+    list, one answer per path, is asked once, here.  Any other oracle,
+    whose many is missing, raises or answers another number of paths, is
+    asked for paths[i] only when ask(i) runs, so a caller that stops early
+    asks no further.  The one reader of an oracle's many method."""
     many = getattr(oracle, "many", None)
-    if many is None:
-        return None
-    try:
-        answers = list(many(paths))
-    except Exception:
-        return None
-    return answers if len(answers) == len(paths) else None
+    if many is not None:
+        try:
+            answers = list(many(paths))
+        except Exception:
+            answers = None
+        if answers is not None and len(answers) == len(paths):
+            return answers.__getitem__
+
+    def ask(i):
+        try:
+            return oracle(paths[i])
+        except Exception as err:
+            return err
+
+    return ask
 
 
 def _results(oracle, paths):
-    """[oracle(gamma) for gamma in paths], asked in one oracle.many call when
-    the oracle answers it.  The first path that fails, in order, raises what
-    oracle(gamma) raised on it."""
-    answers = _many_answers(oracle, paths)
-    if answers is None:
-        return [oracle(gamma) for gamma in paths]
-    return [_answered(answer) for answer in answers]
+    """[oracle(gamma) for gamma in paths], asked through _asker.  The first
+    path that fails, in order, raises what the oracle met on it."""
+    ask = _asker(oracle, paths)
+    return [_answered(ask(i)) for i in range(len(paths))]
 
 
 def _answered(answer):

@@ -3,6 +3,8 @@ axiom suites send every query through one oracle.many call when the oracle
 has one, with the results of a path-by-path loop bit for bit, and
 transport_many equals transport path by path across its batch cap."""
 
+import ast
+import pathlib
 import sys
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import holonome
 from holonome.connection import builtin_connection
 from holonome.errors import OutsideChartError
 from holonome.exprs import lit, parse, var
@@ -225,3 +228,39 @@ def test_transport_many_equals_transport_across_the_batch_cap(name, h, size, rng
     assert [bits(r) for r in transport_many(conn, paths, cfg)] == [
         bits(transport(conn, gamma, cfg)) for gamma in paths
     ]
+
+
+# --- one reader of an oracle's many method ---------------------------------------
+
+
+def _many_reads(tree):
+    """(enclosing function, line) of every read of an attribute named many
+    in a module's AST: oracle.many loads and getattr(oracle, "many", ...)."""
+    reads = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Attribute) and node.attr == "many" and isinstance(node.ctx, ast.Load):
+            reads.append((func, node.lineno))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "getattr" and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant) and node.args[1].value == "many"):
+            reads.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return reads
+
+
+def test_only_the_asker_reads_an_oracles_many_method():
+    """Every check asks its oracle through transport._asker: a scan of the
+    package finds exactly one read of an oracle's many method, there."""
+    package = pathlib.Path(holonome.__file__).parent
+    reads = {
+        path.name: _many_reads(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(package.glob("*.py"))
+    }
+    found = [(name, func) for name, hits in reads.items() for func, _ in hits]
+    assert found == [("transport.py", "_asker")]

@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from holonome import exprs
 from holonome.connection import (
@@ -620,3 +622,104 @@ def test_probe_tables_compile_no_program(monkeypatch):
         assert not table.dropped and len(table.entries) == 2 * len(grid)
         for (_, mu), mat in table.entries.items():
             assert frobenius(mat - A[mu]) <= 1e-8
+
+
+# --- one way to ask an oracle ----------------------------------------------------
+
+
+class RaisingManyOracle(RecordingOracle):
+    """The black box with a many method that raises: the table asks it probe
+    by probe, and seen records only those one-path calls."""
+
+    def many(self, paths):
+        raise RuntimeError("no batches today")
+
+
+class ShortManyOracle(RecordingOracle):
+    """The black box with a many method that answers one probe short."""
+
+    def many(self, paths):
+        return transport_many(self.conn, paths[:-1], CFG)
+
+
+def lazy_probe_sequence(conn, grid, refused, h):
+    """The probes a one-path oracle must see: point by point and e_1..e_n at
+    each, the +h probe then the -h probe, stopping at a point's first pair
+    that is refused (at its +h probe) or whose difference leaves the
+    principal branch."""
+    asked = []
+    for x in grid:
+        for mu in range(x.dim):
+            plus, minus = probe_sequence([(x, mu)], h)
+            asked.append(plus)
+            if refused is not None and np.array_equal(x.coords, refused):
+                break
+            asked.append(minus)
+            d = transport(conn, plus, CFG).g.matrix @ transport(conn, minus, CFG).g.matrix.T
+            if frobenius(d - np.eye(2)) >= 1.0:
+                break
+    return asked
+
+
+def table_outputs(table):
+    buf = io.StringIO()
+    table.to_csv(buf)
+    return table_bits(table), buf.getvalue()
+
+
+@seed(20261019)
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([-1.2, -0.9, -0.4, 0.0, 0.3, 0.7, 1.1]),
+                  st.sampled_from([-1.1, -0.6, -0.2, 0.2, 0.5, 1.2])),
+        min_size=1, max_size=6,
+    ),
+    st.one_of(st.none(), st.integers(0, 5)),
+)
+def test_every_oracle_kind_gives_the_same_table(coords, refused_at):
+    """For random grids on the steep connection at h = 1e-2, with points
+    whose probe difference leaves the principal branch and a point the
+    oracle refuses, a one-path oracle, a many oracle, a many oracle that
+    raises and one that answers a probe short give byte-identical tables,
+    CSVs and dropped reasons.  The many oracle gets every probe in one call
+    (its refusal raises out of many, so it is then asked path by path), and
+    every oracle asked path by path sees exactly the lazy probe sequence."""
+    conn = steep_connection()
+    grid = [ChartPoint(0, c) for c in coords]
+    refused = None if refused_at is None else grid[refused_at % len(grid)].coords
+    oracles = [cls(conn, refused) for cls in
+               (RecordingOracle, RecordingManyOracle, RaisingManyOracle, ShortManyOracle)]
+    want, *others = [table_outputs(reconstruct_connection(o, grid, 1e-2, SO2)) for o in oracles]
+    assert all(got == want for got in others)
+    lazy = lazy_probe_sequence(conn, grid, refused, 1e-2)
+    assert oracles[0].seen == lazy
+    every = probe_sequence([(x, mu) for x in grid for mu in range(2)], 1e-2)
+    assert oracles[1].many_calls == 1 and oracles[1].seen[: len(every)] == every
+    assert oracles[1].seen[len(every) :] == ([] if refused is None else lazy)
+    assert oracles[2].seen == lazy and oracles[3].seen == lazy
+
+
+def test_lift_and_lemma_ask_engine_oracle_in_one_many_call():
+    """lift_vector asks engine_oracle for its probe pair, and
+    lemma_independence_check for all its restrictions, in one many call
+    each, with the results of the path-by-path oracle bit for bit."""
+    conn = builtin_connection("levi-civita-s2-stereo")
+    x, v = np.array([0.4, -0.3]), np.array([1.0, 0.5])
+    at, p = ChartPoint(0, x), group_exp(AlgebraElement(0.3 * J, SO2))
+    tangent = TangentVector(at, v)
+    plain = lambda gamma: transport(conn, gamma, CFG)  # noqa: E731
+
+    oracle = CountingOracle(conn)
+    got = lift_vector(oracle, at, p, tangent, 1e-3)
+    want = lift_vector(plain, at, p, tangent, 1e-3)
+    assert (oracle.many_calls, oracle.calls) == (1, 0)
+    assert got.vertical_part.matrix.tobytes() == want.vertical_part.matrix.tobytes()
+
+    oracle = CountingOracle(conn)
+    paths = same_velocity_paths(x, v)
+    got = lemma_independence_check(oracle, at, p, tangent, paths)
+    want = lemma_independence_check(plain, at, p, tangent, paths)
+    assert (oracle.many_calls, oracle.calls) == (1, 0)
+    assert (got.deviations, got.slope, got.extrapolated) == (
+        want.deviations, want.slope, want.extrapolated)
