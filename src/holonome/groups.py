@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GroupInvariantError, OutOfBranchError, SingularInputError
+from .errors import GroupInvariantError, OutOfBranchError, SingularInputError, ValidationError
 
 __all__ = [
     "StructureGroup",
@@ -410,6 +410,13 @@ def max_spread(mats):
     return max(
         (frobenius(a - b) for i, a in enumerate(mats) for b in mats[i + 1:]), default=0.0
     )
+
+
+def _check_sweep(steps, what):
+    """Refuses a sweep that a slope or an extrapolation to zero cannot use:
+    fewer than two steps, a repeated step, or a zero step."""
+    if len(steps) < 2 or len(set(steps)) < len(steps) or 0 in steps:
+        raise ValidationError(f"{what} must hold two or more distinct nonzero steps, got {list(steps)}")
 
 
 def neville_at_zero(xs, values):

@@ -17,7 +17,15 @@ from . import exprs
 from .connection import is_flat
 from .errors import NotClosedError, ValidationError
 from .exprs import lit, substitute, var
-from .groups import GroupElement, frobenius, group_log, max_spread, neville_at_zero, rotation_angle
+from .groups import (
+    GroupElement,
+    _check_sweep,
+    frobenius,
+    group_log,
+    max_spread,
+    neville_at_zero,
+    rotation_angle,
+)
 from .paths import path_from_exprs, path_point
 from .transport import SolverConfig, _results, engine_oracle, transport
 
@@ -119,7 +127,13 @@ def shrinking_loop_curvature(oracle, x, mu, nu, eps_sweep=(0.2, 0.1, 0.05)):
     Reports the per-eps estimates, the polynomial eps -> 0 extrapolation,
     and the observed order (from successive differences; expected >= 1,
     or degenerate when the estimate is already eps-independent).  The
-    oracle answers every rectangle at once (see transport._results)."""
+    oracle answers every rectangle at once (see transport._results).
+    mu and nu are 0-based axes of x's chart."""
+    if not (0 <= mu < x.dim and 0 <= nu < x.dim):
+        raise ValidationError(
+            f"rectangle axes mu={mu}, nu={nu} must lie in 0..{x.dim - 1} on a {x.dim}-dim chart"
+        )
+    _check_sweep(eps_sweep, "eps_sweep")
     loops = [_rectangle_loop(x, mu, nu, eps) for eps in eps_sweep]
     estimates = [
         group_log(res.g).matrix / (-(eps**2))

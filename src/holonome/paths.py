@@ -30,6 +30,7 @@ from .errors import (
     EndpointMismatchError,
     NotMonotoneError,
     OutOfRangeError,
+    ValidationError,
 )
 from .exprs import Expr, lit, parse, substitute, var
 
@@ -94,6 +95,8 @@ def _chart_points(chart_id, X):
 def box_grid(chart_id, lo, hi, shape):
     """Uniform grid of ``shape`` points per axis over the box [lo, hi], as
     ChartPoints with the first axis varying slowest."""
+    if shape < 1:
+        raise ValidationError(f"grid shape must be >= 1, got {shape}")
     axes = [np.linspace(a, b, shape) for a, b in zip(lo, hi)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return [ChartPoint(chart_id, row) for row in np.stack([g.ravel() for g in mesh], axis=1)]

@@ -49,6 +49,7 @@ from .groups import (
     _algebra_checked,
     _algebra_logs,
     _check_branch,
+    _check_sweep,
     _validated,
     frobenius,
     group_inverse,
@@ -230,6 +231,7 @@ def lemma_independence_check(oracle, x, p, v, curved_paths, hs=(1e-2, 5e-3, 2.5e
     """
     if len(curved_paths) < 2:
         raise VelocityMismatchError("need at least two paths to compare")
+    _check_sweep(hs, "hs")
     for gamma in curved_paths:
         start = path_point(gamma, 0.0)
         vel = path_velocity(gamma, 0.0)
@@ -386,6 +388,7 @@ def roundtrip_report(
     The probe paths have length of order h, so a coarse solver step is
     plenty; pass cfg to override.
     """
+    _check_sweep(hs, "hs")
     cfg = cfg or SolverConfig(h=0.02, project_every=4)
     chart = conn.charts[0] if chart_id is None else conn.chart(chart_id)
     center = 0.5 * (chart.lo + chart.hi)

@@ -86,12 +86,37 @@ class Scenario:
     tasks: tuple
 
 
-def _need(doc, key, where, kind=None):
+_REQUIRED = object()
+
+# the numeric fields of a task, and of its grid and expect objects, each
+# converted by _numbers: int or float, or [kind] for a list of them
+_TASK_NUMBERS = {
+    "chart": int, "mu": int, "nu": int, "samples": int, "tol": float, "h": float,
+    "h_final": float, "hs": [float], "eps": [float], "x": [float],
+}
+_GRID_NUMBERS = {"shape": int, "lo": [float], "hi": [float]}
+_EXPECT_NUMBERS = {
+    "tol": float, "angle": float, "max_spread": float, "min_spread": float, "matrix": [[float]],
+}
+# the field each task kind cannot run without
+_TASK_NEEDS = {"transport": "path", "holonomy": "loop", "homotopy_scan": "family",
+               "shrinking_curvature": "x"}
+
+
+def _need(doc, key, where, kind=None, default=_REQUIRED):
+    """doc[key], checked to be a kind when kind is given, or default when
+    doc lacks the key and a default is given.  A SchemaError when doc, at
+    where in the document, is not an object, or the field is missing or of
+    another kind."""
+    if not isinstance(doc, dict):
+        raise SchemaError(f"expected an object, got {doc!r}", where)
     if key not in doc:
+        if default is not _REQUIRED:
+            return default
         raise SchemaError(f"missing required field {key!r}", where)
     value = doc[key]
     if kind is not None and not isinstance(value, kind):
-        raise SchemaError(f"field {key!r} has the wrong type", where)
+        raise SchemaError(f"field {key!r} has the wrong type", f"{where}.{key}")
     return value
 
 
@@ -105,7 +130,29 @@ def _as(value, kind, where):
         raise SchemaError(f"expected {noun}, got {value!r}", where) from None
 
 
+def _numbers(value, kind, where):
+    """value converted by kind through _as, kind being int or float, or a
+    list [kind] for a list of such values."""
+    if not isinstance(kind, list):
+        return _as(value, kind, where)
+    if not isinstance(value, list):
+        raise SchemaError(f"expected a list, got {value!r}", where)
+    return [_numbers(v, kind[0], f"{where}[{i}]") for i, v in enumerate(value)]
+
+
+def _converted(doc, numbers, where):
+    """A copy of the object doc, at where in the document, with each field
+    named in numbers converted by _numbers."""
+    doc = dict(doc)
+    for key, kind in numbers.items():
+        if key in doc:
+            doc[key] = _numbers(doc[key], kind, f"{where}.{key}")
+    return doc
+
+
 def _matrix_function(rows, dim, where):
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise SchemaError(f"expected a list of rows, got {rows!r}", where)
     try:
         entries = [[parse(str(cell), dim) for cell in row] for row in rows]
     except HolonomeError as err:
@@ -126,7 +173,7 @@ def _parse_list(sources, dim, where):
 def _load_connection(doc, where):
     if "builtin" in doc:
         try:
-            return builtin_connection(doc["builtin"])
+            return builtin_connection(_need(doc, "builtin", where, str))
         except ValidationError as err:
             raise SchemaError(str(err), f"{where}.builtin") from None
     group_doc = _need(doc, "group", where, dict)
@@ -141,6 +188,7 @@ def _load_connection(doc, where):
         box = _need(cdoc, "box", cw, list)
         if len(box) != 2:
             raise SchemaError("box must be [lo, hi]", cw)
+        lo, hi = _numbers(box, [[float]], f"{cw}.box")
         coeff_rows = _need(cdoc, "coefficients", cw, list)
         if len(coeff_rows) != dim:
             raise SchemaError(f"need {dim} coefficient matrices", cw)
@@ -149,9 +197,12 @@ def _load_connection(doc, where):
             for mu, rows in enumerate(coeff_rows)
         )
         chart_id = _as(_need(cdoc, "id", cw), int, f"{cw}.id")
-        charts.append(ChartSpec(chart_id, dim, box[0], box[1], coeffs))
+        try:
+            charts.append(ChartSpec(chart_id, dim, lo, hi, coeffs))
+        except HolonomeError as err:
+            raise SchemaError(str(err), cw) from None
     transitions = []
-    for i, tdoc in enumerate(doc.get("transitions", [])):
+    for i, tdoc in enumerate(_need(doc, "transitions", where, list, [])):
         tw = f"{where}.transitions[{i}]"
         src = _as(_need(tdoc, "from", tw), int, f"{tw}.from")
         dims = [c.dim for c in charts if c.chart_id == src]
@@ -174,12 +225,15 @@ def _load_path(doc, where):
     for i, sdoc in enumerate(seg_docs):
         sw = f"{where}.segments[{i}]"
         coords = _parse_list(_need(sdoc, "coords", sw, list), 1, f"{sw}.coords")
-        rng = sdoc.get("range", [i / n, (i + 1) / n])
-        if not isinstance(rng, list) or len(rng) != 2:
+        rng = _need(sdoc, "range", sw, list, [i / n, (i + 1) / n])
+        if len(rng) != 2:
             raise SchemaError(f"range must be [t0, t1], got {rng!r}", f"{sw}.range")
         t0, t1 = (_as(t, float, f"{sw}.range") for t in rng)
         chart_id = _as(_need(sdoc, "chart", sw), int, f"{sw}.chart")
-        segs.append(Segment(chart_id, coords, t0, t1))
+        try:
+            segs.append(Segment(chart_id, coords, t0, t1))
+        except HolonomeError as err:
+            raise SchemaError(str(err), sw) from None
     try:
         return PathSpec(tuple(segs))
     except HolonomeError as err:
@@ -221,13 +275,13 @@ def load_scenario(path_or_doc):
     conn = _load_connection(_need(doc, "connection", "$", dict), "$.connection")
     paths = {
         name: _load_path(pdoc, f"$.paths.{name}")
-        for name, pdoc in doc.get("paths", {}).items()
+        for name, pdoc in _need(doc, "paths", "$", dict, {}).items()
     }
     families = {
         name: _load_family(fdoc, f"$.families.{name}")
-        for name, fdoc in doc.get("families", {}).items()
+        for name, fdoc in _need(doc, "families", "$", dict, {}).items()
     }
-    sdoc = doc.get("solver", {})
+    sdoc = _need(doc, "solver", "$", dict, {})
     numbers = (
         _as(sdoc.get("h", 1e-3), float, "$.solver.h"),
         _as(sdoc.get("project_every", 8), int, "$.solver.project_every"),
@@ -237,34 +291,36 @@ def load_scenario(path_or_doc):
         solver = SolverConfig(sdoc.get("method", "rk4-fixed"), *numbers)
     except HolonomeError as err:
         raise SchemaError(str(err), "$.solver") from None
-
-    tasks = doc.get("tasks", [])
-    if not isinstance(tasks, list):
-        raise SchemaError("tasks must be a list", "$.tasks")
-    for i, task in enumerate(tasks):
-        tw = f"$.tasks[{i}]"
-        kind = _need(task, "kind", tw, str)
-        if kind not in TASK_KINDS:
-            raise SchemaError(f"unknown task kind {kind!r}", f"{tw}.kind")
-        for key in ("path", "loop"):
-            if key in task and task[key] not in paths:
-                raise ValidationError(
-                    f"task {i} references undeclared path {task[key]!r}"
-                )
-        if "family" in task and task["family"] not in families:
-            raise ValidationError(
-                f"task {i} references undeclared family {task['family']!r}"
-            )
-        if kind in ("transport",) and "path" not in task:
-            raise SchemaError("transport task needs a 'path'", tw)
-        if kind == "holonomy" and "loop" not in task:
-            raise SchemaError("holonomy task needs a 'loop'", tw)
-        if kind == "homotopy_scan" and "family" not in task:
-            raise SchemaError("homotopy_scan task needs a 'family'", tw)
-
-    return Scenario(
-        doc.get("description", ""), conn, paths, families, solver, tuple(tasks)
+    tasks = tuple(
+        _load_task(task, i, paths, families, conn.group.k)
+        for i, task in enumerate(_need(doc, "tasks", "$", list, []))
     )
+    return Scenario(doc.get("description", ""), conn, paths, families, solver, tasks)
+
+
+def _load_task(task, i, paths, families, k):
+    """Task i, checked against the declared paths and families, with its
+    numeric fields converted by _numbers."""
+    tw = f"$.tasks[{i}]"
+    kind = _need(task, "kind", tw, str)
+    if kind not in TASK_KINDS:
+        raise SchemaError(f"unknown task kind {kind!r}", f"{tw}.kind")
+    for key, declared, noun in (("path", paths, "path"), ("loop", paths, "path"),
+                                ("family", families, "family")):
+        name = _need(task, key, tw, str, None)
+        if name is not None and name not in declared:
+            raise ValidationError(f"task {i} references undeclared {noun} {name!r}")
+    need = _TASK_NEEDS.get(kind)
+    if need is not None and need not in task:
+        raise SchemaError(f"{kind} task needs a {need!r}", tw)
+    task = _converted(task, _TASK_NUMBERS, tw)
+    for key, numbers in (("grid", _GRID_NUMBERS), ("expect", _EXPECT_NUMBERS)):
+        if key in task:
+            task[key] = _converted(_need(task, key, tw, dict), numbers, f"{tw}.{key}")
+    matrix = task.get("expect", {}).get("matrix")
+    if matrix is not None and (len(matrix) != k or any(len(row) != k for row in matrix)):
+        raise SchemaError(f"expected a {k} x {k} matrix", f"{tw}.expect.matrix")
+    return task
 
 
 # --- execution -----------------------------------------------------------------
@@ -294,7 +350,7 @@ def _check_expectation(task, result_payload):
     expect = task.get("expect")
     if expect is None:
         return None, None
-    tol = float(expect.get("tol", 1e-7))
+    tol = expect.get("tol", 1e-7)
     if "matrix" in expect:
         got = np.asarray(result_payload["g"]["matrix"], dtype=float)
         want = np.asarray(expect["matrix"], dtype=float)
@@ -304,17 +360,17 @@ def _check_expectation(task, result_payload):
         got = result_payload.get("angle")
         if got is None:
             return False, {"reason": "no angle available"}
-        dev = abs(_wrap_angle(float(got) - float(expect["angle"])))
+        dev = abs(_wrap_angle(float(got) - expect["angle"]))
         return bool(dev <= tol), {"angle_deviation_mod_2pi": dev, "tol": tol}
     if "verdict" in expect:
         got = result_payload["verdict"]
         return bool(got == expect["verdict"]), {"verdict": got, "expected": expect["verdict"]}
     if "max_spread" in expect:
         got = result_payload["spread"]
-        return bool(got <= float(expect["max_spread"])), {"spread": got}
+        return bool(got <= expect["max_spread"]), {"spread": got}
     if "min_spread" in expect:
         got = result_payload["spread"]
-        return bool(got >= float(expect["min_spread"])), {"spread": got}
+        return bool(got >= expect["min_spread"]), {"spread": got}
     if "passed" in expect:
         return bool(result_payload.get("passed") == expect["passed"]), {}
     raise ValidationError(f"unknown expectation {sorted(expect)!r}")
@@ -352,20 +408,22 @@ def _run_task(scenario, task, index, out_dir, trace_csv):
                 conn, loop, cfg, out_dir, f"trace-{index:02d}-holonomy.csv"
             )
     elif kind == "verify_axioms":
-        tol = float(task.get("tol", 1e-7))
+        tol = task.get("tol", 1e-7)
         params["tol"] = tol
         suite = standard_axiom_suite(conn, task.get("chart"))
         report = verify_axioms(engine_oracle(conn, cfg), suite, tol)
         payload = report.as_dict()
     elif kind == "reconstruct":
-        chart = conn.chart(int(task.get("chart", conn.charts[0].chart_id)))
+        chart = conn.chart(task.get("chart", conn.charts[0].chart_id))
         grid_doc = task.get("grid", {})
-        shape = int(grid_doc.get("shape", 5))
+        shape = grid_doc.get("shape", 5)
         center = 0.5 * (chart.lo + chart.hi)
         quarter = 0.25 * (chart.hi - chart.lo)
         lo = np.asarray(grid_doc.get("lo", center - quarter), dtype=float)
         hi = np.asarray(grid_doc.get("hi", center + quarter), dtype=float)
-        h = float(task.get("h", 1e-3))
+        if len(lo) != chart.dim or len(hi) != chart.dim:
+            raise ValidationError(f"grid lo and hi need {chart.dim} coordinates each")
+        h = task.get("h", 1e-3)
         params.update({"h": h, "grid": {"lo": lo.tolist(), "hi": hi.tolist(), "shape": shape}})
         grid = box_grid(chart.chart_id, lo, hi, shape)
         table = reconstruct_connection(engine_oracle(conn, cfg), grid, h, conn.group)
@@ -378,15 +436,15 @@ def _run_task(scenario, task, index, out_dir, trace_csv):
             "csv": csv_name,
         }
     elif kind == "roundtrip":
-        hs = tuple(float(h) for h in task.get("hs", (1e-2, 5e-3, 2.5e-3)))
-        h_final = float(task.get("h_final", 1e-3))
+        hs = tuple(task.get("hs", (1e-2, 5e-3, 2.5e-3)))
+        h_final = task.get("h_final", 1e-3)
         params.update({"hs": list(hs), "h_final": h_final})
         payload = roundtrip_report(conn, cfg, hs, h_final).as_dict()
     elif kind == "shrinking_curvature":
-        chart = int(task.get("chart", conn.charts[0].chart_id))
+        chart = task.get("chart", conn.charts[0].chart_id)
         x = ChartPoint(chart, task["x"])
-        mu, nu = int(task.get("mu", 1)) - 1, int(task.get("nu", 2)) - 1
-        eps = tuple(float(e) for e in task.get("eps", (0.2, 0.1, 0.05)))
+        mu, nu = task.get("mu", 1) - 1, task.get("nu", 2) - 1
+        eps = tuple(task.get("eps", (0.2, 0.1, 0.05)))
         params.update({"x": _json_point(x), "mu": mu + 1, "nu": nu + 1, "eps": list(eps)})
         report = shrinking_loop_curvature(engine_oracle(conn, cfg), x, mu, nu, eps)
         payload = {
@@ -407,8 +465,8 @@ def _run_task(scenario, task, index, out_dir, trace_csv):
                 for j, s in enumerate(report.s_values)
             ]
     elif kind == "flatness_verdict":
-        samples = int(task.get("samples", 7))
-        tol = float(task.get("tol", 1e-6))
+        samples = task.get("samples", 7)
+        tol = task.get("tol", 1e-6)
         params.update({"samples": samples, "tol": tol})
         payload = flatness_verdict(conn, cfg, samples=samples, tol=tol).as_dict()
     else:  # pragma: no cover - load_scenario rejects unknown kinds

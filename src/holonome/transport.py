@@ -74,6 +74,7 @@ from .errors import (
 from .exprs import lit, parse, substitute, var
 from .groups import (
     GroupElement,
+    _check_sweep,
     _components,
     _elements,
     _mul,
@@ -819,6 +820,7 @@ class ConvergenceReport:
 def endpoint_convergence(conn, gamma, hs=(1e-2, 5e-3, 2.5e-3), cfg=None):
     """Endpoint error against a Richardson-extrapolated fine reference, with
     the log-log slope (RK4 should give about 4)."""
+    _check_sweep(hs, "hs")
     base = cfg or SolverConfig()
 
     def run(h):

@@ -219,6 +219,15 @@ def test_shrinking_loop_order_on_curved_builtin(coords):
     assert frobenius(rep.extrapolated - truth) <= 1e-2
 
 
+@pytest.mark.parametrize("mu, nu", [(-1, 1), (0, 2), (2, 0)])
+def test_shrinking_loop_refuses_an_axis_off_the_chart(mu, nu):
+    """An axis outside 0..dim - 1 is refused, where -1 once wrapped to the
+    last axis (reporting F_21 for F_12) and 2 raised a bare IndexError."""
+    oracle = engine_oracle(builtin_connection("abelian-area(1.5)"), SolverConfig(h=0.002))
+    with pytest.raises(ValidationError, match="rectangle axes"):
+        shrinking_loop_curvature(oracle, ChartPoint(0, [0.2, 0.1]), mu, nu)
+
+
 # --- homotopy scans --------------------------------------------------------------
 
 def test_homotopy_family_validates_endpoints():

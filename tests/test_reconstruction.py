@@ -723,3 +723,17 @@ def test_lift_and_lemma_ask_engine_oracle_in_one_many_call():
     assert (oracle.many_calls, oracle.calls) == (1, 0)
     assert (got.deviations, got.slope, got.extrapolated) == (
         want.deviations, want.slope, want.extrapolated)
+
+
+def test_lemma_refuses_a_restriction_step_before_asking():
+    """A step outside (0, 1] raises subpath's OutOfRangeError before the
+    oracle is asked for any restriction."""
+    conn = builtin_connection("abelian-area(1.5)")
+    x, v = np.array([0.3, 0.2]), np.array([1.0, 0.0])
+    oracle = RecordingOracle(conn)
+    with pytest.raises(OutOfRangeError, match="invalid subrange"):
+        lemma_independence_check(
+            oracle, ChartPoint(0, x), identity_element(SO2),
+            TangentVector(ChartPoint(0, x), v), same_velocity_paths(x, v), (0.5, 2.0),
+        )
+    assert oracle.seen == []

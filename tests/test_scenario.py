@@ -131,6 +131,23 @@ MALFORMED_FIELDS = {
     "list k": (("connection", "group", "k"), [2], "$.connection.group.k"),
     "null chart": (("paths", "unit-x", "segments", 0, "chart"), None,
                    "$.paths.unit-x.segments[0].chart"),
+    "word expect tol": (("tasks", 0, "expect", "tol"), "x", "$.tasks[0].expect.tol"),
+    "word expect matrix": (("tasks", 0, "expect", "matrix"), "abc", "$.tasks[0].expect.matrix"),
+    "ragged expect matrix": (("tasks", 0, "expect", "matrix"), [[0.0, 1.0], [-1.0]],
+                             "$.tasks[0].expect.matrix"),
+    "word reconstruct h": (("tasks", 0), {"kind": "reconstruct", "h": "fine"}, "$.tasks[0].h"),
+    "curvature without x": (("tasks", 0), {"kind": "shrinking_curvature"}, "$.tasks[0]"),
+    "number solver": (("solver",), 5, "$.solver"),
+    "list paths": (("paths",), ["x"], "$.paths"),
+    "list families": (("families",), ["x"], "$.families"),
+    "flat box": (("connection", "charts", 0, "box"), [0, 1], "$.connection.charts[0].box[0]"),
+    "number task": (("tasks",), [5], "$.tasks[0]"),
+    "number chart": (("connection", "charts", 0), 5, "$.connection.charts[0]"),
+    "number segment": (("paths", "unit-x", "segments", 0), 5, "$.paths.unit-x.segments[0]"),
+    "number transition": (("connection", "transitions"), [5], "$.connection.transitions[0]"),
+    "list task path": (("tasks", 0, "path"), ["a"], "$.tasks[0].path"),
+    "reversed range": (("paths", "unit-x", "segments", 0, "range"), [0.5, 0.2],
+                       "$.paths.unit-x.segments[0]"),
 }
 
 
@@ -153,6 +170,28 @@ def test_malformed_scalar_field_is_a_schema_error(name, tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert cli_main(["validate", str(path)]) == 1
     assert where in capsys.readouterr().err
+
+
+def test_task_value_errors_are_reported_and_later_tasks_run(tmp_path):
+    """Task values that convert but cannot be used, among them "mu": 0 (the
+    fields are 1-based, and axis -1 once wrapped to report F_21 for F_12),
+    give each its task a typed error in the report, exit code 1, and the
+    task after them still runs."""
+    doc = _inline_doc()
+    x = [0.1, 0.1]
+    doc["tasks"][:0] = [
+        {"kind": "shrinking_curvature", "x": x, "mu": 0},
+        {"kind": "shrinking_curvature", "x": x, "eps": [0.1]},
+        {"kind": "roundtrip", "hs": []},
+        {"kind": "reconstruct", "grid": {"shape": -1}},
+        {"kind": "reconstruct", "grid": {"lo": [0.0]}},
+    ]
+    code, report = run_scenario(load_scenario(doc), str(tmp_path))
+    assert code == 1
+    *refused, last = report["tasks"]
+    assert [entry["error"]["type"] for entry in refused] == ["ValidationError"] * 5
+    assert "mu=-1" in refused[0]["error"]["message"]
+    assert last["error"] is None and last["passed"] is True
 
 
 def test_bad_expression_is_rejected_with_location():
