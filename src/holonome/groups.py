@@ -416,7 +416,9 @@ def _check_sweep(steps, what):
     """Refuses a sweep that a slope or an extrapolation to zero cannot use:
     fewer than two steps, a repeated step, or a zero step."""
     if len(steps) < 2 or len(set(steps)) < len(steps) or 0 in steps:
-        raise ValidationError(f"{what} must hold two or more distinct nonzero steps, got {list(steps)}")
+        raise ValidationError(
+            f"{what} must hold two or more distinct nonzero steps, got {list(steps)}"
+        )
 
 
 def neville_at_zero(xs, values):

@@ -241,7 +241,8 @@ def _many_reads(tree):
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             func = node.name
-        if isinstance(node, ast.Attribute) and node.attr == "many" and isinstance(node.ctx, ast.Load):
+        if (isinstance(node, ast.Attribute) and node.attr == "many"
+                and isinstance(node.ctx, ast.Load)):
             reads.append((func, node.lineno))
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == "getattr" and len(node.args) >= 2
