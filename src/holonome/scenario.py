@@ -89,7 +89,7 @@ class Scenario:
 _REQUIRED = object()
 
 # the numeric fields of a task, and of its grid and expect objects, each
-# converted by _numbers: int or float, or [kind] for a list of them
+# converted by _as: int or float, or [kind] for a list of them
 _TASK_NUMBERS = {
     "chart": int, "mu": int, "nu": int, "samples": int, "tol": float, "h": float,
     "h_final": float, "hs": [float], "eps": [float], "x": [float],
@@ -121,8 +121,13 @@ def _need(doc, key, where, kind=None, default=_REQUIRED):
 
 
 def _as(value, kind, where):
-    """A scalar field's value converted by kind (int or float), or a
-    SchemaError at where, the field's path in the document."""
+    """A field's value converted by kind: int or float for a scalar, [kind]
+    for a list of such values.  A SchemaError at where, the field's path in
+    the document, when it will not convert."""
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise SchemaError(f"expected a list, got {value!r}", where)
+        return [_as(v, kind[0], f"{where}[{i}]") for i, v in enumerate(value)]
     try:
         return kind(value)
     except (TypeError, ValueError):
@@ -130,23 +135,13 @@ def _as(value, kind, where):
         raise SchemaError(f"expected {noun}, got {value!r}", where) from None
 
 
-def _numbers(value, kind, where):
-    """value converted by kind through _as, kind being int or float, or a
-    list [kind] for a list of such values."""
-    if not isinstance(kind, list):
-        return _as(value, kind, where)
-    if not isinstance(value, list):
-        raise SchemaError(f"expected a list, got {value!r}", where)
-    return [_numbers(v, kind[0], f"{where}[{i}]") for i, v in enumerate(value)]
-
-
 def _converted(doc, numbers, where):
     """A copy of the object doc, at where in the document, with each field
-    named in numbers converted by _numbers."""
+    named in numbers converted by _as."""
     doc = dict(doc)
     for key, kind in numbers.items():
         if key in doc:
-            doc[key] = _numbers(doc[key], kind, f"{where}.{key}")
+            doc[key] = _as(doc[key], kind, f"{where}.{key}")
     return doc
 
 
@@ -188,7 +183,7 @@ def _load_connection(doc, where):
         box = _need(cdoc, "box", cw, list)
         if len(box) != 2:
             raise SchemaError("box must be [lo, hi]", cw)
-        lo, hi = _numbers(box, [[float]], f"{cw}.box")
+        lo, hi = _as(box, [[float]], f"{cw}.box")
         coeff_rows = _need(cdoc, "coefficients", cw, list)
         if len(coeff_rows) != dim:
             raise SchemaError(f"need {dim} coefficient matrices", cw)
@@ -300,7 +295,7 @@ def load_scenario(path_or_doc):
 
 def _load_task(task, i, paths, families, k):
     """Task i, checked against the declared paths and families, with its
-    numeric fields converted by _numbers."""
+    numeric fields converted by _as."""
     tw = f"$.tasks[{i}]"
     kind = _need(task, "kind", tw, str)
     if kind not in TASK_KINDS:
@@ -351,6 +346,10 @@ def _check_expectation(task, result_payload):
     if expect is None:
         return None, None
     tol = expect.get("tol", 1e-7)
+    for key, field in (("matrix", "g"), ("verdict", "verdict"), ("max_spread", "spread"),
+                       ("min_spread", "spread")):
+        if key in expect and field not in result_payload:
+            raise ValidationError(f"a {task['kind']} task has no {field} to hold to expect.{key}")
     if "matrix" in expect:
         got = np.asarray(result_payload["g"]["matrix"], dtype=float)
         want = np.asarray(expect["matrix"], dtype=float)

@@ -174,9 +174,10 @@ def test_malformed_scalar_field_is_a_schema_error(name, tmp_path, capsys):
 
 def test_task_value_errors_are_reported_and_later_tasks_run(tmp_path):
     """Task values that convert but cannot be used, among them "mu": 0 (the
-    fields are 1-based, and axis -1 once wrapped to report F_21 for F_12),
-    give each its task a typed error in the report, exit code 1, and the
-    task after them still runs."""
+    fields are 1-based, and axis -1 once wrapped to report F_21 for F_12)
+    and an expectation on a field the task's result lacks, give each its
+    task a typed error in the report, exit code 1, and the task after them
+    still runs."""
     doc = _inline_doc()
     x = [0.1, 0.1]
     doc["tasks"][:0] = [
@@ -185,11 +186,12 @@ def test_task_value_errors_are_reported_and_later_tasks_run(tmp_path):
         {"kind": "roundtrip", "hs": []},
         {"kind": "reconstruct", "grid": {"shape": -1}},
         {"kind": "reconstruct", "grid": {"lo": [0.0]}},
+        {"kind": "transport", "path": "unit-x", "expect": {"verdict": "FLAT"}},
     ]
     code, report = run_scenario(load_scenario(doc), str(tmp_path))
     assert code == 1
     *refused, last = report["tasks"]
-    assert [entry["error"]["type"] for entry in refused] == ["ValidationError"] * 5
+    assert [entry["error"]["type"] for entry in refused] == ["ValidationError"] * 6
     assert "mu=-1" in refused[0]["error"]["message"]
     assert last["error"] is None and last["passed"] is True
 
