@@ -153,10 +153,11 @@ MALFORMED_FIELDS = {
 
 @pytest.mark.parametrize("name", sorted(MALFORMED_FIELDS))
 def test_malformed_scalar_field_is_a_schema_error(name, tmp_path, capsys):
-    """A scalar field that will not convert is refused with a SchemaError
-    at its place in the document, where loading once raised a bare
-    IndexError, ValueError or TypeError; holonome validate reports it and
-    exits 1 instead of crashing."""
+    """A field that will not convert, or a container of the wrong kind, is
+    refused with a SchemaError at its place in the document, where loading
+    (or holonome run) once raised a bare IndexError, ValueError, TypeError,
+    KeyError or AttributeError; holonome validate reports it and exits 1
+    instead of crashing."""
     keys, value, where = MALFORMED_FIELDS[name]
     doc = _inline_doc()
     node = doc
