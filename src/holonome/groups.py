@@ -350,23 +350,19 @@ def _mul(a, b):
 
 def _polar(m):
     """Orthogonal polar factor of each matrix of a (..., k, k) stack: the
-    nearest SO matrix in the Frobenius norm.  See _polar_components."""
-    return _rows(_polar_components(_components(np.asarray(m, dtype=float))))
+    nearest SO matrix in the Frobenius norm, as a new stack.
 
-
-def _polar_components(C):
-    """Orthogonal polar factor of each matrix of a component-major
-    (k, k, ...) stack, as a new stack.
-
-    A matrix whose Gram defect X^T X - I has every entry within _NS_BASIN
-    takes Newton-Schulz steps X <- X (3I - X^T X) / 2 (Higham, Computing
-    the polar decomposition -- with applications, 1986), which converge
-    quadratically to its polar factor, until its own defect is at roundoff.
-    Every other matrix takes the SVD factor u @ vt, and raises
-    SingularInputError when it is numerically singular.  Every choice is
-    made per matrix, so a matrix's factor does not depend on the rest of
-    the stack.  Raises SingularInputError when any factor has det <= 0.
-    Returns raw matrices, so callers skip the GroupElement checks."""
+    The stack runs component-major.  A matrix whose Gram defect X^T X - I
+    has every entry within _NS_BASIN takes Newton-Schulz steps
+    X <- X (3I - X^T X) / 2 (Higham, Computing the polar decomposition --
+    with applications, 1986), which converge quadratically to its polar
+    factor, until its own defect is at roundoff.  Every other matrix takes
+    the SVD factor u @ vt, and raises SingularInputError when it is
+    numerically singular.  Every choice is made per matrix, so a matrix's
+    factor does not depend on the rest of the stack.  Raises
+    SingularInputError when any factor has det <= 0.  Returns raw
+    matrices, so callers skip the GroupElement checks."""
+    C = _components(np.asarray(m, dtype=float))
     k = len(C)
     given = C.reshape(k, k, -1)
     eye = np.eye(k)[:, :, None]
@@ -389,7 +385,7 @@ def _polar_components(C):
         X[..., far] = _components(u @ vt)
     if (np.linalg.det(_rows(X)) <= 0).any():
         raise SingularInputError("projection to SO needs det > 0")
-    return X.reshape(C.shape)
+    return _rows(X.reshape(C.shape))
 
 
 def project_to_group(m, group):

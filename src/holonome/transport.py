@@ -2,8 +2,8 @@
 
     U'(t) = -A_{gamma(t)}(gamma'(t)) U(t),    U(0) = I,
 
-with classical RK4 and polar projection back onto the group once per block
-of steps.
+with classical RK4 and one polar projection of each product of steps back
+onto the group.
 P(gamma) acts on fiber points by left multiplication in the trivialization,
 so juxtaposition composes as P(g2 * g1) = P(g2) P(g1).
 
@@ -18,25 +18,25 @@ The right-hand side is linear in U, so each RK4 step is a matrix S(t, h)
 applied to U.  Both methods run one pass per piece: the step matrices of an
 even step count n and of n/2 steps are built from one field evaluation, and
 the difference of their products / 15 is the Richardson estimate of the
-piece's error (Hairer, Norsett & Wanner, Solving ODEs I, II.4).
-rk4-doubling repeats the pass with n doubled until the estimate meets tol;
-each pass takes the previous pass's product as its n/2-step product and
-the previous pass's field grid as its even points.
+piece's error (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  On
+orthogonal groups both products are projected, as below, before their
+difference is taken, so the estimate reads the integration error, not the
+drift off the group.  rk4-doubling repeats the pass with n doubled until
+the estimate meets tol; each pass takes the previous pass's product as its
+n/2-step product and the previous pass's field grid as its even points.
 
-Products are tree-ordered.  The steps fall into blocks of project_every;
-each block is multiplied pairwise, ceil(log2 project_every) levels deep,
-every full block's product is projected in one batched polar call
-(Newton-Schulz steps, see groups._polar_components), and the projected
-blocks and the unprojected tail are multiplied by the same pairwise tree.
-lift_path takes every partial product from a prefix scan within the blocks
-and one across the projected block ends (Blelloch, Prefix sums and their
-applications, 1990).  GL groups take one unprojected block.
+Products are tree-ordered: the n steps of a pass are multiplied pairwise,
+ceil(log2 n) levels deep, and on orthogonal groups a product of at least
+project_every steps is projected once (Newton-Schulz steps, see
+groups._polar).  GL products are never projected.  lift_path takes every
+partial product, unprojected, from one prefix scan over the steps
+(Blelloch, Prefix sums and their applications, 1990).
 
-Fields, step matrices and blocks are component-major, (k, k, paths,
-steps): the step axis is innermost and each entry (i, j) is one contiguous
-row, so every product of two stacks is one einsum over the rows (_mul).
-_product and _partial_products index their steps (..., n, k, k), as views
-of that storage.  No SVD or matrix inverse runs on the per-step path of a
+Fields and step matrices are component-major, (k, k, paths, steps): the
+step axis is innermost and each entry (i, j) is one contiguous row, so
+every product of two stacks is one einsum over the rows (_mul).  _product
+and _partial_products index their steps (..., n, k, k), as views of that
+storage.  No SVD or matrix inverse runs on the per-step path of a
 well-conditioned orthogonal transport.
 
 The integrator carries a leading path axis, and one driver (_drive) runs
@@ -79,7 +79,6 @@ from .groups import (
     _elements,
     _mul,
     _polar,
-    _polar_components,
     _rows,
     frobenius,
     loglog_slope,
@@ -140,9 +139,9 @@ class SolverConfig:
     path parameter, h in (0, 0.1].  rk4-doubling doubles n until the piece's
     error estimate is <= tol * max(1, ||U||_F): tol is per piece, not per
     step.  est_error sums the estimates for both methods.  project_every
-    is the projection block length: the product of each full block of that
-    many steps is projected onto SO(k) before the tree-ordered product of
-    the blocks; 10**9 means never project.
+    is the fewest steps a product needs to be projected onto SO(k): a
+    product of at least that many steps is projected once, a shorter one
+    not at all; 10**9 means never project.
     """
 
     method: str = "rk4-fixed"
@@ -312,53 +311,24 @@ def _scan(S):
     return S
 
 
-def _blocks(S, project_every, orthogonal):
-    """The (..., n, k, k) steps as a fresh component-major (k, k, ...,
-    blocks, p) stack of blocks of p = project_every steps, the last padded
-    with identities, and the number of full blocks, whose products get
-    projected.  GL groups, and orthogonal ones with project_every > n, take
-    one unprojected block."""
-    C = _components(S)
-    n = C.shape[-1]
-    p = max(min(project_every, n) if orthogonal else n, 1)
-    blocks = -(-n // p)
-    eye = np.eye(len(C)).reshape(C.shape[:2] + (1,) * (C.ndim - 2))
-    C = np.concatenate([C, np.broadcast_to(eye, C.shape[:-1] + (blocks * p - n,))], axis=-1)
-    return C.reshape(C.shape[:-1] + (blocks, p)), (n // project_every if orthogonal else 0)
-
-
 def _product(S, U, project_every, orthogonal):
     """S[..., -1, :, :] @ ... @ S[..., 0, :, :] @ U over the step axis -3,
-    as a tree: the product of each block of project_every steps, snapped
-    back onto the group in one batched polar projection, then the product
-    of the blocks.  Leading axes are a batch of paths.  The work runs
-    component-major, whatever the layout of S."""
-    B, full = _blocks(S, project_every, orthogonal)
-    if not B.shape[-2]:
-        return U
-    W = _tree(B)
-    if full:
-        W[..., :full] = _polar_components(W[..., :full])
-    return _rows(_tree(W)) @ U
-
-
-def _partial_products(S, U, project_every, orthogonal):
-    """Every partial product S[..., j, :, :] @ ... @ S[..., 0, :, :] @ U,
-    j < n, with the block ends projected as _product projects them, as an
-    (..., n, k, k) array: a prefix scan within the blocks, then one across
-    the block ends.  U has the leading axes of S."""
-    B, full = _blocks(S, project_every, orthogonal)
+    the steps multiplied as one pairwise tree.  On orthogonal groups a
+    product of at least project_every steps is snapped back onto the group
+    by one polar projection.  Leading axes are a batch of paths.  The work
+    runs component-major, whatever the layout of S."""
     n = S.shape[-3]
-    if not B.shape[-2]:
-        return np.empty(S.shape[:-3] + (0,) + U.shape[-2:])
-    W = _scan(B)
-    if full:
-        W[..., :full, -1] = _polar_components(W[..., :full, -1])
-    U = _components(U)[..., None]
-    ends = _mul(_scan(W[..., -1]), U)
-    before = np.concatenate([U, ends[..., :-1]], axis=-1)
-    partial = _mul(W, before[..., None])
-    return _rows(partial.reshape(partial.shape[:-2] + (-1,))[..., :n])
+    if not n:
+        return U
+    W = _rows(_tree(_components(S))) @ U
+    return _polar(W) if orthogonal and n >= project_every else W
+
+
+def _partial_products(S, U):
+    """Every partial product S[..., j, :, :] @ ... @ S[..., 0, :, :] @ U,
+    j < n, unprojected, as an (..., n, k, k) array: one prefix scan.  U has
+    the leading axes of S."""
+    return _rows(_mul(_scan(_components(S)), _components(U)[..., None]))
 
 
 def _rk4_pass(conn, pieces, n, U, project_every, collect, prev=None):
@@ -381,7 +351,7 @@ def _rk4_pass(conn, pieces, n, U, project_every, collect, prev=None):
     orthogonal = conn.group.orthogonal
     fine = _step_matrices(M[..., 0:-1:2], M[..., 1::2], M[..., 2::2], dt)
     U_fine = _product(fine, U, project_every, orthogonal)
-    trail = _partial_products(fine, U, project_every, orthogonal) if collect else [None] * len(U)
+    trail = _partial_products(fine, U) if collect else [None] * len(U)
     if prev is None:
         coarse = _step_matrices(M[..., 0:-1:4], M[..., 2::4], M[..., 4::4], 2.0 * dt)
         U_coarse = _product(coarse, U, project_every, orthogonal)
@@ -606,11 +576,11 @@ def lift_path(conn, gamma, p, cfg=None):
 
     The final sample's group part equals transport(...).g @ p to
     roundoff.  On orthogonal groups the samples U(t) are projected onto
-    the group as one stack, as transport projects its product, since
-    between the projected block ends they drift off SO(k).  With
-    projection off (project_every beyond the path's step count) they stay
-    as integrated, so a drift past the group tolerance raises.  The
-    samples are validated against the group as one stack.
+    the group as one stack, as transport projects its product, since the
+    unprojected partial products drift off SO(k).  With projection off
+    (project_every beyond the path's step count) they stay as integrated,
+    so a drift past the group tolerance raises.  The samples are validated
+    against the group as one stack.
     """
     cfg = cfg or SolverConfig()
     samples = []

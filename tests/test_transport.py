@@ -585,19 +585,18 @@ def test_no_svd_or_inverse_on_the_per_step_path(monkeypatch, name, gamma):
 # --- the tree-ordered product ---------------------------------------------------
 
 def sequential_product(S, U, p, orthogonal):
-    """The plain loop the tree product reorders: multiply the steps one at
-    a time into a block, and when p steps have gone in (orthogonal groups
-    only), multiply the block's SVD polar factor onto the total.  Returns
-    the product and every partial product."""
-    k = U.shape[0]
-    total, block, partial = U, np.eye(k), []
-    for j, s in enumerate(S, 1):
-        block = s @ block
-        if orthogonal and j % p == 0:
-            u, _, vt = np.linalg.svd(block)
-            total, block = u @ vt @ total, np.eye(k)
-        partial.append(block @ total)
-    return block @ total, partial
+    """The plain loop the tree product reorders: multiply the steps onto U
+    one at a time, and on orthogonal groups, when there are at least p
+    steps, project the total once at the end onto its SVD polar factor.
+    Returns the product and every partial product, unprojected."""
+    total, partial = U, []
+    for s in S:
+        total = s @ total
+        partial.append(total)
+    if orthogonal and p <= len(S):
+        u, _, vt = np.linalg.svd(total)
+        total = u @ vt
+    return total, partial
 
 
 SO3 = StructureGroup("SO", 3)
@@ -628,12 +627,12 @@ def random_steps(rng, group, n):
 def test_tree_product_matches_the_sequential_loop(group, n, every, rng_seed):
     """_product and every row of _partial_products match the sequential
     loop within 1e-12, for SO(2), SO(3) and GL(3), any step count, and
-    block lengths from 1 to "never project"."""
+    projection thresholds from 1 to "never project"."""
     p = {"1": 1, "3": 3, "8": 8, "n": max(n, 1), "n+1": n + 1, "1e9": 10**9}[every]
     S, U = random_steps(np.random.default_rng(rng_seed), group, n)
     want, partial = sequential_product(S, U, p, group.orthogonal)
     assert frobenius(_product(S, U, p, group.orthogonal) - want) <= 1e-12
-    trail = _partial_products(S, U, p, group.orthogonal)
+    trail = _partial_products(S, U)
     assert trail.shape == (n, group.k, group.k)
     assert all(frobenius(t - w) <= 1e-12 for t, w in zip(trail, partial))
 
@@ -648,15 +647,13 @@ def test_tree_product_matches_the_sequential_loop(group, n, every, rng_seed):
     st.data(),
 )
 def test_one_bad_block_anywhere_raises(group, n, p, kind, data):
-    """A singular or det < 0 block anywhere in the batch raises
-    SingularInputError from the one batched projection."""
+    """A singular or det < 0 step anywhere in the product raises
+    SingularInputError from its one projection."""
     S, U = random_steps(np.random.default_rng(n), group, n)
-    j = data.draw(st.integers(0, (n // p) * p - 1))
+    j = data.draw(st.integers(0, n - 1))
     S[j] = 0.0 if kind == "singular" else np.diag([-1.0] + [1.0] * (group.k - 1))
     with pytest.raises(SingularInputError):
         _product(S, U, p, True)
-    with pytest.raises(SingularInputError):
-        _partial_products(S, U, p, True)
 
 
 def test_doubling_evaluates_only_the_new_grid_points(monkeypatch):
@@ -677,6 +674,19 @@ def test_doubling_evaluates_only_the_new_grid_points(monkeypatch):
     res = transport(conn, loop, SolverConfig("rk4-doubling", h=1e-2))
     assert res.step_count == 400
     assert counted == [201, 200, 400]
+
+
+def test_error_estimate_reads_the_integration_error_not_the_drift():
+    """On a pure-gauge loop the holonomy is I.  Both products of the
+    Richardson estimate are projected before their difference is taken,
+    so est_error reads the roundoff-level integration error, not the
+    drift off SO(2) inside the product (3.3e-7 with a projection after
+    every block of 8 steps)."""
+    conn = builtin_connection("pure-gauge")
+    loop = arc_path(0, [0.0, 0.0], 1.9, 0.0, 10.0 * np.pi)  # five turns
+    res = transport(conn, loop, SolverConfig(h=1e-3))
+    assert frobenius(res.g.matrix - np.eye(2)) <= 1e-12
+    assert res.est_error <= 1e-12
 
 
 # --- chart switching -----------------------------------------------------------
