@@ -5,7 +5,9 @@ angle a quadratic polynomial of the coordinates plus a sine and a cosine
 term, are applied to abelian-area, constant-so3 and chart 1 of the
 two-chart sphere.  The curvature conjugates, g then g^-1 gives back the
 coefficients, and across the two charts the gauge law holds and the
-holonomy of a loop based on the gauged chart conjugates.
+holonomy of a loop based on the gauged chart conjugates.  On the gauged
+charts, P(gamma^-1) P(gamma) = I, and the flatness verdict reads FLAT on a
+gauged zero connection and CURVED on the gauged curved ones.
 """
 
 import numpy as np
@@ -13,6 +15,9 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from holonome.connection import (
+    ChartSpec,
+    ConnectionForm,
+    ConstantMatrixFunction,
     ExprMatrixFunction,
     builtin_connection,
     check_transition_compatibility,
@@ -20,10 +25,10 @@ from holonome.connection import (
     gauge_transform,
 )
 from holonome.exprs import cos, lit, sin, var
-from holonome.groups import frobenius
-from holonome.holonomy import holonomy
-from holonome.paths import ChartPoint, PathSpec, Segment
-from holonome.transport import SolverConfig
+from holonome.groups import StructureGroup, frobenius
+from holonome.holonomy import flatness_verdict, holonomy
+from holonome.paths import ChartPoint, PathSpec, Segment, arc_path
+from holonome.transport import SolverConfig, inverse_path_check
 
 CFG = SolverConfig(h=1e-3)
 # (builtin, chart the gauge acts on)
@@ -147,3 +152,56 @@ def test_two_chart_gauge_keeps_the_law_and_conjugates_the_holonomy(entries, r0):
     h_before = holonomy(conn, loop, CFG).g.matrix
     h_after = holonomy(gauged, loop, CFG).g.matrix
     assert frobenius(h_after - g0.T @ h_before @ g0) <= 1e-8
+
+
+@seed(20261030)
+@settings(max_examples=8, deadline=None)
+@given(
+    gauged_cases(),
+    st.lists(st.floats(0.3, 0.7), min_size=2, max_size=2),
+    st.floats(0.05, 0.25),
+    st.floats(0.0, 2.0 * np.pi),
+    st.floats(0.5, 2.0 * np.pi),
+)
+def test_inverse_path_cancels_on_random_gauged_arcs(case, at, size, theta0, sweep):
+    """P(gamma^-1) P(gamma) = I within 1e-9 for a random arc inside the
+    gauged chart: centre in the middle of the box, radius up to a quarter
+    of its width."""
+    conn, chart_id, entries = case
+    gauged = gauge_transform(conn, entries, chart_id=chart_id)
+    chart = conn.chart(chart_id)
+    width = chart.hi - chart.lo
+    arc = arc_path(chart_id, chart.lo + np.array(at) * width, size * min(width),
+                   theta0, theta0 + sweep)
+    assert inverse_path_check(gauged, arc, CFG) <= 1e-9
+
+
+def _zero_connection(k):
+    """The zero connection on [-2, 2]^2 with structure group SO(k)."""
+    if k == 2:
+        return builtin_connection("flat-so2")
+    zero = ConstantMatrixFunction(np.zeros((k, k)), 2)
+    chart = ChartSpec(0, 2, [-2.0, -2.0], [2.0, 2.0], (zero, zero))
+    return ConnectionForm(StructureGroup("SO", k), (chart,))
+
+
+@seed(20261031)
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(lambda k: st.tuples(st.just(k), gauges(k))))
+def test_gauged_zero_connection_is_flat(case):
+    """A zero SO(2) or SO(3) connection gauged by a random g is pure gauge:
+    the flatness verdict reads FLAT."""
+    k, entries = case
+    verdict = flatness_verdict(gauge_transform(_zero_connection(k), entries))
+    assert verdict.verdict == "FLAT", verdict.as_dict()
+
+
+@seed(20261101)
+@settings(max_examples=8, deadline=None)
+@given(gauged_cases())
+def test_gauged_curved_connection_is_curved(case):
+    """Gauging a curved connection by a random g keeps its flatness
+    verdict CURVED, never INCONSISTENT."""
+    conn, chart_id, entries = case
+    verdict = flatness_verdict(gauge_transform(conn, entries, chart_id=chart_id))
+    assert verdict.verdict == "CURVED", verdict.as_dict()
