@@ -782,14 +782,20 @@ def inverse_path_check(conn, gamma, cfg=None):
 
 @dataclass(frozen=True)
 class ConvergenceReport:
+    """Endpoint errors at each step h and their log-log slope; degenerate,
+    with no slope, when every error is at roundoff."""
+
     hs: tuple
     errors: tuple
-    slope: float
+    slope: float | None
+    degenerate: bool
 
 
 def endpoint_convergence(conn, gamma, hs=(1e-2, 5e-3, 2.5e-3), cfg=None):
     """Endpoint error against a Richardson-extrapolated fine reference, with
-    the log-log slope (RK4 should give about 4)."""
+    the log-log slope (RK4 should give about 4).  When every error is below
+    1e-12 the sweep measures roundoff, not the integrator, so the report is
+    degenerate and its slope None."""
     _check_sweep(hs, "hs")
     base = cfg or SolverConfig()
 
@@ -801,4 +807,6 @@ def endpoint_convergence(conn, gamma, hs=(1e-2, 5e-3, 2.5e-3), cfg=None):
     u2 = run(h_ref / 2.0)
     ref = u2 + (u2 - u1) / 15.0
     errors = tuple(frobenius(run(h) - ref) for h in hs)
-    return ConvergenceReport(tuple(hs), errors, loglog_slope(hs, errors))
+    if max(errors) < 1e-12:
+        return ConvergenceReport(tuple(hs), errors, None, True)
+    return ConvergenceReport(tuple(hs), errors, loglog_slope(hs, errors), False)

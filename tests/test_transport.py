@@ -290,6 +290,24 @@ def test_rk4_convergence_order():
     assert rep.slope >= 3.7
 
 
+@pytest.mark.parametrize(
+    "name, gamma",
+    [
+        ("flat-so2", arc_path(0, [0.0, 0.0], 1.0, 0.0, 2.0 * np.pi)),
+        ("pure-gauge", arc_path(0, [0.0, 0.0], 1.9, 0.0, 2.0 * np.pi)),
+    ],
+)
+def test_roundoff_level_convergence_sweep_is_degenerate(name, gamma):
+    """On a flat-so2 or pure-gauge loop every endpoint error is at
+    roundoff, so the sweep reports no slope and flags itself degenerate,
+    while a curved constant-so3 line does not."""
+    rep = endpoint_convergence(builtin_connection(name), gamma)
+    assert max(rep.errors) < 1e-12
+    assert rep.slope is None and rep.degenerate
+    so3_line = line_path(ChartPoint(0, [-0.5, -0.5]), [1.0, 0.8])
+    assert not endpoint_convergence(builtin_connection("constant-so3"), so3_line).degenerate
+
+
 def test_verify_axioms_engine_self_consistency():
     for name in ("flat-so2", "abelian-area(1.5)", "constant-so3"):
         conn = builtin_connection(name)
