@@ -164,6 +164,21 @@ def _unit_vector(x, mu):
     return TangentVector(x, e)
 
 
+def _lifts(oracle, x, p, vs, h):
+    """The lifted velocities of the tangent vectors vs at the bundle point
+    (x, p), their 2 len(vs) probe paths asked through one _asker.  Each
+    pair is checked, and its lift formed, before the next pair is asked
+    for, so an oracle asked path by path stops at the first failure."""
+    ask = _asker(oracle, [gamma for v in vs for gamma in _probes(x, v, h)])
+    lifts = []
+    for i, v in enumerate(vs):
+        d = _difference(*_probe_elements(ask, (2 * i, 2 * i + 1)))
+        _check_branch(d)
+        vert = _vertical_parts([d], [0], h, p)[0]
+        lifts.append(LiftedVector(v, AlgebraElement(vert, p.group), (x, p)))
+    return lifts
+
+
 def lift_vector(oracle, x, p, v, h):
     """Lifted velocity of v at the bundle point (x, p).
 
@@ -171,16 +186,14 @@ def lift_vector(oracle, x, p, v, h):
     and takes the symmetric-difference derivative of the fiber component;
     by the sign convention the vertical part estimates -A_x(v).
     """
-    d = _difference(*_probe_elements(_asker(oracle, _probes(x, v, h)), (0, 1)))
-    _check_branch(d)
-    vert = _vertical_parts([d], [0], h, p)[0]
-    return LiftedVector(v, AlgebraElement(vert, p.group), (x, p))
+    return _lifts(oracle, x, p, [v], h)[0]
 
 
 def horizontal_space(oracle, x, p, h):
-    """Reconstructed horizontal space at (x, p): lifts of e_1..e_n."""
-    lifts = [lift_vector(oracle, x, p, _unit_vector(x, mu), h) for mu in range(x.dim)]
-    return HorizontalBasis((x, p), tuple(lifts))
+    """Reconstructed horizontal space at (x, p): lifts of e_1..e_n, whose
+    probe paths the oracle is asked for at once (see _lifts)."""
+    units = [_unit_vector(x, mu) for mu in range(x.dim)]
+    return HorizontalBasis((x, p), tuple(_lifts(oracle, x, p, units, h)))
 
 
 def split_horizontal_vertical(basis, base_components, fiber_component):

@@ -701,9 +701,10 @@ def test_every_oracle_kind_gives_the_same_table(coords, refused_at):
 
 
 def test_lift_and_lemma_ask_engine_oracle_in_one_many_call():
-    """lift_vector asks engine_oracle for its probe pair, and
-    lemma_independence_check for all its restrictions, in one many call
-    each, with the results of the path-by-path oracle bit for bit."""
+    """lift_vector asks engine_oracle for its probe pair, horizontal_space
+    for the probe pairs of every direction, and lemma_independence_check
+    for all its restrictions, in one many call each, with the results of
+    the path-by-path oracle bit for bit."""
     conn = builtin_connection("levi-civita-s2-stereo")
     x, v = np.array([0.4, -0.3]), np.array([1.0, 0.5])
     at, p = ChartPoint(0, x), group_exp(AlgebraElement(0.3 * J, SO2))
@@ -715,6 +716,13 @@ def test_lift_and_lemma_ask_engine_oracle_in_one_many_call():
     want = lift_vector(plain, at, p, tangent, 1e-3)
     assert (oracle.many_calls, oracle.calls) == (1, 0)
     assert got.vertical_part.matrix.tobytes() == want.vertical_part.matrix.tobytes()
+
+    oracle = CountingOracle(conn)
+    got = horizontal_space(oracle, at, p, 1e-3)
+    want = horizontal_space(plain, at, p, 1e-3)
+    assert (oracle.many_calls, oracle.calls) == (1, 0)
+    assert [lv.vertical_part.matrix.tobytes() for lv in got.lifts] == [
+        lv.vertical_part.matrix.tobytes() for lv in want.lifts]
 
     oracle = CountingOracle(conn)
     paths = same_velocity_paths(x, v)
