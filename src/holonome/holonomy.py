@@ -9,7 +9,7 @@ a threshold miscalibration) loud instead of silent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -271,13 +271,7 @@ class FlatnessVerdict:
     spread_tol: float
 
     def as_dict(self):
-        return {
-            "verdict": self.verdict,
-            "max_curvature": self.max_curvature,
-            "spreads": list(self.spreads),
-            "curvature_tol": self.curvature_tol,
-            "spread_tol": self.spread_tol,
-        }
+        return asdict(self)
 
 
 def flatness_verdict(conn, cfg=None, samples=7, tol=_FLAT_TOL):

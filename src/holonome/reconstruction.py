@@ -33,7 +33,7 @@ one pair.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -374,15 +374,7 @@ class RoundtripReport:
         return self.order is not None and self.order >= 1.7 and self.final_error <= 1e-3
 
     def as_dict(self):
-        return {
-            "hs": list(self.hs),
-            "errors": list(self.errors),
-            "h_final": self.h_final,
-            "final_error": self.final_error,
-            "order": self.order,
-            "degenerate": self.degenerate,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def roundtrip_report(

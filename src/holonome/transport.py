@@ -60,7 +60,7 @@ so, else path by path, each path only when the check needs its answer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -679,14 +679,7 @@ class AxiomReport:
         )
 
     def as_dict(self):
-        return {
-            "constant_dev": self.constant_dev,
-            "reparam_dev": self.reparam_dev,
-            "juxtapose_dev": self.juxtapose_dev,
-            "tol": self.tol,
-            "checks": self.checks,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def verify_axioms(oracle, suite, tol=1e-7):
