@@ -688,7 +688,8 @@ def verify_axioms(oracle, suite, tol=1e-7):
 
     Every query path is built first, in the order a check-by-check loop
     asks for them, and the oracle answers them all at once (see _results).
-    Failures are report entries, never exceptions.
+    Deviations from the axioms become report entries; the first query the
+    oracle fails on raises what the oracle met there.
     """
     queries, seen = [], set()
     for gamma in suite.paths:

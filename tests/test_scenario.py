@@ -354,8 +354,8 @@ def test_cli_trace_csv(tmp_path):
 def test_cli_trace_csv_lifts_an_so3_arc_with_short_projection_blocks(tmp_path):
     """--trace-csv lifts the path, and the lift projects its samples onto
     the group as transport projects its result.  On a constant-so3 arc at
-    h = 0.02 with project_every = 4 the partial products within a block
-    drift off SO(3) by about 3.5e-8, where the group check allows 1e-9;
+    h = 0.02 with project_every = 4 the unprojected partial products
+    drift off SO(3) by about 3.2e-7, where the group check allows 1e-9;
     the run exits 0 with the flag as it does without it, and the trace
     ends at the transport."""
     doc = {
