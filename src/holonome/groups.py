@@ -388,6 +388,22 @@ def _polar(m):
     return _rows(X.reshape(C.shape))
 
 
+def _near_singular(m):
+    """Whether each matrix of a (..., k, k) stack is too near singular for
+    _polar to project, as a (..., 1, 1) mask: its smallest singular value
+    is at most _DET_TOL, or at most sqrt(eps) times its largest (its polar
+    factor would lose half its digits), or it holds a NaN or an infinity.
+    Only the matrices outside _polar's Newton-Schulz basin take an SVD."""
+    flat = m.reshape(-1, m.shape[-1], m.shape[-1])
+    G = np.swapaxes(flat, 1, 2) @ flat - np.eye(m.shape[-1])
+    weak = ~(np.abs(G).max(axis=(1, 2)) <= _NS_BASIN)
+    if weak.any():
+        finite = np.isfinite(flat[weak]).all(axis=(1, 2))
+        sigma = np.linalg.svd(np.where(finite[:, None, None], flat[weak], 0.0), compute_uv=False)
+        weak[weak] = sigma[:, -1] <= np.maximum(_DET_TOL, np.sqrt(np.finfo(float).eps) * sigma[:, 0])
+    return weak.reshape(m.shape[:-2] + (1, 1))
+
+
 def project_to_group(m, group):
     """Nearest group element (Frobenius): polar factor for SO/U1, identity
     operation after a determinant check for GL."""

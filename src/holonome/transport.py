@@ -18,19 +18,21 @@ The right-hand side is linear in U, so each RK4 step is a matrix S(t, h)
 applied to U.  Both methods run one pass per piece: the step matrices of an
 even step count n and of n/2 steps are built from one field evaluation, and
 the difference of their products / 15 is the Richardson estimate of the
-piece's error (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  On
-orthogonal groups both products are projected, as below, before their
-difference is taken, so the estimate reads the integration error, not the
-drift off the group.  rk4-doubling repeats the pass with n doubled until
-the estimate meets tol; each pass takes the previous pass's product as its
-n/2-step product and the previous pass's field grid as its even points.
+piece's error (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  A pass
+projects both its products, as below, or neither, so the estimate reads
+the integration error, not the drift off the group.  rk4-doubling repeats
+the pass with n doubled until the estimate meets tol; each pass takes the
+previous pass's field grid as its even points, and the previous pass's
+product as its n/2-step product when both passes project alike.
 
 Products are tree-ordered: the n steps of a pass are multiplied pairwise,
-ceil(log2 n) levels deep, and on orthogonal groups a product of at least
-project_every steps is projected once (Newton-Schulz steps, see
-groups._polar).  GL products are never projected.  lift_path takes every
-partial product, unprojected, from one prefix scan over the steps
-(Blelloch, Prefix sums and their applications, 1990).
+ceil(log2 n) levels deep.  On orthogonal groups a pass of at least
+project_every steps projects each of its products once (Newton-Schulz
+steps, see groups._polar); a product too near singular to project, as a
+long run of steps too large for RK4 leaves it, is first multiplied again
+with every level projected.  GL products are never projected.  lift_path
+takes every partial product, unprojected, from one prefix scan over the
+steps (Blelloch, Prefix sums and their applications, 1990).
 
 Fields and step matrices are component-major, (k, k, paths, steps): the
 step axis is innermost and each entry (i, j) is one contiguous row, so
@@ -78,6 +80,7 @@ from .groups import (
     _components,
     _elements,
     _mul,
+    _near_singular,
     _polar,
     _rows,
     frobenius,
@@ -139,9 +142,10 @@ class SolverConfig:
     path parameter, h in (0, 0.1].  rk4-doubling doubles n until the piece's
     error estimate is <= tol * max(1, ||U||_F): tol is per piece, not per
     step.  est_error sums the estimates for both methods.  project_every
-    is the fewest steps a product needs to be projected onto SO(k): a
-    product of at least that many steps is projected once, a shorter one
-    not at all; 10**9 means never project.
+    is the fewest steps that are projected onto SO(k) (_projects): a pass
+    of at least that many steps projects both its products once each, a
+    shorter pass neither; lift_path counts the steps of the whole path to
+    decide whether it projects its samples.  10**9 means never project.
     """
 
     method: str = "rk4-fixed"
@@ -289,46 +293,81 @@ def _piece_fields(conn, pieces, n, prev=None):
     return X, M
 
 
-def _tree(S):
+def _projects(group, n, project_every):
+    """The one rule of project_every: n steps of the integrator are
+    projected onto the group when it is orthogonal and n >= project_every.
+    A pass applies it to its own step count, lift_path to the path's."""
+    return group.orthogonal and n >= project_every
+
+
+def _snapped(C):
+    """The polar factor of each matrix of a component-major stack, as a
+    component-major stack."""
+    return _components(_polar(_rows(C)))
+
+
+def _tree(S, snap=False):
     """Ordered product S[..., n - 1] @ ... @ S[..., 0] over the last axis of
     a component-major (k, k, ..., n) stack, n >= 1: each level multiplies
-    neighbouring pairs in one einsum, ceil(log2 n) levels."""
+    neighbouring pairs in one einsum, ceil(log2 n) levels.  With snap,
+    every product a level forms is projected onto the group."""
     while S.shape[-1] > 1:
         pairs = _mul(S[..., 1::2], S[..., 0:-1:2])
+        if snap:
+            pairs = _snapped(pairs)
         S = np.concatenate([pairs, S[..., -1:]], axis=-1) if S.shape[-1] % 2 else pairs
     return S[..., 0]
 
 
-def _scan(S):
+def _scan(S, snap=False):
     """Inclusive ordered prefix products over the last axis of a
     component-major stack, entry j being S[..., j] @ ... @ S[..., 0]: the
     Hillis-Steele scan, one einsum per doubling of the reach (Blelloch
-    1990)."""
+    1990).  With snap, every product a doubling forms is projected onto
+    the group."""
     d = 1
     while d < S.shape[-1]:
-        S = np.concatenate([S[..., :d], _mul(S[..., d:], S[..., :-d])], axis=-1)
+        reach = _mul(S[..., d:], S[..., :-d])
+        S = np.concatenate([S[..., :d], _snapped(reach) if snap else reach], axis=-1)
         d *= 2
     return S
 
 
-def _product(S, U, project_every, orthogonal):
+def _product(S, U, project):
     """S[..., -1, :, :] @ ... @ S[..., 0, :, :] @ U over the step axis -3,
-    the steps multiplied as one pairwise tree.  On orthogonal groups a
-    product of at least project_every steps is snapped back onto the group
-    by one polar projection.  Leading axes are a batch of paths.  The work
-    runs component-major, whatever the layout of S."""
-    n = S.shape[-3]
-    if not n:
+    the steps multiplied as one pairwise tree.  With project, the product
+    is snapped back onto the group by one polar projection.  An RK4 step
+    on SO(k) that turns by sqrt(6) scales by 0.5, and a larger one grows,
+    so a long run of steps too large for RK4 can take its product to a
+    singular or non-finite matrix: such a product is multiplied again with
+    every level of its tree projected before it is.  Leading axes are a
+    batch of paths, each treated alone.  The work runs component-major,
+    whatever the layout of S."""
+    C = _components(S)
+    if not C.shape[-1]:
         return U
-    W = _rows(_tree(_components(S))) @ U
-    return _polar(W) if orthogonal and n >= project_every else W
+    W = _rows(_tree(C)) @ U
+    if not project:
+        return W
+    weak = _near_singular(W)
+    if weak.any():
+        W = np.where(weak, _rows(_tree(C, snap=True)) @ U, W)
+    return _polar(W)
 
 
-def _partial_products(S, U):
+def _partial_products(S, U, project):
     """Every partial product S[..., j, :, :] @ ... @ S[..., 0, :, :] @ U,
     j < n, unprojected, as an (..., n, k, k) array: one prefix scan.  U has
-    the leading axes of S."""
-    return _rows(_mul(_scan(_components(S)), _components(U)[..., None]))
+    the leading axes of S.  With project, a path whose last partial
+    product is too near singular to project is scanned again with every
+    product of the scan projected, as _product multiplies it."""
+    C, U = _components(S), _components(U)[..., None]
+    T = _rows(_mul(_scan(C), U))
+    if project:
+        weak = _near_singular(T[..., -1:, :, :])
+        if weak.any():
+            T = np.where(weak, _rows(_mul(_scan(C, snap=True), U)), T)
+    return T
 
 
 def _rk4_pass(conn, pieces, n, U, project_every, collect, prev=None):
@@ -337,26 +376,29 @@ def _rk4_pass(conn, pieces, n, U, project_every, collect, prev=None):
 
     The fields are evaluated once, on the 2n + 1 points the n steps need;
     the n/2 steps of twice the size reuse every other sample.  prev, the
-    (products, X, M) of the n/2-step pass, gives that pass's products as
-    the n/2-step products (bit for bit the same: same grid, same step) and
-    its grids as the even points.  Returns the n-step products, the
-    Richardson estimates ||U_n - U_{n/2}||_F / 15 of their errors, the grid
-    points X, the fields M, and the partial products of each piece if
-    collect is set, else None for each."""
+    (products, X, M) of the n/2-step pass, gives its grids as the even
+    points, and its products as the n/2-step products when that pass
+    projected as this one does (bit for bit the same: same grid, same
+    step, same projection); else they are multiplied again.  A pass
+    projects both its products or neither (_projects of n), so the
+    Richardson estimates ||U_n - U_{n/2}||_F / 15 never hold one product's
+    drift off the group.  Returns the n-step products, those estimates,
+    the grid points X, the fields M, and the partial products of each
+    piece if collect is set, else None for each."""
     # one step per piece, as a scalar when they all agree, which numpy
     # applies far faster than a broadcast column; the results are the same
     dts = [(piece.t1 - piece.t0) / n for piece in pieces]
     dt = dts[0] if len(set(dts)) == 1 else np.reshape(dts, (-1, 1))
     X, M = _piece_fields(conn, pieces, n, None if prev is None else prev[1:])
-    orthogonal = conn.group.orthogonal
+    project = _projects(conn.group, n, project_every)
     fine = _step_matrices(M[..., 0:-1:2], M[..., 1::2], M[..., 2::2], dt)
-    U_fine = _product(fine, U, project_every, orthogonal)
-    trail = _partial_products(fine, U) if collect else [None] * len(U)
-    if prev is None:
-        coarse = _step_matrices(M[..., 0:-1:4], M[..., 2::4], M[..., 4::4], 2.0 * dt)
-        U_coarse = _product(coarse, U, project_every, orthogonal)
-    else:
+    U_fine = _product(fine, U, project)
+    trail = _partial_products(fine, U, project) if collect else [None] * len(U)
+    if prev is not None and project == _projects(conn.group, n // 2, project_every):
         U_coarse = prev[0]
+    else:
+        coarse = _step_matrices(M[..., 0:-1:4], M[..., 2::4], M[..., 4::4], 2.0 * dt)
+        U_coarse = _product(coarse, U, project)
     est = [frobenius(d) / 15.0 for d in U_fine - U_coarse]
     return U_fine, est, X, M, trail
 
@@ -379,7 +421,9 @@ def _walk(conn, gamma, cfg, U, samples):
     Each piece starts from the smallest even step count whose step is
     <= h.  rk4-fixed stops there; rk4-doubling doubles the count until the
     estimate is within tol * max(1, ||U||_F), each pass taking the last
-    one's product and field grid as prev.  When samples is a list, appends
+    one's product and field grid as prev, and raises StepUnderflowError at
+    a roundoff floor: an estimate below sqrt(eps) * max(1, ||U||_F) that
+    a doubling fails to halve.  When samples is a list, appends
     the (t, point, U) of every step after the start, for lift_path."""
     start = end = None
     total_steps = 0
@@ -413,9 +457,14 @@ def _walk(conn, gamma, cfg, U, samples):
             try:
                 while True:
                     U_n, e, first, last, X, M, trail = yield piece, n, U_in, prev
-                    if cfg.method == "rk4-fixed" or e <= cfg.tol * max(1.0, frobenius(U_n)):
+                    scale = max(1.0, frobenius(U_n))
+                    if cfg.method == "rk4-fixed" or e <= cfg.tol * scale:
                         break
-                    if e > prev_est / 2.0:
+                    # a floor is roundoff, far below sqrt(eps); a larger
+                    # estimate that fails to halve is not yet asymptotic (the
+                    # projected products of steps too large for RK4 differ
+                    # by an O(1) rotation however many there are)
+                    if e > prev_est / 2.0 and e <= math.sqrt(np.finfo(float).eps) * scale:
                         raise StepUnderflowError(
                             f"doubling cannot meet tol={cfg.tol:g}: the error estimate "
                             f"{e:.3e} stopped shrinking at {n} steps (roundoff floor)"
@@ -578,8 +627,8 @@ def lift_path(conn, gamma, p, cfg=None):
     roundoff.  On orthogonal groups the samples U(t) are projected onto
     the group as one stack, as transport projects its product, since the
     unprojected partial products drift off SO(k).  With projection off
-    (project_every beyond the path's step count) they stay as integrated,
-    so a drift past the group tolerance raises.  The samples are validated
+    (_projects of the path's step count) they stay as integrated, so a
+    drift past the group tolerance raises.  The samples are validated
     against the group as one stack.
     """
     cfg = cfg or SolverConfig()
@@ -587,7 +636,7 @@ def lift_path(conn, gamma, p, cfg=None):
     res = _answered(_drive(conn, [gamma], cfg, samples)[0])
     ts, pts, Us = zip((0.0, res.start, np.eye(conn.group.k)), *samples)
     Us = np.stack(Us)
-    if conn.group.orthogonal and cfg.project_every <= res.step_count:
+    if _projects(conn.group, res.step_count, cfg.project_every):
         Us = _polar(Us)
     gs = _elements(Us @ p.matrix, conn.group)
     return LiftedPath(gamma, tuple(zip(ts, pts, gs)), p)

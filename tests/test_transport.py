@@ -61,6 +61,7 @@ from holonome.transport import (
     SolverConfig,
     _partial_products,
     _product,
+    _projects,
     endpoint_convergence,
     engine_oracle,
     inverse_path_check,
@@ -649,8 +650,9 @@ def test_tree_product_matches_the_sequential_loop(group, n, every, rng_seed):
     p = {"1": 1, "3": 3, "8": 8, "n": max(n, 1), "n+1": n + 1, "1e9": 10**9}[every]
     S, U = random_steps(np.random.default_rng(rng_seed), group, n)
     want, partial = sequential_product(S, U, p, group.orthogonal)
-    assert frobenius(_product(S, U, p, group.orthogonal) - want) <= 1e-12
-    trail = _partial_products(S, U)
+    project = _projects(group, n, p)
+    assert frobenius(_product(S, U, project) - want) <= 1e-12
+    trail = _partial_products(S, U, project)
     assert trail.shape == (n, group.k, group.k)
     assert all(frobenius(t - w) <= 1e-12 for t, w in zip(trail, partial))
 
@@ -671,7 +673,7 @@ def test_one_bad_block_anywhere_raises(group, n, p, kind, data):
     j = data.draw(st.integers(0, n - 1))
     S[j] = 0.0 if kind == "singular" else np.diag([-1.0] + [1.0] * (group.k - 1))
     with pytest.raises(SingularInputError):
-        _product(S, U, p, True)
+        _product(S, U, _projects(group, n, p))
 
 
 def test_doubling_evaluates_only_the_new_grid_points(monkeypatch):
@@ -705,6 +707,61 @@ def test_error_estimate_reads_the_integration_error_not_the_drift():
     res = transport(conn, loop, SolverConfig(h=1e-3))
     assert frobenius(res.g.matrix - np.eye(2)) <= 1e-12
     assert res.est_error <= 1e-12
+
+
+def test_a_pass_projects_both_products_or_neither():
+    """A pass of 10 steps projects its 5-step coarse product too when
+    project_every = 8, so the estimate reads the integration error (0.16,
+    for a holonomy error of 4.8e-4), not the coarse product's drift off
+    SO(2) (15.3 with the coarse product unprojected)."""
+    conn = builtin_connection("pure-gauge")
+    loop = arc_path(0, [0.0, 0.0], 1.9, 0.0, 2.0 * np.pi)
+    at8 = transport(conn, loop, SolverConfig(h=0.1))
+    at4 = transport(conn, loop, SolverConfig(h=0.1, project_every=4))
+    assert at8.step_count == 10
+    assert np.array_equal(at8.g.matrix, at4.g.matrix)
+    assert at8.est_error == at4.est_error <= 0.2
+
+
+@pytest.mark.parametrize("project_every", [8, 16, 10**9])
+def test_doubling_equals_fixed_where_projection_starts(project_every):
+    """The pass where the step count first reaches project_every (16:
+    10 -> 20, the accepted pass) multiplies its coarse product again
+    rather than take the unprojected one of the pass before, so it still
+    equals a rk4-fixed pass at the same step count bit for bit, estimate
+    included."""
+    conn = builtin_connection("abelian-area(1.5)")
+    circle = arc_path(0, [0.0, 0.0], 1.0, 0.0, 2.0 * np.pi)
+    cfg = SolverConfig("rk4-doubling", h=0.1, tol=1e-3, project_every=project_every)
+    adaptive = transport(conn, circle, cfg)
+    n = adaptive.step_count
+    assert n == 20
+    fixed = transport(conn, circle, SolverConfig(h=1.0 / (n - 0.5), project_every=project_every))
+    assert fixed.step_count == n
+    assert np.array_equal(fixed.g.matrix, adaptive.g.matrix)
+    assert fixed.est_error == adaptive.est_error
+
+
+def test_steps_too_large_for_rk4_do_not_make_the_product_singular():
+    """Each RK4 step of abelian-area(13.86) around a radius-1.5 circle at
+    h = 0.025 turns by sqrt(6) and scales by 0.5, so the raw product of its
+    40 steps has singular values 0.5**40 < 1e-12.  transport and lift_path
+    still return group elements, and rk4-doubling from h = 0.1, whose
+    projected estimates stop shrinking while the steps are that large, goes
+    on doubling to the area law; so does an SO(3) loop whose steps turn
+    by up to 15."""
+    conn = builtin_connection("abelian-area(13.86)")
+    circle = arc_path(0, [0.0, 0.0], 1.5, 0.0, 2.0 * np.pi)
+    coarse = SolverConfig(h=0.025)
+    assert transport(conn, circle, coarse).step_count == 40
+    assert len(lift_path(conn, circle, identity_element(SO2), coarse).samples) == 41
+    res = transport(conn, circle, SolverConfig("rk4-doubling", h=0.1))
+    assert frobenius(res.g.matrix - rotation2(-13.86 * np.pi * 1.5**2)) <= 1e-8
+    conn = builtin_connection("constant-so3(40,30)")
+    arc = arc_path(0, [0.0, 0.0], 1.0, 0.0, 3.0)
+    res = transport(conn, arc, SolverConfig("rk4-doubling", h=0.1))
+    fine = transport(conn, arc, SolverConfig(h=1e-5))
+    assert frobenius(res.g.matrix - fine.g.matrix) <= 1e-8
 
 
 # --- chart switching -----------------------------------------------------------
