@@ -35,7 +35,7 @@ from holonome.reconstruction import (
 from holonome.transport import engine_oracle
 
 np.set_printoptions(precision=6, suppress=True)
-cfg = SolverConfig(h=0.02, project_every=4)  # probes are short; coarse is plenty
+cfg = SolverConfig(h=0.02)  # probes are short; coarse is plenty
 
 print("=" * 72)
 print("Reconstructing a connection from a transport oracle")

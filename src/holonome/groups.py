@@ -1,16 +1,16 @@
 """Matrix structure groups GL(k), SO(k) and U(1)-as-SO(2), with the matrix
-exponential/logarithm pair and the polar projection that keeps integrator
-iterates on the group.
+exponential/logarithm pair and the polar projection onto SO(k).
 
 All elements are k x k real matrices validated against the group invariants
 at construction.  Instances are immutable; every function here is pure.
 
 Stacks of small matrices are multiplied component-major: a (k, k, ...)
 array holds entry (i, j) of every matrix in one contiguous row, so one
-einsum over those rows (_mul) replaces a per-matrix product.  The polar
-projection runs on such stacks with Newton-Schulz steps; only matrices far
-from the group take a per-matrix SVD.  The logarithm runs on (m, k, k)
-stacks too (inverse scaling and squaring, Higham, Functions of Matrices,
+einsum over those rows (_mul) replaces a per-matrix product.  The
+integrator's steps lie on the group (see transport._step_matrices), so
+nothing on its path is projected; the polar projection, one batched SVD,
+serves project_to_group and group_exp.  The logarithm runs on (m, k, k)
+stacks (inverse scaling and squaring, Higham, Functions of Matrices,
 2008, 11.5): each matrix takes its own count of Denman-Beavers square
 roots, through one batched inverse per step, and of series terms, so its
 log is bit for bit the log of a stack of one; group_log is that stack of
@@ -49,15 +49,6 @@ __all__ = [
 _ORTHO_TOL = 1e-9
 _SKEW_TOL = 1e-12
 _DET_TOL = 1e-12
-# Newton-Schulz polar steps run on a matrix whose Gram defect X^T X - I has
-# every entry within _NS_BASIN (the defect then shrinks as about 0.75 d^2 a
-# step), and stop once the matrix's own defect is within _NS_TOL, which is
-# roundoff (it reads at most 2 eps on random rotations of SO(2) and SO(3)).
-# From the basin's edge that takes 4 steps; a matrix that needs more than
-# _NS_STEPS goes to the SVD.
-_NS_BASIN = 0.1
-_NS_TOL = 4.0 * np.finfo(float).eps
-_NS_STEPS = 6
 
 
 def frobenius(m):
@@ -349,59 +340,18 @@ def _mul(a, b):
 
 
 def _polar(m):
-    """Orthogonal polar factor of each matrix of a (..., k, k) stack: the
-    nearest SO matrix in the Frobenius norm, as a new stack.
-
-    The stack runs component-major.  A matrix whose Gram defect X^T X - I
-    has every entry within _NS_BASIN takes Newton-Schulz steps
-    X <- X (3I - X^T X) / 2 (Higham, Computing the polar decomposition --
-    with applications, 1986), which converge quadratically to its polar
-    factor, until its own defect is at roundoff.  Every other matrix takes
-    the SVD factor u @ vt, and raises SingularInputError when it is
-    numerically singular.  Every choice is made per matrix, so a matrix's
-    factor does not depend on the rest of the stack.  Raises
-    SingularInputError when any factor has det <= 0.  Returns raw
-    matrices, so callers skip the GroupElement checks."""
-    C = _components(np.asarray(m, dtype=float))
-    k = len(C)
-    given = C.reshape(k, k, -1)
-    eye = np.eye(k)[:, :, None]
-    X = given.copy()
-    G = _mul(X.swapaxes(0, 1), X) - eye
-    defect = np.abs(G).max(axis=(0, 1))
-    newton = defect <= _NS_BASIN
-    going = newton & (defect > _NS_TOL)
-    for _ in range(_NS_STEPS):
-        if not going.any():
-            break
-        X = np.where(going, X - 0.5 * _mul(X, G), X)
-        G = _mul(X.swapaxes(0, 1), X) - eye
-        going &= np.abs(G).max(axis=(0, 1)) > _NS_TOL
-    far = ~newton | going
-    if far.any():
-        u, sigma, vt = np.linalg.svd(_rows(given[..., far]))
-        if (sigma[..., -1] <= _DET_TOL).any():
-            raise SingularInputError("matrix is numerically singular")
-        X[..., far] = _components(u @ vt)
-    if (np.linalg.det(_rows(X)) <= 0).any():
+    """Orthogonal polar factor u @ vt of each matrix of a (..., k, k) stack,
+    by its SVD: the nearest SO matrix in the Frobenius norm, as a new
+    stack.  Raises SingularInputError when any matrix is numerically
+    singular or any factor has det <= 0.  Returns raw matrices, so callers
+    skip the GroupElement checks."""
+    u, sigma, vt = np.linalg.svd(np.asarray(m, dtype=float))
+    if (sigma[..., -1] <= _DET_TOL).any():
+        raise SingularInputError("matrix is numerically singular")
+    X = u @ vt
+    if (np.linalg.det(X) <= 0).any():
         raise SingularInputError("projection to SO needs det > 0")
-    return _rows(X.reshape(C.shape))
-
-
-def _near_singular(m):
-    """Whether each matrix of a (..., k, k) stack is too near singular for
-    _polar to project, as a (..., 1, 1) mask: its smallest singular value
-    is at most _DET_TOL, or at most sqrt(eps) times its largest (its polar
-    factor would lose half its digits), or it holds a NaN or an infinity.
-    Only the matrices outside _polar's Newton-Schulz basin take an SVD."""
-    flat = m.reshape(-1, m.shape[-1], m.shape[-1])
-    G = np.swapaxes(flat, 1, 2) @ flat - np.eye(m.shape[-1])
-    weak = ~(np.abs(G).max(axis=(1, 2)) <= _NS_BASIN)
-    if weak.any():
-        finite = np.isfinite(flat[weak]).all(axis=(1, 2))
-        sigma = np.linalg.svd(np.where(finite[:, None, None], flat[weak], 0.0), compute_uv=False)
-        weak[weak] = sigma[:, -1] <= np.maximum(_DET_TOL, np.sqrt(np.finfo(float).eps) * sigma[:, 0])
-    return weak.reshape(m.shape[:-2] + (1, 1))
+    return X
 
 
 def project_to_group(m, group):

@@ -394,7 +394,7 @@ def roundtrip_report(
     plenty; pass cfg to override.
     """
     _check_sweep(hs, "hs")
-    cfg = cfg or SolverConfig(h=0.02, project_every=4)
+    cfg = cfg or SolverConfig(h=0.02)
     chart = conn.charts[0] if chart_id is None else conn.chart(chart_id)
     center = 0.5 * (chart.lo + chart.hi)
     quarter = 0.25 * (chart.hi - chart.lo)

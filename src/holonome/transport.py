@@ -2,8 +2,7 @@
 
     U'(t) = -A_{gamma(t)}(gamma'(t)) U(t),    U(0) = I,
 
-with classical RK4 and one polar projection of each product of steps back
-onto the group.
+with a fourth-order Cayley-Magnus method, whose steps lie on the group.
 P(gamma) acts on fiber points by left multiplication in the trivialization,
 so juxtaposition composes as P(g2 * g1) = P(g2) P(g1).
 
@@ -14,32 +13,33 @@ inside, the piece ends at the last point inside, and the rest starts at the
 first point outside, re-expressed on the chart that holds it, with the
 transition gauge factor g(x*)^-1 applied to the accumulated transport.
 
-The right-hand side is linear in U, so each RK4 step is a matrix S(t, h)
-applied to U.  Both methods run one pass per piece: the step matrices of an
-even step count n and of n/2 steps are built from one field evaluation, and
-the difference of their products / 15 is the Richardson estimate of the
-piece's error (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  A pass
-projects both its products, as below, or neither, so the estimate reads
-the integration error, not the drift off the group.  rk4-doubling repeats
-the pass with n doubled until the estimate meets tol; each pass takes the
-previous pass's field grid as its even points, and the previous pass's
-product as its n/2-step product when both passes project alike.
+The right-hand side is linear in U, so each step is a matrix applied to U.
+It takes the field at the step's start, middle and end, RK4's grid of
+2n + 1 points for n steps, and is the Cayley map of the fourth-order Magnus
+term (Iserles, On Cayley-transform methods for the discretization of
+Lie-group equations, FoCM 2001; Diele, Lopez & Peluso, Adv. Comput. Math.
+1998), with local error -Omega^5/120 (see _step_matrices).  The Cayley map
+sends so(k) into SO(k), so on orthogonal groups every step, every product
+and every partial product lies on the group to roundoff, and nothing is
+projected.  Both methods run one pass per piece: the step matrices of an
+even step count n and of n/2 steps are built from one field evaluation,
+and the difference of their products / 15 is the Richardson estimate of
+the piece's error (Hairer, Norsett & Wanner, Solving ODEs I, II.4).
+rk4-doubling repeats the pass with n doubled until the estimate meets tol;
+each pass takes the previous pass's field grid as its even points, and
+the previous pass's product as its n/2-step product.
 
 Products are tree-ordered: the n steps of a pass are multiplied pairwise,
-ceil(log2 n) levels deep.  On orthogonal groups a pass of at least
-project_every steps projects each of its products once (Newton-Schulz
-steps, see groups._polar); a product too near singular to project, as a
-long run of steps too large for RK4 leaves it, is first multiplied again
-with every level projected.  GL products are never projected.  lift_path
-takes every partial product, unprojected, from one prefix scan over the
-steps (Blelloch, Prefix sums and their applications, 1990).
+ceil(log2 n) levels deep.  lift_path takes every partial product of the
+accepted pass of each piece from one prefix scan over its steps
+(Blelloch, Prefix sums and their applications, 1990).
 
 Fields and step matrices are component-major, (k, k, paths, steps): the
 step axis is innermost and each entry (i, j) is one contiguous row, so
 every product of two stacks is one einsum over the rows (_mul).  _product
 and _partial_products index their steps (..., n, k, k), as views of that
-storage.  No SVD or matrix inverse runs on the per-step path of a
-well-conditioned orthogonal transport.
+storage.  No SVD, solve or matrix inverse runs on the per-step path of an
+SO(2) or SO(3) transport.
 
 The integrator carries a leading path axis, and one driver (_drive) runs
 transport, transport_many, lift_path and engine_oracle's many:
@@ -49,7 +49,7 @@ passes of all paths by chart, step count and whether they continue a
 doubling, runs each group as batches of one pass (each piece's compiled
 coordinates on the shared grid, one containment test, one run of the
 chart's compiled field, one batched tree product), hands each path its
-answer, and projects the finished products as one stack.  A piece that
+answer, and validates the finished products as one stack.  A piece that
 leaves its chart is cut by its own path; a batch that raises anything
 else runs again piece by piece, so each path meets its own failure.
 engine_oracle's oracle answers one path, and a list of paths through its
@@ -80,12 +80,9 @@ from .groups import (
     _components,
     _elements,
     _mul,
-    _near_singular,
-    _polar,
     _rows,
     frobenius,
     loglog_slope,
-    project_to_group,
 )
 from .paths import (
     ChartPoint,
@@ -137,15 +134,14 @@ _BATCH_FLOATS = 2**15
 class SolverConfig:
     """Integrator settings.
 
-    method: "rk4-fixed" (default) or "rk4-doubling".  Each chart-resident
-    piece takes the smallest even step count n with steps <= h in the global
-    path parameter, h in (0, 0.1].  rk4-doubling doubles n until the piece's
-    error estimate is <= tol * max(1, ||U||_F): tol is per piece, not per
-    step.  est_error sums the estimates for both methods.  project_every
-    is the fewest steps that are projected onto SO(k) (_projects): a pass
-    of at least that many steps projects both its products once each, a
-    shorter pass neither; lift_path counts the steps of the whole path to
-    decide whether it projects its samples.  10**9 means never project.
+    method: "rk4-fixed" (default) or "rk4-doubling"; both run the
+    Cayley-Magnus step on RK4's grid, and keep their schema v1 names.  Each
+    chart-resident piece takes the smallest even step count n with steps
+    <= h in the global path parameter, h in (0, 0.1].  rk4-doubling doubles
+    n until the piece's error estimate is <= tol * max(1, ||U||_F): tol is
+    per piece, not per step.  est_error sums the estimates for both
+    methods.  project_every (>= 1) is accepted for schema v1 and changes no
+    result: nothing is projected.
     """
 
     method: str = "rk4-fixed"
@@ -246,15 +242,78 @@ def _step_count(width, h):
     return n + n % 2
 
 
-def _step_matrices(M1, M2, M3, dt):
-    """RK4 step matrices of the linear ODE U' = -M(t) U from component-major
-    (k, k, paths, n) field stacks, stored component-major and returned as
-    (paths, n, k, k) views."""
-    eye = np.eye(len(M1))[:, :, None, None]
-    T2 = _mul(M2, eye - (dt / 2.0) * M1)
-    T3 = _mul(M2, eye - (dt / 2.0) * T2)
-    T4 = _mul(M3, eye - dt * T3)
-    return _rows(eye - (dt / 6.0) * (M1 + 2.0 * T2 + 2.0 * T3 + T4))
+def _step_matrices(M, dt, group):
+    """Cayley-Magnus step matrices of the linear ODE U' = -M(t) U from a
+    component-major (k, k, paths, 2n + 1) field grid, each step taking the
+    field at its start, middle and end point, stored component-major and
+    returned as (paths, n, k, k) views.  With B = -M and the fourth-order
+    Magnus term Omega = (dt/6)(B0 + 4Bh + B1) + (dt^2/12)[B1, B0], each step
+    is the Cayley map (I - W)^-1 (I + W) of W = (Omega - Omega^3/12)/2,
+    which is exp(Omega) up to -Omega^5/120.  On orthogonal groups Omega is
+    built from the skew part of M, so every step lies on SO(k) to
+    roundoff.  SO(2) and SO(3) take closed forms; every other group one
+    batched solve."""
+    k = len(M)
+    if group.orthogonal and k in (2, 3):
+        # twice the coordinates of the skew part of M, on J or on E1, E2, E3
+        if k == 2:
+            b = (M[1, 0] - M[0, 1])[None]
+        else:
+            b = np.empty((3,) + M.shape[2:])
+            for i, (p, q) in enumerate(((2, 1), (0, 2), (1, 0))):
+                np.subtract(M[p, q], M[q, p], out=b[i])
+        omega = (b[..., 0:-1:2] + 4.0 * b[..., 1::2] + b[..., 2::2]) * (-dt / 12.0)
+        if k == 3:
+            omega += _cross(b[..., 2::2], b[..., 0:-1:2]) * (dt * dt / 48.0)
+        sq = omega * omega
+        w = omega * (0.5 + sq.sum(axis=0) / 24.0)
+        return _rows(_cayley2(w[0]) if k == 2 else _cayley3(w))
+    eye = np.eye(k)[:, :, None, None]
+    if group.orthogonal:
+        M = 0.5 * (M - M.swapaxes(0, 1))
+    M0, Mh, M1 = M[..., 0:-1:2], M[..., 1::2], M[..., 2::2]
+    omega = (-dt / 6.0) * (M0 + 4.0 * Mh + M1) + (dt * dt / 12.0) * (_mul(M1, M0) - _mul(M0, M1))
+    W = 0.5 * omega - _mul(_mul(omega, omega), omega) / 24.0
+    step = np.linalg.solve(_rows(eye - W), _rows(eye + W))
+    return _rows(np.ascontiguousarray(_components(step)))
+
+
+def _cross(a, b):
+    """a x b over the leading axis of two (3, ...) stacks: the coordinates
+    of the commutator of the so(3) matrices of a and b."""
+    out = np.empty(a.shape)
+    for i, j, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.subtract(a[j] * b[l], a[l] * b[j], out=out[i])
+    return out
+
+
+def _cayley2(w):
+    """The component-major Cayley map (I - wJ)^-1 (I + wJ) of a stack of
+    coordinates w: [[1 - w^2, -2w], [2w, 1 - w^2]] / (1 + w^2)."""
+    ww = w * w
+    d = 1.0 / (1.0 + ww)
+    C = np.empty((2, 2) + w.shape)
+    np.multiply(1.0 - ww, d, out=C[0, 0])
+    C[1, 1] = C[0, 0]
+    np.multiply(2.0 * w, d, out=C[1, 0])
+    np.negative(C[1, 0], out=C[0, 1])
+    return C
+
+
+def _cayley3(w):
+    """The component-major Cayley map (I - W)^-1 (I + W) of a (3, ...) stack
+    of so(3) coordinates w: I + 2(W + W^2) / (1 + |w|^2), where
+    W^2 = w w^T - |w|^2 I."""
+    sq = w * w
+    f = 2.0 / (1.0 + sq.sum(axis=0))
+    fw = f * w
+    C = np.empty((3, 3) + f.shape)
+    for i, j, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.subtract(1.0, f * (sq[j] + sq[l]), out=C[i, i])
+        sym = fw[i] * w[j]
+        np.subtract(sym, fw[l], out=C[i, j])
+        np.add(sym, fw[l], out=C[j, i])
+    return C
 
 
 def _piece_fields(conn, pieces, n, prev=None):
@@ -293,123 +352,82 @@ def _piece_fields(conn, pieces, n, prev=None):
     return X, M
 
 
-def _projects(group, n, project_every):
-    """The one rule of project_every: n steps of the integrator are
-    projected onto the group when it is orthogonal and n >= project_every.
-    A pass applies it to its own step count, lift_path to the path's."""
-    return group.orthogonal and n >= project_every
-
-
-def _snapped(C):
-    """The polar factor of each matrix of a component-major stack, as a
-    component-major stack."""
-    return _components(_polar(_rows(C)))
-
-
-def _tree(S, snap=False):
+def _tree(S):
     """Ordered product S[..., n - 1] @ ... @ S[..., 0] over the last axis of
     a component-major (k, k, ..., n) stack, n >= 1: each level multiplies
-    neighbouring pairs in one einsum, ceil(log2 n) levels.  With snap,
-    every product a level forms is projected onto the group."""
+    neighbouring pairs in one einsum, ceil(log2 n) levels."""
     while S.shape[-1] > 1:
         pairs = _mul(S[..., 1::2], S[..., 0:-1:2])
-        if snap:
-            pairs = _snapped(pairs)
         S = np.concatenate([pairs, S[..., -1:]], axis=-1) if S.shape[-1] % 2 else pairs
     return S[..., 0]
 
 
-def _scan(S, snap=False):
+def _scan(S):
     """Inclusive ordered prefix products over the last axis of a
     component-major stack, entry j being S[..., j] @ ... @ S[..., 0]: the
     Hillis-Steele scan, one einsum per doubling of the reach (Blelloch
-    1990).  With snap, every product a doubling forms is projected onto
-    the group."""
+    1990)."""
     d = 1
     while d < S.shape[-1]:
-        reach = _mul(S[..., d:], S[..., :-d])
-        S = np.concatenate([S[..., :d], _snapped(reach) if snap else reach], axis=-1)
+        S = np.concatenate([S[..., :d], _mul(S[..., d:], S[..., :-d])], axis=-1)
         d *= 2
     return S
 
 
-def _product(S, U, project):
+def _product(S, U):
     """S[..., -1, :, :] @ ... @ S[..., 0, :, :] @ U over the step axis -3,
-    the steps multiplied as one pairwise tree.  With project, the product
-    is snapped back onto the group by one polar projection.  An RK4 step
-    on SO(k) that turns by sqrt(6) scales by 0.5, and a larger one grows,
-    so a long run of steps too large for RK4 can take its product to a
-    singular or non-finite matrix: such a product is multiplied again with
-    every level of its tree projected before it is.  Leading axes are a
-    batch of paths, each treated alone.  The work runs component-major,
-    whatever the layout of S."""
+    the steps multiplied as one pairwise tree.  Leading axes are a batch
+    of paths, each treated alone.  The work runs component-major, whatever
+    the layout of S."""
     C = _components(S)
     if not C.shape[-1]:
         return U
-    W = _rows(_tree(C)) @ U
-    if not project:
-        return W
-    weak = _near_singular(W)
-    if weak.any():
-        W = np.where(weak, _rows(_tree(C, snap=True)) @ U, W)
-    return _polar(W)
+    return _rows(_tree(C)) @ U
 
 
-def _partial_products(S, U, project):
+def _partial_products(S, U):
     """Every partial product S[..., j, :, :] @ ... @ S[..., 0, :, :] @ U,
-    j < n, unprojected, as an (..., n, k, k) array: one prefix scan.  U has
-    the leading axes of S.  With project, a path whose last partial
-    product is too near singular to project is scanned again with every
-    product of the scan projected, as _product multiplies it."""
-    C, U = _components(S), _components(U)[..., None]
-    T = _rows(_mul(_scan(C), U))
-    if project:
-        weak = _near_singular(T[..., -1:, :, :])
-        if weak.any():
-            T = np.where(weak, _rows(_mul(_scan(C, snap=True), U)), T)
-    return T
+    j < n, as an (..., n, k, k) array: one prefix scan.  U has the leading
+    axes of S."""
+    return _rows(_mul(_scan(_components(S)), _components(U)[..., None]))
 
 
-def _rk4_pass(conn, pieces, n, U, project_every, collect, prev=None):
-    """n RK4 steps (n even) across each of a stack of pieces that share a
-    chart, piece i starting from U[i].
+def _rk4_pass(conn, pieces, n, U, prev=None):
+    """n Cayley-Magnus steps (n even) across each of a stack of pieces that
+    share a chart, piece i starting from U[i]: a pass on RK4's grid.
 
     The fields are evaluated once, on the 2n + 1 points the n steps need;
     the n/2 steps of twice the size reuse every other sample.  prev, the
     (products, X, M) of the n/2-step pass, gives its grids as the even
-    points, and its products as the n/2-step products when that pass
-    projected as this one does (bit for bit the same: same grid, same
-    step, same projection); else they are multiplied again.  A pass
-    projects both its products or neither (_projects of n), so the
-    Richardson estimates ||U_n - U_{n/2}||_F / 15 never hold one product's
-    drift off the group.  Returns the n-step products, those estimates,
-    the grid points X, the fields M, and the partial products of each
-    piece if collect is set, else None for each."""
+    points and its products as the n/2-step products (bit for bit the
+    same: same grid, same step); else they are multiplied here.  Returns
+    the n-step products, the Richardson estimates ||U_n - U_{n/2}||_F / 15,
+    the grid points X, the fields M and the (pieces, n, k, k) step
+    matrices."""
     # one step per piece, as a scalar when they all agree, which numpy
     # applies far faster than a broadcast column; the results are the same
     dts = [(piece.t1 - piece.t0) / n for piece in pieces]
     dt = dts[0] if len(set(dts)) == 1 else np.reshape(dts, (-1, 1))
     X, M = _piece_fields(conn, pieces, n, None if prev is None else prev[1:])
-    project = _projects(conn.group, n, project_every)
-    fine = _step_matrices(M[..., 0:-1:2], M[..., 1::2], M[..., 2::2], dt)
-    U_fine = _product(fine, U, project)
-    trail = _partial_products(fine, U, project) if collect else [None] * len(U)
-    if prev is not None and project == _projects(conn.group, n // 2, project_every):
+    group = conn.group
+    fine = _step_matrices(M, dt, group)
+    U_fine = _product(fine, U)
+    if prev is not None:
         U_coarse = prev[0]
     else:
-        coarse = _step_matrices(M[..., 0:-1:4], M[..., 2::4], M[..., 4::4], 2.0 * dt)
-        U_coarse = _product(coarse, U, project)
+        coarse = _step_matrices(M[..., ::2], 2.0 * dt, group)
+        U_coarse = _product(coarse, U)
     est = [frobenius(d) / 15.0 for d in U_fine - U_coarse]
-    return U_fine, est, X, M, trail
+    return U_fine, est, X, M, fine
 
 
 def _walk(conn, gamma, cfg, U, samples):
     """The transport of one path, as a generator that _drive runs.  Each
     pass of the integrator it needs is yielded as (piece, n, U_in, prev)
-    and answered with the pass's (U, est, first, last, X, M, partial
-    products) for that piece, first and last being the ChartPoints of its
-    grid ends, or with a _ChartExit thrown in.  Returns (start, end, U,
-    steps, est), U unprojected; U is the identity on entry.
+    and answered with the pass's (U, est, first, last, X, M, steps) for
+    that piece, first and last being the ChartPoints of its grid ends, or
+    with a _ChartExit thrown in.  Returns (start, end, U, steps, est); U is
+    the identity on entry.
 
     Integrates segment by segment, cutting pieces where their field grids
     leave their charts.  The path's first piece is tested on its own grid
@@ -423,8 +441,9 @@ def _walk(conn, gamma, cfg, U, samples):
     estimate is within tol * max(1, ||U||_F), each pass taking the last
     one's product and field grid as prev, and raises StepUnderflowError at
     a roundoff floor: an estimate below sqrt(eps) * max(1, ||U||_F) that
-    a doubling fails to halve.  When samples is a list, appends
-    the (t, point, U) of every step after the start, for lift_path."""
+    a doubling fails to halve.  When samples is a list, appends the
+    (t, point, U) of every step after the start, for lift_path, from one
+    prefix scan of the accepted pass's steps."""
     start = end = None
     total_steps = 0
     est = 0.0
@@ -456,14 +475,15 @@ def _walk(conn, gamma, cfg, U, samples):
             prev_est, prev = math.inf, None
             try:
                 while True:
-                    U_n, e, first, last, X, M, trail = yield piece, n, U_in, prev
+                    U_n, e, first, last, X, M, steps = yield piece, n, U_in, prev
                     scale = max(1.0, frobenius(U_n))
                     if cfg.method == "rk4-fixed" or e <= cfg.tol * scale:
                         break
                     # a floor is roundoff, far below sqrt(eps); a larger
-                    # estimate that fails to halve is not yet asymptotic (the
-                    # projected products of steps too large for RK4 differ
-                    # by an O(1) rotation however many there are)
+                    # estimate that fails to halve is not yet asymptotic (on
+                    # SO(k), each step far too large for the field still
+                    # turns by less than pi, so two products of such steps
+                    # differ by an O(1) rotation however many there are)
                     if e > prev_est / 2.0 and e <= math.sqrt(np.finfo(float).eps) * scale:
                         raise StepUnderflowError(
                             f"doubling cannot meet tol={cfg.tol:g}: the error estimate "
@@ -498,7 +518,7 @@ def _walk(conn, gamma, cfg, U, samples):
                 points = _chart_points(piece.chart_id, X[:, 2::2].T)
                 samples.extend(
                     (piece.t0 + (j + 1) * (width / n), pt, Uj)
-                    for j, (pt, Uj) in enumerate(zip(points, trail))
+                    for j, (pt, Uj) in enumerate(zip(points, _partial_products(steps, U_in)))
                 )
             U = U_n
             total_steps += n
@@ -519,9 +539,9 @@ def _drive(conn, paths, cfg, samples=None):
     pass, as soon as its batch is done.  A piece whose grid leaves its
     chart gets its own _ChartExit, and the rest of its batch passes again;
     a batch that raises anything else runs again piece by piece, so each
-    failure reaches its own path.  The finished products are projected
-    onto the group as one stack.  samples, when a list, collects the lift
-    of the one path (see lift_path)."""
+    failure reaches its own path.  The finished products are validated
+    against the group as one stack.  samples, when a list, collects the
+    lift of the one path (see lift_path)."""
     k = conn.group.k
     eye = np.eye(k)
     out = [None] * len(paths)
@@ -547,9 +567,7 @@ def _drive(conn, paths, cfg, samples=None):
             if prevs[0] is not None:
                 prev = tuple(np.stack(part, axis) for part, axis in zip(zip(*prevs), (0, 1, 2)))
             try:
-                U_n, est, X, M, trail = _rk4_pass(
-                    conn, pieces, batch[0][2], U, cfg.project_every, samples is not None, prev
-                )
+                U_n, est, X, M, steps = _rk4_pass(conn, pieces, batch[0][2], U, prev)
             except _ChartExit as exit_:
                 for p, at in exit_.exits.items():
                     advance(batch[p][0], walks[batch[p][0]].throw, _ChartExit({0: at}))
@@ -566,7 +584,7 @@ def _drive(conn, paths, cfg, samples=None):
             firsts = _chart_points(pieces[0].chart_id, X[:, :, 0].T)
             lasts = _chart_points(pieces[0].chart_id, X[:, :, -1].T)
             grids = X.swapaxes(0, 1), M.transpose(2, 0, 1, 3)
-            for (i, *_), reply in zip(batch, zip(U_n, est, firsts, lasts, *grids, trail)):
+            for (i, *_), reply in zip(batch, zip(U_n, est, firsts, lasts, *grids, steps)):
                 advance(i, walks[i].send, reply)
 
     for i, walk in enumerate(walks):
@@ -580,17 +598,17 @@ def _drive(conn, paths, cfg, samples=None):
             size = max(1, _BATCH_FLOATS // ((2 * n + 1) * k * k))
             for lo in range(0, len(members), size):
                 answer(members[lo : lo + size])
-    # the finished walks' products, projected as one stack, or one by one
+    # the finished walks' products, validated as one stack, or one by one
     # when the stack fails, so that each failure is in its place
     done = [i for i, res in enumerate(out) if isinstance(res, tuple)]
     Us = np.array([out[i][2] for i in done]).reshape(-1, k, k)
     try:
-        gs = _elements(_polar(Us) if conn.group.orthogonal else Us, conn.group) if done else []
+        gs = _elements(Us, conn.group) if done else []
     except Exception:
         gs = []
         for U in Us:
             try:
-                gs.append(project_to_group(U, conn.group))
+                gs.append(GroupElement(U, conn.group))
             except Exception as err:
                 gs.append(err)
     for i, g in zip(done, gs):
@@ -624,21 +642,16 @@ def lift_path(conn, gamma, p, cfg=None):
     """Horizontal lift through p: samples (t, gamma(t), U(t) p).
 
     The final sample's group part equals transport(...).g @ p to
-    roundoff.  On orthogonal groups the samples U(t) are projected onto
-    the group as one stack, as transport projects its product, since the
-    unprojected partial products drift off SO(k).  With projection off
-    (_projects of the path's step count) they stay as integrated, so a
-    drift past the group tolerance raises.  The samples are validated
-    against the group as one stack.
+    roundoff.  The samples U(t) are the partial products as integrated,
+    with no projection: every step lies on the group, so on SO(k) they
+    stay on it to roundoff.  They are validated against the group as one
+    stack.
     """
     cfg = cfg or SolverConfig()
     samples = []
     res = _answered(_drive(conn, [gamma], cfg, samples)[0])
     ts, pts, Us = zip((0.0, res.start, np.eye(conn.group.k)), *samples)
-    Us = np.stack(Us)
-    if _projects(conn.group, res.step_count, cfg.project_every):
-        Us = _polar(Us)
-    gs = _elements(Us @ p.matrix, conn.group)
+    gs = _elements(np.stack(Us) @ p.matrix, conn.group)
     return LiftedPath(gamma, tuple(zip(ts, pts, gs)), p)
 
 
@@ -834,16 +847,16 @@ class ConvergenceReport:
     degenerate: bool
 
 
-def endpoint_convergence(conn, gamma, hs=(1e-2, 5e-3, 2.5e-3), cfg=None):
+def endpoint_convergence(conn, gamma, hs=(1e-2, 5e-3, 2.5e-3)):
     """Endpoint error against a Richardson-extrapolated fine reference, with
-    the log-log slope (RK4 should give about 4).  When every error is below
-    1e-12 the sweep measures roundoff, not the integrator, so the report is
-    degenerate and its slope None."""
+    the log-log slope (the fourth-order step should give about 4), each run
+    rk4-fixed at its h.  When every error is below 1e-12 the sweep
+    measures roundoff, not the integrator, so the report is degenerate and
+    its slope None."""
     _check_sweep(hs, "hs")
-    base = cfg or SolverConfig()
 
     def run(h):
-        return transport(conn, gamma, SolverConfig("rk4-fixed", h, base.project_every)).g.matrix
+        return transport(conn, gamma, SolverConfig("rk4-fixed", h)).g.matrix
 
     h_ref = min(hs) / 8.0
     u1 = run(h_ref)

@@ -19,7 +19,7 @@ from holonome.exprs import sin as esin
 from holonome.groups import StructureGroup, frobenius, so2_generator, so3_basis
 from holonome.holonomy import holonomy
 from holonome.paths import arc_path, reparametrize, reverse_path, subpath
-from holonome.transport import SolverConfig, transport, transport_many
+from holonome.transport import SolverConfig, transport_many
 
 from test_gauge_covariance import angles, gauges
 
@@ -67,7 +67,8 @@ def arcs(sweeps=st.floats(0.5, 2.0 * np.pi)):
 @given(connections(), arcs(), st.floats(0.1, 0.9))
 def test_transport_is_multiplicative_over_random_splits(conn, gamma, s):
     """P(gamma) = P(gamma|[s, 1]) P(gamma|[0, s]) within 1e-9."""
-    whole, left, right = transport_many(conn, [gamma, subpath(gamma, 0.0, s), subpath(gamma, s, 1.0)], CFG)
+    parts = [gamma, subpath(gamma, 0.0, s), subpath(gamma, s, 1.0)]
+    whole, left, right = transport_many(conn, parts, CFG)
     assert frobenius(whole.g.matrix - right.g.matrix @ left.g.matrix) <= 1e-9
 
 
@@ -87,7 +88,8 @@ def test_transport_is_invariant_under_reparametrization(conn, gamma, kind):
     """P(gamma o alpha) = P(gamma) within 1e-9, for alpha = t^2 and for
     alpha = t - sin(2 pi t) / (4 pi), whose speed vanishes at both ends."""
     u = var(0)
-    alpha = parse("x1^2", 1) if kind == "square" else u - esin(lit(2.0 * np.pi) * u) / lit(4.0 * np.pi)
+    wobble = u - esin(lit(2.0 * np.pi) * u) / lit(4.0 * np.pi)
+    alpha = parse("x1^2", 1) if kind == "square" else wobble
     base, moved = transport_many(conn, [gamma, reparametrize(gamma, alpha)], CFG)
     assert frobenius(moved.g.matrix - base.g.matrix) <= 1e-9
 
