@@ -409,14 +409,12 @@ def _rk4_pass(conn, pieces, n, U, prev=None):
     dts = [(piece.t1 - piece.t0) / n for piece in pieces]
     dt = dts[0] if len(set(dts)) == 1 else np.reshape(dts, (-1, 1))
     X, M = _piece_fields(conn, pieces, n, None if prev is None else prev[1:])
-    group = conn.group
-    fine = _step_matrices(M, dt, group)
+    fine = _step_matrices(M, dt, conn.group)
     U_fine = _product(fine, U)
     if prev is not None:
         U_coarse = prev[0]
     else:
-        coarse = _step_matrices(M[..., ::2], 2.0 * dt, group)
-        U_coarse = _product(coarse, U)
+        U_coarse = _product(_step_matrices(M[..., ::2], 2.0 * dt, conn.group), U)
     est = [frobenius(d) / 15.0 for d in U_fine - U_coarse]
     return U_fine, est, X, M, fine
 
