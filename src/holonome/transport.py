@@ -25,9 +25,10 @@ projected.  Both methods run one pass per piece: the step matrices of an
 even step count n and of n/2 steps are built from one field evaluation,
 and the difference of their products / 15 is the Richardson estimate of
 the piece's error (Hairer, Norsett & Wanner, Solving ODEs I, II.4).
-rk4-doubling repeats the pass with n doubled until the estimate meets tol;
-each pass takes the previous pass's field grid as its even points, and
-the previous pass's product as its n/2-step product.
+rk4-doubling repeats the pass with n doubled until the estimate meets tol
+and every step is small against the field; each pass takes the previous
+pass's field grid as its even points, and the previous pass's product as
+its n/2-step product.
 
 Products are tree-ordered: the n steps of a pass are multiplied pairwise,
 ceil(log2 n) levels deep.  lift_path takes every partial product of the
@@ -138,8 +139,9 @@ class SolverConfig:
     Cayley-Magnus step on RK4's grid, and keep their schema v1 names.  Each
     chart-resident piece takes the smallest even step count n with steps
     <= h in the global path parameter, h in (0, 0.1].  rk4-doubling doubles
-    n until the piece's error estimate is <= tol * max(1, ||U||_F): tol is
-    per piece, not per step.  est_error sums the estimates for both
+    n until the piece's error estimate is <= tol * max(1, ||U||_F), with
+    every step small against the field (dt max ||M||_F <= 1): tol is per
+    piece, not per step.  est_error sums the estimates for both
     methods.  project_every (>= 1) is accepted for schema v1 and changes no
     result: nothing is projected.
     """
@@ -436,12 +438,13 @@ def _walk(conn, gamma, cfg, U, samples):
 
     Each piece starts from the smallest even step count whose step is
     <= h.  rk4-fixed stops there; rk4-doubling doubles the count until the
+    steps are small against the field (dt max_t ||M(t)||_F <= 1) and the
     estimate is within tol * max(1, ||U||_F), each pass taking the last
     one's product and field grid as prev, and raises StepUnderflowError at
     a roundoff floor: an estimate below sqrt(eps) * max(1, ||U||_F) that
-    a doubling fails to halve.  When samples is a list, appends the
-    (t, point, U) of every step after the start, for lift_path, from one
-    prefix scan of the accepted pass's steps."""
+    a doubling of small steps fails to halve.  When samples is a list,
+    appends the (t, point, U) of every step after the start, for
+    lift_path, from one prefix scan of the accepted pass's steps."""
     start = end = None
     total_steps = 0
     est = 0.0
@@ -474,15 +477,21 @@ def _walk(conn, gamma, cfg, U, samples):
             try:
                 while True:
                     U_n, e, first, last, X, M, steps = yield piece, n, U_in, prev
+                    if cfg.method == "rk4-fixed":
+                        break
+                    # the estimate reads the error only once every step is
+                    # small against the field, |Omega| <= dt max |M|_F <= 1:
+                    # two products of larger steps can agree by chance
+                    small = width / n * math.sqrt((M * M).sum(axis=(0, 1)).max()) <= 1.0
                     scale = max(1.0, frobenius(U_n))
-                    if cfg.method == "rk4-fixed" or e <= cfg.tol * scale:
+                    if small and e <= cfg.tol * scale:
                         break
                     # a floor is roundoff, far below sqrt(eps); a larger
                     # estimate that fails to halve is not yet asymptotic (on
                     # SO(k), each step far too large for the field still
                     # turns by less than pi, so two products of such steps
                     # differ by an O(1) rotation however many there are)
-                    if e > prev_est / 2.0 and e <= math.sqrt(np.finfo(float).eps) * scale:
+                    if small and e > prev_est / 2.0 and e <= math.sqrt(np.finfo(float).eps) * scale:
                         raise StepUnderflowError(
                             f"doubling cannot meet tol={cfg.tol:g}: the error estimate "
                             f"{e:.3e} stopped shrinking at {n} steps (roundoff floor)"

@@ -747,6 +747,20 @@ def test_doubling_from_huge_steps_converges_without_overflow():
     assert frobenius(res.g.matrix - rotation2(-200.0 * np.pi * 1.5**2)) <= 1e-8
 
 
+def test_doubling_does_not_accept_steps_too_large_for_the_estimate():
+    """One turn of a radius-1.9 pure-gauge loop at h = 0.1 takes 10 steps
+    that turn by up to 2.1 rad, where the fine and coarse products agree
+    by chance: the estimate reads 9.1e-5 for a holonomy error of 7.3e-2.
+    rk4-doubling from there goes on doubling until every step is small
+    against the field, and meets the identity holonomy within 1e-12."""
+    conn = builtin_connection("pure-gauge")
+    loop = arc_path(0, [0.0, 0.0], 1.9, 0.0, 2.0 * np.pi)
+    assert transport(conn, loop, SolverConfig(h=0.1)).est_error <= 1e-4
+    res = transport(conn, loop, SolverConfig("rk4-doubling", h=0.1, tol=1e-4))
+    assert res.step_count > 10
+    assert frobenius(res.g.matrix - np.eye(2)) <= 1e-12
+
+
 def test_error_estimate_reads_the_integration_error_not_the_drift():
     """On a pure-gauge loop the holonomy is I.  Both products of the
     Richardson estimate are projected before their difference is taken,
