@@ -267,8 +267,7 @@ def _step_matrices(M, dt, group):
         omega = (b[..., 0:-1:2] + 4.0 * b[..., 1::2] + b[..., 2::2]) * (-dt / 12.0)
         if k == 3:
             omega += _cross(b[..., 2::2], b[..., 0:-1:2]) * (dt * dt / 48.0)
-        sq = omega * omega
-        w = omega * (0.5 + sq.sum(axis=0) / 24.0)
+        w = omega * (0.5 + (omega * omega).sum(axis=0) / 24.0)
         return _rows(_cayley2(w[0]) if k == 2 else _cayley3(w))
     eye = np.eye(k)[:, :, None, None]
     if group.orthogonal:
