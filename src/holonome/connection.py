@@ -11,18 +11,19 @@ which is sampled on chart overlaps at load time.  Fiber coordinates
 transform as q' = g(x)^-1 q; the transport engine multiplies by that
 factor when a path switches charts.
 
-Coefficients are expression-backed or constant, with exact derivatives
-through exprs.diff; any other MatrixFunction supplies its own.  A chart
-compiles the field M = sum_mu A_mu(x) xdot^mu of its expression-backed and
-constant coefficients into one exprs Program, which writes each entry of M
-as one row.  gauge_transform applies the law above to expression entries,
-so a gauge-transformed chart is an expression chart like any other: g^-1
-is the adjugate over the determinant, both by cofactor expansion, and dg
-comes from exprs.diff.
+Coefficients are expression-backed, a constant one being a matrix of
+literals, with exact derivatives through exprs.diff; any other
+MatrixFunction supplies its own.  A chart compiles the field
+M = sum_mu A_mu(x) xdot^mu of its expression-backed coefficients into one
+exprs Program, which writes each entry of M as one row.  gauge_transform
+applies the law above to expression entries, so a gauge-transformed chart
+is an expression chart like any other: g^-1 is the adjugate over the
+determinant, both by cofactor expansion, and dg comes from exprs.diff.
 """
 
 from __future__ import annotations
 
+import numbers
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -97,12 +98,25 @@ def _square(rows, what):
     return rows
 
 
+def _entry(e, dim):
+    """An entry as an expression in dim coordinates: an Expr, or a real
+    number as its literal."""
+    if isinstance(e, Expr):
+        return e.with_dim(dim)
+    if isinstance(e, numbers.Real):
+        return lit(e).with_dim(dim)
+    raise ValidationError(
+        f"an ExprMatrixFunction entry must be an expression or a real number, not {e!r}"
+    )
+
+
 class ExprMatrixFunction(MatrixFunction):
-    """Entries given by DSL expressions; derivatives are exact."""
+    """Entries given by DSL expressions or real numbers (literals);
+    derivatives are exact."""
 
     def __init__(self, entries, dim):
         rows = _square(entries, "an ExprMatrixFunction's")
-        self.entries = tuple(tuple(e.with_dim(dim) for e in row) for row in rows)
+        self.entries = tuple(tuple(_entry(e, dim) for e in row) for row in rows)
         self.k = len(self.entries)
         self.dim = dim
         self._flat = tuple(e for row in self.entries for e in row)  # row-major
@@ -123,20 +137,6 @@ class ExprMatrixFunction(MatrixFunction):
         m, k = len(v), self.k
         grads = np.ascontiguousarray(np.moveaxis(g, 2, 1)).reshape(m, self.dim, k, k)
         return v.reshape(m, k, k), grads
-
-
-class ConstantMatrixFunction(MatrixFunction):
-    def __init__(self, matrix, dim):
-        self.matrix = np.array(_square(matrix, "a ConstantMatrixFunction's"), dtype=float)
-        self.k = self.matrix.shape[0]
-        self.dim = dim
-
-    def value(self, X):
-        return np.broadcast_to(self.matrix, (X.shape[0],) + self.matrix.shape).copy()
-
-    def value_and_grad(self, X):
-        m = X.shape[0]
-        return self.value(X), np.zeros((m, self.dim, self.k, self.k))
 
 
 # --- charts, transitions, connection ---------------------------------------------
@@ -178,22 +178,18 @@ class ChartSpec:
         """The field program over the coordinates x1..x<dim> and the
         velocities x<dim+1>..x<2 dim>: one output per entry of
         M = sum_mu A_mu xdot^mu, row-major, summing the terms of the
-        expression-backed and constant coefficients in mu order and leaving
-        out their zero entries.  Also the (mu, coefficient) pairs of every
-        other coefficient."""
+        expression-backed coefficients in mu order and leaving out their
+        zero entries.  Also the (mu, coefficient) pairs of every other
+        coefficient."""
         dim, k = self.dim, self.coefficients[0].k
         sums = [None] * (k * k)
         others = []
         for mu, f in enumerate(self.coefficients):
-            if isinstance(f, ExprMatrixFunction):
-                entries = f._flat
-            elif isinstance(f, ConstantMatrixFunction):
-                entries = [lit(c) for c in f.matrix.ravel()]
-            else:
+            if not isinstance(f, ExprMatrixFunction):
                 others.append((mu, f))
                 continue
             v = var(dim + mu, 2 * dim)
-            for i, e in enumerate(entries):
+            for i, e in enumerate(f._flat):
                 if e.ast[0] == "num" and e.ast[1] == 0.0:
                     continue
                 sums[i] = e * v if sums[i] is None else sums[i] + e * v
@@ -230,23 +226,18 @@ class Transition:
         return exprs.Program(self.coord_map)
 
     @cached_property
-    def _dual_programs(self):
-        return {}
-
-    def _dual_program(self, n):
-        """The coordinate map with its gradients in n coordinates, compiled
-        on first use."""
-        program = self._dual_programs.get(n)
-        if program is None:
-            program = self._dual_programs[n] = exprs.Program(self.coord_map, n)
-        return program
+    def _jacobian_program(self):
+        """The coordinate map with its gradients in as many coordinates as
+        it has components (ConnectionForm checks that both charts have that
+        dimension)."""
+        return exprs.Program(self.coord_map, len(self.coord_map))
 
     def map_coords(self, coords):
         return exprs.evaluate_many(self._map_program, np.asarray(coords, dtype=float)[None, :])[0]
 
     def jacobian(self, coords):
         x = np.asarray(coords, dtype=float)[None, :]
-        return exprs.evaluate_dual_many(self._dual_program(x.shape[1]), x)[1][0]
+        return exprs.evaluate_dual_many(self._jacobian_program, x)[1][0]
 
     def gauge_at(self, coords):
         return self.gauge.at(coords)
@@ -278,6 +269,14 @@ class ConnectionForm:
                     )
         if self.group.orthogonal:
             self._check_algebra_valued()
+        for tr in self.transitions:
+            dims = (self.chart(tr.from_chart).dim, self.chart(tr.to_chart).dim)
+            if dims != (len(tr.coord_map),) * 2:
+                raise ValidationError(
+                    f"transition {tr.from_chart}->{tr.to_chart}: its map has "
+                    f"{len(tr.coord_map)} components between charts of dimension "
+                    f"{dims[0]} and {dims[1]}"
+                )
         check_transition_compatibility(self)
 
     def _check_algebra_valued(self):
@@ -355,7 +354,7 @@ def check_transition_compatibility(conn):
             )
         src = conn.chart(tr.from_chart)
         dst = conn.chart(tr.to_chart)
-        _, J = exprs.evaluate_dual_many(tr._dual_program(src.dim), X)  # J[p, nu, mu] = d y^nu / d x^mu
+        _, J = exprs.evaluate_dual_many(tr._jacobian_program, X)  # J[p, nu, mu] = d y^nu / d x^mu
         g, dg = tr.gauge.value_and_grad(X)
         gi = np.linalg.inv(g)[:, None]
         a_dst = np.stack([f.value(Y) for f in dst.coefficients], axis=1)
@@ -441,10 +440,9 @@ def _curvature(chart, X, orthogonal):
 def curvature_at(conn, x):
     """F_mu_nu = d_mu A_nu - d_nu A_mu + [A_mu, A_nu].
 
-    The derivatives are exact for expression-backed and constant
-    coefficients, through exprs.diff, and gauge_transform writes its
-    coefficients as expressions; any other MatrixFunction supplies its own
-    value_and_grad.
+    The derivatives are exact for expression-backed coefficients, through
+    exprs.diff, and gauge_transform writes its coefficients as expressions;
+    any other MatrixFunction supplies its own value_and_grad.
     """
     chart = _require_inside(conn, x)
     X = np.asarray(x.coords, dtype=float)[None, :]
@@ -487,16 +485,13 @@ def is_flat(conn, samples=7, tol=1e-6):
 # --- gauge transformation ----------------------------------------------------------
 
 def _entries(f, what):
-    """The entries of an ExprMatrixFunction, or of a ConstantMatrixFunction
-    as literals.  Any other MatrixFunction is opaque to the symbolic gauge
-    law and raises ValidationError."""
+    """The entries of an ExprMatrixFunction.  Any other MatrixFunction is
+    opaque to the symbolic gauge law and raises ValidationError."""
     if isinstance(f, ExprMatrixFunction):
         return f.entries
-    if isinstance(f, ConstantMatrixFunction):
-        return tuple(tuple(lit(c) for c in row) for row in f.matrix)
     raise ValidationError(
         f"{what} is an opaque {type(f).__name__}: gauge_transform needs "
-        f"expression entries, an ExprMatrixFunction or a ConstantMatrixFunction"
+        f"expression or numeric entries, or an ExprMatrixFunction"
     )
 
 
@@ -535,8 +530,8 @@ def _cofactor(m, i, j):
 def gauge_transform(conn, g, chart_id=None):
     """Change of trivialization on one chart: A -> g^-1 A g + g^-1 dg.
 
-    g is given by k x k expression entries, an ExprMatrixFunction or a
-    ConstantMatrixFunction, k the group's.  The law is applied to
+    g is given by k x k expression or numeric entries, or an
+    ExprMatrixFunction, k the group's.  The law is applied to
     expressions: g^-1 = adj(g) / det(g), both by cofactor expansion, and
     dg from exprs.diff, so the new coefficients are ExprMatrixFunctions
     with exact values and derivatives.  Transition gauges touching the
@@ -694,8 +689,8 @@ def builtin_connection(name):
         group = StructureGroup("SO", 3)
         e1, e2, _ = so3_basis()
         coeffs = (
-            ConstantMatrixFunction(s1 * e1, 2),
-            ConstantMatrixFunction(s2 * e2, 2),
+            ExprMatrixFunction(s1 * e1, 2),
+            ExprMatrixFunction(s2 * e2, 2),
         )
         chart = ChartSpec(0, 2, [-2.0, -2.0], [2.0, 2.0], coeffs)
         return ConnectionForm(group, (chart,))

@@ -139,13 +139,13 @@ def test_criterion_2_forward_direction():
         integral = abelian_loop_exponent(a_funcs, curve, curve_dot, steps=100_000)
         assert abs(integral - f) <= 1e-9  # Stokes: the flux equals f * area
 
-    from holonome.connection import ChartSpec, ConnectionForm, ConstantMatrixFunction
+    from holonome.connection import ChartSpec, ConnectionForm, ExprMatrixFunction
     from holonome.groups import StructureGroup, so2_generator
 
     lam = np.pi / 2.0
     chart = ChartSpec(0, 2, [-2, -2], [2, 2],
-                      (ConstantMatrixFunction(lam * so2_generator(), 2),
-                       ConstantMatrixFunction(0.0 * so2_generator(), 2)))
+                      (ExprMatrixFunction(lam * so2_generator(), 2),
+                       ExprMatrixFunction(0.0 * so2_generator(), 2)))
     conn = ConnectionForm(StructureGroup("SO", 2), (chart,))
     line = line_path(ChartPoint(0, [0.0, 0.0]), [1.0, 0.0])
     const_err = frobenius(

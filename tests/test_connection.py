@@ -11,7 +11,6 @@ from holonome import exprs
 from holonome.connection import (
     ChartSpec,
     ConnectionForm,
-    ConstantMatrixFunction,
     ExprMatrixFunction,
     MatrixFunction,
     Transition,
@@ -62,7 +61,7 @@ def test_eval_connection_zero(abelian):
 def test_eval_connection_direct_contraction():
     lam = 0.7
     chart = ChartSpec(0, 2, [-2, -2], [2, 2],
-                      (ConstantMatrixFunction(lam * J, 2), ConstantMatrixFunction(0 * J, 2)))
+                      (ExprMatrixFunction(lam * J, 2), ExprMatrixFunction(0 * J, 2)))
     conn = ConnectionForm(SO2, (chart,))
     a = eval_connection(conn, point(0.0, 0.0), tangent(point(0.0, 0.0), 1.0, 0.0))
     assert frobenius(a.matrix - lam * J) < 1e-15
@@ -262,13 +261,27 @@ def test_transition_map_of_wrong_dimension_is_a_dimension_error():
         ConnectionForm(SO2, twochart.charts, (tr,))
 
 
+@pytest.mark.parametrize("components", [1, 3])
+def test_transition_map_needs_one_component_per_chart_coordinate(components):
+    """A map with one or three components between two-dimensional charts
+    raises ValidationError naming the transition, where three escaped as a
+    bare numpy broadcasting error and one as a DimensionError about an
+    expression."""
+    twochart = builtin_connection("levi-civita-s2-twochart")
+    coord_map = (twochart.transitions[0].coord_map * 2)[:components]
+    tr = Transition(0, 1, coord_map, twochart.transitions[0].gauge)
+    with pytest.raises(ValidationError, match="transition 0->1") as err:
+        ConnectionForm(SO2, twochart.charts, (tr,))
+    assert not isinstance(err.value, DimensionError)
+
+
 def test_overlap_samples_skip_points_outside_the_map_domain():
     """sqrt(x1) is undefined on half of chart 0: those candidates are
     dropped, and the rest still supply a full set of overlap samples."""
-    zero = ConstantMatrixFunction(np.zeros((2, 2)), 2)
+    zero = ExprMatrixFunction(np.zeros((2, 2)), 2)
     chart0 = ChartSpec(0, 2, [-2, -2], [2, 2], (zero, zero))
     chart1 = ChartSpec(1, 2, [-2, -2], [2, 2], (zero, zero))
-    tr = Transition(0, 1, (sqrt(var(0, 2)), var(1, 2)), ConstantMatrixFunction(np.eye(2), 2))
+    tr = Transition(0, 1, (sqrt(var(0, 2)), var(1, 2)), ExprMatrixFunction(np.eye(2), 2))
     conn = ConnectionForm(SO2, (chart0, chart1), (tr,))
     X, Y = _overlap_samples(conn, tr)
     assert len(X) == 20 and np.all(X[:, 0] > 0.0)
@@ -341,7 +354,7 @@ def test_batched_evaluation_matches_pointwise(points):
 def test_one_dimensional_chart_is_flat():
     """A one-dimensional chart has no curvature components: max_norm is 0
     and is_flat reports flat, where both used to raise ValueError."""
-    zero = ConstantMatrixFunction(np.zeros((2, 2)), 1)
+    zero = ExprMatrixFunction(np.zeros((2, 2)), 1)
     conn = ConnectionForm(StructureGroup("SO", 2), (ChartSpec(0, 1, [-1], [1], (zero,)),))
     assert curvature_at(conn, ChartPoint(0, [0.3])).max_norm() == 0.0
     report = is_flat(conn)
@@ -351,7 +364,7 @@ def test_one_dimensional_chart_is_flat():
 def test_one_dimensional_curvature_matrix_raises_typed_error():
     """F[0][0] on a one-dimensional chart has no stored component to take
     its size from; it raises ValidationError, not a bare StopIteration."""
-    zero = ConstantMatrixFunction(np.zeros((2, 2)), 1)
+    zero = ExprMatrixFunction(np.zeros((2, 2)), 1)
     conn = ConnectionForm(SO2, (ChartSpec(0, 1, [-1], [1], (zero,)),))
     with pytest.raises(ValidationError):
         curvature_at(conn, ChartPoint(0, [0.3])).matrix(0, 0)
@@ -404,8 +417,9 @@ def test_gauge_transformed_curvature_is_exact():
 
 
 def test_gauge_transform_takes_gauges_with_exact_second_derivatives(abelian):
-    """Expression entries, an ExprMatrixFunction or a ConstantMatrixFunction
-    are gauges; any other MatrixFunction is refused."""
+    """Expression or numeric entries, or an ExprMatrixFunction, are gauges;
+    any other MatrixFunction is refused.  The identity gauge, a numpy
+    array, leaves every coefficient's values as they were."""
 
     class Opaque(MatrixFunction):
         dim, k = 2, 2
@@ -416,16 +430,21 @@ def test_gauge_transform_takes_gauges_with_exact_second_derivatives(abelian):
     with pytest.raises(ValidationError):
         gauge_transform(abelian, Opaque())
     c, s = np.cos(0.3), np.sin(0.3)
-    rotated = gauge_transform(abelian, ConstantMatrixFunction([[c, -s], [s, c]], 2))
-    f = curvature_at(rotated, point(0.2, -0.4)).matrix(0, 1)
-    assert frobenius(f - 1.5 * J) <= 1e-14
+    for gauge in ([[c, -s], [s, c]], ExprMatrixFunction([[c, -s], [s, c]], 2)):
+        rotated = gauge_transform(abelian, gauge)
+        f = curvature_at(rotated, point(0.2, -0.4)).matrix(0, 1)
+        assert frobenius(f - 1.5 * J) <= 1e-14
+    same = gauge_transform(abelian, np.eye(2))
+    X = np.random.default_rng(4).uniform(-2.0, 2.0, (10, 2))
+    for a, b in zip(same.charts[0].coefficients, abelian.charts[0].coefficients):
+        assert np.array_equal(a.value(X), b.value(X))
 
 
 def test_matrix_entries_must_form_a_square():
     """A ragged coefficient, a gauge of the wrong size and a ragged gauge
     raise ValidationError, where they built a GL(2) chart that transported
     without error, raised a bare numpy ValueError, and raised
-    SingularGaugeError; so do constant matrices that are not square."""
+    SingularGaugeError; so do numeric matrices that are not square."""
     x1 = var(0, 2)
     zero, one = lit(0.0), lit(1.0)
     with pytest.raises(ValidationError):
@@ -438,7 +457,22 @@ def test_matrix_entries_must_form_a_square():
         gauge_transform(abelian, [[one, zero], [zero]])
     for bad in ([[1.0, 0.0], [0.0]], [[1.0, 0.0]], [], 1.0):
         with pytest.raises(ValidationError):
-            ConstantMatrixFunction(bad, 2)
+            ExprMatrixFunction(bad, 2)
+
+
+def test_matrix_entries_are_expressions_or_real_numbers():
+    """Python and numpy numbers, ints included, are literal entries, where
+    they raised a bare AttributeError; a string or None raises
+    ValidationError."""
+    X = np.random.default_rng(5).uniform(-2.0, 2.0, (6, 2))
+    for entries in ([[1.0, 0.0], [0.0, 1.0]], np.eye(2, dtype=int), [[1, np.float32(0.0)], [lit(0.0), 1]]):
+        f = ExprMatrixFunction(entries, 2)
+        values, grads = f.value_and_grad(X)
+        assert np.array_equal(values, np.broadcast_to(np.eye(2), (6, 2, 2)))
+        assert not grads.any()
+    for bad in ("x1", None):
+        with pytest.raises(ValidationError):
+            ExprMatrixFunction([[1.0, bad], [0.0, 1.0]], 2)
 
 
 def test_gl3_gauge_takes_the_cofactor_inverse():

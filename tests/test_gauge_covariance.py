@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from holonome.connection import (
     ChartSpec,
     ConnectionForm,
-    ConstantMatrixFunction,
     ExprMatrixFunction,
     builtin_connection,
     check_transition_compatibility,
@@ -180,7 +179,7 @@ def _zero_connection(k):
     """The zero connection on [-2, 2]^2 with structure group SO(k)."""
     if k == 2:
         return builtin_connection("flat-so2")
-    zero = ConstantMatrixFunction(np.zeros((k, k)), 2)
+    zero = ExprMatrixFunction(np.zeros((k, k)), 2)
     chart = ChartSpec(0, 2, [-2.0, -2.0], [2.0, 2.0], (zero, zero))
     return ConnectionForm(StructureGroup("SO", k), (chart,))
 

@@ -190,7 +190,7 @@ def test_polar_projects_a_stack_and_checks_all_of_it():
 def near_orthogonal_stack(rng, k, m, scale):
     """m rotations of SO(k), each pushed off the group by a perturbation
     of size scale times a factor in [1e-6, 1], so that the stack spans
-    defects from roundoff to the edge of the Newton-Schulz basin."""
+    defects from roundoff to a few percent."""
     group = {2: SO2, 3: SO3}[k]
     rot = np.stack(
         [group_exp(AlgebraElement(random_skew(rng, k, 3.0), group)).matrix for _ in range(m)]
@@ -199,39 +199,21 @@ def near_orthogonal_stack(rng, k, m, scale):
     return rot + sizes * rng.normal(size=(m, k, k))
 
 
-def svd_polar(m):
-    u, _, vt = np.linalg.svd(m)
-    return u @ vt
-
-
-@seed(20261021)
+@seed(20261022)
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from([2, 3]),
     st.integers(1, 40),
     st.sampled_from([1e-12, 1e-6, 1e-3, 0.03]),
-    st.integers(0, 2**32 - 1),
-)
-def test_polar_matches_the_svd_factor(k, m, scale, rng_seed):
-    """On near-orthogonal stacks, the Newton-Schulz factor equals the SVD
-    polar factor within 1e-14, entry by entry."""
-    stack = near_orthogonal_stack(np.random.default_rng(rng_seed), k, m, scale)
-    assert np.abs(groups._polar(stack) - svd_polar(stack)).max() <= 1e-14
-
-
-@seed(20261022)
-@settings(max_examples=40, deadline=None)
-@given(
-    st.sampled_from([2, 3]),
-    st.integers(1, 30),
-    st.sampled_from([1e-12, 1e-6, 0.03]),
     st.booleans(),
     st.integers(0, 2**32 - 1),
 )
 def test_polar_of_each_matrix_is_its_own(k, m, scale, far_off, rng_seed):
-    """_polar(S)[i] equals _polar(S[i:i+1])[0] bit for bit: no matrix's
-    iteration count or route depends on the rest of the stack, also when S
-    holds a far-off matrix, which takes the SVD route."""
+    """_polar is the orthogonal polar factor of each matrix on its own: on
+    near-orthogonal stacks, one matrix far off the group or none, it
+    equals the one-sided Jacobi polar factor of the oracles within 1e-14,
+    entry by entry, and _polar(S)[i] equals _polar(S[i:i+1])[0] bit for
+    bit, so no matrix's result depends on the rest of the stack."""
     rng = np.random.default_rng(rng_seed)
     stack = near_orthogonal_stack(rng, k, m, scale)
     if far_off:
@@ -240,6 +222,7 @@ def test_polar_of_each_matrix_is_its_own(k, m, scale, far_off, rng_seed):
         stack[i, :, 0] *= np.sign(np.linalg.det(stack[i]))
     got = groups._polar(stack)
     for i in range(m):
+        assert np.abs(got[i] - jacobi_polar(stack[i])).max() <= 1e-14
         assert np.array_equal(got[i], groups._polar(stack[i : i + 1])[0])
 
 

@@ -5,8 +5,9 @@ A_mu = sum_a p_mu^a(x) E_a, each p a quadratic polynomial of the
 coordinates plus a sine and a cosine term (the `angles` of the gauge
 tests), on the box [-1.5, 1.5]^2.  Over those connections transport is
 multiplicative over random splits, P(gamma^-1) P(gamma) = I, transport is
-invariant under reparametrization, and the holonomy of a loop based at x0
-conjugates as g(x0)^-1 H g(x0) under a random gauge g.
+invariant under reparametrization, the holonomy of a loop based at x0
+conjugates as g(x0)^-1 H g(x0) under a random gauge g, and the round trip
+A -> P -> A recovers every coefficient within C h^2.
 """
 
 import numpy as np
@@ -18,8 +19,9 @@ from holonome.exprs import lit, parse, var
 from holonome.exprs import sin as esin
 from holonome.groups import StructureGroup, frobenius, so2_generator, so3_basis
 from holonome.holonomy import holonomy
-from holonome.paths import arc_path, reparametrize, reverse_path, subpath
-from holonome.transport import SolverConfig, transport_many
+from holonome.paths import ChartPoint, arc_path, reparametrize, reverse_path, subpath
+from holonome.reconstruction import reconstruct_connection
+from holonome.transport import SolverConfig, engine_oracle, transport_many
 
 from test_gauge_covariance import angles, gauges
 
@@ -108,3 +110,26 @@ def test_holonomy_conjugates_under_a_random_gauge(case, loop):
     h_before = holonomy(conn, loop, CFG).g.matrix
     h_after = holonomy(gauge_transform(conn, entries), loop, CFG).g.matrix
     assert frobenius(h_after - g0.T @ h_before @ g0) <= 1e-8
+
+
+ROUNDTRIP_C = 1.0
+
+
+@seed(20261106)
+@settings(max_examples=10, deadline=None)
+@given(connections(), st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+def test_round_trip_recovers_random_connections(conn, corners):
+    """reconstruct_connection through the engine's own oracle (h = 0.02)
+    recovers every coefficient on a random 2 x 2 grid in [-1, 1]^2 within
+    C h^2 at probe steps 1e-2 and 1e-3, with no grid point dropped.
+    C = 1.0: a sweep of 1300 drawn connections and grids read at most
+    0.29 h^2 at both steps."""
+    xs, ys = corners[:2], corners[2:]
+    grid = [ChartPoint(0, [a, b]) for a in xs for b in ys]
+    oracle = engine_oracle(conn, SolverConfig(h=0.02))
+    for h in (1e-2, 1e-3):
+        table = reconstruct_connection(oracle, grid, h, conn.group)
+        assert not table.dropped
+        for (i, mu), a in table.entries.items():
+            want = conn.charts[0].coefficients[mu].at(grid[i].coords)
+            assert frobenius(a - want) <= ROUNDTRIP_C * h * h

@@ -13,7 +13,6 @@ from holonome import exprs
 from holonome.connection import (
     ChartSpec,
     ConnectionForm,
-    ConstantMatrixFunction,
     ExprMatrixFunction,
     MatrixFunction,
     builtin_connection,
@@ -75,7 +74,7 @@ def test_lift_vector_zero_connection():
 def test_lift_vector_constant_coefficient():
     lam = 0.7
     chart = ChartSpec(0, 2, [-2, -2], [2, 2],
-                      (ConstantMatrixFunction(lam * J, 2), ConstantMatrixFunction(0 * J, 2)))
+                      (ExprMatrixFunction(lam * J, 2), ExprMatrixFunction(0 * J, 2)))
     conn = ConnectionForm(SO2, (chart,))
     oracle = engine_oracle(conn, CFG)
     x = ChartPoint(0, [0.0, 0.0])

@@ -123,6 +123,23 @@ def test_transition_from_an_undeclared_chart_is_a_schema_error():
     assert "99" in str(err.value)
 
 
+@pytest.mark.parametrize("coord_map", [["x1"], ["x1", "x2", "x1"]])
+def test_transition_map_of_the_wrong_length_fails_validation(coord_map, tmp_path, capsys):
+    """holonome validate refuses a transition map with too few or too many
+    components for its charts, naming the transition, and exits 1, where
+    three components escaped as a numpy traceback."""
+    doc = _inline_doc()
+    doc["connection"]["transitions"] = [
+        {"from": 0, "to": 0, "map": coord_map, "gauge": [["1", "0"], ["0", "1"]]}
+    ]
+    with pytest.raises(ValidationError, match="transition 0->0"):
+        load_scenario(doc)
+    path = tmp_path / "bad-map.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["validate", str(path)]) == 1
+    assert "transition 0->0" in capsys.readouterr().err
+
+
 MALFORMED_FIELDS = {
     "one-entry range": (("paths", "unit-x", "segments", 0, "range"), [0.0],
                         "$.paths.unit-x.segments[0].range"),
@@ -352,12 +369,11 @@ def test_cli_trace_csv(tmp_path):
 
 
 def test_cli_trace_csv_lifts_an_so3_arc_with_short_projection_blocks(tmp_path):
-    """--trace-csv lifts the path, and the lift projects its samples onto
-    the group as transport projects its result.  On a constant-so3 arc at
-    h = 0.02 with project_every = 4 the unprojected partial products
-    drift off SO(3) by about 3.2e-7, where the group check allows 1e-9;
-    the run exits 0 with the flag as it does without it, and the trace
-    ends at the transport."""
+    """--trace-csv lifts the path.  On a constant-so3 arc at h = 0.02 with
+    project_every = 4, where RK4 partial products once drifted off SO(3)
+    by about 3.2e-7 against the group check's 1e-9, the lift's samples
+    stay on the group with nothing projected: the run exits 0 with the
+    flag as it does without it, and the trace ends at the transport."""
     doc = {
         "version": 1,
         "connection": {"builtin": "constant-so3(0.8,0.6)"},

@@ -13,7 +13,6 @@ from holonome import exprs
 from holonome.connection import (
     ChartSpec,
     ConnectionForm,
-    ConstantMatrixFunction,
     ExprMatrixFunction,
     MatrixFunction,
     _so2_chart,
@@ -92,7 +91,7 @@ def square_loop(side=1.0, corner=(0.0, 0.0)):
 
 def constant_coefficient_connection(lam):
     chart = ChartSpec(0, 2, [-2, -2], [2, 2],
-                      (ConstantMatrixFunction(lam * J, 2), ConstantMatrixFunction(0 * J, 2)))
+                      (ExprMatrixFunction(lam * J, 2), ExprMatrixFunction(0 * J, 2)))
     return ConnectionForm(SO2, (chart,))
 
 
@@ -170,11 +169,13 @@ def test_juxtaposing_a_constant_tail_changes_nothing():
 
 
 def test_gl_connection_skips_projection_and_matches_series():
-    """Non-orthogonal branch: GL(2) with a constant non-skew coefficient."""
+    """Non-orthogonal branch: GL(2) with a constant non-skew coefficient
+    takes the general solve of the step and matches the exponential
+    series."""
     gl2 = StructureGroup("GL", 2)
     a = np.array([[0.3, 0.5], [0.1, -0.2]])
     chart = ChartSpec(0, 2, [-2, -2], [2, 2],
-                      (ConstantMatrixFunction(a, 2), ConstantMatrixFunction(0.0 * a, 2)))
+                      (ExprMatrixFunction(a, 2), ExprMatrixFunction(0.0 * a, 2)))
     conn = ConnectionForm(gl2, (chart,))
     gamma = line_path(ChartPoint(0, [0.0, 0.0]), [1.0, 0.0])
     res = transport(conn, gamma, CFG)
@@ -185,7 +186,7 @@ def test_u1_group_transport():
     u1 = StructureGroup("U1", 2)
     lam = 0.9
     chart = ChartSpec(0, 2, [-2, -2], [2, 2],
-                      (ConstantMatrixFunction(lam * J, 2), ConstantMatrixFunction(0 * J, 2)))
+                      (ExprMatrixFunction(lam * J, 2), ExprMatrixFunction(0 * J, 2)))
     conn = ConnectionForm(u1, (chart,))
     gamma = line_path(ChartPoint(0, [0.0, 0.0]), [1.0, 0.0])
     res = transport(conn, gamma, CFG)
@@ -762,11 +763,10 @@ def test_doubling_does_not_accept_steps_too_large_for_the_estimate():
 
 
 def test_error_estimate_reads_the_integration_error_not_the_drift():
-    """On a pure-gauge loop the holonomy is I.  Both products of the
-    Richardson estimate are projected before their difference is taken,
-    so est_error reads the roundoff-level integration error, not the
-    drift off SO(2) inside the product (3.3e-7 with a projection after
-    every block of 8 steps)."""
+    """On a pure-gauge loop the holonomy is I.  Every step lies on SO(2),
+    so no drift off the group enters the Richardson difference: over five
+    turns at h = 1e-3 est_error reads 3.9e-15 and the holonomy is I within
+    4.0e-14, where RK4 products drifting off SO(2) once read 3.3e-7."""
     conn = builtin_connection("pure-gauge")
     loop = arc_path(0, [0.0, 0.0], 1.9, 0.0, 10.0 * np.pi)  # five turns
     res = transport(conn, loop, SolverConfig(h=1e-3))
@@ -774,11 +774,11 @@ def test_error_estimate_reads_the_integration_error_not_the_drift():
     assert res.est_error <= 1e-12
 
 
-def test_a_pass_projects_both_products_or_neither():
-    """A pass of 10 steps projects its 5-step coarse product too when
-    project_every = 8, so the estimate reads the integration error (0.16,
-    for a holonomy error of 4.8e-4), not the coarse product's drift off
-    SO(2) (15.3 with the coarse product unprojected)."""
+def test_project_every_changes_no_result():
+    """project_every, kept for schema v1, selects nothing: a 10-step pass
+    of a pure-gauge loop gives the same holonomy and estimate, bit for bit,
+    at project_every 8 and 4, one of them below and one above the 5-step
+    coarse product."""
     conn = builtin_connection("pure-gauge")
     loop = arc_path(0, [0.0, 0.0], 1.9, 0.0, 2.0 * np.pi)
     at8 = transport(conn, loop, SolverConfig(h=0.1))
@@ -788,33 +788,28 @@ def test_a_pass_projects_both_products_or_neither():
     assert at8.est_error == at4.est_error <= 0.2
 
 
-@pytest.mark.parametrize("project_every", [8, 16, 10**9])
-def test_doubling_equals_fixed_where_projection_starts(project_every):
-    """The pass where the step count first reaches project_every (16:
-    10 -> 20, the accepted pass) multiplies its coarse product again
-    rather than take the unprojected one of the pass before, so it still
-    equals a rk4-fixed pass at the same step count bit for bit, estimate
-    included."""
+def test_doubling_equals_fixed_after_one_reuse():
+    """A doubling run that stops at its second pass (10 -> 20 steps) takes
+    the first pass's product as its coarse product, so it equals a
+    rk4-fixed pass at the same step count bit for bit, estimate included."""
     conn = builtin_connection("abelian-area(1.5)")
     circle = arc_path(0, [0.0, 0.0], 1.0, 0.0, 2.0 * np.pi)
-    cfg = SolverConfig("rk4-doubling", h=0.1, tol=1e-3, project_every=project_every)
-    adaptive = transport(conn, circle, cfg)
+    adaptive = transport(conn, circle, SolverConfig("rk4-doubling", h=0.1, tol=1e-3))
     n = adaptive.step_count
     assert n == 20
-    fixed = transport(conn, circle, SolverConfig(h=1.0 / (n - 0.5), project_every=project_every))
+    fixed = transport(conn, circle, SolverConfig(h=1.0 / (n - 0.5)))
     assert fixed.step_count == n
     assert np.array_equal(fixed.g.matrix, adaptive.g.matrix)
     assert fixed.est_error == adaptive.est_error
 
 
 def test_steps_too_large_for_rk4_do_not_make_the_product_singular():
-    """Each RK4 step of abelian-area(13.86) around a radius-1.5 circle at
-    h = 0.025 turns by sqrt(6) and scales by 0.5, so the raw product of its
-    40 steps has singular values 0.5**40 < 1e-12.  transport and lift_path
-    still return group elements, and rk4-doubling from h = 0.1, whose
-    projected estimates stop shrinking while the steps are that large, goes
-    on doubling to the area law; so does an SO(3) loop whose steps turn
-    by up to 15."""
+    """The 40 steps of abelian-area(13.86) around a radius-1.5 circle at
+    h = 0.025 are far too large for the field (an RK4 step there turned by
+    sqrt(6) and scaled by 0.5, so the RK4 product was singular to 1e-12).
+    transport and lift_path still return group elements, and rk4-doubling
+    from h = 0.1, which accepts no pass with steps that large, doubles on
+    to the area law; so does an SO(3) loop whose steps turn by up to 15."""
     conn = builtin_connection("abelian-area(13.86)")
     circle = arc_path(0, [0.0, 0.0], 1.5, 0.0, 2.0 * np.pi)
     coarse = SolverConfig(h=0.025)

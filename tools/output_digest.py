@@ -1,0 +1,95 @@
+"""Print a SHA-256 digest of each output that holonome computes on a fixed
+set of inputs, one line per output, so that two checkouts can be checked
+for byte-identical results:
+
+    python tools/output_digest.py [src-dir] > digests.txt
+    diff digests-before.txt digests-after.txt
+
+src-dir is the holonome source tree to import (default: this checkout's
+src).  The outputs are:
+
+- every file the shipped scenarios write with trace CSVs on, report.json
+  without its timestamp line;
+- the engine-oracle reconstruction tables of abelian-area(1.5),
+  constant-so3(0.8,0.6) and pure-gauge at probe steps 1e-2 and 1e-3;
+- the holonomies (matrix and angle) of a latitude loop, a two-chart
+  crossing loop and a rectangle on constant-so3 at h = 1e-4, and of a
+  small latitude loop under rk4-doubling.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+
+def digest(*parts):
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part if isinstance(part, bytes) else repr(part).encode())
+    return h.hexdigest()
+
+
+def scenario_digests(hn):
+    scenario_dir = Path(hn.__file__).parent / "scenarios"
+    for path in sorted(scenario_dir.glob("*.json")):
+        with tempfile.TemporaryDirectory() as out:
+            code, _ = hn.run_scenario(hn.load_scenario(str(path)), out, trace_csv=True)
+            yield f"{path.stem} exit", digest(code)
+            for file in sorted(Path(out).rglob("*")):
+                data = file.read_bytes()
+                if file.name == "report.json":
+                    data = b"".join(
+                        line for line in data.splitlines(keepends=True) if b'"timestamp":' not in line
+                    )
+                yield f"{path.stem} {file.relative_to(out)}", digest(data)
+
+
+def table_digests(hn):
+    axis = np.linspace(-0.6, 0.6, 3)
+    for name in ("abelian-area(1.5)", "constant-so3(0.8,0.6)", "pure-gauge"):
+        conn = hn.builtin_connection(name)
+        grid = [hn.ChartPoint(0, [a, b]) for a in axis for b in axis]
+        oracle = hn.engine_oracle(conn, hn.SolverConfig(h=0.02))
+        for h in (1e-2, 1e-3):
+            table = hn.reconstruct_connection(oracle, grid, h, conn.group)
+            parts = [part for key in sorted(table.entries) for part in (key, table.entries[key].tobytes())]
+            yield f"table {name} h={h:g}", digest(*parts, table.dropped)
+
+
+def holonomy_digests(hn):
+    stereo = hn.builtin_connection("levi-civita-s2-stereo")
+    twochart = hn.builtin_connection("levi-civita-s2-twochart")
+    so3 = hn.builtin_connection("constant-so3(0.8,0.6)")
+    fine = hn.SolverConfig(h=1e-4)
+    corners = [(-0.7, -0.4), (0.9, -0.4), (0.9, 0.8), (-0.7, 0.8)]
+    pts = [hn.ChartPoint(0, c) for c in corners]
+    legs = [hn.line_path(a, b.coords) for a, b in zip(pts, pts[1:] + pts[:1])]
+    cases = {
+        "latitude": (stereo, hn.arc_path(0, (0.0, 0.0), 1.1, 0.4, 0.4 + 2.0 * np.pi), fine),
+        "twochart": (twochart, hn.arc_path(0, (3.0, 0.1), 2.0, np.pi, 3.0 * np.pi), fine),
+        "rectangle": (so3, hn.juxtapose(hn.juxtapose(legs[0], legs[1]), hn.juxtapose(legs[2], legs[3])), fine),
+        "doubling": (stereo, hn.arc_path(0, (0.0, 0.0), 0.5, 0.0, 2.0 * np.pi),
+                     hn.SolverConfig(method="rk4-doubling", h=1e-2)),
+    }
+    for name, (conn, loop, cfg) in cases.items():
+        res = hn.holonomy(conn, loop, cfg)
+        yield f"holonomy {name}", digest(res.g.matrix.tobytes(), res.angle, res.transport.end.chart_id)
+
+
+def main(argv):
+    src = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1] / "src"
+    sys.path.insert(0, str(src.resolve()))
+    import holonome as hn
+
+    for source in (scenario_digests, table_digests, holonomy_digests):
+        for name, value in source(hn):
+            print(f"{value}  {name}")
+
+
+if __name__ == "__main__":
+    main(sys.argv)
