@@ -199,6 +199,29 @@ def near_orthogonal_stack(rng, k, m, scale):
     return rot + sizes * rng.normal(size=(m, k, k))
 
 
+def svd_polar(m):
+    """The SVD polar factor u @ vt of each matrix, reached by another
+    route: with m^T m = V S^2 V^T, u @ vt = m V S^-1 V^T."""
+    s2, v = np.linalg.eigh(np.swapaxes(m, -1, -2) @ m)
+    return m @ (v / np.sqrt(s2)[..., None, :]) @ np.swapaxes(v, -1, -2)
+
+
+@seed(20261021)
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([2, 3]),
+    st.integers(1, 40),
+    st.sampled_from([1e-12, 1e-6, 1e-3, 0.03]),
+    st.integers(0, 2**32 - 1),
+)
+def test_polar_matches_the_svd_factor(k, m, scale, rng_seed):
+    """On near-orthogonal stacks, _polar equals the SVD polar factor,
+    computed here from the eigendecomposition of m^T m, within 1e-14,
+    entry by entry."""
+    stack = near_orthogonal_stack(np.random.default_rng(rng_seed), k, m, scale)
+    assert np.abs(groups._polar(stack) - svd_polar(stack)).max() <= 1e-14
+
+
 @seed(20261022)
 @settings(max_examples=40, deadline=None)
 @given(
