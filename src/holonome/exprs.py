@@ -17,9 +17,12 @@ overloading (Griewank & Walther, Evaluating Derivatives, 2nd ed., SIAM
 expressions (a coordinate map, the entries of a matrix), and optionally
 their gradients, into one flat, hash-consed list of numpy calls on whole
 arrays of sample points, so a subtree shared between outputs is evaluated
-once.  evaluate_many / evaluate_dual_many take such a vector, or a Program
-that an object evaluated again and again compiled once, and fill one
-(m, len(es)) value array and one (m, len(es), n) gradient array.
+once.  A run evaluates into one block of rows that it allocates once, each
+call writing its result into a row through the ufunc's out argument, and
+keeps nothing after it returns.  evaluate_many / evaluate_dual_many take
+such a vector, or a Program that an object evaluated again and again
+compiled once, and fill one (m, len(es)) value array and one
+(m, len(es), n) gradient array.
 """
 
 from __future__ import annotations
@@ -438,47 +441,51 @@ def diff(e, axis):
 
 # --- compiled evaluation ----------------------------------------------------------
 
-def _div(a, b):
+def _div(a, b, out):
     if np.any(b == 0.0):
         raise DomainError("division by zero")
-    return a / b
+    return np.divide(a, b, out)
 
 
-def _log(a):
+def _log(a, out):
     if np.any(a <= 0.0):
         raise DomainError("log of a non-positive value")
-    return np.log(a)
+    return np.log(a, out)
 
 
-def _sqrt(a):
+def _sqrt(a, out):
     if np.any(a < 0.0):
         raise DomainError("sqrt of a negative value")
-    return np.sqrt(a)
+    return np.sqrt(a, out)
 
 
-def _sqrt_differentiable(a):
+def _sqrt_differentiable(a, out):
     # the derivative 1/(2 sqrt a) blows up at 0, so gradients need a > 0
     if np.any(a <= 0.0):
         raise DomainError("sqrt derivative needs a positive argument")
-    return np.sqrt(a)
+    return np.sqrt(a, out)
 
 
-def _pow(a, k):
-    # through an array, so a constant base takes ndarray power, as points do
-    return np.asarray(a) ** int(k)
+def _pow(a, k, out):
+    # ndarray power in place takes the path np.asarray(a) ** k takes
+    # (square for k = 2), for a constant base too, as points do
+    if out is not a:
+        np.copyto(out, a)
+    out **= int(k)
+    return out
 
 
-def _atan2(y, x):
+def _atan2(y, x, out):
     if np.any((y == 0.0) & (x == 0.0)):
         raise DomainError("atan2(0, 0) is undefined")
-    return np.arctan2(y, x)
+    return np.arctan2(y, x, out)
 
 
-def _atan2_differentiable(y, x):
+def _atan2_differentiable(y, x, out):
     # the derivative divides by x^2 + y^2
     if np.any(x**2 + y**2 == 0.0):
         raise DomainError("atan2(0, 0) is undefined")
-    return np.arctan2(y, x)
+    return np.arctan2(y, x, out)
 
 
 _BINARY = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": _div}
@@ -493,13 +500,18 @@ class Program:
 
     The outputs are the values of es and, with grad_axes = n, the
     derivatives diff(es[i], d) for every i and every d < n, in that order.
-    Nodes are hash-consed on (op, operand registers, constant), so each
-    distinct subtree of all the outputs is evaluated once per run, and each
-    intermediate is released after its last use.  Every node of the values
-    keeps its domain check; with gradients, sqrt needs a positive argument
-    and atan2 a nonzero x^2 + y^2, as their derivatives do.  A Program is
-    immutable and belongs to whoever compiled it: an object that is
-    evaluated again and again compiles its own once.
+    Nodes are hash-consed on (op, operands, constant), so each distinct
+    subtree of all the outputs is evaluated once per run.  A run evaluates
+    into one (width, m) block that it allocates once and drops on return:
+    each call writes its result, through the ufunc's out argument, into a
+    row that liveness gave it at compile time.  A row is free again after
+    the last call that reads it, and since every op is elementwise, an
+    operand read for the last time may hand its row to the result.  Every
+    node of the values keeps its domain check; with gradients, sqrt needs
+    a positive argument and atan2 a nonzero x^2 + y^2, as their derivatives
+    do.  A Program is immutable, keeps no buffer between runs, and belongs
+    to whoever compiled it: an object that is evaluated again and again
+    compiles its own once.
     """
 
     def __init__(self, es, grad_axes=0):
@@ -515,13 +527,12 @@ class Program:
             roots += [_d(a, d, memos[d]) for a in roots[:size] for d in range(grad_axes)]
         calls = _DIFFERENTIABLE_CALLS if grad_axes else _CALLS
         binary = _BINARY
-        regs = []  # initial register contents: constants, else None
-        keys = {}  # node key -> register
-        seen = {}  # id(ast) -> register, for inner nodes of roots shared by object
-        inputs = []  # (register, axis)
-        code = []  # (fn, operand a, operand b or None, register)
-        made = {}  # register -> the instruction that computes it
-        last = {}  # register -> the last instruction that reads it
+        leaves = []  # leaf values: constants, else None for an input
+        keys = {}  # node key -> operand: a leaf's index, or ~i for instruction i
+        seen = {}  # id(ast) -> operand, for inner nodes of roots shared by object
+        inputs = []  # (leaf, axis)
+        code = []  # (fn, operand a, operand b or None)
+        last = []  # instruction -> the last instruction that reads its result
         copysign = math.copysign
 
         def visit(ast):
@@ -531,11 +542,11 @@ class Program:
                 key = (ast[1], copysign(1.0, ast[1])) if op == "num" else ast
                 r = keys.get(key)
                 if r is None:
-                    r = keys[key] = len(regs)
+                    r = keys[key] = len(leaves)
                     if op == "num":
-                        regs.append(np.float64(ast[1]))  # numpy's arithmetic, as points get
+                        leaves.append(np.float64(ast[1]))  # numpy's arithmetic, as points get
                     else:
-                        regs.append(None)
+                        leaves.append(None)
                         inputs.append((r, ast[1]))
                 return r
             r = seen.get(id(ast))
@@ -556,14 +567,12 @@ class Program:
             r = keys.get(key)
             if r is None:
                 i = len(code)
-                r = keys[key] = len(regs)
-                regs.append(None)
-                made[r] = last[r] = i
-                if a in made:
-                    last[a] = i
-                if b in made:
-                    last[b] = i
-                code.append((fn, a, b, r))
+                r = keys[key] = ~i
+                last.append(i)
+                for x in (a, b):
+                    if x is not None and x < 0:
+                        last[~x] = i
+                code.append((fn, a, b))
             seen[id(ast)] = r
             return r
 
@@ -573,37 +582,49 @@ class Program:
         binary = _DERIVATIVE_BINARY
         outs += map(visit, roots[size:])
         del visit  # it refers to itself: a cycle only the garbage collector would free
-        dead = {}  # instruction -> registers released after it
-        for r, i in last.items():
-            dead[i] = dead.get(i, ()) + (r,)
-        rows = {}  # instruction -> output rows it writes
-        self._direct = []  # outputs that are an input or a constant
-        for row, r in enumerate(outs):
-            if r in made:
-                rows[made[r]] = rows.get(made[r], ()) + (row,)
+        writes = [()] * len(code)  # instruction -> outputs it writes
+        self._direct = []  # (output, leaf) for outputs that are an input or a constant
+        for i, r in enumerate(outs):
+            if r < 0:
+                writes[~r] += (i,)
             else:
-                self._direct.append((row, r))
-        self._regs = regs
+                self._direct.append((i, r))
+        # a run's values are the leaves, then the rows of its block: each
+        # operand becomes the index of its value
+        slot, free = [], []  # instruction -> its result's value index; free ones
+        self.width = 0
+        for i, (fn, a, b) in enumerate(code):
+            for x in (a,) if b == a else (a, b):
+                if x is not None and x < 0 and last[~x] == i:
+                    free.append(slot[~x])
+            if not free:
+                free.append(len(leaves) + self.width)
+                self.width += 1
+            slot.append(free.pop())
+            if last[i] == i:  # an output that nothing reads
+                free.append(slot[i])
+            a, b = (x if x is None or x >= 0 else slot[~x] for x in (a, b))
+            code[i] = (fn, a, b, slot[i], writes[i])
+        self._leaves = leaves
         self._inputs = inputs
         self._code = code
-        for i, (fn, a, b, dst) in enumerate(code):
-            code[i] = (fn, a, b, dst, dead.get(i, ()), rows.get(i, ()))
 
     def run(self, cols, out):
         """Evaluate at the m >= 1 points whose coordinate x<d+1> is the (m,)
         array cols[d], writing output i into out[i]."""
-        regs = self._regs.copy()
+        vals = self._leaves.copy()
         for r, axis in self._inputs:
-            regs[r] = cols[axis]
+            vals[r] = cols[axis]
+        if self._code:  # then out[0] is an (m,) output
+            vals.extend(np.empty((self.width, len(out[0]))))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            for fn, a, b, dst, dead, rows in self._code:
-                value = regs[dst] = fn(regs[a]) if b is None else fn(regs[a], regs[b])
-                for i in rows:
+            for fn, a, b, dst, writes in self._code:
+                value = vals[dst]
+                fn(vals[a], value) if b is None else fn(vals[a], vals[b], value)
+                for i in writes:
                     out[i][...] = value
-                for r in dead:
-                    regs[r] = None
         for i, r in self._direct:
-            out[i][...] = regs[r]
+            out[i][...] = vals[r]
 
 
 def _as_points(dim, x):

@@ -20,6 +20,7 @@ reversal) is what the transport axioms quantify over.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,6 +28,7 @@ import numpy as np
 
 from . import exprs
 from .errors import (
+    DomainError,
     EndpointMismatchError,
     NotMonotoneError,
     OutOfRangeError,
@@ -155,13 +157,13 @@ class Segment:
 
     @cached_property
     def _line(self):
-        """(a, b, v) when every coordinate's AST is lit(a) + lit(b)*x1, as
-        _line_segment builds it for line_path and the reconstruction
+        """(a, b, v, ab) when every coordinate's AST is lit(a) + lit(b)*x1,
+        as _line_segment builds it for line_path and the reconstruction
         probes: the segment is then the line a + b u with the constant
         global-t velocity v = b'/(t1 - t0), where b' is b with a zero of
-        either sign written +0.0, as diff folds it.  None for any other
-        AST: the segment runs its compiled programs.  Both give the same
-        bits."""
+        either sign written +0.0, as diff folds it; ab holds the (a_i, b_i)
+        pairs as Python floats, for one point.  None for any other AST: the
+        segment runs its compiled programs.  All give the same bits."""
         a, b = [], []
         for c in self.coords:
             ast = c.ast
@@ -175,14 +177,20 @@ class Segment:
                 return None
             a.append(ast[1][1])
             b.append(ast[2][1][1])
+        ab = tuple(zip(a, b))
         a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-        return a, b, (b + 0.0) / (self.t1 - self.t0)  # -0.0 + 0.0 is +0.0
+        return a, b, (b + 0.0) / (self.t1 - self.t0), ab  # -0.0 + 0.0 is +0.0
 
     def point_at(self, u):
         line = self._line
         if line is not None:
-            with np.errstate(over="ignore", invalid="ignore"):  # as in a program run
-                return exprs._finite_or_raise(line[0] + line[1] * u)
+            # Python floats round as numpy's float64 ops do, at a fraction
+            # of their fixed cost on a few entries
+            u = float(u)
+            x = [a + b * u for a, b in line[3]]
+            if not all(map(math.isfinite, x)):
+                raise DomainError("evaluation overflowed to inf/nan")
+            return np.array(x)
         # a one-point evaluation is all fixed cost: the program runs
         # directly, without evaluate_many's input checks and allocations
         out = np.empty(len(self.coords))
@@ -203,7 +211,7 @@ def coords_and_velocities(segments, us, out):
     lines = [seg._line for seg in segments]
     straight = [p for p, line in enumerate(lines) if line is not None]
     if straight:
-        a, b, v = (np.stack(c, axis=1)[..., None] for c in zip(*(lines[p] for p in straight)))
+        a, b, v = (np.stack(c, axis=1)[..., None] for c in zip(*(lines[p][:3] for p in straight)))
         at = slice(None) if len(straight) == len(segments) else straight
         with np.errstate(over="ignore", invalid="ignore"):  # as in a program run
             X[:, at] = exprs._finite_or_raise(a + b * us)

@@ -377,8 +377,8 @@ def test_stereo_field_evaluates_its_shared_denominator_once(monkeypatch):
     writes the same numbers as summing A_mu(x) xdot^mu."""
     calls = collections.Counter()
     pow_, div = exprs._pow, exprs._BINARY["div"]
-    monkeypatch.setattr(exprs, "_pow", lambda a, k: calls.update(["pow"]) or pow_(a, k))
-    monkeypatch.setitem(exprs._BINARY, "div", lambda a, b: calls.update(["div"]) or div(a, b))
+    monkeypatch.setattr(exprs, "_pow", lambda a, k, out: calls.update(["pow"]) or pow_(a, k, out))
+    monkeypatch.setitem(exprs._BINARY, "div", lambda a, b, out: calls.update(["div"]) or div(a, b, out))
     chart = builtin_connection("levi-civita-s2-stereo").charts[0]
     rng = np.random.default_rng(8)
     X, V = rng.uniform(-2.0, 2.0, (2, 40)), rng.uniform(-1.0, 1.0, (2, 40))

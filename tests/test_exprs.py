@@ -1,6 +1,8 @@
 """Expression DSL: parsing, evaluation, exact gradients, round trips."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -309,6 +311,101 @@ def test_compiled_gradients_match_dual_numbers(es, X):
         assert not isinstance(got, str), got
         assert got[0].tobytes() == want[0].tobytes()
         np.testing.assert_allclose(got[1], want[1], rtol=1e-12, atol=0.0)
+
+
+# --- the run's block: one row per live value ---------------------------------
+
+
+def _max_live(program):
+    """The most values alive at once over the program's instruction list,
+    walked on its own: each row operand stands for the value that the
+    last instruction writing that row computed, and a value is alive from
+    its instruction through the last one that reads it, both included."""
+    writer, made, last = {}, [], {}
+    for i, (fn, a, b, dst, writes) in enumerate(program._code):
+        for x in (a, b):
+            if x is not None and x >= len(program._leaves):
+                assert x in writer, f"instruction {i} reads row {x} before any write"
+                last[writer[x]] = i
+        writer[dst] = len(made)
+        made.append(i)
+        last[len(made) - 1] = i
+    return max((sum(made[v] <= i <= last[v] for v in last) for i in range(len(made))), default=0)
+
+
+def test_a_chain_of_dependent_ops_runs_in_two_rows():
+    """40 instructions, each reading the one before it, need at most two
+    rows, and give the tree walker's bits."""
+    e = _x1
+    steps = [exprs.sin, exprs.cos, lambda a: a * _x2, lambda a: a + exprs.lit(0.25)]
+    for i in range(40):
+        e = steps[i % 4](e)
+    program = exprs.Program([e])
+    assert len(program._code) == 40
+    assert program.width <= 2
+    X = np.array([[0.3, -1.2], [1.5, 0.7], [-0.4, 0.0]])
+    assert exprs.evaluate_many(program, X).tobytes() == walk_many([e], X).tobytes()
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None)
+@given(_shared_vectors(), st.integers(0, 2))
+def test_block_width_never_exceeds_the_live_values(es, grad_axes):
+    program = exprs.Program(es, grad_axes)
+    assert program.width <= _max_live(program)
+
+
+@pytest.mark.parametrize("source, grad_axes, point, message", [
+    ("x1/x2", 0, (1.0, 0.0), "division by zero"),
+    ("log(x1)", 0, (0.0, 1.0), "log of a non-positive value"),
+    ("sqrt(x1)", 0, (-1.0, 1.0), "sqrt of a negative value"),
+    ("sqrt(x1)", 2, (0.0, 1.0), "sqrt derivative needs a positive argument"),
+    ("atan2(x1, x2)", 0, (0.0, 0.0), "atan2"),
+    ("atan2(x1, x2)", 2, (0.0, 0.0), "atan2"),
+])
+def test_domain_checked_ops_raise_through_run(source, grad_axes, point, message):
+    """Each checked op raises in Program.run itself, before it writes its
+    row, at a fault among good points."""
+    program = exprs.Program([exprs.parse(source, 2)], grad_axes)
+    cols = [np.array([0.5, p, 0.7]) for p in point]
+    out = np.empty((program.size * (1 + grad_axes), 3))
+    with pytest.raises(DomainError, match=message):
+        program.run(cols, out)
+
+
+def test_concurrent_runs_of_one_program_give_the_serial_bits():
+    """Threads that run one compiled Program at the same time, each on its
+    own points, get the bits a serial run gets: a run shares no buffer
+    with another.  Long columns make numpy release the interpreter lock
+    inside the ops, so runs interleave."""
+    x1, x2 = exprs.var(0, 2), exprs.var(1, 2)
+    es = [exprs.sin(x1 * x2) / (exprs.lit(2.0) + exprs.cos(x1)), exprs.exp(-(x1 * x1)) - x2 ** 3]
+    program = exprs.Program(es, 2)
+    rng = np.random.default_rng(19)
+    inputs = [rng.uniform(-2.0, 2.0, (2**15, 2)) for _ in range(4)]
+    serial = [exprs.evaluate_dual_many(program, X) for X in inputs]
+    barrier = threading.Barrier(len(inputs))
+    mismatches = []
+
+    def work(k):
+        barrier.wait(timeout=30)
+        for _ in range(20):
+            got = exprs.evaluate_dual_many(program, inputs[k])
+            if any(g.tobytes() != s.tobytes() for g, s in zip(got, serial[k])):
+                mismatches.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(inputs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
 
 
 def test_sqrt_derivative_needs_a_positive_argument():

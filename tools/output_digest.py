@@ -13,8 +13,10 @@ src).  The outputs are:
 - the engine-oracle reconstruction tables of abelian-area(1.5),
   constant-so3(0.8,0.6) and pure-gauge at probe steps 1e-2 and 1e-3;
 - the holonomies (matrix and angle) of a latitude loop, a two-chart
-  crossing loop and a rectangle on constant-so3 at h = 1e-4, and of a
-  small latitude loop under rk4-doubling.
+  crossing loop, a circle on abelian-area(1.5) and a rectangle on
+  constant-so3 at h = 1e-4, and of a small latitude loop under
+  rk4-doubling: one of each kind of loop the benchmark's forward_loops
+  workload runs.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ def table_digests(hn):
 def holonomy_digests(hn):
     stereo = hn.builtin_connection("levi-civita-s2-stereo")
     twochart = hn.builtin_connection("levi-civita-s2-twochart")
+    abelian = hn.builtin_connection("abelian-area(1.5)")
     so3 = hn.builtin_connection("constant-so3(0.8,0.6)")
     fine = hn.SolverConfig(h=1e-4)
     corners = [(-0.7, -0.4), (0.9, -0.4), (0.9, 0.8), (-0.7, 0.8)]
@@ -72,6 +75,7 @@ def holonomy_digests(hn):
     cases = {
         "latitude": (stereo, hn.arc_path(0, (0.0, 0.0), 1.1, 0.4, 0.4 + 2.0 * np.pi), fine),
         "twochart": (twochart, hn.arc_path(0, (3.0, 0.1), 2.0, np.pi, 3.0 * np.pi), fine),
+        "abelian": (abelian, hn.arc_path(0, (0.1, -0.2), 0.9, 0.0, 2.0 * np.pi), fine),
         "rectangle": (so3, hn.juxtapose(hn.juxtapose(legs[0], legs[1]), hn.juxtapose(legs[2], legs[3])), fine),
         "doubling": (stereo, hn.arc_path(0, (0.0, 0.0), 0.5, 0.0, 2.0 * np.pi),
                      hn.SolverConfig(method="rk4-doubling", h=1e-2)),
