@@ -15,12 +15,18 @@ stacks (inverse scaling and squaring, Higham, Functions of Matrices,
 roots, through one batched inverse per step, and of series terms, so its
 log is bit for bit the log of a stack of one; group_log is that stack of
 one.  Stacks of group and algebra matrices are validated once, through
-their worst members.
+their worst members.  frobenius computes what np.linalg.norm(m, "fro")
+does, bit for bit, without its fixed cost, and the det sign that SO(2)
+and SO(3) elements must pass comes from the cofactor formula in Python
+floats, read only after the orthogonality check has passed; larger SO(k)
+and GL keep np.linalg.det.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -52,8 +58,15 @@ _DET_TOL = 1e-12
 
 
 def frobenius(m):
-    """Frobenius norm."""
-    return float(np.linalg.norm(np.asarray(m), "fro"))
+    """Frobenius norm, bit for bit float(np.linalg.norm(m, "fro")): on a
+    float matrix, the square root of the dot product of its entries, in
+    memory order, with themselves, as norm computes it, without norm's
+    fixed cost; any other input goes to norm itself."""
+    x = np.asarray(m)
+    if x.ndim != 2 or x.dtype != np.float64:
+        return float(np.linalg.norm(x, "fro"))
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 @dataclass(frozen=True)
@@ -82,18 +95,40 @@ class StructureGroup:
         return "U(1)" if self.kind == "U1" else f"{self.kind}({self.k})"
 
 
+@cache
+def _identity(k):
+    """np.eye(k), read-only, made once per size for the per-element checks."""
+    eye = np.eye(k)
+    eye.flags.writeable = False
+    return eye
+
+
+def _det_orthogonal(m):
+    """det of an orthogonal matrix, which is +-1 within 1e-9: by cofactors
+    in Python floats for k = 2 and 3, where that sign is all a caller
+    reads and numpy's fixed cost is most of the work, by np.linalg.det
+    for larger k."""
+    if len(m) == 2:
+        (a, b), (c, d) = m.tolist()
+        return a * d - b * c
+    if len(m) == 3:
+        (a, b, c), (d, e, f), (g, h, i) = m.tolist()
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return np.linalg.det(m)
+
+
 def _check_group_matrix(m, group):
     if m.shape != (group.k, group.k):
         raise GroupInvariantError(
             f"expected a {group.k}x{group.k} matrix, got shape {m.shape}"
         )
     if group.orthogonal:
-        defect = frobenius(m.T @ m - np.eye(group.k))
+        defect = frobenius(m.T @ m - _identity(group.k))
         if defect > _ORTHO_TOL:
             raise GroupInvariantError(
                 f"matrix is not orthogonal: ||g^T g - I||_F = {defect:.3e}"
             )
-        if np.linalg.det(m) <= 0:
+        if _det_orthogonal(m) <= 0:
             raise GroupInvariantError("special orthogonal matrix needs det > 0")
     else:
         if abs(np.linalg.det(m)) <= _DET_TOL:
@@ -120,7 +155,7 @@ class GroupElement:
 
     @property
     def orthogonality_defect(self):
-        return frobenius(self.matrix.T @ self.matrix - np.eye(self.group.k))
+        return frobenius(self.matrix.T @ self.matrix - _identity(self.group.k))
 
 
 @dataclass(frozen=True)
@@ -295,7 +330,7 @@ def _algebra_logs(S, group):
 def _check_branch(m):
     """Raises OutOfBranchError unless ||m - I||_F < 1, the principal branch
     on which group_log inverts group_exp."""
-    dist = frobenius(m - np.eye(len(m)))
+    dist = frobenius(m - _identity(len(m)))
     if dist >= 1.0:
         raise OutOfBranchError(
             f"||g - I||_F = {dist:.3f} >= 1: outside the principal branch"

@@ -7,11 +7,15 @@ over [0, 1].  Velocities come from exact symbolic derivatives (exprs.diff),
 rescaled by the segment chain rule.  A segment compiles its coordinates,
 and its coordinates with their derivatives, into exprs Programs on first
 use, so a path evaluated again and again compiles once.  A straight
-segment, whose every coordinate has the AST lit(a) + lit(b)*x1 (what
-line_path and the reconstruction probes build), compiles nothing: it is
+segment, whose every coordinate has the AST lit(a) + lit(b)*x1, compiles
+nothing.  Segment._line reads that shape from the AST alone and keeps the
+(a_i, b_i) pairs as Python floats; _line_segment, which builds line_path
+and the reconstruction probes, fills them in from the floats it writes
+into the AST, so a probe never parses its own.  Such a segment is
 evaluated in closed form, a + b u with the constant velocity
-b/(t1 - t0), bit for bit what its programs give, and a batch writes all
-its straight segments with one broadcast.  The choice reads the AST alone.
+b/(t1 - t0), bit for bit what its programs give: one point in Python
+floats, and a batch's straight segments by one broadcast over one array
+of their pairs.
 
 The path algebra here (constant paths, juxtaposition, reparametrization,
 reversal) is what the transport axioms quantify over.
@@ -157,14 +161,12 @@ class Segment:
 
     @cached_property
     def _line(self):
-        """(a, b, v, ab) when every coordinate's AST is lit(a) + lit(b)*x1,
-        as _line_segment builds it for line_path and the reconstruction
-        probes: the segment is then the line a + b u with the constant
-        global-t velocity v = b'/(t1 - t0), where b' is b with a zero of
-        either sign written +0.0, as diff folds it; ab holds the (a_i, b_i)
-        pairs as Python floats, for one point.  None for any other AST: the
-        segment runs its compiled programs.  All give the same bits."""
-        a, b = [], []
+        """The (a_i, b_i) pairs, as Python floats, when every coordinate's
+        AST is lit(a_i) + lit(b_i)*x1, as _line_segment builds it for
+        line_path and the reconstruction probes (and fills this in): the
+        segment is then the line a + b u.  None for any other AST: the
+        segment runs its compiled programs.  Both give the same bits."""
+        ab = []
         for c in self.coords:
             ast = c.ast
             if not (
@@ -175,11 +177,8 @@ class Segment:
                 and ast[2][2] == ("var", 0)
             ):
                 return None
-            a.append(ast[1][1])
-            b.append(ast[2][1][1])
-        ab = tuple(zip(a, b))
-        a, b = np.array(a, dtype=float), np.array(b, dtype=float)
-        return a, b, (b + 0.0) / (self.t1 - self.t0), ab  # -0.0 + 0.0 is +0.0
+            ab.append((ast[1][1], ast[2][1][1]))
+        return tuple(ab)
 
     def point_at(self, u):
         line = self._line
@@ -187,7 +186,7 @@ class Segment:
             # Python floats round as numpy's float64 ops do, at a fraction
             # of their fixed cost on a few entries
             u = float(u)
-            x = [a + b * u for a, b in line[3]]
+            x = [a + b * u for a, b in line]
             if not all(map(math.isfinite, x)):
                 raise DomainError("evaluation overflowed to inf/nan")
             return np.array(x)
@@ -203,19 +202,23 @@ def coords_and_velocities(segments, us, out):
     parameters us, written component-major into out = (X, V), two
     (dim, len(segments), len(us)) arrays, and returned.  Each segment's
     velocities carry its 1/(t1 - t0) chain-rule factor.  The straight
-    segments (Segment._line) are written by one broadcast, the others by
-    their compiled programs.
+    segments (Segment._line) are written by one broadcast over one array
+    of their (a_i, b_i) pairs: x = a + b u and the constant velocity
+    b'/(t1 - t0), where b' is b with a zero of either sign written +0.0,
+    as diff folds it.  The others run their compiled programs.
     """
     X, V = out
     us = np.asarray(us, dtype=float)
     lines = [seg._line for seg in segments]
     straight = [p for p, line in enumerate(lines) if line is not None]
     if straight:
-        a, b, v = (np.stack(c, axis=1)[..., None] for c in zip(*(lines[p][:3] for p in straight)))
+        # (dim, len(straight), 1) each
+        a, b = np.array([lines[p] for p in straight], dtype=float).T[..., None]
+        width = np.array([[segments[p].t1 - segments[p].t0] for p in straight])
         at = slice(None) if len(straight) == len(segments) else straight
         with np.errstate(over="ignore", invalid="ignore"):  # as in a program run
             X[:, at] = exprs._finite_or_raise(a + b * us)
-        V[:, at] = exprs._finite_or_raise(v)
+        V[:, at] = exprs._finite_or_raise((b + 0.0) / width)  # -0.0 + 0.0 is +0.0
     for p, (seg, line) in enumerate(zip(segments, lines)):
         if line is None:
             pts, grads = exprs.evaluate_dual_many(seg._dual_program, us[:, None])
@@ -265,6 +268,8 @@ class PathSpec:
         breakpoints (the left one at t = 1), side="left" flips that."""
         if t < -1e-12 or t > 1.0 + 1e-12:
             raise OutOfRangeError(f"parameter {t} outside [0, 1]")
+        if len(self.segments) == 1:
+            return 0
         t = min(max(t, 0.0), 1.0)
         starts = self._starts
         if side == "left":
@@ -345,12 +350,15 @@ def line_path(a, b_coords, chart_id=None):
 
 def _line_segment(chart_id, a, b):
     """The one-segment path a + b u, u in [0, 1], its coordinates built in
-    one step as the AST lit(a_i) + lit(b_i)*x1 that Segment._line reads."""
+    one step as the AST lit(a_i) + lit(b_i)*x1, with Segment._line filled
+    in from the same floats."""
+    ab = tuple((float(ai), float(bi)) for ai, bi in zip(a, b))
     coords = tuple(
-        Expr(("add", ("num", float(ai)), ("mul", ("num", float(bi)), ("var", 0))), 1)
-        for ai, bi in zip(a, b)
+        Expr(("add", ("num", ai), ("mul", ("num", bi), ("var", 0))), 1) for ai, bi in ab
     )
-    return PathSpec((Segment(chart_id, coords, 0.0, 1.0),))
+    seg = Segment(chart_id, coords, 0.0, 1.0)
+    seg.__dict__["_line"] = ab  # what the cached property would parse from coords
+    return PathSpec((seg,))
 
 
 def arc_path(chart_id, center, radius, theta0, theta1):

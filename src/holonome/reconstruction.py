@@ -119,13 +119,27 @@ class HorizontalBasis:
         return float(s[0] / s[-1]) if s[-1] > 0 else np.inf
 
 
-def _probes(x, v, h):
-    """The straight probe paths x + t h v and x - t h v, in that order."""
+def _check_step(h):
     if not 1e-6 <= h <= 1e-2:
         raise OutOfRangeError(f"probe step h={h:g} outside [1e-6, 1e-2]")
+
+
+def _probes(x, v, h):
+    """The straight probe paths x + t h v and x - t h v, in that order."""
+    _check_step(h)
     if v.base.chart_id != x.chart_id or np.max(np.abs(v.base.coords - x.coords)) > 1e-12:
         raise VelocityMismatchError("tangent vector is not based at the given point")
     return [_line_segment(x.chart_id, x.coords, step * v.components) for step in (h, -h)]
+
+
+def _unit_probes(x, mu, h):
+    """_probes(x, _unit_vector(x, mu), h), for a step h already checked,
+    built without the tangent vector: its steps are +-h times e_mu, so
+    -h leaves -0.0 off the axis, as it does there."""
+    coords = x.coords.tolist()
+    e = [0.0] * len(coords)
+    e[mu] = 1.0
+    return [_line_segment(x.chart_id, coords, [step * c for c in e]) for step in (h, -h)]
 
 
 def _probe_elements(ask, indices, what="a probe path"):
@@ -330,10 +344,13 @@ def reconstruct_connection(oracle, grid, h, group):
     the oracle errors, or whose D = U(+h) U(-h)^-1 lies outside the log's
     principal branch, are dropped and reported, never interpolated: each
     pair is branch-tested as it arrives.  The table's differences are then
-    validated, and their logs taken, as one stack.
+    validated, and their logs taken, as one stack.  An h outside
+    [1e-6, 1e-2] raises OutOfRangeError before anything is asked, also on
+    an empty grid.
     """
+    _check_step(h)
     ask = _asker(oracle, [probe for x in grid for mu in range(x.dim)
-                          for probe in _probes(x, _unit_vector(x, mu), h)])
+                          for probe in _unit_probes(x, mu, h)])
     formed, kept, keys, dropped = [], [], [], []
     end = 0
     for idx, x in enumerate(grid):

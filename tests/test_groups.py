@@ -353,3 +353,79 @@ def test_stacked_algebra_check_catches_any_non_skew_member():
     with pytest.raises(GroupInvariantError, match="not skew-symmetric"):
         groups._algebra_checked(broken, SO2)
     assert groups._algebra_checked(broken, GL2) is broken
+
+
+# --- the per-element checks and frobenius ----------------------------------------
+
+def random_rotation(rng, k):
+    """A k x k rotation from the QR factors of a normal matrix, its det
+    made +1 by a column flip."""
+    q, r = np.linalg.qr(rng.normal(size=(k, k)))
+    q = q * np.sign(np.diag(r))
+    if np.linalg.det(q) < 0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_reflections_fail_the_det_check_and_rotations_pass(k):
+    """diag(1, ..., -1), and every rotation times it, is orthogonal with
+    det -1: GroupElement refuses it on SO(k), through the cofactor sign for
+    k = 2 and 3 and np.linalg.det for k = 4.  The rotations pass."""
+    group = StructureGroup("SO", k)
+    reflection = np.diag([1.0] * (k - 1) + [-1.0])
+    with pytest.raises(GroupInvariantError, match="needs det > 0"):
+        GroupElement(reflection, group)
+    rng = np.random.default_rng(190 + k)
+    for _ in range(50):
+        r = random_rotation(rng, k)
+        GroupElement(r, group)
+        with pytest.raises(GroupInvariantError, match="needs det > 0"):
+            GroupElement(r @ reflection, group)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_orthogonality_defect_just_over_the_tolerance_raises(k):
+    """c r with ||(c r)^T (c r) - I||_F = (c^2 - 1) sqrt(k) just under 1e-9
+    passes, and just over it raises, before any det is read."""
+    group = StructureGroup("SO", k)
+    r = random_rotation(np.random.default_rng(k), k)
+    GroupElement(np.sqrt(1.0 + 0.9e-9 / np.sqrt(k)) * r, group)
+    with pytest.raises(GroupInvariantError, match="not orthogonal"):
+        GroupElement(np.sqrt(1.0 + 1.1e-9 / np.sqrt(k)) * r, group)
+
+
+def test_singular_gl_matrices_raise():
+    """Rank-deficient GL(2) and GL(3) matrices that are not zero raise."""
+    for m in ([[1.0, 2.0], [2.0, 4.0]], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]]):
+        with pytest.raises(GroupInvariantError, match="numerically singular"):
+            GroupElement(m, StructureGroup("GL", len(m)))
+
+
+@seed(20261019)
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.sampled_from(["C", "F"]),
+    st.integers(-8, 8),
+    st.integers(0, 2**32 - 1),
+)
+def test_frobenius_is_norm_bit_for_bit(k, j, order, exponent, rng_seed):
+    """frobenius(m) is float(np.linalg.norm(m, "fro")) bit for bit on k x j
+    matrices in C and F order, on their transposes and on strided views."""
+    rng = np.random.default_rng(rng_seed)
+    big = np.array(rng.normal(size=(2 * k, 3 * j)) * 10.0**exponent, order=order)
+    m = np.array(big[:k, :j], order=order)
+    for view in (m, m.T, big[::2, ::3], big[1::2, ::-3], big.T[::3, ::2]):
+        assert frobenius(view).hex() == float(np.linalg.norm(view, "fro")).hex()
+
+
+def test_frobenius_refuses_what_norm_refuses():
+    """1-D and 3-D input raise ValueError, as np.linalg.norm(m, "fro")
+    does."""
+    for bad in (np.ones(3), np.ones((2, 2, 2))):
+        with pytest.raises(ValueError):
+            np.linalg.norm(bad, "fro")
+        with pytest.raises(ValueError):
+            frobenius(bad)

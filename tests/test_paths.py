@@ -275,6 +275,21 @@ def test_straight_segments_equal_their_programs_bit_for_bit(picks, us):
             assert vel.components.tobytes() == want[1][:, 0].tobytes()
 
 
+@seed(20261019)
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_offsets, _slopes), min_size=1, max_size=4), st.booleans())
+def test_line_segment_fills_in_the_line_it_would_parse(pairs, as_arrays):
+    """_line_segment's filled-in _line holds the bytes, -0.0 included, and
+    the Python floats that a fresh Segment parses from its coordinates."""
+    a, b = (list(c) for c in zip(*pairs))
+    if as_arrays:
+        a, b = np.array(a), np.array(b)
+    [seg] = paths._line_segment(3, a, b).segments
+    fresh = Segment(seg.chart_id, seg.coords, 0.0, 1.0)._line
+    assert np.array(seg._line).tobytes() == np.array(fresh).tobytes()
+    assert {type(v) for pair in seg._line for v in pair} == {float}
+
+
 def test_straight_segment_keeps_the_finite_check():
     """A line that overflows raises the DomainError its program raises."""
     seg = Segment(0, (lit(1e308) + lit(1e308) * var(0),), 0.0, 1.0)

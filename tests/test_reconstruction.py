@@ -44,6 +44,8 @@ from holonome.paths import (
 from holonome.reconstruction import (
     HorizontalBasis,
     LiftedVector,
+    _probes,
+    _unit_vector,
     horizontal_space,
     lemma_independence_check,
     lift_vector,
@@ -744,3 +746,46 @@ def test_lemma_refuses_a_restriction_step_before_asking():
             TangentVector(ChartPoint(0, x), v), same_velocity_paths(x, v), (0.5, 2.0),
         )
     assert oracle.seen == []
+
+
+_coords = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+
+
+@seed(20261019)
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.lists(st.lists(_coords, min_size=n, max_size=n), min_size=1, max_size=3)
+    ),
+    st.floats(1e-6, 1e-2),
+)
+def test_table_asks_the_probes_that_probes_builds(points, h):
+    """A table asks, in order, for the probes _probes builds from each
+    point's unit vectors: the same chart and range, the same coordinate
+    ASTs (compared by repr, so a -0.0 counts) and the same _line bytes."""
+    grid = [ChartPoint(2, p) for p in points]
+    asked = []
+
+    def oracle(gamma):
+        asked.append(gamma)
+        return SimpleNamespace(g=identity_element(SO2))
+
+    reconstruct_connection(oracle, grid, h, SO2)
+    want = [probe for x in grid for mu in range(x.dim) for probe in _probes(x, _unit_vector(x, mu), h)]
+    assert len(asked) == len(want)
+    for got, ref in zip(asked, want):
+        [g], [r] = got.segments, ref.segments
+        assert (g.chart_id, g.t0, g.t1) == (r.chart_id, r.t0, r.t1)
+        assert repr([c.ast for c in g.coords]) == repr([c.ast for c in r.coords])
+        assert np.array(g._line).tobytes() == np.array(r._line).tobytes()
+
+
+@pytest.mark.parametrize("h", [5e-7, 0.02, float("nan")])
+@pytest.mark.parametrize("points", [[], [[0.1, 0.2]]], ids=["empty", "one-point"])
+def test_table_refuses_a_probe_step_before_asking(h, points):
+    """An h outside [1e-6, 1e-2] raises OutOfRangeError before the oracle
+    is asked anything, through many or a call, also on an empty grid."""
+    oracle = RecordingManyOracle(builtin_connection("abelian-area(1.5)"))
+    with pytest.raises(OutOfRangeError, match="probe step"):
+        reconstruct_connection(oracle, [ChartPoint(0, p) for p in points], h, SO2)
+    assert (oracle.many_calls, oracle.seen) == (0, [])
