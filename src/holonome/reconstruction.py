@@ -124,22 +124,18 @@ def _check_step(h):
         raise OutOfRangeError(f"probe step h={h:g} outside [1e-6, 1e-2]")
 
 
-def _probes(x, v, h):
-    """The straight probe paths x + t h v and x - t h v, in that order."""
-    _check_step(h)
-    if v.base.chart_id != x.chart_id or np.max(np.abs(v.base.coords - x.coords)) > 1e-12:
-        raise VelocityMismatchError("tangent vector is not based at the given point")
-    return [_line_segment(x.chart_id, x.coords, step * v.components) for step in (h, -h)]
-
-
-def _unit_probes(x, mu, h):
-    """_probes(x, _unit_vector(x, mu), h), for a step h already checked,
-    built without the tangent vector: its steps are +-h times e_mu, so
-    -h leaves -0.0 off the axis, as it does there."""
+def _probes(x, components, h):
+    """The straight probe paths x + t h v and x - t h v, in that order, for
+    the vector v at x with the given components and a checked step h."""
     coords = x.coords.tolist()
-    e = [0.0] * len(coords)
+    return [_line_segment(x.chart_id, coords, [step * c for c in components]) for step in (h, -h)]
+
+
+def _axis(n, mu):
+    """The components of the unit vector e_mu in R^n."""
+    e = [0.0] * n
     e[mu] = 1.0
-    return [_line_segment(x.chart_id, coords, [step * c for c in e]) for step in (h, -h)]
+    return e
 
 
 def _probe_elements(ask, indices, what="a probe path"):
@@ -172,18 +168,16 @@ def _vertical_parts(formed, kept, h, p):
     return _algebra_checked(vert, group)
 
 
-def _unit_vector(x, mu):
-    e = np.zeros(x.dim)
-    e[mu] = 1.0
-    return TangentVector(x, e)
-
-
 def _lifts(oracle, x, p, vs, h):
     """The lifted velocities of the tangent vectors vs at the bundle point
     (x, p), their 2 len(vs) probe paths asked through one _asker.  Each
     pair is checked, and its lift formed, before the next pair is asked
     for, so an oracle asked path by path stops at the first failure."""
-    ask = _asker(oracle, [gamma for v in vs for gamma in _probes(x, v, h)])
+    _check_step(h)
+    for v in vs:
+        if v.base.chart_id != x.chart_id or np.max(np.abs(v.base.coords - x.coords)) > 1e-12:
+            raise VelocityMismatchError("tangent vector is not based at the given point")
+    ask = _asker(oracle, [gamma for v in vs for gamma in _probes(x, v.components.tolist(), h)])
     lifts = []
     for i, v in enumerate(vs):
         d = _difference(*_probe_elements(ask, (2 * i, 2 * i + 1)))
@@ -206,7 +200,7 @@ def lift_vector(oracle, x, p, v, h):
 def horizontal_space(oracle, x, p, h):
     """Reconstructed horizontal space at (x, p): lifts of e_1..e_n, whose
     probe paths the oracle is asked for at once (see _lifts)."""
-    units = [_unit_vector(x, mu) for mu in range(x.dim)]
+    units = [TangentVector(x, _axis(x.dim, mu)) for mu in range(x.dim)]
     return HorizontalBasis((x, p), tuple(_lifts(oracle, x, p, units, h)))
 
 
@@ -350,7 +344,7 @@ def reconstruct_connection(oracle, grid, h, group):
     """
     _check_step(h)
     ask = _asker(oracle, [probe for x in grid for mu in range(x.dim)
-                          for probe in _unit_probes(x, mu, h)])
+                          for probe in _probes(x, _axis(x.dim, mu), h)])
     formed, kept, keys, dropped = [], [], [], []
     end = 0
     for idx, x in enumerate(grid):

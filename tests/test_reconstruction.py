@@ -35,6 +35,7 @@ from holonome.groups import (
 )
 from holonome.paths import (
     ChartPoint,
+    Segment,
     TangentVector,
     arc_path,
     line_path,
@@ -44,8 +45,6 @@ from holonome.paths import (
 from holonome.reconstruction import (
     HorizontalBasis,
     LiftedVector,
-    _probes,
-    _unit_vector,
     horizontal_space,
     lemma_independence_check,
     lift_vector,
@@ -105,6 +104,15 @@ def test_lift_vector_probe_step_bounds():
     x = ChartPoint(0, [0.0, 0.0])
     with pytest.raises(OutOfRangeError):
         lift_vector(oracle, x, identity_element(SO2), TangentVector(x, [1.0, 0.0]), 0.5)
+
+
+def test_lift_vector_refuses_a_vector_based_elsewhere_before_asking():
+    oracle = RecordingOracle(builtin_connection("flat-so2"))
+    x = ChartPoint(0, [0.0, 0.0])
+    v = TangentVector(ChartPoint(0, [0.0, 1e-9]), [1.0, 0.0])
+    with pytest.raises(VelocityMismatchError, match="not based at the given point"):
+        lift_vector(oracle, x, identity_element(SO2), v, 1e-3)
+    assert oracle.seen == []
 
 
 def test_horizontal_space_zero_connection():
@@ -759,10 +767,12 @@ _coords = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
     ),
     st.floats(1e-6, 1e-2),
 )
-def test_table_asks_the_probes_that_probes_builds(points, h):
-    """A table asks, in order, for the probes _probes builds from each
-    point's unit vectors: the same chart and range, the same coordinate
-    ASTs (compared by repr, so a -0.0 counts) and the same _line bytes."""
+def test_table_asks_the_straight_probes_along_each_axis(points, h):
+    """A table asks, in order, for the probes x + t h e_mu and x - t h e_mu
+    of each point and axis: one segment over [0, 1] whose coordinate ASTs
+    are lit(x_i) + lit(b_i)*x1 with b = +-h e_mu as numpy computes it
+    (compared by repr, so a -0.0 off the axis counts), and whose _line
+    holds the bytes a fresh Segment parses from those coordinates."""
     grid = [ChartPoint(2, p) for p in points]
     asked = []
 
@@ -771,13 +781,16 @@ def test_table_asks_the_probes_that_probes_builds(points, h):
         return SimpleNamespace(g=identity_element(SO2))
 
     reconstruct_connection(oracle, grid, h, SO2)
-    want = [probe for x in grid for mu in range(x.dim) for probe in _probes(x, _unit_vector(x, mu), h)]
+    want = [(x, step * np.eye(x.dim)[mu]) for x in grid for mu in range(x.dim) for step in (h, -h)]
     assert len(asked) == len(want)
-    for got, ref in zip(asked, want):
-        [g], [r] = got.segments, ref.segments
-        assert (g.chart_id, g.t0, g.t1) == (r.chart_id, r.t0, r.t1)
-        assert repr([c.ast for c in g.coords]) == repr([c.ast for c in r.coords])
-        assert np.array(g._line).tobytes() == np.array(r._line).tobytes()
+    for got, (x, b) in zip(asked, want):
+        [seg] = got.segments
+        assert (seg.chart_id, seg.t0, seg.t1) == (x.chart_id, 0.0, 1.0)
+        ast = [("add", ("num", float(ai)), ("mul", ("num", float(bi)), ("var", 0)))
+               for ai, bi in zip(x.coords, b)]
+        assert repr([c.ast for c in seg.coords]) == repr(ast)
+        fresh = Segment(seg.chart_id, seg.coords, 0.0, 1.0)._line
+        assert np.array(seg._line).tobytes() == np.array(fresh).tobytes()
 
 
 @pytest.mark.parametrize("h", [5e-7, 0.02, float("nan")])
