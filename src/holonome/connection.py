@@ -386,14 +386,17 @@ def _require_inside(conn, x):
 
 
 def eval_connection(conn, x, v):
-    """Pair the connection with a tangent vector: sum_mu A_mu(x) v^mu."""
+    """Pair the connection with a tangent vector: M = sum_mu A_mu(x) v^mu,
+    the chart's field (ChartSpec.field) at the one point x with velocity
+    v, after the checks that v is based at x and x lies inside its chart.
+    On SO/U1 the roundoff of M is cleaned up to the skew matrix it must
+    be."""
     if v.base.chart_id != x.chart_id or np.max(np.abs(v.base.coords - x.coords)) > 1e-12:
         raise ValidationError("tangent vector is not based at the given point")
     chart = _require_inside(conn, x)
-    X = np.asarray(x.coords, dtype=float)[None, :]
-    acc = np.zeros((conn.group.k, conn.group.k))
-    for mu, f in enumerate(chart.coefficients):
-        acc += f.value(X)[0] * v.components[mu]
+    acc = np.empty((conn.group.k, conn.group.k, 1))
+    chart.field(np.asarray(x.coords, dtype=float)[:, None], v.components[:, None], acc)
+    acc = acc[..., 0]
     if conn.group.orthogonal:
         acc = 0.5 * (acc - acc.T)
     return AlgebraElement(acc, conn.group)

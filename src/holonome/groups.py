@@ -16,10 +16,12 @@ roots, through one batched inverse per step, and of series terms, so its
 log is bit for bit the log of a stack of one; group_log is that stack of
 one.  Stacks of group and algebra matrices are validated once, through
 their worst members.  frobenius computes what np.linalg.norm(m, "fro")
-does, bit for bit, without its fixed cost, and the det sign that SO(2)
-and SO(3) elements must pass comes from the cofactor formula in Python
-floats, read only after the orthogonality check has passed; larger SO(k)
-and GL keep np.linalg.det.
+does, bit for bit, without its fixed cost, and the orthogonality defect
+and det sign that SO(2) and SO(3) elements must pass come from their
+entries in Python floats; larger SO(k) and GL keep numpy.  Every
+membership and branch comparison fails closed, so a NaN entry fails it,
+and a matrix with a NaN or inf entry raises its typed error before any
+numpy call that would warn on it.
 """
 
 from __future__ import annotations
@@ -103,35 +105,53 @@ def _identity(k):
     return eye
 
 
-def _det_orthogonal(m):
-    """det of an orthogonal matrix, which is +-1 within 1e-9: by cofactors
-    in Python floats for k = 2 and 3, where that sign is all a caller
-    reads and numpy's fixed cost is most of the work, by np.linalg.det
-    for larger k."""
+def _finite(m, what):
+    """Raises GroupInvariantError unless every entry of m is finite, before
+    a numpy call that warns on NaN or inf (det, matmul) reads it."""
+    if not np.isfinite(m).all():
+        raise GroupInvariantError(f"{what} has NaN or inf entries")
+
+
+def _orthogonality(m):
+    """||m^T m - I||_F and det m of a square matrix, the two numbers an SO
+    element must pass.  For k = 2 and 3 both come from the entries as
+    Python floats, where numpy's fixed cost is most of the work and a NaN
+    or inf entry gives a NaN or inf defect without a warning; larger k
+    take numpy, after a finiteness check."""
     if len(m) == 2:
         (a, b), (c, d) = m.tolist()
-        return a * d - b * c
+        p, q, r = a * a + c * c - 1.0, a * b + c * d, b * b + d * d - 1.0
+        return math.sqrt(p * p + 2.0 * q * q + r * r), a * d - b * c
     if len(m) == 3:
         (a, b, c), (d, e, f), (g, h, i) = m.tolist()
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return np.linalg.det(m)
+        p = a * a + d * d + g * g - 1.0
+        q = b * b + e * e + h * h - 1.0
+        r = c * c + f * f + i * i - 1.0
+        u, v, w = a * b + d * e + g * h, a * c + d * f + g * i, b * c + e * f + h * i
+        defect = math.sqrt(p * p + q * q + r * r + 2.0 * (u * u + v * v + w * w))
+        return defect, a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    _finite(m, "matrix")
+    return frobenius(m.T @ m - _identity(len(m))), np.linalg.det(m)
 
 
 def _check_group_matrix(m, group):
+    """Raises GroupInvariantError unless m is a k x k element of group.
+    Every comparison fails closed: a NaN defect or det does not pass."""
     if m.shape != (group.k, group.k):
         raise GroupInvariantError(
             f"expected a {group.k}x{group.k} matrix, got shape {m.shape}"
         )
     if group.orthogonal:
-        defect = frobenius(m.T @ m - _identity(group.k))
-        if defect > _ORTHO_TOL:
+        defect, det = _orthogonality(m)
+        if not defect <= _ORTHO_TOL:
             raise GroupInvariantError(
                 f"matrix is not orthogonal: ||g^T g - I||_F = {defect:.3e}"
             )
-        if _det_orthogonal(m) <= 0:
+        if not det > 0:
             raise GroupInvariantError("special orthogonal matrix needs det > 0")
     else:
-        if abs(np.linalg.det(m)) <= _DET_TOL:
+        _finite(m, "GL element")
+        if not abs(np.linalg.det(m)) > _DET_TOL:
             raise GroupInvariantError("GL element is numerically singular")
 
 
@@ -171,9 +191,10 @@ class AlgebraElement:
             raise GroupInvariantError(
                 f"expected a {self.group.k}x{self.group.k} matrix, got shape {m.shape}"
             )
+        _finite(m, "algebra element")
         if self.group.orthogonal:
             defect = frobenius(m + m.T)
-            if defect > _SKEW_TOL:
+            if not defect <= _SKEW_TOL:
                 raise GroupInvariantError(
                     f"algebra element is not skew-symmetric: ||a + a^T||_F = {defect:.3e}"
                 )
@@ -187,6 +208,7 @@ def _validated(mats, group):
     (the largest orthogonality defect, and the smallest det, |det| on
     GL)."""
     mats = np.array(mats, dtype=float)
+    _finite(mats, "group matrix stack")
     gram = mats.swapaxes(-1, -2) @ mats - np.eye(mats.shape[-1])
     det = np.linalg.det(mats)
     worst = {
@@ -211,6 +233,7 @@ def _algebra_checked(mats, group):
     it passes when its least skew member (on SO/U1) passes the
     AlgebraElement check."""
     if len(mats):
+        _finite(mats, "algebra matrix stack")
         worst = int(np.argmax(_norms(mats + mats.swapaxes(-1, -2)))) if group.orthogonal else 0
         AlgebraElement(mats[worst], group)
     return mats
@@ -331,7 +354,7 @@ def _check_branch(m):
     """Raises OutOfBranchError unless ||m - I||_F < 1, the principal branch
     on which group_log inverts group_exp."""
     dist = frobenius(m - _identity(len(m)))
-    if dist >= 1.0:
+    if not dist < 1.0:
         raise OutOfBranchError(
             f"||g - I||_F = {dist:.3f} >= 1: outside the principal branch"
         )
@@ -379,12 +402,13 @@ def _polar(m):
     by its SVD: the nearest SO matrix in the Frobenius norm, as a new
     stack.  Raises SingularInputError when any matrix is numerically
     singular or any factor has det <= 0.  Returns raw matrices, so callers
-    skip the GroupElement checks."""
+    skip the GroupElement checks.  Callers pass finite matrices, on which
+    the SVD does not warn."""
     u, sigma, vt = np.linalg.svd(np.asarray(m, dtype=float))
-    if (sigma[..., -1] <= _DET_TOL).any():
+    if not (sigma[..., -1] > _DET_TOL).all():
         raise SingularInputError("matrix is numerically singular")
     X = u @ vt
-    if (np.linalg.det(X) <= 0).any():
+    if not (np.linalg.det(X) > 0).all():
         raise SingularInputError("projection to SO needs det > 0")
     return X
 
@@ -393,9 +417,11 @@ def project_to_group(m, group):
     """Nearest group element (Frobenius): polar factor for SO/U1, identity
     operation after a determinant check for GL."""
     m = np.asarray(m, dtype=float)
+    if not np.isfinite(m).all():
+        raise SingularInputError("matrix has NaN or inf entries")
     if group.orthogonal:
         return GroupElement(_polar(m), group)
-    if abs(np.linalg.det(m)) <= _DET_TOL:
+    if not abs(np.linalg.det(m)) > _DET_TOL:
         raise SingularInputError("matrix is numerically singular")
     return GroupElement(m, group)
 

@@ -21,13 +21,15 @@ met there; any other oracle is asked for each probe only when the check
 reaches it.  _probe_elements turns the answers into group elements or an
 OracleFailureError.
 
-A table walks its grid point by point and forms D = U(+h) U(-h)^-1 of
-each pair, with the principal-branch test ||D - I||_F < 1, so a point
-stops asking at the first pair that fails or leaves the branch and drops
-with that reason.  Then every D is validated as one stack, one stacked
-logarithm (groups._logm) gives every Omega, and the vertical parts are
-checked for skewness as one stack.  lift_vector runs the same helpers on
-one pair.
+One probe walk (_differences) serves a table and the lifts: it forms
+D = U(+h) U(-h)^-1 of each pair as it arrives and tests it against the
+principal branch ||D - I||_F < 1, stopping at the first pair that fails
+or leaves the branch.  A table walks its grid point by point, and a point
+whose walk stops drops with that reason; lift_vector and horizontal_space
+walk the pairs of their vectors, and a stop raises.  Then the kept
+differences are validated as one stack, one stacked logarithm
+(groups._logm, bit for bit per matrix) gives every Omega, and the
+vertical parts are checked for skewness as one stack (_vertical_parts).
 """
 
 from __future__ import annotations
@@ -155,13 +157,25 @@ def _difference(u_plus, u_minus):
     return u_plus.matrix @ group_inverse(u_minus).matrix
 
 
-def _vertical_parts(formed, kept, h, p):
-    """Validates every probe difference D in formed as one stack, and
-    returns, as one checked stack, the vertical parts at p of the lifts of
-    the ones at positions kept, which passed _check_branch: Omega =
-    log(D) / (2h), translated to p and left-trivialized there."""
+def _differences(ask, start, stop):
+    """D = U(+h) U(-h)^-1 of the probe pairs (i, i + 1), i in
+    range(start, stop, 2), asked in order; each D is tested against the
+    principal branch (_check_branch) as it arrives, so the walk asks no
+    further than the first pair that fails or leaves the branch.  The one
+    probe walk of reconstruct_connection and _lifts."""
+    formed = []
+    for i in range(start, stop, 2):
+        formed.append(_difference(*_probe_elements(ask, (i, i + 1))))
+        _check_branch(formed[-1])
+    return formed
+
+
+def _vertical_parts(formed, h, p):
+    """Validates the probe differences D in formed as one stack, and
+    returns, as one checked stack, the vertical parts at p of their lifts:
+    Omega = log(D) / (2h), translated to p and left-trivialized there."""
     group = p.group
-    omega = _algebra_logs(_validated(formed, group)[kept], group) / (2.0 * h)
+    omega = _algebra_logs(_validated(formed, group), group) / (2.0 * h)
     vert = group_inverse(p).matrix @ omega @ p.matrix
     if group.orthogonal:
         vert = 0.5 * (vert - vert.swapaxes(-1, -2))
@@ -170,21 +184,17 @@ def _vertical_parts(formed, kept, h, p):
 
 def _lifts(oracle, x, p, vs, h):
     """The lifted velocities of the tangent vectors vs at the bundle point
-    (x, p), their 2 len(vs) probe paths asked through one _asker.  Each
-    pair is checked, and its lift formed, before the next pair is asked
-    for, so an oracle asked path by path stops at the first failure."""
+    (x, p), their 2 len(vs) probe paths asked through one _asker and
+    walked by _differences, so an oracle asked path by path stops at the
+    first pair that fails; the differences are then validated, and their
+    logs taken, as one stack."""
     _check_step(h)
     for v in vs:
         if v.base.chart_id != x.chart_id or np.max(np.abs(v.base.coords - x.coords)) > 1e-12:
             raise VelocityMismatchError("tangent vector is not based at the given point")
     ask = _asker(oracle, [gamma for v in vs for gamma in _probes(x, v.components.tolist(), h)])
-    lifts = []
-    for i, v in enumerate(vs):
-        d = _difference(*_probe_elements(ask, (2 * i, 2 * i + 1)))
-        _check_branch(d)
-        vert = _vertical_parts([d], [0], h, p)[0]
-        lifts.append(LiftedVector(v, AlgebraElement(vert, p.group), (x, p)))
-    return lifts
+    vert = _vertical_parts(_differences(ask, 0, 2 * len(vs)), h, p)
+    return [LiftedVector(v, AlgebraElement(m, p.group), (x, p)) for v, m in zip(vs, vert)]
 
 
 def lift_vector(oracle, x, p, v, h):
@@ -337,33 +347,27 @@ def reconstruct_connection(oracle, grid, h, group):
     asked probe by probe as the walk below reaches them.  Grid points where
     the oracle errors, or whose D = U(+h) U(-h)^-1 lies outside the log's
     principal branch, are dropped and reported, never interpolated: each
-    pair is branch-tested as it arrives.  The table's differences are then
-    validated, and their logs taken, as one stack.  An h outside
-    [1e-6, 1e-2] raises OutOfRangeError before anything is asked, also on
-    an empty grid.
+    pair is branch-tested as it arrives (_differences).  The differences of
+    the points kept are then validated, and their logs taken, as one
+    stack.  An h outside [1e-6, 1e-2] raises OutOfRangeError before
+    anything is asked, also on an empty grid.
     """
     _check_step(h)
     ask = _asker(oracle, [probe for x in grid for mu in range(x.dim)
                           for probe in _probes(x, _axis(x.dim, mu), h)])
-    formed, kept, keys, dropped = [], [], [], []
+    formed, keys, dropped = [], [], []
     end = 0
     for idx, x in enumerate(grid):
         start, end = end, end + 2 * x.dim
-        mine = []
         try:
-            for i in range(start, end, 2):
-                formed.append(_difference(*_probe_elements(ask, (i, i + 1))))
-                _check_branch(formed[-1])
-                mine.append(len(formed) - 1)
+            formed += _differences(ask, start, end)
         except (OracleFailureError, OutOfBranchError) as err:
             dropped.append((x, str(err)))
             continue
-        kept += mine
         keys += [(idx, mu) for mu in range(x.dim)]
     entries = {}
     if formed:
-        vert = _vertical_parts(formed, kept, h, identity_element(group))
-        entries = dict(zip(keys, -vert))
+        entries = dict(zip(keys, -_vertical_parts(formed, h, identity_element(group))))
     return ReconstructionTable(tuple(grid), entries, h, tuple(dropped))
 
 

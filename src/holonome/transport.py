@@ -6,11 +6,13 @@ with a fourth-order Cayley-Magnus method, whose steps lie on the group.
 P(gamma) acts on fiber points by left multiplication in the trivialization,
 so juxtaposition composes as P(g2 * g1) = P(g2) P(g1).
 
-Piecewise paths integrate per smooth piece and multiply.  A piece's own
-field grid is the only chart-membership test: when a grid point lies off
-the chart, the exit is bisected (to 1e-12 in t) from the last grid point
-inside, the piece ends at the last point inside, and the rest starts at the
-first point outside, re-expressed on the chart that holds it, with the
+Piecewise paths integrate per smooth piece and multiply.  Chart
+membership is tested twice: every piece but a path's first has its start
+point tested before its pass, since the gauge into its chart needs it, and
+each pass tests its own field grid.  When a grid point lies off the chart,
+the exit is bisected (to 1e-12 in t) from the last grid point inside, the
+piece ends at the last point inside, and the rest starts at the first
+point outside, re-expressed on the chart that holds it, with the
 transition gauge factor g(x*)^-1 applied to the accumulated transport.
 
 The right-hand side is linear in U, so each step is a matrix applied to U.
@@ -141,9 +143,9 @@ class SolverConfig:
     <= h in the global path parameter, h in (0, 0.1].  rk4-doubling doubles
     n until the piece's error estimate is <= tol * max(1, ||U||_F), with
     every step small against the field (dt max ||M||_F <= 1): tol is per
-    piece, not per step.  est_error sums the estimates for both
-    methods.  project_every (>= 1) is accepted for schema v1 and changes no
-    result: nothing is projected.
+    piece, not per step, and must be finite and > 0.  est_error sums the
+    estimates for both methods.  project_every (>= 1) is accepted for
+    schema v1 and changes no result: nothing is projected.
     """
 
     method: str = "rk4-fixed"
@@ -158,6 +160,8 @@ class SolverConfig:
             raise ValidationError("step h must lie in (0, 0.1]")
         if self.project_every < 1:
             raise ValidationError("project_every must be >= 1")
+        if not (0.0 < self.tol < math.inf):
+            raise ValidationError("tol must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -720,7 +724,11 @@ def _answered(answer):
 @dataclass(frozen=True)
 class AxiomSuite:
     """Inputs the three transport axioms quantify over: a family of paths,
-    reparametrizations of [0, 1], and juxtaposable path pairs."""
+    reparametrizations of [0, 1], and juxtaposable path pairs.  A suite
+    whose pairs meet across charts takes the connection itself as its
+    atlas: it maps the junction point for juxtapose, and its transition
+    gauge g(x)^-1 at the junction enters the product P(g2) g(x)^-1 P(g1)
+    that the juxtaposed transport is compared with."""
 
     paths: tuple
     reparametrizations: tuple
@@ -757,7 +765,12 @@ def verify_axioms(oracle, suite, tol=1e-7):
     Every query path is built first, in the order a check-by-check loop
     asks for them, and the oracle answers them all at once (see _results).
     Deviations from the axioms become report entries; the first query the
-    oracle fails on raises what the oracle met there.
+    oracle fails on raises what the oracle met there.  With an atlas, a
+    juxtaposition is compared through the junction gauge between the
+    chart the oracle's answer for g1 ends on and the one its answer for
+    g2 starts on (_gauge_between), so those answers carry start and end
+    points as TransportResults do; on one chart the gauge is None and the
+    comparison is P(g2) P(g1).
     """
     queries, seen = [], set()
     for gamma in suite.paths:
@@ -771,21 +784,25 @@ def verify_axioms(oracle, suite, tol=1e-7):
         queries += [gamma] + [reparametrize(gamma, alpha) for alpha in suite.reparametrizations]
     for g1, g2 in suite.juxtapositions:
         queries += [juxtapose(g1, g2, suite.atlas), g1, g2]
-    ms = iter([res.g.matrix for res in _results(oracle, queries)])
+    answers = iter(_results(oracle, queries))
 
     const_dev = 0.0
     for _ in range(len(seen)):
-        m = next(ms)
+        m = next(answers).g.matrix
         const_dev = max(const_dev, frobenius(m - np.eye(len(m))))
     reparam_dev = 0.0
     for _ in suite.paths:
-        base = next(ms)
+        base = next(answers).g.matrix
         for _ in suite.reparametrizations:
-            reparam_dev = max(reparam_dev, frobenius(next(ms) - base))
+            reparam_dev = max(reparam_dev, frobenius(next(answers).g.matrix - base))
     juxt_dev = 0.0
     for _ in suite.juxtapositions:
-        whole, left, right = next(ms), next(ms), next(ms)
-        juxt_dev = max(juxt_dev, frobenius(whole - right @ left))
+        whole, left, right = next(answers), next(answers), next(answers)
+        gauge = None
+        if suite.atlas is not None:
+            gauge = _gauge_between(suite.atlas, left.end, right.start)
+        joined = right.g.matrix @ (left.g.matrix if gauge is None else gauge @ left.g.matrix)
+        juxt_dev = max(juxt_dev, frobenius(whole.g.matrix - joined))
     checks = len(seen) + len(suite.paths) * len(suite.reparametrizations)
     return AxiomReport(const_dev, reparam_dev, juxt_dev, tol, checks + len(suite.juxtapositions))
 

@@ -86,6 +86,34 @@ def test_eval_connection_outside_chart(abelian):
     far = point(5.0, 0.0)
     with pytest.raises(OutsideChartError):
         eval_connection(abelian, far, tangent(far, 1.0, 0.0))
+    with pytest.raises(ValidationError, match="not based at the given point"):
+        eval_connection(abelian, point(0.1, 0.0), tangent(point(0.2, 0.0), 1.0, 0.0))
+
+
+@pytest.mark.parametrize("name", BUILTINS + ["opaque"])
+def test_eval_connection_is_the_field_at_one_point(name):
+    """eval_connection runs the chart's field at one point: its matrix is
+    the per-coefficient sum A_1(x) v^1 + ... + A_n(x) v^n, skew-cleaned on
+    SO, equal entry for entry (a zero may carry the other sign) at seeded
+    points and velocities, for expression charts and for a chart whose
+    first coefficient is an opaque MatrixFunction."""
+    if name == "opaque":
+        base = builtin_connection("abelian-area(1.5)")
+        chart = base.charts[0]
+        coeffs = (_Opaque(chart.coefficients[0]), chart.coefficients[1])
+        conn = ConnectionForm(base.group, (ChartSpec(0, 2, chart.lo, chart.hi, coeffs),))
+    else:
+        conn = builtin_connection(name)
+    rng = np.random.default_rng(47)
+    for chart in conn.charts:
+        for _ in range(10):
+            x = ChartPoint(chart.chart_id, rng.uniform(-1.5, 1.5, 2))
+            v = rng.normal(size=2)
+            want = sum(f.value(x.coords[None])[0] * v[mu] for mu, f in enumerate(chart.coefficients))
+            if conn.group.orthogonal:
+                want = 0.5 * (want - want.T)
+            got = eval_connection(conn, x, TangentVector(x, v))
+            assert got.group == conn.group and np.array_equal(got.matrix, want)
 
 
 def test_curvature_zero_connection():

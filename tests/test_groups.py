@@ -429,3 +429,78 @@ def test_frobenius_refuses_what_norm_refuses():
             np.linalg.norm(bad, "fro")
         with pytest.raises(ValueError):
             frobenius(bad)
+
+
+# --- non-finite input ---------------------------------------------------------
+
+NONFINITE_GROUPS = (SO2, SO3, StructureGroup("SO", 4), StructureGroup("U1", 2), GL2)
+
+
+def good_matrix(rng, group):
+    """A group matrix: a random rotation on SO/U1, I plus small noise
+    (det near 1) on GL."""
+    if group.orthogonal:
+        return random_rotation(rng, group.k)
+    return np.eye(group.k) + 0.1 * rng.normal(size=(group.k, group.k))
+
+
+@seed(20261025)
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(NONFINITE_GROUPS),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+    st.integers(1, 6),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_a_nonfinite_entry_fails_every_check(group, bad, m, rng_seed, data):
+    """One NaN or +-inf entry anywhere fails every membership and branch
+    check with its typed error, and no numpy warning (the suite turns a
+    RuntimeWarning into a failure): GroupElement, _elements with the bad
+    matrix among good ones, AlgebraElement, _check_branch and
+    project_to_group."""
+    rng = np.random.default_rng(rng_seed)
+    k = group.k
+    i, j = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))
+    g = good_matrix(rng, group)
+    g[i, j] = bad
+    with pytest.raises(GroupInvariantError, match="NaN or inf|not orthogonal"):
+        GroupElement(g, group)
+    stack = np.stack([good_matrix(rng, group) for _ in range(m)])
+    stack[data.draw(st.integers(0, m - 1))] = g
+    with pytest.raises(GroupInvariantError, match="NaN or inf"):
+        groups._elements(stack, group)
+    a = random_skew(rng, k) if group.orthogonal else rng.normal(size=(k, k))
+    a[i, j] = bad
+    with pytest.raises(GroupInvariantError, match="NaN or inf"):
+        AlgebraElement(a, group)
+    with pytest.raises(GroupInvariantError, match="NaN or inf"):
+        groups._algebra_checked(np.stack([a, a]), group)
+    with pytest.raises(OutOfBranchError):
+        groups._check_branch(g)
+    with pytest.raises(SingularInputError, match="NaN or inf"):
+        project_to_group(g, group)
+
+
+@seed(20261026)
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(-12, 0), st.integers(0, 2**32 - 1))
+def test_small_orthogonality_figures_match_numpy(k, exponent, rng_seed):
+    """The Python-float defect and det of a 2x2 or 3x3 matrix agree with
+    frobenius(m^T m - I) and np.linalg.det to roundoff, on rotations
+    perturbed by 10^exponent."""
+    rng = np.random.default_rng(rng_seed)
+    m = random_rotation(rng, k) + 10.0**exponent * rng.normal(size=(k, k))
+    defect, det = groups._orthogonality(m)
+    assert defect == pytest.approx(frobenius(m.T @ m - np.eye(k)), rel=1e-9, abs=1e-15)
+    assert det == pytest.approx(np.linalg.det(m), rel=1e-12, abs=1e-15)
+
+
+def test_project_to_gl_checks_the_det_and_keeps_the_matrix():
+    """On GL the projection is the identity operation after a det check: a
+    nonsingular matrix comes back as itself, a singular one raises."""
+    m = np.array([[2.0, 1.0], [0.5, 3.0]])
+    g = project_to_group(m, GL2)
+    assert g.group == GL2 and g.matrix.tobytes() == m.tobytes()
+    with pytest.raises(SingularInputError, match="numerically singular"):
+        project_to_group([[1.0, 2.0], [2.0, 4.0]], GL2)

@@ -6,7 +6,10 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from holonome.connection import (
+    ChartSpec,
+    ConnectionForm,
     ExprMatrixFunction,
+    Transition,
     builtin_connection,
     curvature_at,
     gauge_transform,
@@ -15,7 +18,7 @@ from holonome.errors import NotClosedError, ValidationError
 from holonome.exprs import lit, parse, var
 from holonome.exprs import cos as ecos
 from holonome.exprs import sin as esin
-from holonome.groups import frobenius, rotation2, so3_basis
+from holonome.groups import StructureGroup, frobenius, rotation2, so3_basis
 from holonome.holonomy import (
     HomotopyFamily,
     flatness_verdict,
@@ -277,3 +280,35 @@ def test_flatness_verdicts_never_inconsistent(name, expected):
     verdict = flatness_verdict(builtin_connection(name), CFG)
     assert verdict.verdict == expected
     assert verdict.verdict != "INCONSISTENT"
+
+
+def three_chart_atlas(closing=True):
+    """Flat SO(2) on charts 0 = [-1, 1]^2, 2 = [0.5, 3] x [-1, 1] and
+    1 = [-1, 3] x [0.5, 2], with identity coordinate maps and constant
+    rotation gauges 0 -> 2, 2 -> 1 and, when closing, 1 -> 0, whose angles
+    sum to zero."""
+    zero = ExprMatrixFunction(np.zeros((2, 2)), 2)
+    boxes = {0: ([-1, -1], [1, 1]), 2: ([0.5, -1], [3, 1]), 1: ([-1, 0.5], [3, 2])}
+    charts = [ChartSpec(c, 2, lo, hi, (zero, zero)) for c, (lo, hi) in boxes.items()]
+    identity = (var(0, 2), var(1, 2))
+    gauges = [(0, 2, 0.3), (2, 1, 0.5)] + ([(1, 0, -0.8)] if closing else [])
+    transitions = [Transition(a, b, identity, ExprMatrixFunction(rotation2(angle), 2))
+                   for a, b, angle in gauges]
+    return ConnectionForm(StructureGroup("SO", 2), charts, transitions)
+
+
+def test_a_loop_that_ends_on_another_chart_closes_through_the_end_to_start_gauge():
+    """The loop x = (1.25 - 1.25 cos 2 pi u, 1 - 0.25 sin 2 pi u), declared
+    on chart 0, is walked 0 -> 2 -> 1.  No transition leads from chart 0 to
+    chart 1, so holonomy takes the transition 1 -> 0 at the end point: on
+    a flat atlas whose gauges compose to I the holonomy is I to roundoff.
+    Without that transition, NotClosedError."""
+    u = var(0)
+    turn = lit(2.0 * np.pi) * u
+    loop = PathSpec((Segment(0, (lit(1.25) - lit(1.25) * ecos(turn), lit(1.0) - lit(0.25) * esin(turn)),
+                             0.0, 1.0),))
+    res = holonomy(three_chart_atlas(), loop, SolverConfig(h=1e-2))
+    assert (res.transport.start.chart_id, res.transport.end.chart_id) == (0, 1)
+    assert frobenius(res.g.matrix - np.eye(2)) <= 1e-15
+    with pytest.raises(NotClosedError, match="no transition connects"):
+        holonomy(three_chart_atlas(closing=False), loop, SolverConfig(h=1e-2))

@@ -18,14 +18,17 @@ from holonome.connection import (
     builtin_connection,
     curvature_at,
 )
+from holonome import reconstruction
 from holonome.errors import (
     IllConditionedBasisError,
+    OutOfBranchError,
     OutOfRangeError,
     VelocityMismatchError,
 )
 from holonome.exprs import lit, var
 from holonome.groups import (
     AlgebraElement,
+    GroupElement,
     StructureGroup,
     frobenius,
     group_exp,
@@ -802,3 +805,110 @@ def test_table_refuses_a_probe_step_before_asking(h, points):
     with pytest.raises(OutOfRangeError, match="probe step"):
         reconstruct_connection(oracle, [ChartPoint(0, p) for p in points], h, SO2)
     assert (oracle.many_calls, oracle.seen) == (0, [])
+
+
+# --- one probe walk for tables and lifts --------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name", ["abelian-area(1.5)", "constant-so3", "pure-gauge", "levi-civita-s2-stereo"]
+)
+def test_horizontal_space_is_lift_vector_per_axis_bit_for_bit(name):
+    """The lifts of e_1..e_n, walked and logged as one stack, equal the
+    lift_vector of each e_mu, a stack of one, byte for byte, at seeded
+    points and fiber points p != I."""
+    conn = builtin_connection(name)
+    oracle = engine_oracle(conn, CFG)
+    rng = np.random.default_rng(61)
+    k = conn.group.k
+    for _ in range(3):
+        x = ChartPoint(0, rng.uniform(-1.0, 1.0, 2))
+        a = rng.normal(size=(k, k))
+        p = group_exp(AlgebraElement(0.5 * (a - a.T), conn.group))
+        for h in (1e-2, 1e-3):
+            basis = horizontal_space(oracle, x, p, h)
+            for mu, lv in enumerate(basis.lifts):
+                one = lift_vector(oracle, x, p, TangentVector(x, np.eye(2)[mu]), h)
+                assert lv.vertical_part.matrix.tobytes() == one.vertical_part.matrix.tobytes()
+
+
+def test_lifts_ask_every_pair_before_any_log(monkeypatch):
+    """horizontal_space asks a path-by-path oracle for the probes of every
+    direction, in order, before it takes the logs of their differences as
+    one stack."""
+    conn = builtin_connection("abelian-area(1.5)")
+    x = ChartPoint(0, [0.3, -0.2])
+    oracle = RecordingOracle(conn)
+    asked_at_log = []
+    original = reconstruction._algebra_logs
+
+    def recording(S, group):
+        asked_at_log.append((len(oracle.seen), len(S)))
+        return original(S, group)
+
+    monkeypatch.setattr(reconstruction, "_algebra_logs", recording)
+    horizontal_space(oracle, x, identity_element(SO2), 1e-3)
+    assert asked_at_log == [(4, 2)]
+    assert oracle.seen == probe_sequence([(x, 0), (x, 1)], 1e-3)
+
+
+def test_lifts_stop_at_the_first_pair_off_the_branch():
+    """On the steep connection at (1, 0), the first direction's difference
+    leaves the principal branch: horizontal_space raises OutOfBranchError
+    there, and a path-by-path oracle is asked for that pair alone."""
+    x = ChartPoint(0, [1.0, 0.0])
+    oracle = RecordingOracle(steep_connection())
+    with pytest.raises(OutOfBranchError, match="outside the principal branch"):
+        horizontal_space(oracle, x, identity_element(SO2), 1e-2)
+    assert oracle.seen == probe_sequence([(x, 0)], 1e-2)
+
+
+def test_an_oracle_that_reports_a_branch_failure_drops_its_point_with_that_reason():
+    """An OutOfBranchError that the oracle raises passes through the walk as
+    it is: the point drops with the oracle's own reason, not as an oracle
+    failure, and the other points keep their entries."""
+    conn = builtin_connection("abelian-area(1.5)")
+    grid = [ChartPoint(0, c) for c in ([0.0, 0.0], [0.5, 0.5])]
+
+    def oracle(gamma):
+        if np.array_equal(path_point(gamma, 0.0).coords, grid[1].coords):
+            raise OutOfBranchError("no principal log here")
+        return transport(conn, gamma, CFG)
+
+    table = reconstruct_connection(oracle, grid, 1e-3, SO2)
+    assert [(x, reason) for x, reason in table.dropped] == [(grid[1], "no principal log here")]
+    assert sorted(table.entries) == [(0, 0), (0, 1)]
+
+
+NONFINITE_GROUPS = (SO2, SO3, StructureGroup("SO", 4), StructureGroup("U1", 2),
+                    StructureGroup("GL", 2))
+
+
+@seed(20261027)
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(NONFINITE_GROUPS),
+    st.sampled_from([np.nan, np.inf, -np.inf]),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_an_oracle_answering_nonfinite_matrices_drops_every_point(group, bad, rng_seed, data):
+    """An oracle whose answers carry a NaN or +-inf entry anywhere fails on
+    every probe: each grid point drops with the oracle's reason, and the
+    table has no entry."""
+    rng = np.random.default_rng(rng_seed)
+    k = group.k
+    a = rng.normal(size=(k, k))
+    m = group_exp(AlgebraElement(0.5 * (a - a.T), group)).matrix.copy() if group.orthogonal \
+        else np.eye(k) + 0.1 * a
+    m[data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))] = bad
+
+    def oracle(gamma):
+        return SimpleNamespace(g=GroupElement(m, group))
+
+    grid = [ChartPoint(0, c) for c in rng.uniform(-1.0, 1.0, (3, 2))]
+    table = reconstruct_connection(oracle, grid, 1e-3, group)
+    assert table.entries == {}
+    assert [x for x, _ in table.dropped] == grid
+    for _, reason in table.dropped:
+        assert re.fullmatch(r"oracle failed on a probe path: .*(NaN or inf|not orthogonal).*", reason)

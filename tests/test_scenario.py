@@ -435,3 +435,23 @@ def test_failing_expectation_exits_two_via_cli(tmp_path):
     path = tmp_path / "s.json"
     path.write_text(json.dumps(doc))
     assert cli_main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+BAD_TOLS = [0.0, -1.0, float("nan"), float("inf")]
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS, ids=["zero", "negative", "nan", "inf"])
+def test_a_tol_that_is_not_finite_and_positive_is_refused(tmp_path, capsys, tol):
+    """A scenario's solver tol of 0, -1, NaN or inf raises SchemaError at
+    $.solver, and holonome run --tol with it exits 1 before running."""
+    doc = copy.deepcopy(MINIMAL)
+    doc["solver"]["tol"] = tol
+    with pytest.raises(SchemaError, match="tol must be finite and > 0") as err:
+        load_scenario(doc)
+    assert err.value.where == "$.solver"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(MINIMAL))
+    out = tmp_path / "out"
+    assert cli_main(["run", str(path), "--out", str(out), f"--tol={tol!r}"]) == 1
+    assert "tol must be finite and > 0" in capsys.readouterr().err
+    assert not out.exists()

@@ -21,9 +21,12 @@ from holonome.connection import (
     gauge_transform,
 )
 from holonome.errors import (
+    EndpointMismatchError,
+    GroupInvariantError,
     HolonomeError,
     OutsideChartError,
     StepUnderflowError,
+    ValidationError,
 )
 from holonome.exprs import lit, parse, var
 from holonome.exprs import cos as ecos
@@ -56,6 +59,7 @@ from holonome.paths import (
     subpath,
 )
 from holonome.transport import (
+    AxiomSuite,
     SolverConfig,
     _partial_products,
     _product,
@@ -75,6 +79,30 @@ from oracles import abelian_loop_exponent, taylor_expm
 J = so2_generator()
 SO2 = StructureGroup("SO", 2)
 CFG = SolverConfig(h=1e-3)
+
+
+@pytest.mark.parametrize("bad, message", [
+    ({"tol": 0.0}, "tol must be finite and > 0"),
+    ({"tol": -1.0}, "tol must be finite and > 0"),
+    ({"tol": float("nan")}, "tol must be finite and > 0"),
+    ({"tol": float("inf")}, "tol must be finite and > 0"),
+    ({"h": 0.0}, r"step h must lie in \(0, 0.1\]"),
+    ({"h": 0.2}, r"step h must lie in \(0, 0.1\]"),
+    ({"h": float("nan")}, r"step h must lie in \(0, 0.1\]"),
+    ({"project_every": 0}, "project_every must be >= 1"),
+], ids=["tol-zero", "tol-negative", "tol-nan", "tol-inf", "h-zero", "h-large", "h-nan",
+        "project_every-zero"])
+def test_solver_config_refuses_out_of_range_settings(bad, message):
+    """tol must be finite and > 0 under either method: 0, -1 and NaN would
+    double to a false roundoff floor, inf would accept any first pass.  h
+    must lie in (0, 0.1] and project_every be at least 1; an unknown method
+    is refused too."""
+    for method in ("rk4-fixed", "rk4-doubling"):
+        with pytest.raises(ValidationError, match=message):
+            SolverConfig(method, **{"h": 1e-2, **bad})
+    with pytest.raises(ValidationError, match="unknown solver method"):
+        SolverConfig("euler")
+    SolverConfig("rk4-doubling", h=1e-2, tol=1e-300)
 
 
 def square_loop(side=1.0, corner=(0.0, 0.0)):
@@ -1128,3 +1156,111 @@ def test_lift_path_samples_share_one_read_only_grid():
     assert len({id(pt.coords.base) for pt in pts}) == 1
     for t, pt, _ in samples[1:]:
         assert np.allclose(pt.coords, path_point(gamma, t).coords, atol=1e-12)
+
+
+# --- engine branches: SO(k >= 4) steps, failures in their places -----------------
+
+
+def so_basis(k, i, j):
+    """E_ij of so(k), 1-based: e_i e_j^T - e_j e_i^T."""
+    e = np.zeros((k, k))
+    e[i - 1, j - 1], e[j - 1, i - 1] = 1.0, -1.0
+    return e
+
+
+def test_so4_steps_take_the_skew_part_and_stay_on_the_group():
+    """Constant so(4) coefficients run the general branch of _step_matrices
+    on the skew part of M.  A_1 carries a symmetric part of 2.5e-10 per
+    entry, which ConnectionForm's skew check (1e-9) lets through: along a
+    straight line the transport is still exp(-(A_1 d_1 + A_2 d_2)) of the
+    skew parts and lies on SO(4), both to 1e-12, the roundoff of its 1000
+    steps.  Without the skew part both read about 5e-10."""
+    so4 = StructureGroup("SO", 4)
+    a1 = 0.7 * so_basis(4, 1, 2) + 0.2 * so_basis(4, 3, 4)
+    a2 = 0.5 * so_basis(4, 1, 3) - 0.3 * so_basis(4, 2, 4)
+    sym = np.zeros((4, 4))
+    sym[0, 3] = sym[3, 0] = sym[1, 1] = 2.5e-10
+    coeffs = (ExprMatrixFunction(a1 + sym, 2), ExprMatrixFunction(a2, 2))
+    chart = ChartSpec(0, 2, [-2, -2], [2, 2], coeffs)
+    conn = ConnectionForm(so4, (chart,))
+    a, b = np.array([-0.4, 0.3]), np.array([0.8, -0.5])
+    res = transport(conn, line_path(ChartPoint(0, a), b), SolverConfig(h=1e-3))
+    d = b - a
+    want = group_exp(AlgebraElement(-(a1 * d[0] + a2 * d[1]), so4)).matrix
+    assert frobenius(res.g.matrix - want) <= 1e-12
+    assert res.g.orthogonality_defect <= 1e-12
+
+
+def test_many_puts_a_product_that_fails_the_group_check_in_its_place():
+    """On GL(2) with A_1 = 20 I, a line of length 2 along x1 transports by
+    e^-40 I, det e^-80, which fails the stacked check of the finished
+    products; the products are then checked one by one, so many answers
+    GroupInvariantError for that line and, for a line along x2 beside it,
+    transport's own result bit for bit."""
+    gl2 = StructureGroup("GL", 2)
+    chart = ChartSpec(0, 2, [-2, -2], [2, 2],
+                      (ExprMatrixFunction(20.0 * np.eye(2), 2), ExprMatrixFunction(np.zeros((2, 2)), 2)))
+    conn = ConnectionForm(gl2, (chart,))
+    along_x1 = line_path(ChartPoint(0, [-1.0, 0.2]), [1.0, 0.2])
+    along_x2 = line_path(ChartPoint(0, [0.3, -1.0]), [0.3, 1.0])
+    bad, good = engine_oracle(conn, CFG).many([along_x1, along_x2])
+    assert isinstance(bad, GroupInvariantError) and "numerically singular" in str(bad)
+    want = transport(conn, along_x2, CFG)
+    assert good.g.matrix.tobytes() == want.g.matrix.tobytes()
+    for got, exp in ((good.start, want.start), (good.end, want.end)):
+        assert (got.chart_id, got.coords.tobytes()) == (exp.chart_id, exp.coords.tobytes())
+    assert (good.step_count, good.est_error) == (want.step_count, want.est_error)
+
+
+def test_a_jump_between_charts_raises_endpoint_mismatch():
+    """A chart-1 segment that starts 0.1 away from the image of the chart-0
+    segment before it fails the junction test of _gauge_between."""
+    conn = builtin_connection("levi-civita-s2-twochart")
+    image = conn.map_point(ChartPoint(0, [2.0, 0.5]), 1).coords + np.array([0.1, 0.0])
+    first = Segment(0, (lit(1.0) + var(0), lit(0.5) + lit(0.0) * var(0)), 0.0, 0.5)
+    second = Segment(1, (lit(image[0]) + lit(0.2) * var(0), lit(image[1]) + lit(0.0) * var(0)), 0.5, 1.0)
+    with pytest.raises(EndpointMismatchError, match=r"path jumps by 1\.000e-01"):
+        transport(conn, PathSpec((first, second)), CFG)
+
+
+def test_a_segment_that_changes_charts_too_often_raises():
+    """x = (2.05 - 2 cos 10 pi u, 0) on levi-civita-s2-twochart leaves
+    chart 0 past x1 = 4 and chart 1 near x1 = 0.05, about ten chart changes
+    in one segment: past the cap, OutsideChartError."""
+    conn = builtin_connection("levi-civita-s2-twochart")
+    u = var(0)
+    gamma = path_from_exprs(0, [lit(2.05) - lit(2.0) * ecos(lit(10.0 * np.pi) * u), lit(0.0) * u])
+    with pytest.raises(OutsideChartError, match="too many times"):
+        transport(conn, gamma, SolverConfig(h=1e-2))
+
+
+def test_doubling_stops_at_its_smallest_step():
+    """A segment of global width 6e-7 that moves 5.5 in chart coordinates
+    needs steps far below 1e-7 to be small against its field, so
+    rk4-doubling raises StepUnderflowError at the step floor.  The
+    constant segments around it take no steps that matter."""
+    conn = builtin_connection("levi-civita-s2-stereo")
+    jump = (0.5, 0.5 + 6e-7)
+    gamma = path_from_strings(
+        0, [["-2.75", "1"], ["-2.75 + 5.5*x1", "1"], ["2.75", "1"]],
+        [(0.0, jump[0]), jump, (jump[1], 1.0)],
+    )
+    with pytest.raises(StepUnderflowError, match=r"with h >= 1e-07"):
+        transport(conn, gamma, SolverConfig("rk4-doubling", h=1e-2, tol=1e-300))
+
+
+def test_a_cross_chart_juxtaposition_passes_the_axiom_check():
+    """A chart-0 line juxtaposed with a chart-1 line from its image, in a
+    suite whose atlas is the connection: the transport of the whole path
+    matches P(right) g(x)^-1 P(left), the junction gauge between them, to
+    roundoff.  Without the gauge the deviation is of order 1."""
+    conn = builtin_connection("levi-civita-s2-twochart")
+    left = line_path(ChartPoint(0, [1.0, 0.5]), [2.0, 0.5])
+    image = conn.map_point(ChartPoint(0, [2.0, 0.5]), 1)
+    right = line_path(image, image.coords + np.array([0.3, -0.2]))
+    oracle = engine_oracle(conn, CFG)
+    report = verify_axioms(oracle, AxiomSuite((), (), ((left, right),), atlas=conn))
+    assert report.passed and report.juxtapose_dev <= 1e-12
+    whole = transport(conn, juxtapose(left, right, conn), CFG).g.matrix
+    plain = transport(conn, right, CFG).g.matrix @ transport(conn, left, CFG).g.matrix
+    assert frobenius(whole - plain) > 0.1

@@ -16,7 +16,13 @@ src).  The outputs are:
   crossing loop, a circle on abelian-area(1.5) and a rectangle on
   constant-so3 at h = 1e-4, and of a small latitude loop under
   rk4-doubling: one of each kind of loop the benchmark's forward_loops
-  workload runs.
+  workload runs;
+- the horizontal spaces and lifted vectors of abelian-area(1.5),
+  constant-so3(0.8,0.6), pure-gauge and levi-civita-s2-stereo at seeded
+  points and fiber points p != I, at probe steps 1e-2 and 1e-3, and the
+  pairings eval_connection of the same connections with seeded vectors.
+  flat-so2 is left out: its pairing's zero entries carry no meaningful
+  sign.
 """
 
 from __future__ import annotations
@@ -85,12 +91,31 @@ def holonomy_digests(hn):
         yield f"holonomy {name}", digest(res.g.matrix.tobytes(), res.angle, res.transport.end.chart_id)
 
 
+def pointwise_digests(hn):
+    rng = np.random.default_rng(20)
+    for name in ("abelian-area(1.5)", "constant-so3(0.8,0.6)", "pure-gauge", "levi-civita-s2-stereo"):
+        conn = hn.builtin_connection(name)
+        oracle = hn.engine_oracle(conn, hn.SolverConfig(h=0.02))
+        k = conn.group.k
+        for i in range(3):
+            x = hn.ChartPoint(0, rng.uniform(-1.0, 1.0, 2))
+            v = hn.TangentVector(x, rng.normal(size=2))
+            a = rng.normal(size=(k, k))
+            p = hn.group_exp(hn.AlgebraElement(0.5 * (a - a.T), conn.group))
+            yield f"pairing {name} #{i}", digest(hn.eval_connection(conn, x, v).matrix.tobytes())
+            for h in (1e-2, 1e-3):
+                basis = hn.horizontal_space(oracle, x, p, h)
+                lift = hn.lift_vector(oracle, x, p, v, h)
+                parts = [lv.vertical_part.matrix.tobytes() for lv in basis.lifts]
+                yield f"lifts {name} #{i} h={h:g}", digest(*parts, lift.vertical_part.matrix.tobytes())
+
+
 def main(argv):
     src = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1] / "src"
     sys.path.insert(0, str(src.resolve()))
     import holonome as hn
 
-    for source in (scenario_digests, table_digests, holonomy_digests):
+    for source in (scenario_digests, table_digests, holonomy_digests, pointwise_digests):
         for name, value in source(hn):
             print(f"{value}  {name}")
 
