@@ -16,12 +16,12 @@ roots, through one batched inverse per step, and of series terms, so its
 log is bit for bit the log of a stack of one; group_log is that stack of
 one.  Stacks of group and algebra matrices are validated once, through
 their worst members.  frobenius computes what np.linalg.norm(m, "fro")
-does, bit for bit, without its fixed cost, and the orthogonality defect
-and det sign that SO(2) and SO(3) elements must pass come from their
-entries in Python floats; larger SO(k) and GL keep numpy.  Every
-membership and branch comparison fails closed, so a NaN entry fails it,
-and a matrix with a NaN or inf entry raises its typed error before any
-numpy call that would warn on it.
+does, bit for bit, without its fixed cost, and the det sign that SO(2)
+and SO(3) elements must pass comes from the cofactor formula in Python
+floats; larger SO(k) and GL keep np.linalg.det.  Every membership and
+branch comparison fails closed, so a NaN entry fails it, and a matrix
+with a NaN or inf entry raises its typed error before any numpy call
+that would warn on it.
 """
 
 from __future__ import annotations
@@ -112,26 +112,26 @@ def _finite(m, what):
         raise GroupInvariantError(f"{what} has NaN or inf entries")
 
 
-def _orthogonality(m):
-    """||m^T m - I||_F and det m of a square matrix, the two numbers an SO
-    element must pass.  For k = 2 and 3 both come from the entries as
-    Python floats, where numpy's fixed cost is most of the work and a NaN
-    or inf entry gives a NaN or inf defect without a warning; larger k
-    take numpy, after a finiteness check."""
+def _det_orthogonal(m):
+    """det of a square matrix, read before its orthogonality defect: by
+    cofactors in Python floats for k = 2 and 3, where numpy's fixed cost
+    is most of the work, and by np.linalg.det for larger k.  Raises
+    GroupInvariantError on a NaN or inf entry, before m^T m or det can
+    warn on it; on k = 2 and 3 that is a non-finite cofactor det, since
+    every entry enters it and no sum or product of floats turns a NaN or
+    inf finite (a det that overflows raises too, before m^T m would)."""
     if len(m) == 2:
         (a, b), (c, d) = m.tolist()
-        p, q, r = a * a + c * c - 1.0, a * b + c * d, b * b + d * d - 1.0
-        return math.sqrt(p * p + 2.0 * q * q + r * r), a * d - b * c
-    if len(m) == 3:
+        det = a * d - b * c
+    elif len(m) == 3:
         (a, b, c), (d, e, f), (g, h, i) = m.tolist()
-        p = a * a + d * d + g * g - 1.0
-        q = b * b + e * e + h * h - 1.0
-        r = c * c + f * f + i * i - 1.0
-        u, v, w = a * b + d * e + g * h, a * c + d * f + g * i, b * c + e * f + h * i
-        defect = math.sqrt(p * p + q * q + r * r + 2.0 * (u * u + v * v + w * w))
-        return defect, a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    _finite(m, "matrix")
-    return frobenius(m.T @ m - _identity(len(m))), np.linalg.det(m)
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    else:
+        _finite(m, "matrix")
+        return np.linalg.det(m)
+    if not math.isfinite(det):
+        raise GroupInvariantError(f"matrix has NaN or inf entries or overflows: det = {det}")
+    return det
 
 
 def _check_group_matrix(m, group):
@@ -142,7 +142,8 @@ def _check_group_matrix(m, group):
             f"expected a {group.k}x{group.k} matrix, got shape {m.shape}"
         )
     if group.orthogonal:
-        defect, det = _orthogonality(m)
+        det = _det_orthogonal(m)
+        defect = frobenius(m.T @ m - _identity(group.k))
         if not defect <= _ORTHO_TOL:
             raise GroupInvariantError(
                 f"matrix is not orthogonal: ||g^T g - I||_F = {defect:.3e}"

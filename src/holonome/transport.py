@@ -766,11 +766,12 @@ def verify_axioms(oracle, suite, tol=1e-7):
     asks for them, and the oracle answers them all at once (see _results).
     Deviations from the axioms become report entries; the first query the
     oracle fails on raises what the oracle met there.  With an atlas, a
-    juxtaposition is compared through the junction gauge between the
-    chart the oracle's answer for g1 ends on and the one its answer for
-    g2 starts on (_gauge_between), so those answers carry start and end
-    points as TransportResults do; on one chart the gauge is None and the
-    comparison is P(g2) P(g1).
+    juxtaposition whose junction changes chart is compared through the
+    junction gauge (_gauge_between) as P(g2) g(x)^-1 P(g1); otherwise the
+    comparison is P(g2) P(g1).  The junction runs from the end of g1 to
+    the start of g2: the points the oracle's answers carry, as
+    TransportResults do, and else the declared endpoints that juxtapose
+    joins, so an oracle that answers only g is checked too.
     """
     queries, seen = [], set()
     for gamma in suite.paths:
@@ -796,13 +797,15 @@ def verify_axioms(oracle, suite, tol=1e-7):
         for _ in suite.reparametrizations:
             reparam_dev = max(reparam_dev, frobenius(next(answers).g.matrix - base))
     juxt_dev = 0.0
-    for _ in suite.juxtapositions:
+    for g1, g2 in suite.juxtapositions:
         whole, left, right = next(answers), next(answers), next(answers)
-        gauge = None
-        if suite.atlas is not None:
-            gauge = _gauge_between(suite.atlas, left.end, right.start)
-        joined = right.g.matrix @ (left.g.matrix if gauge is None else gauge @ left.g.matrix)
-        juxt_dev = max(juxt_dev, frobenius(whole.g.matrix - joined))
+        end, start = getattr(left, "end", None), getattr(right, "start", None)
+        end = path_point(g1, 1.0) if end is None else end
+        start = path_point(g2, 0.0) if start is None else start
+        joined = left.g.matrix
+        if suite.atlas is not None and end.chart_id != start.chart_id:
+            joined = _gauge_between(suite.atlas, end, start) @ joined
+        juxt_dev = max(juxt_dev, frobenius(whole.g.matrix - right.g.matrix @ joined))
     checks = len(seen) + len(suite.paths) * len(suite.reparametrizations)
     return AxiomReport(const_dev, reparam_dev, juxt_dev, tol, checks + len(suite.juxtapositions))
 

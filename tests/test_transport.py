@@ -1,7 +1,9 @@
 """Transport engine: closed-form checks, axioms, lifting, chart switching."""
 
+import dataclasses
 import sys
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1249,18 +1251,38 @@ def test_doubling_stops_at_its_smallest_step():
         transport(conn, gamma, SolverConfig("rk4-doubling", h=1e-2, tol=1e-300))
 
 
+def _g_only(conn):
+    """An oracle whose answers carry only the group element g."""
+    return lambda gamma: SimpleNamespace(g=transport(conn, gamma, CFG).g)
+
+
 def test_a_cross_chart_juxtaposition_passes_the_axiom_check():
     """A chart-0 line juxtaposed with a chart-1 line from its image, in a
     suite whose atlas is the connection: the transport of the whole path
     matches P(right) g(x)^-1 P(left), the junction gauge between them, to
-    roundoff.  Without the gauge the deviation is of order 1."""
+    roundoff, also for an oracle that answers only g, whose junction runs
+    between the declared endpoints.  Without the gauge the deviation is of
+    order 1."""
     conn = builtin_connection("levi-civita-s2-twochart")
     left = line_path(ChartPoint(0, [1.0, 0.5]), [2.0, 0.5])
     image = conn.map_point(ChartPoint(0, [2.0, 0.5]), 1)
     right = line_path(image, image.coords + np.array([0.3, -0.2]))
-    oracle = engine_oracle(conn, CFG)
-    report = verify_axioms(oracle, AxiomSuite((), (), ((left, right),), atlas=conn))
+    suite = AxiomSuite((), (), ((left, right),), atlas=conn)
+    report = verify_axioms(engine_oracle(conn, CFG), suite)
     assert report.passed and report.juxtapose_dev <= 1e-12
+    assert verify_axioms(_g_only(conn), suite).as_dict() == report.as_dict()
     whole = transport(conn, juxtapose(left, right, conn), CFG).g.matrix
     plain = transport(conn, right, CFG).g.matrix @ transport(conn, left, CFG).g.matrix
     assert frobenius(whole - plain) > 0.1
+
+
+def test_an_oracle_that_answers_only_g_is_checked_on_a_same_chart_atlas_suite():
+    """On a suite with an atlas whose juxtapositions stay on one chart, an
+    oracle that answers only g reads the engine's report bit for bit, as
+    it does without the atlas."""
+    conn = builtin_connection("levi-civita-s2-stereo")
+    suite = standard_axiom_suite(conn)
+    with_atlas = dataclasses.replace(suite, atlas=conn)
+    report = verify_axioms(_g_only(conn), with_atlas).as_dict()
+    assert report == verify_axioms(engine_oracle(conn, CFG), with_atlas).as_dict()
+    assert report == verify_axioms(_g_only(conn), suite).as_dict()
