@@ -5,11 +5,21 @@ Flatness is decided twice, independently: a curvature grid scan and a
 spread scan over finite homotopy families with fixed endpoints.  The two
 tests must agree; the INCONSISTENT verdict makes a disagreement (a bug or
 a threshold miscalibration) loud instead of silent.
+
+A HomotopyFamily compiles its coordinates and their t-derivatives over
+(t, s) into one program, and its members share it: each member's segment
+is tagged (family, s), and the transport's path evaluation runs the
+family's program once for all of a batch's members of that family (see
+paths.coords_and_velocities).  A member at s = 0 is left untagged and
+runs its own program: diff folds its literal zero factor, so a zero of
+its velocity may carry the other sign.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -167,22 +177,37 @@ class HomotopyFamily:
     def __post_init__(self):
         coords = tuple(c.with_dim(2) if c.dim < 2 else c for c in self.coords)
         object.__setattr__(self, "coords", coords)
-        if self.s_samples < 2:
-            raise ValidationError("a homotopy family needs at least 2 s-samples")
-        ss = np.linspace(0.0, 1.0, 21)
-        for t_end in (0.0, 1.0):
-            pts = exprs.evaluate_many(coords, np.stack([np.full(21, t_end), ss], axis=1))
+        if not isinstance(self.s_samples, numbers.Integral) or self.s_samples < 2:
+            raise ValidationError(
+                f"a homotopy family needs an integer s_samples >= 2, got {self.s_samples!r}"
+            )
+        # both ends in one run of one program: (t, s) for t in (0, 1), s on 21 samples
+        ts_ss = np.stack([np.repeat([0.0, 1.0], 21), np.tile(np.linspace(0.0, 1.0, 21), 2)], axis=1)
+        ends = exprs.evaluate_many(coords, ts_ss).reshape(2, 21, -1)
+        for t_end, pts in zip((0.0, 1.0), ends):
             drift = np.max(np.abs(pts - pts[0]))
             if drift > 1e-10:
                 raise ValidationError(
                     f"family endpoints move with s by {drift:.3e} at t={t_end:g}"
                 )
 
+    @cached_property
+    def _dual_program(self):
+        """The coordinates and their t-derivatives over (x1, x2) = (t, s),
+        which every member but s = 0 runs in place of its own."""
+        return exprs.Program(self.coords, 1)
+
     def member(self, s):
-        """The path gamma_s as a PathSpec."""
+        """The path gamma_s as a PathSpec.  Unless s == 0, its segment is
+        tagged (self, s), so that it runs the family's program."""
         t = var(0, 1)
         coords = [substitute(c, [t, lit(s)]) for c in self.coords]
-        return path_from_exprs(self.chart_id, coords)
+        gamma = path_from_exprs(self.chart_id, coords)
+        if s != 0.0:
+            # diff folds a literal zero factor, so at s = 0 a velocity zero
+            # may carry another sign than the family's program gives it
+            gamma.segments[0].__dict__["_member"] = (self, float(s))
+        return gamma
 
 
 @dataclass(frozen=True)
@@ -194,7 +219,19 @@ class HomotopyScanReport:
 def homotopy_scan(oracle, family, s_values=None):
     """Transport every member gamma_s and report the spread
     max_{s,s'} ||P(gamma_s) - P(gamma_s')||_F.  The oracle answers every
-    member at once (see transport._results)."""
+    member at once (see transport._results).  s_values, when given, must
+    hold two distinct values in [0, 1], where the family's endpoints were
+    checked; ValidationError before any member is asked otherwise."""
+    if s_values is not None:
+        try:
+            s_values = [float(s) for s in s_values]
+        except (TypeError, ValueError):
+            raise ValidationError(f"s_values must be numbers, got {s_values!r}") from None
+        # NaN and inf fail the range test
+        if len(set(s_values)) < 2 or not all(0.0 <= s <= 1.0 for s in s_values):
+            raise ValidationError(
+                f"s_values must hold two distinct values in [0, 1], got {s_values!r}"
+            )
     return _scans(oracle, [family], s_values)[0]
 
 

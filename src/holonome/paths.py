@@ -15,7 +15,11 @@ into the AST, so a probe never parses its own.  Such a segment is
 evaluated in closed form, a + b u with the constant velocity
 b/(t1 - t0), bit for bit what its programs give: one point in Python
 floats, and a batch's straight segments by one broadcast over one array
-of their pairs.
+of their pairs.  The segment of a homotopy family's member carries the
+tag (family, s), Segment._member, unless s == 0: a batch's members of one
+family run the family's one program over (t, s), bit for bit what their
+own programs give, and compile nothing of their own.  An s = 0 member
+runs its own programs, since diff folds its literal zero factor.
 
 The path algebra here (constant paths, juxtaposition, reparametrization,
 reversal) is what the transport axioms quantify over.
@@ -138,6 +142,11 @@ class Segment:
     t0: float
     t1: float
 
+    # (family, s) on the one segment of a HomotopyFamily member with s != 0,
+    # which that member fills in: coords_and_velocities then runs the
+    # family's program at (u, s) in place of this segment's _dual_program
+    _member = None
+
     def __post_init__(self):
         if not self.t1 > self.t0:
             raise OutOfRangeError(f"empty segment range [{self.t0}, {self.t1}]")
@@ -205,7 +214,9 @@ def coords_and_velocities(segments, us, out):
     segments (Segment._line) are written by one broadcast over one array
     of their (a_i, b_i) pairs: x = a + b u and the constant velocity
     b'/(t1 - t0), where b' is b with a zero of either sign written +0.0,
-    as diff folds it.  The others run their compiled programs.
+    as diff folds it.  The members of a homotopy family (Segment._member)
+    run their family's program once, on the columns (u, s) of all of them
+    stacked; the others run their compiled programs.
     """
     X, V = out
     us = np.asarray(us, dtype=float)
@@ -219,11 +230,24 @@ def coords_and_velocities(segments, us, out):
         with np.errstate(over="ignore", invalid="ignore"):  # as in a program run
             X[:, at] = exprs._finite_or_raise(a + b * us)
         V[:, at] = exprs._finite_or_raise((b + 0.0) / width)  # -0.0 + 0.0 is +0.0
+    families = {}  # id(family) -> positions of its members
     for p, (seg, line) in enumerate(zip(segments, lines)):
-        if line is None:
+        if line is None and seg._member is not None:
+            families.setdefault(id(seg._member[0]), []).append(p)
+        elif line is None:
             pts, grads = exprs.evaluate_dual_many(seg._dual_program, us[:, None])
             X[:, p] = pts.T
             np.divide(grads[:, :, 0].T, seg.t1 - seg.t0, out=V[:, p])
+    for at in families.values():
+        family = segments[at[0]]._member[0]
+        s = [segments[p]._member[1] for p in at]
+        width = np.array([[segments[p].t1 - segments[p].t0] for p in at])
+        # the coordinates, then their t-derivatives, each (len(at), len(us))
+        block = np.empty((2, X.shape[0], len(at), len(us)))
+        family._dual_program.run([np.tile(us, len(at)), np.repeat(s, len(us))],
+                                 block.reshape(-1, len(at) * len(us)))
+        X[:, at], grads = exprs._finite_or_raise(block)
+        V[:, at] = grads / width
     return out
 
 

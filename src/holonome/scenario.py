@@ -123,15 +123,18 @@ def _need(doc, key, where, kind=None, default=_REQUIRED):
 def _as(value, kind, where):
     """A field's value converted by kind: int or float for a scalar, [kind]
     for a list of such values.  A SchemaError at where, the field's path in
-    the document, when it will not convert."""
+    the document, when it will not convert or is a bool, and for an int,
+    when it has a fractional part (2.0 loads, 2.7 does not)."""
     if isinstance(kind, list):
         if not isinstance(value, list):
             raise SchemaError(f"expected a list, got {value!r}", where)
         return [_as(v, kind[0], f"{where}[{i}]") for i, v in enumerate(value)]
+    noun = "an integer" if kind is int else "a number"
+    if isinstance(value, bool) or kind is int and isinstance(value, float) and not value.is_integer():
+        raise SchemaError(f"expected {noun}, got {value!r}", where)
     try:
         return kind(value)
     except (TypeError, ValueError):
-        noun = "an integer" if kind is int else "a number"
         raise SchemaError(f"expected {noun}, got {value!r}", where) from None
 
 

@@ -1,10 +1,13 @@
 """Holonomy, shrinking-loop curvature, homotopy scans, flatness verdicts."""
 
+import importlib.resources
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
+from holonome import exprs
 from holonome.connection import (
     ChartSpec,
     ConnectionForm,
@@ -14,9 +17,10 @@ from holonome.connection import (
     curvature_at,
     gauge_transform,
 )
-from holonome.errors import NotClosedError, ValidationError
+from holonome.errors import DomainError, NotClosedError, ValidationError
 from holonome.exprs import lit, parse, var
 from holonome.exprs import cos as ecos
+from holonome.exprs import exp
 from holonome.exprs import sin as esin
 from holonome.groups import StructureGroup, frobenius, rotation2, so3_basis
 from holonome.holonomy import (
@@ -27,7 +31,16 @@ from holonome.holonomy import (
     shrinking_loop_curvature,
     standard_homotopy_families,
 )
-from holonome.paths import ChartPoint, PathSpec, Segment, arc_path, juxtapose, line_path
+from holonome.paths import (
+    ChartPoint,
+    PathSpec,
+    Segment,
+    arc_path,
+    coords_and_velocities,
+    juxtapose,
+    line_path,
+)
+from holonome.scenario import load_scenario
 from holonome.transport import SolverConfig, engine_oracle, transport
 
 CFG = SolverConfig(h=1e-3)
@@ -263,6 +276,50 @@ def test_homotopy_scan_area_sweep_detects_curvature():
     assert rep.spread >= 0.5
 
 
+@pytest.mark.parametrize("s_values", [
+    [], [0.3], [0.3, 0.3], [0.0, 2.5], [-1.0, 0.0], [0.2, float("nan")], [0.2, float("inf")],
+    [0.2, "half"],
+])
+def test_homotopy_scan_refuses_s_values_that_define_no_spread(s_values):
+    """Fewer than two distinct values would read spread 0, the flat
+    answer, and a value off [0, 1] (or not finite, or not a number) runs a
+    path whose endpoints were never checked: ValidationError before the
+    oracle is asked."""
+    conn = builtin_connection("abelian-area(1.5)")
+    fam = standard_homotopy_families(conn)[0]
+    asked = []
+
+    def oracle(gamma):
+        asked.append(gamma)
+        return transport(conn, gamma, CFG)
+
+    with pytest.raises(ValidationError, match="s_values"):
+        homotopy_scan(oracle, fam, s_values)
+    assert asked == []
+
+
+def test_homotopy_scan_runs_given_s_values():
+    conn = builtin_connection("abelian-area(1.5)")
+    fam = standard_homotopy_families(conn)[0]
+    rep = homotopy_scan(engine_oracle(conn, CFG), fam, [0.0, np.float64(1.0)])
+    assert rep.s_values == (0.0, 1.0)
+    assert rep.spread >= 0.5
+
+
+@pytest.mark.parametrize("s_samples", [2.5, 3.0, "3", True, 1, 0, -4])
+def test_homotopy_family_needs_an_integer_s_samples_of_at_least_two(s_samples):
+    t, s = var(0, 2), var(1, 2)
+    with pytest.raises(ValidationError, match="s_samples"):
+        HomotopyFamily(0, (t, s * t * (lit(1.0) - t)), s_samples)
+
+
+def test_homotopy_family_takes_a_numpy_integer_s_samples():
+    t, s = var(0, 2), var(1, 2)
+    fam = HomotopyFamily(0, (t, s * t * (lit(1.0) - t)), np.int64(3))
+    rep = homotopy_scan(engine_oracle(builtin_connection("flat-so2"), CFG), fam)
+    assert rep.s_values == (0.0, 0.5, 1.0)
+
+
 # --- verdicts ---------------------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -280,6 +337,33 @@ def test_flatness_verdicts_never_inconsistent(name, expected):
     verdict = flatness_verdict(builtin_connection(name), CFG)
     assert verdict.verdict == expected
     assert verdict.verdict != "INCONSISTENT"
+
+
+def strip_connection(c, w):
+    """SO(2) with A1 = 0 and A2 = c (1 + tanh((x1 - 0.33)/w))/2 J, written
+    c / (1 + exp(-2 (x1 - 0.33)/w)) J, on [-2, 2]^2: its curvature
+    F12 = dA2/dx1 lives in a strip of width ~w about x1 = 0.33."""
+    x1 = var(0, 2)
+    a2 = lit(c) / (lit(1.0) + exp(lit(-2.0 / w) * (x1 - lit(0.33))))
+    zero = ExprMatrixFunction(np.zeros((2, 2)), 2)
+    chart = ChartSpec(0, 2, [-2, -2], [2, 2], (zero, ExprMatrixFunction([[0, -a2], [a2, 0]], 2)))
+    return ConnectionForm(StructureGroup("SO", 2), [chart], [])
+
+
+def test_a_curvature_strip_between_grid_columns_reads_inconsistent():
+    """The 7 x 7 grid's columns nearest the strip, x1 = 0 and 2/3, lie 22
+    widths and more from its centre, where the curvature reads below
+    1e-13 c; the area family's sweep crosses the strip, so its spread is
+    O(c).  The grid test says flat and the homotopy test says curved: the
+    INCONSISTENT verdict."""
+    c = 1.0
+    verdict = flatness_verdict(strip_connection(c, 0.015), CFG)
+    assert verdict.verdict == "INCONSISTENT"
+    assert verdict.max_curvature < 1e-13 * c
+    assert verdict.spreads[0] > 0.1 * c
+    # the strip is real: its peak curvature, c / (2 w), on the line x1 = 0.33
+    peak = curvature_at(strip_connection(c, 0.015), ChartPoint(0, [0.33, 0.0]))
+    assert frobenius(peak.components[(0, 1)]) == pytest.approx(np.sqrt(2.0) * c / 0.03, rel=1e-12)
 
 
 def three_chart_atlas(closing=True):
@@ -312,3 +396,100 @@ def test_a_loop_that_ends_on_another_chart_closes_through_the_end_to_start_gauge
     assert frobenius(res.g.matrix - np.eye(2)) <= 1e-15
     with pytest.raises(NotClosedError, match="no transition connects"):
         holonomy(three_chart_atlas(closing=False), loop, SolverConfig(h=1e-2))
+
+
+# --- a family's members run the family's one program ----------------------------
+
+BUILTINS = ["flat-so2", "abelian-area(1.5)", "constant-so3", "levi-civita-s2-stereo",
+            "levi-civita-s2-twochart", "pure-gauge"]
+# a pass's grid, and the odd points a doubled pass evaluates
+GRIDS = [np.linspace(0.0, 1.0, 2001), np.linspace(0.0, 1.0, 201)[1::2]]
+
+
+def bare_factor_family():
+    """A family whose s is a bare factor: at s = 0, diff folds the literal
+    zero, and the velocity's zeros may carry another sign."""
+    return HomotopyFamily(0, (parse("-1 + 2*x1", 2), parse("x2*sin(3.141592653589793*x1)", 2)))
+
+
+def assert_as_untagged(segs):
+    """coords_and_velocities of segs in one batch gives, values and zero
+    signs, what each segment gives untagged and alone: its own compiled
+    programs."""
+    for us in GRIDS:
+        X, V = coords_and_velocities(segs, us, np.empty((2, 2, len(segs), len(us))))
+        for p, seg in enumerate(segs):
+            plain = Segment(seg.chart_id, seg.coords, seg.t0, seg.t1)
+            assert plain._member is None
+            x, v = coords_and_velocities([plain], us, np.empty((2, 2, 1, len(us))))
+            assert X[:, p].tobytes() == x[:, 0].tobytes()
+            assert V[:, p].tobytes() == v[:, 0].tobytes()
+
+
+def members(fam, ss):
+    segs = [fam.member(s).segments[0] for s in ss]
+    for seg, s in zip(segs, ss):
+        assert (seg._member is None) == (s == 0.0)
+        assert seg._member is None or seg._member == (fam, s)
+    return segs
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_canned_family_members_equal_their_own_programs_bit_for_bit(name):
+    for fam in standard_homotopy_families(builtin_connection(name)):
+        assert_as_untagged(members(fam, list(np.linspace(0.0, 1.0, 11)) + [-0.0]))
+
+
+def test_shipped_family_members_equal_their_own_programs_bit_for_bit():
+    shipped = importlib.resources.files("holonome") / "scenarios" / "flat-gauge-trivial.json"
+    fam = load_scenario(str(shipped)).families["straight-to-arc"]
+    assert_as_untagged(members(fam, np.linspace(0.0, 1.0, fam.s_samples)))
+
+
+def test_bare_factor_members_equal_their_own_programs_bit_for_bit():
+    fam = bare_factor_family()
+    assert_as_untagged(members(fam, [0.0, -0.0, 1e-300, 0.25, 0.5, 1.0]))
+
+
+def test_a_batch_of_two_families_and_a_straight_segment_equals_its_parts_bit_for_bit():
+    area, diag, _ = standard_homotopy_families(builtin_connection("abelian-area(1.5)"))
+    straight = line_path(ChartPoint(0, [-0.5, 0.1]), [0.7, -0.3]).segments[0]
+    arc = arc_path(0, (0.1, -0.2), 0.9, 0.0, 2.0).segments[0]
+    # a tagged segment on [0.25, 0.75]: its velocities carry the factor 2
+    narrow = Segment(0, area.member(0.6).segments[0].coords, 0.25, 0.75)
+    narrow.__dict__["_member"] = (area, 0.6)
+    segs = (members(area, [0.5, 0.0]) + [straight] + members(diag, [0.3, 1.0])
+            + members(area, [1.0]) + [arc, narrow] + members(bare_factor_family(), [0.7]))
+    assert_as_untagged(segs)
+
+
+def test_a_member_that_fails_fails_alone():
+    """A batch whose family program overflows runs again path by path: the
+    member at s = 1, whose coordinates overflow, meets DomainError, and the
+    member beside it gets its own transport bit for bit."""
+    t, s = var(0, 2), var(1, 2)
+    fam = HomotopyFamily(0, (lit(-1.0) + lit(2.0) * t,
+                             exp(lit(4000.0) * s * t * (lit(1.0) - t)) - lit(1.0)))
+    conn = builtin_connection("abelian-area(1.5)")
+    ok, bad = fam.member(1e-4), fam.member(1.0)
+    got = engine_oracle(conn, CFG).many([ok, bad])
+    assert got[0].g.matrix.tobytes() == transport(conn, ok, CFG).g.matrix.tobytes()
+    assert isinstance(got[1], DomainError)
+
+
+def test_a_flatness_verdict_compiles_each_family_once(monkeypatch):
+    """On a connection whose field and curvature programs are compiled, a
+    flatness_verdict compiles 9 programs: one endpoint check and one
+    program per family, and one program per s = 0 member."""
+    conn = builtin_connection("abelian-area(1.5)")
+    flatness_verdict(conn, CFG)
+    compiled = []
+    original = exprs.Program.__init__
+
+    def counting(self, es, grad_axes=0):
+        compiled.append(grad_axes)
+        original(self, es, grad_axes)
+
+    monkeypatch.setattr(exprs.Program, "__init__", counting)
+    flatness_verdict(conn, CFG)
+    assert len(compiled) <= 9

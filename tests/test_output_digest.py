@@ -18,13 +18,13 @@ def _run():
 
 def test_digests_repeat_and_name_each_output_once():
     """Two runs print the same lines, each a SHA-256 hex digest, two
-    spaces and a name, with no name repeated; the lifts and pairings are
-    among them."""
+    spaces and a name, with no name repeated; the lifts, pairings,
+    homotopy spreads and lifts of family members are among them."""
     first, second = _run(), _run()
     assert first == second
     lines = first.splitlines()
     assert all(re.fullmatch(r"[0-9a-f]{64}  \S.*", line) for line in lines)
     names = [line[66:] for line in lines]
     assert len(set(names)) == len(names)
-    for kind in ("table ", "holonomy ", "lifts ", "pairing "):
+    for kind in ("table ", "holonomy ", "lifts ", "pairing ", "homotopy spread ", "family lift "):
         assert any(name.startswith(kind) for name in names)

@@ -190,6 +190,60 @@ def test_malformed_scalar_field_is_a_schema_error(name, tmp_path, capsys):
     assert where in capsys.readouterr().err
 
 
+INTEGER_FIELDS = {
+    "fractional segment chart": (("paths", "unit-x", "segments", 0, "chart"), 0.7,
+                                 "$.paths.unit-x.segments[0].chart"),
+    "true segment chart": (("paths", "unit-x", "segments", 0, "chart"), True,
+                           "$.paths.unit-x.segments[0].chart"),
+    "false chart id": (("connection", "charts", 0, "id"), False, "$.connection.charts[0].id"),
+    "fractional group k": (("connection", "group", "k"), 2.5, "$.connection.group.k"),
+    "fractional s_samples": (("families", "bump", "s_samples"), 2.7, "$.families.bump.s_samples"),
+    "infinite s_samples": (("families", "bump", "s_samples"), float("inf"),
+                           "$.families.bump.s_samples"),
+    "fractional samples": (("tasks", 0), {"kind": "flatness_verdict", "samples": 7.5},
+                           "$.tasks[0].samples"),
+    "true project_every": (("solver", "project_every"), True, "$.solver.project_every"),
+}
+# a bool is no number either: "tol": true once loaded as 1.0
+BOOLEAN_NUMBERS = {
+    "true expect tol": (("tasks", 0, "expect", "tol"), True, "$.tasks[0].expect.tol"),
+    "false solver h": (("solver", "h"), False, "$.solver.h"),
+    "true box corner": (("connection", "charts", 0, "box", 1, 0), True,
+                        "$.connection.charts[0].box[1][0]"),
+}
+
+
+def _with_family(doc, s_samples=3):
+    doc["families"] = {"bump": {"chart": 0, "coords": ["-1 + 2*x1", "0.5*x2*sin(3*x1)*(1 - x1)*x1"],
+                                "s_samples": s_samples}}
+    return doc
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_FIELDS) + sorted(BOOLEAN_NUMBERS))
+def test_a_number_field_refuses_a_bool_and_an_integer_field_a_fraction(name):
+    """int() once turned 0.7 into chart 0, true into 1 and 2.7 into 2
+    s-samples, and float() true into a tolerance of 1.0, without a word:
+    each is a SchemaError at its field now."""
+    keys, value, where = {**INTEGER_FIELDS, **BOOLEAN_NUMBERS}[name]
+    doc = _with_family(_inline_doc())
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    with pytest.raises(SchemaError, match="expected an? (integer|number)") as err:
+        load_scenario(json.loads(json.dumps(doc)))
+    assert err.value.where == where
+
+
+def test_an_integral_float_loads_as_an_integer():
+    doc = _with_family(_inline_doc(), s_samples=3.0)
+    doc["paths"]["unit-x"]["segments"][0]["chart"] = 0.0
+    scenario = load_scenario(doc)
+    assert scenario.families["bump"].s_samples == 3
+    assert type(scenario.families["bump"].s_samples) is int
+    assert scenario.paths["unit-x"].segments[0].chart_id == 0
+
+
 def test_task_value_errors_are_reported_and_later_tasks_run(tmp_path):
     """Task values that convert but cannot be used, among them "mu": 0 (the
     fields are 1-based, and axis -1 once wrapped to report F_21 for F_12)

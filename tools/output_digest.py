@@ -22,7 +22,12 @@ src).  The outputs are:
   points and fiber points p != I, at probe steps 1e-2 and 1e-3, and the
   pairings eval_connection of the same connections with seeded vectors.
   flat-so2 is left out: its pairing's zero entries carry no meaningful
-  sign.
+  sign;
+- the homotopy_scan spreads of the canned families of abelian-area(1.5),
+  pure-gauge and levi-civita-s2-stereo, and of the family
+  (-1 + 2 x1, x2 sin(pi x1)) on abelian-area(1.5), whose s is a bare
+  factor, and the lift_path samples of their members at s = 0, 0.5
+  and 1.
 """
 
 from __future__ import annotations
@@ -110,12 +115,35 @@ def pointwise_digests(hn):
                 yield f"lifts {name} #{i} h={h:g}", digest(*parts, lift.vertical_part.matrix.tobytes())
 
 
+def family_digests(hn):
+    families = [
+        (f"{name} #{i}", conn, fam)
+        for name in ("abelian-area(1.5)", "pure-gauge", "levi-civita-s2-stereo")
+        for conn in [hn.builtin_connection(name)]
+        for i, fam in enumerate(hn.standard_homotopy_families(conn))
+    ]
+    bare = [hn.parse(src, 2) for src in ("-1 + 2*x1", "x2*sin(3.141592653589793*x1)")]
+    abelian = hn.builtin_connection("abelian-area(1.5)")
+    families.append(("abelian-area(1.5) bare-factor", abelian, hn.HomotopyFamily(0, bare)))
+    for name, conn, fam in families:
+        yield f"homotopy spread {name}", digest(hn.homotopy_scan(hn.engine_oracle(conn), fam).spread)
+        p = hn.identity_element(conn.group)
+        for s in (0.0, 0.5, 1.0):
+            lifted = hn.lift_path(conn, fam.member(s), p)
+            parts = [
+                part for t, x, g in lifted.samples
+                for part in (t, x.chart_id, x.coords.tobytes(), g.matrix.tobytes())
+            ]
+            yield f"family lift {name} s={s:g}", digest(*parts)
+
+
 def main(argv):
     src = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1] / "src"
     sys.path.insert(0, str(src.resolve()))
     import holonome as hn
 
-    for source in (scenario_digests, table_digests, holonomy_digests, pointwise_digests):
+    for source in (scenario_digests, table_digests, holonomy_digests, pointwise_digests,
+                   family_digests):
         for name, value in source(hn):
             print(f"{value}  {name}")
 
