@@ -195,6 +195,16 @@ class ChartSpec:
                 sums[i] = e * v if sums[i] is None else sums[i] + e * v
         return exprs.Program([lit(0.0) if s is None else s for s in sums]), tuple(others)
 
+    @cached_property
+    def _homotopy_families(self):
+        """flatness_verdict's three canned homotopy families in this chart
+        (holonomy.standard_homotopy_families, 11 s samples each), built on
+        first use and kept, as _field keeps the compiled field, so their
+        endpoint checks and programs are compiled once per chart."""
+        from .holonomy import _canned_families  # holonomy imports this module
+
+        return _canned_families(self, 11)
+
     def field(self, X, V, out):
         """M = sum_mu A_mu(x) xdot^mu at the m points whose coordinates are
         the rows of X and whose velocities are the rows of V, both (dim, m),

@@ -257,6 +257,12 @@ def standard_homotopy_families(conn, chart_id=None, s_samples=11):
     The first family sweeps area from 0 to 1 between its endpoints (bump
     amplitude (pi/2) sin(pi t) scaled to the chart)."""
     chart = conn.charts[0] if chart_id is None else conn.chart(chart_id)
+    return _canned_families(chart, s_samples)
+
+
+def _canned_families(chart, s_samples):
+    """standard_homotopy_families in the given chart, built anew; the chart
+    keeps flatness_verdict's (ChartSpec._homotopy_families)."""
     if chart.dim != 2:
         raise ValidationError("canned homotopy families need a 2-dim chart")
     center = 0.5 * (chart.lo + chart.hi)
@@ -313,13 +319,15 @@ class FlatnessVerdict:
 
 def flatness_verdict(conn, cfg=None, samples=7, tol=_FLAT_TOL):
     """Grid curvature plus homotopy spread on three canned families, whose
-    33 members the engine transports in one batch.
+    33 members the engine transports in one batch.  The families are those
+    of standard_homotopy_families in the first chart, built once per chart
+    and kept there, so a repeated verdict compiles them no more.
 
     FLAT iff both stay below tol; CURVED iff both exceed it; INCONSISTENT
     otherwise, which signals a bug or a threshold miscalibration."""
     cfg = cfg or SolverConfig()
     grid = is_flat(conn, samples=samples, tol=tol)
-    scans = _scans(engine_oracle(conn, cfg), standard_homotopy_families(conn))
+    scans = _scans(engine_oracle(conn, cfg), conn.charts[0]._homotopy_families)
     spreads = tuple(scan.spread for scan in scans)
     flat_by_curvature = grid.max_norm <= tol
     flat_by_spread = max(spreads) <= tol

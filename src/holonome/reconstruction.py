@@ -1,10 +1,19 @@
 """Rebuilding a connection from a transport oracle.
 
 The lifted velocity at a point is the derivative at t = 0 of the lifted
-path through p, estimated by a symmetric difference of two short straight
-transports combined with the group logarithm:
+path through p, estimated by a symmetric difference: one short straight
+transport centred on x, combined with the group logarithm:
 
-    Omega = log( U(+h) U(-h)^-1 ) / (2h)    (estimates -A_x(v), O(h^2))
+    Omega = log P(x - hv -> x + hv) / (2h)    (estimates -A_x(v), O(h^2))
+
+This is the symmetric difference of the two half probes from x, the
+straight paths gamma+-(t) = x +- t h v with U(+-h) = P(gamma+-): by the
+inverse and juxtaposition axioms (and reparametrization),
+U(+h) U(-h)^-1 = P(gamma+) P(gamma-^-1) is the transport along
+gamma-^-1 then gamma+, the straight path from x - hv to x + hv, so one
+answer gives it.  An oracle that satisfies those axioms (verify_axioms
+checks them) gives the two-probe estimate to roundoff; one that violates
+them moves the estimate by that violation.
 
 Vertical parts are stored left-trivialized (body coordinates at p), so a
 right translation p -> p g conjugates them by g; lifts are computed at the
@@ -18,18 +27,19 @@ Every check here builds all its probe paths first and asks for them
 through transport._asker: an oracle with a many method (engine_oracle's)
 gets them all in one list and may answer a probe with the exception it
 met there; any other oracle is asked for each probe only when the check
-reaches it.  _probe_elements turns the answers into group elements or an
+reaches it.  _probe_element turns an answer into a group element or an
 OracleFailureError.
 
-One probe walk (_differences) serves a table and the lifts: it forms
-D = U(+h) U(-h)^-1 of each pair as it arrives and tests it against the
-principal branch ||D - I||_F < 1, stopping at the first pair that fails
-or leaves the branch.  A table walks its grid point by point, and a point
-whose walk stops drops with that reason; lift_vector and horizontal_space
-walk the pairs of their vectors, and a stop raises.  Then the kept
-differences are validated as one stack, one stacked logarithm
-(groups._logm, bit for bit per matrix) gives every Omega, and the
-vertical parts are checked for skewness as one stack (_vertical_parts).
+One probe walk (_differences) serves a table and the lifts: it takes
+each probe's answer D = P(x - hv -> x + hv) as it arrives and tests it
+against the principal branch ||D - I||_F < 1, stopping at the first probe
+that fails or leaves the branch.  A table walks its grid point by point,
+and a point whose walk stops drops with that reason; lift_vector and
+horizontal_space walk the probes of their vectors, and a stop raises.
+Then the kept differences are validated as one stack, one stacked
+logarithm (groups._logm, bit for bit per matrix) gives every Omega, and
+the vertical parts are checked for skewness as one stack
+(_vertical_parts).
 """
 
 from __future__ import annotations
@@ -99,10 +109,7 @@ class HorizontalBasis:
     lifts: tuple
 
     def __post_init__(self):
-        n = len(self.lifts)
-        for mu, lv in enumerate(self.lifts):
-            e = np.zeros(n)
-            e[mu] = 1.0
+        for mu, (e, lv) in enumerate(zip(np.eye(len(self.lifts)), self.lifts)):
             if not np.array_equal(lv.base_part.components, e):
                 raise IllConditionedBasisError(
                     f"lift {mu} does not sit over the coordinate vector e_{mu + 1}"
@@ -126,46 +133,36 @@ def _check_step(h):
         raise OutOfRangeError(f"probe step h={h:g} outside [1e-6, 1e-2]")
 
 
-def _probes(x, components, h):
-    """The straight probe paths x + t h v and x - t h v, in that order, for
-    the vector v at x with the given components and a checked step h."""
-    coords = x.coords.tolist()
-    return [_line_segment(x.chart_id, coords, [step * c for c in components]) for step in (h, -h)]
+def _probes(x, vectors, h):
+    """The straight probe a + b u, u in [0, 1], with a = x - h v and
+    b = 2 h v in Python floats, of each vector v (its components) at x, for
+    a checked step h: it runs from x - hv to x + hv through x at u = 1/2."""
+    a = x.coords.tolist()
+    return [_line_segment(x.chart_id, [ai - h * c for ai, c in zip(a, v)], [2.0 * h * c for c in v])
+            for v in vectors]
 
 
-def _axis(n, mu):
-    """The components of the unit vector e_mu in R^n."""
-    e = [0.0] * n
-    e[mu] = 1.0
-    return e
-
-
-def _probe_elements(ask, indices, what="a probe path"):
-    """The group elements of the answers ask(i) for i in indices, asked in
-    order.  An OutOfBranchError passes as it is; any other failure raises
-    OracleFailureError, naming what was asked for."""
+def _probe_element(ask, i, what="a probe path"):
+    """The group element of the answer ask(i).  An OutOfBranchError passes
+    as it is; any other failure raises OracleFailureError, naming what was
+    asked for."""
     try:
-        return [_answered(ask(i)).g for i in indices]
+        return _answered(ask(i)).g
     except OutOfBranchError:
         raise
     except Exception as err:
         raise OracleFailureError(f"oracle failed on {what}: {err}") from err
 
 
-def _difference(u_plus, u_minus):
-    """D = u_plus u_minus^-1 of one probe pair, as a matrix."""
-    return u_plus.matrix @ group_inverse(u_minus).matrix
-
-
 def _differences(ask, start, stop):
-    """D = U(+h) U(-h)^-1 of the probe pairs (i, i + 1), i in
-    range(start, stop, 2), asked in order; each D is tested against the
-    principal branch (_check_branch) as it arrives, so the walk asks no
-    further than the first pair that fails or leaves the branch.  The one
-    probe walk of reconstruct_connection and _lifts."""
+    """D = P(x - hv -> x + hv), the answers for the probes i in
+    range(start, stop), asked in order, as matrices; each D is tested
+    against the principal branch (_check_branch) as it arrives, so the
+    walk asks no further than the first probe that fails or leaves the
+    branch.  The one probe walk of reconstruct_connection and _lifts."""
     formed = []
-    for i in range(start, stop, 2):
-        formed.append(_difference(*_probe_elements(ask, (i, i + 1))))
+    for i in range(start, stop):
+        formed.append(_probe_element(ask, i).matrix)
         _check_branch(formed[-1])
     return formed
 
@@ -184,33 +181,35 @@ def _vertical_parts(formed, h, p):
 
 def _lifts(oracle, x, p, vs, h):
     """The lifted velocities of the tangent vectors vs at the bundle point
-    (x, p), their 2 len(vs) probe paths asked through one _asker and
-    walked by _differences, so an oracle asked path by path stops at the
-    first pair that fails; the differences are then validated, and their
-    logs taken, as one stack."""
+    (x, p), their len(vs) probe paths asked through one _asker and walked
+    by _differences, so an oracle asked path by path stops at the first
+    probe that fails; the differences are then validated, and their logs
+    taken, as one stack."""
     _check_step(h)
     for v in vs:
         if v.base.chart_id != x.chart_id or np.max(np.abs(v.base.coords - x.coords)) > 1e-12:
             raise VelocityMismatchError("tangent vector is not based at the given point")
-    ask = _asker(oracle, [gamma for v in vs for gamma in _probes(x, v.components.tolist(), h)])
-    vert = _vertical_parts(_differences(ask, 0, 2 * len(vs)), h, p)
+    ask = _asker(oracle, _probes(x, [v.components.tolist() for v in vs], h))
+    vert = _vertical_parts(_differences(ask, 0, len(vs)), h, p)
     return [LiftedVector(v, AlgebraElement(m, p.group), (x, p)) for v, m in zip(vs, vert)]
 
 
 def lift_vector(oracle, x, p, v, h):
     """Lifted velocity of v at the bundle point (x, p).
 
-    Builds the straight coordinate paths x +- t h v, transports along both,
-    and takes the symmetric-difference derivative of the fiber component;
-    by the sign convention the vertical part estimates -A_x(v).
+    Builds the straight coordinate path from x - hv to x + hv, transports
+    along it, and takes log(D) / (2h) of its answer D, the symmetric-
+    difference derivative of the fiber component; by the sign convention
+    the vertical part estimates -A_x(v).
     """
     return _lifts(oracle, x, p, [v], h)[0]
 
 
 def horizontal_space(oracle, x, p, h):
-    """Reconstructed horizontal space at (x, p): lifts of e_1..e_n, whose
-    probe paths the oracle is asked for at once (see _lifts)."""
-    units = [TangentVector(x, _axis(x.dim, mu)) for mu in range(x.dim)]
+    """Reconstructed horizontal space at (x, p): lifts of e_1..e_n, one
+    centred probe each, whose probe paths the oracle is asked for at once
+    (see _lifts)."""
+    units = [TangentVector(x, e) for e in np.eye(x.dim)]
     return HorizontalBasis((x, p), tuple(_lifts(oracle, x, p, units, h)))
 
 
@@ -278,7 +277,7 @@ def lemma_independence_check(oracle, x, p, v, curved_paths, hs=(1e-2, 5e-3, 2.5e
     for j, h in enumerate(hs):
         estimates = []
         for i in range(j * n, j * n + n):
-            [u_h] = _probe_elements(ask, [i], "a restriction")
+            u_h = _probe_element(ask, i, "a restriction")
             omega = group_log(u_h).matrix / h
             estimates.append(pinv @ omega @ p.matrix)
         devs.append(max_spread(estimates))
@@ -341,24 +340,25 @@ def reconstruct_connection(oracle, grid, h, group):
     """Recover the coefficient table A_mu(x_i) = -Omega(e_mu) from any
     transport oracle, at p = I, over the given grid of chart points.
 
-    Every probe of the table is built first, point by point and e_1..e_n
-    at each, and asked for through transport._asker: an oracle with a many
-    method (engine_oracle's) answers them all in one call, any other is
-    asked probe by probe as the walk below reaches them.  Grid points where
-    the oracle errors, or whose D = U(+h) U(-h)^-1 lies outside the log's
-    principal branch, are dropped and reported, never interpolated: each
-    pair is branch-tested as it arrives (_differences).  The differences of
+    Every probe of the table is built first, point by point and one
+    straight probe from x - h e_mu to x + h e_mu for each of e_1..e_n, and
+    asked for through transport._asker: an oracle with a many method
+    (engine_oracle's) answers them all in one call, any other is asked
+    probe by probe as the walk below reaches them.  Grid points where the
+    oracle errors, or whose D = P(x - h e_mu -> x + h e_mu) lies outside
+    the log's principal branch, are dropped and reported, never
+    interpolated: each probe is branch-tested as it arrives
+    (_differences).  The differences of
     the points kept are then validated, and their logs taken, as one
     stack.  An h outside [1e-6, 1e-2] raises OutOfRangeError before
     anything is asked, also on an empty grid.
     """
     _check_step(h)
-    ask = _asker(oracle, [probe for x in grid for mu in range(x.dim)
-                          for probe in _probes(x, _axis(x.dim, mu), h)])
+    ask = _asker(oracle, [probe for x in grid for probe in _probes(x, np.eye(x.dim).tolist(), h)])
     formed, keys, dropped = [], [], []
     end = 0
     for idx, x in enumerate(grid):
-        start, end = end, end + 2 * x.dim
+        start, end = end, end + x.dim
         try:
             formed += _differences(ask, start, end)
         except (OracleFailureError, OutOfBranchError) as err:

@@ -1,14 +1,18 @@
 """Independent numerical oracles used by the tests.
 
 Deliberately dumb implementations: brute-force Taylor series, Jacobi
-rotations, trapezoid quadrature, central differences, and tree walkers of
-the expression DSL (a plain one and one with forward-mode dual numbers).
-They share no code with the package paths they check.
+rotations, trapezoid quadrature, central differences, tree walkers of
+the expression DSL (a plain one and one with forward-mode dual numbers),
+and the two-probe symmetric difference of a lifted velocity.  They share
+no code with the package paths they check; the two-probe lift builds its
+paths with the DSL and asks whatever oracle it is given.
 """
 
 import numpy as np
 
 from holonome.errors import DomainError
+from holonome.exprs import lit, var
+from holonome.paths import path_from_exprs
 
 
 def taylor_expm(m, terms=30):
@@ -82,6 +86,33 @@ def abelian_loop_exponent(a_funcs, curve, curve_dot, steps=100_000):
     return total / steps
 
 
+
+
+def series_logm(m, terms=200):
+    """Principal log of a matrix near I by the series of log(I + X)."""
+    x = np.asarray(m, dtype=float) - np.eye(len(m))
+    acc = np.zeros_like(x)
+    term = np.eye(len(m))
+    for i in range(1, terms + 1):
+        term = term @ x
+        acc = acc + (-1.0) ** (i + 1) * term / i
+        if np.max(np.abs(term)) < 1e-18:
+            break
+    return acc
+
+
+def two_probe_lift(oracle, x, v, h, p):
+    """The vertical part at the bundle point (x, p) of the lift of v, by the
+    two-probe symmetric difference: U(+h) and U(-h) are the oracle's
+    answers for the straight paths x + t h v and x - t h v, and the part is
+    p^-1 log(U(+h) U(-h)^-1) p / (2h).  x is a ChartPoint, p a matrix."""
+    def probe(step):
+        coords = [lit(xi) + lit(step * vi) * var(0) for xi, vi in zip(x.coords, v)]
+        return oracle(path_from_exprs(x.chart_id, coords)).g.matrix
+
+    d = probe(h) @ np.linalg.inv(probe(-h))
+    p = np.asarray(p, dtype=float)
+    return np.linalg.inv(p) @ series_logm(d) @ p / (2.0 * h)
 
 
 def walk(ast, X):

@@ -14,7 +14,7 @@ _NAMES = (
     "GroupElement SO(3)",
     "frobenius",
     "_check_branch",
-    "_difference",
+    "_probes",
     "Segment.point_at arc",
 )
 

@@ -7,22 +7,39 @@ tests), on the box [-1.5, 1.5]^2.  Over those connections transport is
 multiplicative over random splits, P(gamma^-1) P(gamma) = I, transport is
 invariant under reparametrization, the holonomy of a loop based at x0
 conjugates as g(x0)^-1 H g(x0) under a random gauge g, and the round trip
-A -> P -> A recovers every coefficient within C h^2.
+A -> P -> A recovers every coefficient within C h^2.  The one centred probe
+of a table, lift_vector and horizontal_space gives the two-probe symmetric
+difference to roundoff, on these connections and on the builtins.
 """
 
 import numpy as np
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from holonome.connection import ChartSpec, ConnectionForm, ExprMatrixFunction, gauge_transform
+from holonome.connection import (
+    ChartSpec,
+    ConnectionForm,
+    ExprMatrixFunction,
+    builtin_connection,
+    gauge_transform,
+)
 from holonome.exprs import lit, parse, var
 from holonome.exprs import sin as esin
-from holonome.groups import StructureGroup, frobenius, so2_generator, so3_basis
+from holonome.groups import (
+    AlgebraElement,
+    StructureGroup,
+    frobenius,
+    group_exp,
+    identity_element,
+    so2_generator,
+    so3_basis,
+)
 from holonome.holonomy import holonomy
-from holonome.paths import ChartPoint, arc_path, reparametrize, reverse_path, subpath
-from holonome.reconstruction import reconstruct_connection
+from holonome.paths import ChartPoint, TangentVector, arc_path, reparametrize, reverse_path, subpath
+from holonome.reconstruction import horizontal_space, lift_vector, reconstruct_connection
 from holonome.transport import SolverConfig, engine_oracle, transport_many
 
+from oracles import two_probe_lift
 from test_gauge_covariance import angles, gauges
 
 CFG = SolverConfig(h=1e-3)
@@ -133,3 +150,43 @@ def test_round_trip_recovers_random_connections(conn, corners):
         for (i, mu), a in table.entries.items():
             want = conn.charts[0].coefficients[mu].at(grid[i].coords)
             assert frobenius(a - want) <= ROUNDTRIP_C * h * h
+
+
+PROBE_BUILTINS = (
+    "flat-so2", "abelian-area(1.5)", "constant-so3", "levi-civita-s2-stereo", "pure-gauge",
+)
+
+
+@seed(20261112)
+@settings(max_examples=30, deadline=None)
+@given(
+    st.one_of(st.sampled_from(PROBE_BUILTINS).map(builtin_connection), connections()),
+    st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+    st.floats(1e-6, 1e-2),
+    st.integers(0, 2**32 - 1),
+)
+def test_one_centred_probe_is_the_two_probe_difference(conn, at_and_v, h, p_seed):
+    """A table's entries, lift_vector and horizontal_space (at p = I and at
+    a random p != I), each from one probe x - hv -> x + hv, equal the
+    two-probe estimate log(U(+h) U(-h)^-1) / (2h) within 1e-14 / h, on
+    the builtins and on random connections, with h in [1e-6, 1e-2].  The
+    bound is the roundoff of a unit matrix, about 1e-16, divided by 2h,
+    with room; the gap measured 1.3e-16 / h at most."""
+    oracle = engine_oracle(conn, SolverConfig(h=0.02))
+    group, k = conn.group, conn.group.k
+    x, v = ChartPoint(0, at_and_v[:2]), np.array(at_and_v[2:])
+    bound = 1e-14 / h
+    table = reconstruct_connection(oracle, [x], h, group)
+    assert not table.dropped
+    for mu in range(2):
+        want = -two_probe_lift(oracle, x, np.eye(2)[mu], h, np.eye(k))
+        assert frobenius(table.entries[(0, mu)] - want) <= bound
+    a = np.random.default_rng(p_seed).normal(size=(k, k))
+    for p in (identity_element(group), group_exp(AlgebraElement(0.5 * (a - a.T), group))):
+        basis = horizontal_space(oracle, x, p, h)
+        for mu, lv in enumerate(basis.lifts):
+            want = two_probe_lift(oracle, x, np.eye(2)[mu], h, p.matrix)
+            assert frobenius(lv.vertical_part.matrix - want) <= bound
+        lv = lift_vector(oracle, x, p, TangentVector(x, v), h)
+        want = two_probe_lift(oracle, x, v, h, p.matrix)
+        assert frobenius(lv.vertical_part.matrix - want) <= bound

@@ -41,6 +41,7 @@ from holonome.paths import (
     Segment,
     TangentVector,
     arc_path,
+    box_grid,
     line_path,
     path_from_exprs,
     path_point,
@@ -360,16 +361,21 @@ def test_reconstruct_drops_edge_points():
     assert (0, 0) in table.entries and (1, 0) not in table.entries
 
 
+def centred_on(gamma, x):
+    """Whether the path passes through the point x at u = 1/2, to roundoff:
+    the centre of a probe from x - hv to x + hv."""
+    return np.max(np.abs(path_point(gamma, 0.5).coords - x)) <= 1e-12
+
+
 class RecordingOracle:
     """A black-box oracle over the engine that records every probe path it
-    is asked for, and refuses the probes that start at a refused point."""
+    is asked for, and refuses the probes centred on a refused point."""
 
     def __init__(self, conn, refused=None):
         self.conn, self.refused, self.seen = conn, refused, []
 
     def check(self, gamma):
-        start = path_point(gamma, 0.0).coords
-        if self.refused is not None and np.array_equal(start, self.refused):
+        if self.refused is not None and centred_on(gamma, self.refused):
             raise ValueError(f"no data at {self.refused.tolist()}")
 
     def __call__(self, gamma):
@@ -401,26 +407,29 @@ def table_bits(table):
 def test_many_oracle_sees_the_probes_of_the_per_point_loop():
     """An oracle with a many method is asked for the same probe paths, in
     the same order, as the per-point loop asks a one-path oracle for them,
-    and the two tables match bit for bit."""
+    and the two tables match bit for bit: one probe per point and axis."""
     conn = builtin_connection("constant-so3")
     grid = grid_points([-1, -1], [1, 1], 3)
     loop, batch = RecordingOracle(conn), RecordingManyOracle(conn)
     want = reconstruct_connection(loop, grid, 1e-3, SO3)
     got = reconstruct_connection(batch, grid, 1e-3, SO3)
-    assert len(loop.seen) == 4 * len(grid)
+    assert loop.seen == probe_sequence([(x, mu) for x in grid for mu in range(2)], 1e-3)
     assert batch.many_calls == 1 and batch.seen == loop.seen
     assert table_bits(got) == table_bits(want)
 
 
 def test_probe_failing_inside_many_drops_exactly_its_point():
     """A probe that fails inside many drops its grid point alone, with the
-    reason string the per-point loop gives."""
+    reason string the per-point loop gives; the loop asks for that point's
+    first probe and none after it."""
     conn = builtin_connection("abelian-area(1.5)")
     grid = grid_points([-1, -1], [1, 1], 3)
     refused = grid[4].coords
-    batch = RecordingManyOracle(conn, refused)
-    want = reconstruct_connection(RecordingOracle(conn, refused), grid, 1e-3, SO2)
+    batch, loop = RecordingManyOracle(conn, refused), RecordingOracle(conn, refused)
+    want = reconstruct_connection(loop, grid, 1e-3, SO2)
     got = reconstruct_connection(batch, grid, 1e-3, SO2)
+    asked = [(x, mu) for i, x in enumerate(grid) for mu in range(1 if i == 4 else 2)]
+    assert loop.seen == probe_sequence(asked, 1e-3)
     assert batch.many_calls == 1
     assert [x for x, _ in got.dropped] == [grid[4]]
     assert got.dropped[0][1] == "oracle failed on a probe path: no data at [0.0, 0.0]"
@@ -552,7 +561,7 @@ def test_roundtrip_levi_civita_second_order():
     assert report.passed
 
 
-# --- the principal branch, tested pair by pair --------------------------------
+# --- the principal branch, tested probe by probe ------------------------------
 
 def steep_connection():
     """SO(2) with A_1 = 50 x1^2 J and A_2 = 50 x2^2 J: at h = 1e-2 the
@@ -568,22 +577,47 @@ def steep_connection():
     return ConnectionForm(SO2, (ChartSpec(0, 2, [-2, -2], [2, 2], coeffs),))
 
 
+def test_roundtrip_report_skips_the_points_its_tables_drop():
+    """On the steep connection at h = 1e-2, the probes at x1 = +-1 or
+    x2 = +-1 of roundtrip_report's default 5 x 5 grid on [-1, 1]^2 leave
+    the principal branch, and those 16 points drop.  The report's error at
+    that h is the worst over the 9 points kept; at the smaller steps no
+    point drops."""
+    conn = steep_connection()
+    hs = (1e-2, 5e-3, 2.5e-3)
+    report = roundtrip_report(conn, hs=hs)
+    grid = box_grid(0, [-1.0, -1.0], [1.0, 1.0], 5)
+    edge = [x.coords.tolist() for x in grid if np.max(np.abs(x.coords)) == 1.0]
+    oracle = engine_oracle(conn, SolverConfig(h=0.02))
+    for h, error in zip(hs, report.errors):
+        table = reconstruct_connection(oracle, grid, h, SO2)
+        assert [x.coords.tolist() for x, _ in table.dropped] == (edge if h == 1e-2 else [])
+        assert len(table.entries) == 2 * (len(grid) - len(table.dropped))
+        worst = max(
+            frobenius(a - conn.charts[0].coefficients[mu].at(grid[i].coords))
+            for (i, mu), a in table.entries.items()
+        )
+        assert error == worst
+    assert np.isfinite(report.final_error)
+
+
 def probe_sequence(points_and_dirs, h):
-    """The straight probes x + t h e_mu and x - t h e_mu of each (x, mu),
-    in order, as the reconstruction builds them."""
+    """The straight probe a + b u from a = x - h e_mu to x + h e_mu, with
+    b = 2 h e_mu, of each (x, mu), in order, as the reconstruction builds
+    them."""
     out = []
     for x, mu in points_and_dirs:
-        for step in (h, -h):
-            coords = [lit(xi) + lit(step * float(i == mu)) * var(0) for i, xi in enumerate(x.coords)]
-            out.append(path_from_exprs(x.chart_id, coords))
+        e = np.eye(x.dim)[mu]
+        coords = [lit(xi - h * ei) + lit(2.0 * h * ei) * var(0) for xi, ei in zip(x.coords, e)]
+        out.append(path_from_exprs(x.chart_id, coords))
     return out
 
 
 def test_out_of_branch_points_drop_on_both_routes():
-    """A grid point whose probe difference leaves the principal branch is
-    dropped with the branch reason on the per-point loop and on the many
-    route.  The loop stops asking for a point's probes at the direction
-    that leaves the branch, and the two tables match byte for byte."""
+    """A grid point whose probe leaves the principal branch is dropped with
+    the branch reason on the per-point loop and on the many route.  The
+    loop stops asking for a point's probes at the direction that leaves
+    the branch, and the two tables match byte for byte."""
     conn = steep_connection()
     grid = [ChartPoint(0, c) for c in ([0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5])]
     loop, batch = RecordingOracle(conn), RecordingManyOracle(conn)
@@ -592,7 +626,7 @@ def test_out_of_branch_points_drop_on_both_routes():
     asked = [(grid[0], 0), (grid[0], 1), (grid[1], 0), (grid[2], 0), (grid[2], 1),
              (grid[3], 0), (grid[3], 1)]
     assert loop.seen == probe_sequence(asked, 1e-2)
-    assert batch.many_calls == 1 and len(batch.seen) == 4 * len(grid)
+    assert batch.many_calls == 1 and len(batch.seen) == 2 * len(grid)
     assert [x for x, _ in got.dropped] == [grid[1], grid[2]]
     for _, reason in got.dropped:
         assert re.fullmatch(r"\|\|g - I\|\|_F = 1\.3\d\d >= 1: outside the principal branch", reason)
@@ -656,19 +690,17 @@ class ShortManyOracle(RecordingOracle):
 
 def lazy_probe_sequence(conn, grid, refused, h):
     """The probes a one-path oracle must see: point by point and e_1..e_n at
-    each, the +h probe then the -h probe, stopping at a point's first pair
-    that is refused (at its +h probe) or whose difference leaves the
-    principal branch."""
+    each, one probe from x - h e_mu to x + h e_mu, stopping at a point's
+    first probe that is refused or whose answer leaves the principal
+    branch."""
     asked = []
     for x in grid:
         for mu in range(x.dim):
-            plus, minus = probe_sequence([(x, mu)], h)
-            asked.append(plus)
+            [probe] = probe_sequence([(x, mu)], h)
+            asked.append(probe)
             if refused is not None and np.array_equal(x.coords, refused):
                 break
-            asked.append(minus)
-            d = transport(conn, plus, CFG).g.matrix @ transport(conn, minus, CFG).g.matrix.T
-            if frobenius(d - np.eye(2)) >= 1.0:
+            if frobenius(transport(conn, probe, CFG).g.matrix - np.eye(2)) >= 1.0:
                 break
     return asked
 
@@ -691,9 +723,9 @@ def table_outputs(table):
 )
 def test_every_oracle_kind_gives_the_same_table(coords, refused_at):
     """For random grids on the steep connection at h = 1e-2, with points
-    whose probe difference leaves the principal branch and a point the
-    oracle refuses, a one-path oracle, a many oracle, a many oracle that
-    raises and one that answers a probe short give byte-identical tables,
+    whose probe leaves the principal branch and a point the oracle
+    refuses, a one-path oracle, a many oracle, a many oracle that raises
+    and one that answers a probe short give byte-identical tables,
     CSVs and dropped reasons.  The many oracle gets every probe in one call
     (its refusal raises out of many, so it is then asked path by path), and
     every oracle asked path by path sees exactly the lazy probe sequence."""
@@ -713,10 +745,10 @@ def test_every_oracle_kind_gives_the_same_table(coords, refused_at):
 
 
 def test_lift_and_lemma_ask_engine_oracle_in_one_many_call():
-    """lift_vector asks engine_oracle for its probe pair, horizontal_space
-    for the probe pairs of every direction, and lemma_independence_check
-    for all its restrictions, in one many call each, with the results of
-    the path-by-path oracle bit for bit."""
+    """lift_vector asks engine_oracle for its probe, horizontal_space for
+    the probe of every direction, and lemma_independence_check for all its
+    restrictions, in one many call each, with the results of the
+    path-by-path oracle bit for bit."""
     conn = builtin_connection("levi-civita-s2-stereo")
     x, v = np.array([0.4, -0.3]), np.array([1.0, 0.5])
     at, p = ChartPoint(0, x), group_exp(AlgebraElement(0.3 * J, SO2))
@@ -771,11 +803,12 @@ _coords = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
     st.floats(1e-6, 1e-2),
 )
 def test_table_asks_the_straight_probes_along_each_axis(points, h):
-    """A table asks, in order, for the probes x + t h e_mu and x - t h e_mu
+    """A table asks, in order, for one probe from x - h e_mu to x + h e_mu
     of each point and axis: one segment over [0, 1] whose coordinate ASTs
-    are lit(x_i) + lit(b_i)*x1 with b = +-h e_mu as numpy computes it
-    (compared by repr, so a -0.0 off the axis counts), and whose _line
-    holds the bytes a fresh Segment parses from those coordinates."""
+    are lit(a_i) + lit(b_i)*x1 with a = x - h e_mu and b = 2 h e_mu as
+    numpy computes them (compared by repr, so a -0.0 coordinate off the
+    axis counts), and whose _line holds the bytes a fresh Segment parses
+    from those coordinates."""
     grid = [ChartPoint(2, p) for p in points]
     asked = []
 
@@ -784,13 +817,13 @@ def test_table_asks_the_straight_probes_along_each_axis(points, h):
         return SimpleNamespace(g=identity_element(SO2))
 
     reconstruct_connection(oracle, grid, h, SO2)
-    want = [(x, step * np.eye(x.dim)[mu]) for x in grid for mu in range(x.dim) for step in (h, -h)]
+    want = [(x, x.coords - h * e, 2.0 * h * e) for x in grid for e in np.eye(x.dim)]
     assert len(asked) == len(want)
-    for got, (x, b) in zip(asked, want):
+    for got, (x, a, b) in zip(asked, want):
         [seg] = got.segments
         assert (seg.chart_id, seg.t0, seg.t1) == (x.chart_id, 0.0, 1.0)
         ast = [("add", ("num", float(ai)), ("mul", ("num", float(bi)), ("var", 0)))
-               for ai, bi in zip(x.coords, b)]
+               for ai, bi in zip(a, b)]
         assert repr([c.ast for c in seg.coords]) == repr(ast)
         fresh = Segment(seg.chart_id, seg.coords, 0.0, 1.0)._line
         assert np.array(seg._line).tobytes() == np.array(fresh).tobytes()
@@ -832,10 +865,10 @@ def test_horizontal_space_is_lift_vector_per_axis_bit_for_bit(name):
                 assert lv.vertical_part.matrix.tobytes() == one.vertical_part.matrix.tobytes()
 
 
-def test_lifts_ask_every_pair_before_any_log(monkeypatch):
-    """horizontal_space asks a path-by-path oracle for the probes of every
-    direction, in order, before it takes the logs of their differences as
-    one stack."""
+def test_lifts_ask_every_probe_before_any_log(monkeypatch):
+    """horizontal_space asks a path-by-path oracle for the one probe of
+    every direction, in order, before it takes the logs of their answers
+    as one stack."""
     conn = builtin_connection("abelian-area(1.5)")
     x = ChartPoint(0, [0.3, -0.2])
     oracle = RecordingOracle(conn)
@@ -848,14 +881,14 @@ def test_lifts_ask_every_pair_before_any_log(monkeypatch):
 
     monkeypatch.setattr(reconstruction, "_algebra_logs", recording)
     horizontal_space(oracle, x, identity_element(SO2), 1e-3)
-    assert asked_at_log == [(4, 2)]
+    assert asked_at_log == [(2, 2)]
     assert oracle.seen == probe_sequence([(x, 0), (x, 1)], 1e-3)
 
 
-def test_lifts_stop_at_the_first_pair_off_the_branch():
-    """On the steep connection at (1, 0), the first direction's difference
+def test_lifts_stop_at_the_first_probe_off_the_branch():
+    """On the steep connection at (1, 0), the first direction's probe
     leaves the principal branch: horizontal_space raises OutOfBranchError
-    there, and a path-by-path oracle is asked for that pair alone."""
+    there, and a path-by-path oracle is asked for that probe alone."""
     x = ChartPoint(0, [1.0, 0.0])
     oracle = RecordingOracle(steep_connection())
     with pytest.raises(OutOfBranchError, match="outside the principal branch"):
@@ -866,16 +899,20 @@ def test_lifts_stop_at_the_first_pair_off_the_branch():
 def test_an_oracle_that_reports_a_branch_failure_drops_its_point_with_that_reason():
     """An OutOfBranchError that the oracle raises passes through the walk as
     it is: the point drops with the oracle's own reason, not as an oracle
-    failure, and the other points keep their entries."""
+    failure, after its first probe, and the other points keep their
+    entries."""
     conn = builtin_connection("abelian-area(1.5)")
     grid = [ChartPoint(0, c) for c in ([0.0, 0.0], [0.5, 0.5])]
+    asked = []
 
     def oracle(gamma):
-        if np.array_equal(path_point(gamma, 0.0).coords, grid[1].coords):
+        asked.append(gamma)
+        if centred_on(gamma, grid[1].coords):
             raise OutOfBranchError("no principal log here")
         return transport(conn, gamma, CFG)
 
     table = reconstruct_connection(oracle, grid, 1e-3, SO2)
+    assert asked == probe_sequence([(grid[0], 0), (grid[0], 1), (grid[1], 0)], 1e-3)
     assert [(x, reason) for x, reason in table.dropped] == [(grid[1], "no principal log here")]
     assert sorted(table.entries) == [(0, 0), (0, 1)]
 

@@ -449,6 +449,36 @@ def test_cli_trace_csv_lifts_an_so3_arc_with_short_projection_blocks(tmp_path):
     assert np.allclose(last.T @ last, np.eye(3), atol=1e-13)
 
 
+def test_a_holonomy_task_writes_the_trace_of_its_loop(tmp_path):
+    """With trace_csv, a holonomy task writes its lifted loop to
+    trace-NN-holonomy.csv and names it in its result: the trace starts at
+    the loop's basepoint with U = I and ends at the task's holonomy, one
+    row per sample, on the area-law connection where the holonomy of a
+    circle of radius 0.5 turns by 1.5 times its area."""
+    doc = {
+        "version": 1,
+        "connection": {"builtin": "abelian-area(1.5)"},
+        "paths": {"circle": {"segments": [
+            {"chart": 0, "coords": ["0.5*cos(6.283185307179586*x1)",
+                                    "0.5*sin(6.283185307179586*x1)"]}
+        ]}},
+        "solver": {"method": "rk4-fixed", "h": 0.01},
+        "tasks": [{"kind": "transport", "path": "circle"}, {"kind": "holonomy", "loop": "circle"}],
+    }
+    code, report = run_scenario(load_scenario(doc), str(tmp_path), trace_csv=True)
+    assert code == 0
+    result = report["tasks"][1]["result"]
+    assert result["trace_csv"] == "trace-01-holonomy.csv"
+    rows = (tmp_path / result["trace_csv"]).read_text().strip().splitlines()
+    assert rows[0] == "t,chart,x1,x2,U[0][0],U[0][1],U[1][0],U[1][1]"
+    first, last = (np.array(r.split(","), dtype=float) for r in (rows[1], rows[-1]))
+    assert np.array_equal(first[:4], [0.0, 0.0, 0.5, 0.0])
+    assert np.array_equal(first[4:], [1.0, 0.0, 0.0, 1.0])
+    assert last[0] == 1.0 and len(rows) > 100
+    assert np.allclose(last[4:].reshape(2, 2), result["g"]["matrix"], atol=1e-12)
+    assert abs(abs(result["angle"]) - 1.5 * np.pi * 0.25) <= 1e-8
+
+
 def test_adaptive_solver_selected_from_scenario(tmp_path):
     doc = copy.deepcopy(MINIMAL)
     doc["connection"] = {"builtin": "constant-so3"}

@@ -12,7 +12,8 @@ calls, all in one process.  The calls:
 - _line_segment, which builds one straight probe path;
 - GroupElement of an SO(2) and of an SO(3) matrix, with its checks;
 - frobenius and _check_branch of a 3x3 matrix;
-- _difference of one SO(3) probe pair, D = U(+h) U(-h)^-1;
+- _probes of one unit vector, which builds its one centred probe path,
+  x - hv -> x + hv;
 - an arc's Segment.point_at, a one-point program run.
 """
 
@@ -37,11 +38,10 @@ def calls(hn):
     e1, e2, e3 = groups.so3_basis()
     r2 = groups.rotation2(0.3)
     r3 = hn.group_exp(hn.AlgebraElement(0.2 * e1 - 0.1 * e2 + 0.3 * e3, so3)).matrix
-    u_plus = hn.GroupElement(r3, so3)
-    u_minus = hn.group_inverse(u_plus)
     line = hn.line_path(hn.ChartPoint(0, [0.1, 0.2]), [0.4, -0.3])
     arc = hn.arc_path(0, (0.0, 0.0), 1.1, 0.4, 2.0)
     coords, step = np.array([0.1, 0.2]), np.array([1e-3, 0.0])
+    at, unit = hn.ChartPoint(0, coords), [[1.0, 0.0]]
     return [
         ("path_point line", lambda: hn.path_point(line, 0.5)),
         ("path_point arc", lambda: hn.path_point(arc, 0.5)),
@@ -50,7 +50,7 @@ def calls(hn):
         ("GroupElement SO(3)", lambda: hn.GroupElement(r3, so3)),
         ("frobenius", lambda: groups.frobenius(r3)),
         ("_check_branch", lambda: groups._check_branch(r3)),
-        ("_difference", lambda: reconstruction._difference(u_plus, u_minus)),
+        ("_probes", lambda: reconstruction._probes(at, unit, 1e-3)),
         ("Segment.point_at arc", lambda: arc.segments[0].point_at(0.3)),
     ]
 
