@@ -12,7 +12,8 @@ is tagged (family, s), and the transport's path evaluation runs the
 family's program once for all of a batch's members of that family (see
 paths.coords_and_velocities).  A member at s = 0 is left untagged and
 runs its own program: diff folds its literal zero factor, so a zero of
-its velocity may carry the other sign.
+its velocity may carry the other sign.  The family keeps that member and
+its compiled program, so a repeated scan compiles nothing.
 """
 
 from __future__ import annotations
@@ -197,16 +198,27 @@ class HomotopyFamily:
         which every member but s = 0 runs in place of its own."""
         return exprs.Program(self.coords, 1)
 
+    @cached_property
+    def _base(self):
+        """gamma_0, kept with the program it compiles, as the family keeps
+        _dual_program: its segment is left untagged, since diff folds a
+        literal zero factor, so at s = 0 a velocity zero may carry another
+        sign than the family's program gives it."""
+        return self._path(0.0)
+
+    def _path(self, s):
+        """gamma_s, untagged."""
+        t = var(0, 1)
+        return path_from_exprs(self.chart_id, [substitute(c, [t, lit(s)]) for c in self.coords])
+
     def member(self, s):
         """The path gamma_s as a PathSpec.  Unless s == 0, its segment is
-        tagged (self, s), so that it runs the family's program."""
-        t = var(0, 1)
-        coords = [substitute(c, [t, lit(s)]) for c in self.coords]
-        gamma = path_from_exprs(self.chart_id, coords)
-        if s != 0.0:
-            # diff folds a literal zero factor, so at s = 0 a velocity zero
-            # may carry another sign than the family's program gives it
-            gamma.segments[0].__dict__["_member"] = (self, float(s))
+        tagged (self, s), so that it runs the family's program; gamma_0 is
+        built once and kept (_base)."""
+        if s == 0.0:
+            return self._base
+        gamma = self._path(s)
+        gamma.segments[0].__dict__["_member"] = (self, float(s))
         return gamma
 
 

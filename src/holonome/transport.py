@@ -20,29 +20,34 @@ It takes the field at the step's start, middle and end, RK4's grid of
 2n + 1 points for n steps, and is the Cayley map of the fourth-order Magnus
 term (Iserles, On Cayley-transform methods for the discretization of
 Lie-group equations, FoCM 2001; Diele, Lopez & Peluso, Adv. Comput. Math.
-1998), with local error -Omega^5/120 (see _step_matrices).  The Cayley map
+1998), with local error -Omega^5/120 (see _steps).  The Cayley map
 sends so(k) into SO(k), so on orthogonal groups every step, every product
 and every partial product lies on the group to roundoff, and nothing is
-projected.  Both methods run one pass per piece: the step matrices of an
-even step count n and of n/2 steps are built from one field evaluation,
-and the difference of their products / 15 is the Richardson estimate of
-the piece's error (Hairer, Norsett & Wanner, Solving ODEs I, II.4).
+projected.  Both methods run one pass per piece: the steps of an even
+step count n and of n/2 steps are built from one field evaluation, and
+the difference of their products / 15 is the Richardson estimate of the
+piece's error (Hairer, Norsett & Wanner, Solving ODEs I, II.4).
 rk4-doubling repeats the pass with n doubled until the estimate meets tol
 and every step is small against the field; each pass takes the previous
 pass's field grid as its even points, and the previous pass's product as
 its n/2-step product.
 
-Products are tree-ordered: the n steps of a pass are multiplied pairwise,
-ceil(log2 n) levels deep.  lift_path takes every partial product of the
-accepted pass of each piece from one prefix scan over its steps
-(Blelloch, Prefix sums and their applications, 1990).
+On SO(2) and U(1) a step is its angle: the Cayley map of wJ is the
+rotation by 2 atan w, and rotations commute, so the product of a pass is
+the rotation by one pairwise sum (np.sum) of its angles, applied to U.
+On every other group the n step matrices of a pass are multiplied
+pairwise, ceil(log2 n) levels deep.  lift_path takes every partial
+product of the accepted pass of each piece from one prefix scan over its
+steps, of the angles or of the matrices (Blelloch, Prefix sums and their
+applications, 1990).
 
 Fields and step matrices are component-major, (k, k, paths, steps): the
 step axis is innermost and each entry (i, j) is one contiguous row, so
 every product of two stacks is one einsum over the rows (_mul).  _product
 and _partial_products index their steps (..., n, k, k), as views of that
-storage.  No SVD, solve or matrix inverse runs on the per-step path of an
-SO(2) or SO(3) transport.
+storage, or (..., n) for angles, whose step axis is contiguous so that
+each path's sum is the same whatever the batch.  No SVD, solve or matrix
+inverse runs on the per-step path of an SO(2) or SO(3) transport.
 
 The integrator carries a leading path axis, and one driver (_drive) runs
 transport, transport_many, lift_path and engine_oracle's many:
@@ -51,7 +56,7 @@ for one pass of one piece at a time.  The driver groups the pending
 passes of all paths by chart, step count and whether they continue a
 doubling, runs each group as batches of one pass (each piece's compiled
 coordinates on the shared grid, one containment test, one run of the
-chart's compiled field, one batched tree product), hands each path its
+chart's compiled field, one batched product), hands each path its
 answer, and validates the finished products as one stack.  A piece that
 leaves its chart is cut by its own path; a batch that raises anything
 else runs again piece by piece, so each path meets its own failure.
@@ -86,6 +91,7 @@ from .groups import (
     _rows,
     frobenius,
     loglog_slope,
+    rotation2,
 )
 from .paths import (
     ChartPoint,
@@ -124,6 +130,7 @@ _CROSSING_TOL = 1e-12
 _MAX_CHART_CHANGES = 8  # per segment: chart exits plus moves
 _JUNCTION_TOL = 1e-10
 _MIN_DOUBLING_STEP = 1e-7
+_EPS = np.finfo(float).eps
 # transport_many splits a group into batches whose field stack M holds at
 # most this many entries (256 KiB).  It fits four SO(2) paths of 1000 steps
 # (8004 entries each), so the lab's scans at h = 1e-3 share the fixed cost
@@ -248,17 +255,22 @@ def _step_count(width, h):
     return n + n % 2
 
 
-def _step_matrices(M, dt, group):
-    """Cayley-Magnus step matrices of the linear ODE U' = -M(t) U from a
+def _steps(M, dt, group):
+    """Cayley-Magnus steps of the linear ODE U' = -M(t) U from a
     component-major (k, k, paths, 2n + 1) field grid, each step taking the
-    field at its start, middle and end point, stored component-major and
-    returned as (paths, n, k, k) views.  With B = -M and the fourth-order
-    Magnus term Omega = (dt/6)(B0 + 4Bh + B1) + (dt^2/12)[B1, B0], each step
-    is the Cayley map (I - W)^-1 (I + W) of W = (Omega - Omega^3/12)/2,
-    which is exp(Omega) up to -Omega^5/120.  On orthogonal groups Omega is
-    built from the skew part of M, so every step lies on SO(k) to
-    roundoff.  SO(2) and SO(3) take closed forms; every other group one
-    batched solve."""
+    field at its start, middle and end point.  With B = -M and the
+    fourth-order Magnus term Omega = (dt/6)(B0 + 4Bh + B1) +
+    (dt^2/12)[B1, B0], each step is the Cayley map (I - W)^-1 (I + W) of
+    W = (Omega - Omega^3/12)/2, which is exp(Omega) up to -Omega^5/120.  On
+    orthogonal groups Omega is built from the skew part of M, so every step
+    lies on SO(k) to roundoff.
+
+    On SO(2) (and U(1)) W = wJ, and its Cayley map is the rotation by
+    2 atan w: the steps are returned as those angles, a C-contiguous
+    (paths, n) stack, so that a pass's product is one pairwise sum
+    (_product).  On other groups they are matrices, stored component-major
+    and returned as (paths, n, k, k) views: SO(3) takes a closed form,
+    every other group one batched solve."""
     k = len(M)
     if group.orthogonal and k in (2, 3):
         # twice the coordinates of the skew part of M, on J or on E1, E2, E3
@@ -272,7 +284,7 @@ def _step_matrices(M, dt, group):
         if k == 3:
             omega += _cross(b[..., 2::2], b[..., 0:-1:2]) * (dt * dt / 48.0)
         w = omega * (0.5 + (omega * omega).sum(axis=0) / 24.0)
-        return _rows(_cayley2(w[0]) if k == 2 else _cayley3(w))
+        return 2.0 * np.arctan(w[0]) if k == 2 else _rows(_cayley3(w))
     eye = np.eye(k)[:, :, None, None]
     if group.orthogonal:
         M = 0.5 * (M - M.swapaxes(0, 1))
@@ -290,19 +302,6 @@ def _cross(a, b):
     for i, j, l in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         np.subtract(a[j] * b[l], a[l] * b[j], out=out[i])
     return out
-
-
-def _cayley2(w):
-    """The component-major Cayley map (I - wJ)^-1 (I + wJ) of a stack of
-    coordinates w: [[1 - w^2, -2w], [2w, 1 - w^2]] / (1 + w^2)."""
-    ww = w * w
-    d = 1.0 / (1.0 + ww)
-    C = np.empty((2, 2) + w.shape)
-    np.multiply(1.0 - ww, d, out=C[0, 0])
-    C[1, 1] = C[0, 0]
-    np.multiply(2.0 * w, d, out=C[1, 0])
-    np.negative(C[1, 0], out=C[0, 1])
-    return C
 
 
 def _cayley3(w):
@@ -367,14 +366,16 @@ def _tree(S):
     return S[..., 0]
 
 
-def _scan(S):
-    """Inclusive ordered prefix products over the last axis of a
-    component-major stack, entry j being S[..., j] @ ... @ S[..., 0]: the
-    Hillis-Steele scan, one einsum per doubling of the reach (Blelloch
-    1990)."""
+def _scan(S, combine):
+    """Inclusive ordered prefix combinations over the last axis of a stack,
+    entry j being combine(S[..., j], ... combine(S[..., 1], S[..., 0])): the
+    Hillis-Steele scan, one combine per doubling of the reach (Blelloch
+    1990).  Each entry combines about log2 n partial results, so a scan
+    of angles by np.add keeps the digits that a running sum (np.cumsum)
+    loses over many steps."""
     d = 1
     while d < S.shape[-1]:
-        S = np.concatenate([S[..., :d], _mul(S[..., d:], S[..., :-d])], axis=-1)
+        S = np.concatenate([S[..., :d], combine(S[..., d:], S[..., :-d])], axis=-1)
         d *= 2
     return S
 
@@ -383,7 +384,11 @@ def _product(S, U):
     """S[..., -1, :, :] @ ... @ S[..., 0, :, :] @ U over the step axis -3,
     the steps multiplied as one pairwise tree.  Leading axes are a batch
     of paths, each treated alone.  The work runs component-major, whatever
-    the layout of S."""
+    the layout of S.  Steps given as SO(2) angles, a (..., n) stack (see
+    _steps), commute: their product is the rotation by their pairwise sum
+    along the contiguous step axis."""
+    if S.ndim < U.ndim:
+        return _rows(rotation2(S.sum(axis=-1))) @ U
     C = _components(S)
     if not C.shape[-1]:
         return U
@@ -392,9 +397,12 @@ def _product(S, U):
 
 def _partial_products(S, U):
     """Every partial product S[..., j, :, :] @ ... @ S[..., 0, :, :] @ U,
-    j < n, as an (..., n, k, k) array: one prefix scan.  U has the leading
-    axes of S."""
-    return _rows(_mul(_scan(_components(S)), _components(U)[..., None]))
+    j < n, as an (..., n, k, k) array: one prefix scan, of the matrices, or
+    of the angles when S holds SO(2) angles.  U has the leading axes of
+    S."""
+    if S.ndim < U.ndim:
+        return _rows(rotation2(_scan(S, np.add))) @ U[..., None, :, :]
+    return _rows(_mul(_scan(_components(S), _mul), _components(U)[..., None]))
 
 
 def _rk4_pass(conn, pieces, n, U, prev=None):
@@ -407,19 +415,19 @@ def _rk4_pass(conn, pieces, n, U, prev=None):
     points and its products as the n/2-step products (bit for bit the
     same: same grid, same step); else they are multiplied here.  Returns
     the n-step products, the Richardson estimates ||U_n - U_{n/2}||_F / 15,
-    the grid points X, the fields M and the (pieces, n, k, k) step
-    matrices."""
+    the grid points X, the fields M and the steps (_steps): (pieces, n)
+    angles on SO(2), else (pieces, n, k, k) matrices."""
     # one step per piece, as a scalar when they all agree, which numpy
     # applies far faster than a broadcast column; the results are the same
     dts = [(piece.t1 - piece.t0) / n for piece in pieces]
     dt = dts[0] if len(set(dts)) == 1 else np.reshape(dts, (-1, 1))
     X, M = _piece_fields(conn, pieces, n, None if prev is None else prev[1:])
-    fine = _step_matrices(M, dt, conn.group)
+    fine = _steps(M, dt, conn.group)
     U_fine = _product(fine, U)
     if prev is not None:
         U_coarse = prev[0]
     else:
-        U_coarse = _product(_step_matrices(M[..., ::2], 2.0 * dt, conn.group), U)
+        U_coarse = _product(_steps(M[..., ::2], 2.0 * dt, conn.group), U)
     est = [frobenius(d) / 15.0 for d in U_fine - U_coarse]
     return U_fine, est, X, M, fine
 
@@ -445,7 +453,9 @@ def _walk(conn, gamma, cfg, U, samples):
     estimate is within tol * max(1, ||U||_F), each pass taking the last
     one's product and field grid as prev, and raises StepUnderflowError at
     a roundoff floor: an estimate below sqrt(eps) * max(1, ||U||_F) that
-    a doubling of small steps fails to halve.  When samples is a list,
+    a doubling of small steps fails to halve, or one at or below
+    eps * max(1, ||U||_F), the products' resolution, against a tol below
+    eps, unless the field is zero.  When samples is a list,
     appends the (t, point, U) of every step after the start, for
     lift_path, from one prefix scan of the accepted pass's steps."""
     start = end = None
@@ -485,19 +495,26 @@ def _walk(conn, gamma, cfg, U, samples):
                     # the estimate reads the error only once every step is
                     # small against the field, |Omega| <= dt max |M|_F <= 1:
                     # two products of larger steps can agree by chance
-                    small = width / n * math.sqrt((M * M).sum(axis=(0, 1)).max()) <= 1.0
+                    field = math.sqrt((M * M).sum(axis=(0, 1)).max())
+                    small = width / n * field <= 1.0
                     scale = max(1.0, frobenius(U_n))
-                    if small and e <= cfg.tol * scale:
+                    # an estimate within the products' resolution eps meets
+                    # no tol below eps, even at 0, unless the field is zero
+                    # and every step is exactly I
+                    resolved = e > _EPS * scale or cfg.tol >= _EPS or not field
+                    if small and resolved and e <= cfg.tol * scale:
                         break
                     # a floor is roundoff, far below sqrt(eps); a larger
                     # estimate that fails to halve is not yet asymptotic (on
                     # SO(k), each step far too large for the field still
                     # turns by less than pi, so two products of such steps
                     # differ by an O(1) rotation however many there are)
-                    if small and e > prev_est / 2.0 and e <= math.sqrt(np.finfo(float).eps) * scale:
+                    if small and (
+                        not resolved or e > prev_est / 2.0 and e <= math.sqrt(_EPS) * scale
+                    ):
                         raise StepUnderflowError(
                             f"doubling cannot meet tol={cfg.tol:g}: the error estimate "
-                            f"{e:.3e} stopped shrinking at {n} steps (roundoff floor)"
+                            f"{e:.3e} reached the roundoff floor at {n} steps"
                         )
                     if width / (2 * n) < _MIN_DOUBLING_STEP:
                         raise StepUnderflowError(
@@ -643,7 +660,7 @@ def transport_many(conn, paths, cfg=None):
     the paths that share a chart and a step count run through one pass of
     the integrator with a leading path axis (one evaluation of their
     coordinates, one containment test, one evaluation of the chart's
-    coefficients, one batched tree product).  When a path fails, raises
+    coefficients, one batched product).  When a path fails, raises
     what transport raises on the first path that fails."""
     return [_answered(res) for res in _drive(conn, list(paths), cfg or SolverConfig())]
 

@@ -1,5 +1,5 @@
 """tools/call_costs.py: microseconds per call of the small calls a probe is
-made of."""
+made of, and of one integrator pass."""
 
 import subprocess
 import sys
@@ -16,6 +16,8 @@ _NAMES = (
     "_check_branch",
     "_probes",
     "Segment.point_at arc",
+    "_rk4_pass SO(2) n=1000",
+    "_rk4_pass SO(3) n=1000",
 )
 
 

@@ -7,7 +7,8 @@ two-chart sphere.  The curvature conjugates, g then g^-1 gives back the
 coefficients, and across the two charts the gauge law holds and the
 holonomy of a loop based on the gauged chart conjugates.  On the gauged
 charts, P(gamma^-1) P(gamma) = I, and the flatness verdict reads FLAT on a
-gauged zero connection and CURVED on the gauged curved ones.
+gauged zero connection and on a gauge-trivial A = dp J built from p, and
+CURVED on the gauged curved ones.
 """
 
 import numpy as np
@@ -18,12 +19,13 @@ from holonome.connection import (
     ChartSpec,
     ConnectionForm,
     ExprMatrixFunction,
+    _so2_chart,
     builtin_connection,
     check_transition_compatibility,
     curvature_at,
     gauge_transform,
 )
-from holonome.exprs import cos, lit, sin, var
+from holonome.exprs import cos, diff, lit, sin, var
 from holonome.groups import StructureGroup, frobenius
 from holonome.holonomy import flatness_verdict, holonomy
 from holonome.paths import ChartPoint, PathSpec, Segment, arc_path
@@ -204,3 +206,16 @@ def test_gauged_curved_connection_is_curved(case):
     conn, chart_id, entries = case
     verdict = flatness_verdict(gauge_transform(conn, entries, chart_id=chart_id))
     assert verdict.verdict == "CURVED", verdict.as_dict()
+
+
+@seed(20261102)
+@settings(max_examples=20, deadline=None)
+@given(angles())
+def test_gauge_trivial_so2_connection_is_flat(p):
+    """A = dp J, each coefficient the exact derivative of a random angle p,
+    is flat, and its holonomies are products of step angles that cancel
+    around every loop: the flatness verdict reads FLAT, never
+    INCONSISTENT."""
+    chart = _so2_chart(0, [-2.0, -2.0], [2.0, 2.0], diff(p, 0), diff(p, 1))
+    verdict = flatness_verdict(ConnectionForm(StructureGroup("SO", 2), (chart,)))
+    assert verdict.verdict == "FLAT", verdict.as_dict()

@@ -5,6 +5,7 @@ import sys
 import warnings
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -65,7 +66,7 @@ from holonome.transport import (
     SolverConfig,
     _partial_products,
     _product,
-    _step_matrices,
+    _steps,
     endpoint_convergence,
     engine_oracle,
     inverse_path_check,
@@ -414,6 +415,17 @@ def test_step_underflow_in_doubling_mode():
         transport(conn, gamma, SolverConfig("rk4-doubling", h=0.05, tol=1e-30))
 
 
+def test_step_underflow_at_the_roundoff_floor_on_the_abelian_arc():
+    """The same arc on abelian-area(1.5), whose exact angle sums take the
+    estimate down to about eps (1.7e-16 at 20480 steps), where it stops
+    halving: tol = 1e-30 is out of reach, and doubling raises at the
+    roundoff floor."""
+    conn = builtin_connection("abelian-area(1.5)")
+    gamma = arc_path(0, [0.0, 0.0], 1.5, 0.0, 3.0)
+    with pytest.raises(StepUnderflowError, match="roundoff floor"):
+        transport(conn, gamma, SolverConfig("rk4-doubling", h=0.05, tol=1e-30))
+
+
 def test_doubling_matches_fixed_step():
     conn = builtin_connection("constant-so3")
     gamma = arc_path(0, [0.0, 0.0], 1.0, 0.0, 3.0)
@@ -712,8 +724,10 @@ def test_closed_form_steps_are_the_cayley_map_on_the_group(k, n, log_dt, rng_see
     group = StructureGroup("SO", k)
     dt = 10.0**log_dt
     M = skew_field_grid(np.random.default_rng(rng_seed), k, n)
-    steps = _step_matrices(M, dt, group)[0]
-    solved = _step_matrices(M, dt, StructureGroup("GL", k))[0]
+    steps = _steps(M, dt, group)[0]
+    if k == 2:  # an SO(2) step comes as its angle
+        steps = [rotation2(angle) for angle in steps]
+    solved = _steps(M, dt, StructureGroup("GL", k))[0]
     B = -np.moveaxis(M[:, :, 0], -1, 0)
     B0, Bh, B1 = B[0:-1:2], B[1::2], B[2::2]
     omega = (dt / 6.0) * (B0 + 4.0 * Bh + B1) + (dt * dt / 12.0) * (B1 @ B0 - B0 @ B1)
@@ -725,6 +739,59 @@ def test_closed_form_steps_are_the_cayley_map_on_the_group(k, n, log_dt, rng_see
         assert np.abs(step - cayley_rotation(w)).max() <= 1e-14
         if frobenius(0.5 * O - O @ O @ O / 24.0) <= 20.0:
             assert np.abs(step - solve).max() <= 1e-14
+
+
+def simpson_grid(rng, n):
+    """A component-major (2, 2, 1, 2n + 1) grid of skew fields of random
+    size, the 2n + 1 Simpson points of n steps."""
+    A = rng.normal(size=(2, 2, 1, 2 * n + 1))
+    return A - A.swapaxes(0, 1)
+
+
+@seed(20261020)
+@settings(max_examples=12, deadline=None)
+@given(
+    st.sampled_from([SO2, StructureGroup("U1", 2)]),
+    st.integers(1, 2 * 10**4),
+    st.floats(0.05, 3.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_angle_product_is_the_product_of_the_cayley_steps(group, n, span, rng_seed):
+    """On SO(2) and U(1) a pass's product is the rotation by the pairwise
+    sum of its step angles.  On random Simpson grids of 1 to 2 10^4 steps
+    spanning a parameter interval of up to 3, it equals the sequential
+    product of the Cayley rotations of the steps within 1e-12, and their
+    product in 40 digits, as unit complex numbers (1 + iw)/(1 - iw),
+    within 1e-15."""
+    rng = np.random.default_rng(rng_seed)
+    M, dt = simpson_grid(rng, n), span / n
+    U = rotation2(rng.uniform(-np.pi, np.pi))
+    got = _product(_steps(M, dt, group), U[None])[0]
+    b = M[1, 0, 0] - M[0, 1, 0]
+    omega = (b[0:-1:2] + 4.0 * b[1::2] + b[2::2]) * (-dt / 12.0)
+    ws = omega * (0.5 + omega * omega / 24.0)
+    assert frobenius(got - sequential_product([cayley_rotation([w]) for w in ws], U)[0]) <= 1e-12
+    with mpmath.workdps(40):
+        z = mpmath.mpc(1)
+        for w in ws:
+            z *= mpmath.mpc(1, w) / mpmath.mpc(1, -w)
+        exact = mpmath.matrix([[z.real, -z.imag], [z.imag, z.real]]) * mpmath.matrix(U.tolist())
+        assert frobenius(got - np.array(exact.tolist(), dtype=float)) <= 1e-15
+
+
+def test_lift_ends_at_the_transport_over_many_steps():
+    """The lift's samples rotate p by the prefix sums of the step angles;
+    over the 10^5 steps of a latitude loop, where a running sum (np.cumsum)
+    drifts by 1.8e-12 from the pass's pairwise sum, the last sample equals
+    transport(...).g @ p within 1e-14."""
+    conn = builtin_connection("levi-civita-s2-stereo")
+    loop = arc_path(0, [0.0, 0.0], 1.5, 0.0, 2.0 * np.pi)
+    cfg = SolverConfig(h=1e-5)
+    p = GroupElement(rotation2(0.7), SO2)
+    lifted = lift_path(conn, loop, p, cfg)
+    assert len(lifted.samples) - 1 == 10**5
+    want = transport(conn, loop, cfg).g.matrix @ p.matrix
+    assert frobenius(lifted.samples[-1][2].matrix - want) <= 1e-14
 
 
 def test_doubling_evaluates_only_the_new_grid_points(monkeypatch):
@@ -749,17 +816,17 @@ def test_doubling_evaluates_only_the_new_grid_points(monkeypatch):
 
 def test_doubling_lift_scans_only_the_accepted_pass(monkeypatch):
     """lift_path under rk4-doubling takes its samples from one prefix scan
-    of the accepted pass's steps: 100 -> 200 -> 400 steps scan 400, not
-    100 + 200 + 400."""
+    of the accepted pass's step angles: 100 -> 200 -> 400 steps scan 400,
+    not 100 + 200 + 400."""
     module = sys.modules["holonome.transport"]
-    original = module._partial_products
+    original = module._scan
     scanned = []
 
-    def counting(S, U):
-        scanned.append(S.shape[-3])
-        return original(S, U)
+    def counting(S, combine):
+        scanned.append(S.shape[-1])
+        return original(S, combine)
 
-    monkeypatch.setattr(module, "_partial_products", counting)
+    monkeypatch.setattr(module, "_scan", counting)
     conn = builtin_connection("levi-civita-s2-stereo")
     loop = arc_path(0, [0.0, 0.0], 0.5, 0.0, 2.0 * np.pi)
     lifted = lift_path(conn, loop, identity_element(SO2), SolverConfig("rk4-doubling", h=1e-2))

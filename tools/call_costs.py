@@ -1,6 +1,6 @@
 """Print the microseconds per call of the small calls that a reconstruction
-probe and a one-point path evaluation are made of, so that two checkouts
-can be compared on their fixed cost per call:
+probe and a one-point path evaluation are made of, and of one integrator
+pass, so that two checkouts can be compared on their cost per call:
 
     python tools/call_costs.py [src-dir] [--repeat N]
 
@@ -14,12 +14,16 @@ calls, all in one process.  The calls:
 - frobenius and _check_branch of a 3x3 matrix;
 - _probes of one unit vector, which builds its one centred probe path,
   x - hv -> x + hv;
-- an arc's Segment.point_at, a one-point program run.
+- an arc's Segment.point_at, a one-point program run;
+- _rk4_pass of one 1000-step arc from the identity, on abelian-area(1.5)
+  (SO(2), whose steps are angles) and on constant-so3(0.8,0.6): the field
+  on 2001 points, then the step and product layer, fine and coarse.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
 import timeit
@@ -34,6 +38,8 @@ def calls(hn):
     import numpy as np
     from holonome import groups, paths, reconstruction
 
+    transport = importlib.import_module("holonome.transport")  # holonome.transport is the function
+
     so2, so3 = hn.StructureGroup("SO", 2), hn.StructureGroup("SO", 3)
     e1, e2, e3 = groups.so3_basis()
     r2 = groups.rotation2(0.3)
@@ -42,6 +48,11 @@ def calls(hn):
     arc = hn.arc_path(0, (0.0, 0.0), 1.1, 0.4, 2.0)
     coords, step = np.array([0.1, 0.2]), np.array([1e-3, 0.0])
     at, unit = hn.ChartPoint(0, coords), [[1.0, 0.0]]
+
+    def rk4_pass(name):
+        conn = hn.builtin_connection(name)
+        return lambda: transport._rk4_pass(conn, arc.segments, 1000, np.eye(conn.group.k)[None])
+
     return [
         ("path_point line", lambda: hn.path_point(line, 0.5)),
         ("path_point arc", lambda: hn.path_point(arc, 0.5)),
@@ -52,6 +63,8 @@ def calls(hn):
         ("_check_branch", lambda: groups._check_branch(r3)),
         ("_probes", lambda: reconstruction._probes(at, unit, 1e-3)),
         ("Segment.point_at arc", lambda: arc.segments[0].point_at(0.3)),
+        ("_rk4_pass SO(2) n=1000", rk4_pass("abelian-area(1.5)")),
+        ("_rk4_pass SO(3) n=1000", rk4_pass("constant-so3(0.8,0.6)")),
     ]
 
 
