@@ -61,6 +61,10 @@ _GAUGE_LAW_TOL = 1e-8  # largest gauge-law defect accepted on an overlap
 _OVERLAP_SAMPLES = 20  # overlap points checked per transition
 _OVERLAP_ATTEMPTS = 500  # candidate points drawn to find them
 _OVERLAP_SEED = 20240615
+# the entries (p, q) whose differences M[p, q] - M[q, p] are twice the
+# coordinates of the skew part of a k x k field, on J for k = 2 and on
+# E1, E2, E3 (groups.so3_basis) for k = 3
+_SKEW_PAIRS = {2: ((1, 0),), 3: ((2, 1), (0, 2), (1, 0))}
 
 
 # --- matrix-valued functions of chart coordinates -------------------------------
@@ -174,13 +178,13 @@ class ChartSpec:
         return np.all((X >= self.lo) & (X <= self.hi), axis=1)
 
     @cached_property
-    def _field(self):
-        """The field program over the coordinates x1..x<dim> and the
-        velocities x<dim+1>..x<2 dim>: one output per entry of
-        M = sum_mu A_mu xdot^mu, row-major, summing the terms of the
-        expression-backed coefficients in mu order and leaving out their
-        zero entries.  Also the (mu, coefficient) pairs of every other
-        coefficient."""
+    def _terms(self):
+        """The entries of M = sum_mu A_mu xdot^mu, row-major, as expressions
+        over the coordinates x1..x<dim> and the velocities
+        x<dim+1>..x<2 dim>: each sums the terms of the expression-backed
+        coefficients in mu order, leaving out their zero entries, and is 0
+        where none is left.  Also the (mu, coefficient) pairs of every
+        other coefficient."""
         dim, k = self.dim, self.coefficients[0].k
         sums = [None] * (k * k)
         others = []
@@ -193,7 +197,23 @@ class ChartSpec:
                 if e.ast[0] == "num" and e.ast[1] == 0.0:
                     continue
                 sums[i] = e * v if sums[i] is None else sums[i] + e * v
-        return exprs.Program([lit(0.0) if s is None else s for s in sums]), tuple(others)
+        return [lit(0.0) if s is None else s for s in sums], tuple(others)
+
+    @cached_property
+    def _field(self):
+        """The field program, one output per entry of M (_terms), and the
+        (mu, coefficient) pairs of every other coefficient."""
+        entries, others = self._terms
+        return exprs.Program(entries), others
+
+    @cached_property
+    def _skew_program(self):
+        """The skew field program on SO(2) and SO(3): output i is the
+        difference M[p, q] - M[q, p] of the two entries' sums (_terms), for
+        the i-th pair (p, q) of _SKEW_PAIRS."""
+        entries, _ = self._terms
+        k = self.coefficients[0].k
+        return exprs.Program([entries[p * k + q] - entries[q * k + p] for p, q in _SKEW_PAIRS[k]])
 
     @cached_property
     def _homotopy_families(self):
@@ -217,6 +237,24 @@ class ChartSpec:
         exprs._finite_or_raise(rows)
         for mu, f in others:
             out += np.moveaxis(f.value(X.T), 0, -1) * V[mu]
+
+    def _skew_field(self, X, V, out):
+        """The skew rows of the field on SO(2) and SO(3), k = 2 or 3: row i
+        of the (r, m) array out, r = 1 or 3, is M[p, q] - M[q, p] for the
+        i-th pair (p, q) of _SKEW_PAIRS, twice the i-th coordinate of the
+        skew part of M on J, or on E1, E2, E3.  They are bit for bit the
+        differences of the rows that field writes, but the skew program
+        evaluates only the entries they read.  A chart with any other
+        coefficient writes the whole field and subtracts."""
+        k = self.coefficients[0].k
+        if self._terms[1]:
+            M = np.empty((k, k, out.shape[-1]))
+            self.field(X, V, M)
+            for row, (p, q) in zip(out, _SKEW_PAIRS[k]):
+                np.subtract(M[p, q], M[q, p], out=row)
+            return
+        self._skew_program.run([*X, *V], out)
+        exprs._finite_or_raise(out)
 
 
 @dataclass(frozen=True)

@@ -216,7 +216,8 @@ def coords_and_velocities(segments, us, out):
     b'/(t1 - t0), where b' is b with a zero of either sign written +0.0,
     as diff folds it.  The members of a homotopy family (Segment._member)
     run their family's program once, on the columns (u, s) of all of them
-    stacked; the others run their compiled programs.
+    stacked; the others run their compiled programs, each straight into
+    its rows of X and V.
     """
     X, V = out
     us = np.asarray(us, dtype=float)
@@ -235,9 +236,10 @@ def coords_and_velocities(segments, us, out):
         if line is None and seg._member is not None:
             families.setdefault(id(seg._member[0]), []).append(p)
         elif line is None:
-            pts, grads = exprs.evaluate_dual_many(seg._dual_program, us[:, None])
-            X[:, p] = pts.T
-            np.divide(grads[:, :, 0].T, seg.t1 - seg.t0, out=V[:, p])
+            seg._dual_program.run([us], [*X[:, p], *V[:, p]])
+            exprs._finite_or_raise(X[:, p])
+            exprs._finite_or_raise(V[:, p])
+            V[:, p] /= seg.t1 - seg.t0
     for at in families.values():
         family = segments[at[0]]._member[0]
         s = [segments[p]._member[1] for p in at]

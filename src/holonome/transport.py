@@ -43,10 +43,13 @@ applications, 1990).
 
 Fields and step matrices are component-major, (k, k, paths, steps): the
 step axis is innermost and each entry (i, j) is one contiguous row, so
-every product of two stacks is one einsum over the rows (_mul).  _product
-and _partial_products index their steps (..., n, k, k), as views of that
-storage, or (..., n) for angles, whose step axis is contiguous so that
-each path's sum is the same whatever the batch.  No SVD, solve or matrix
+every product of two stacks is one einsum over the rows (_mul).  On
+SO(2), U(1) and SO(3), where a step reads only the skew part of the
+field, a pass keeps the field's skew rows alone, (r, paths, steps) with
+r = 1 or 3 (_piece_fields).  _product and _partial_products index their
+steps (..., n, k, k), as views of that storage, or (..., n) for angles,
+whose step axis is contiguous so that each path's sum is the same
+whatever the batch.  No SVD, solve or matrix
 inverse runs on the per-step path of an SO(2) or SO(3) transport.
 
 The integrator carries a leading path axis, and one driver (_drive) runs
@@ -131,10 +134,12 @@ _MAX_CHART_CHANGES = 8  # per segment: chart exits plus moves
 _JUNCTION_TOL = 1e-10
 _MIN_DOUBLING_STEP = 1e-7
 _EPS = np.finfo(float).eps
-# transport_many splits a group into batches whose field stack M holds at
-# most this many entries (256 KiB).  It fits four SO(2) paths of 1000 steps
-# (8004 entries each), so the lab's scans at h = 1e-3 share the fixed cost
-# of a pass; at 2**13 each such path took a pass alone.  Peak RSS bounds
+# transport_many splits a group into batches of at most this many k x k
+# field entries (256 KiB of a full field stack M), counting k^2 per grid
+# point also where a pass keeps only the skew rows, so that batches are
+# the same on every group.  It fits four SO(2) paths of 1000 steps (8004
+# entries each), so the lab's scans at h = 1e-3 share the fixed cost of a
+# pass; at 2**13 each such path took a pass alone.  Peak RSS bounds
 # it: on the lab_scenarios benchmark, 2**15 read +2.1%, 2**16 +6.1% and
 # 2**17 +14% against 2**13, for -28%, -34% and -36% of op_cost_p50.
 _BATCH_FLOATS = 2**15
@@ -149,9 +154,10 @@ class SolverConfig:
     chart-resident piece takes the smallest even step count n with steps
     <= h in the global path parameter, h in (0, 0.1].  rk4-doubling doubles
     n until the piece's error estimate is <= tol * max(1, ||U||_F), with
-    every step small against the field (dt max ||M||_F <= 1): tol is per
-    piece, not per step, and must be finite and > 0.  est_error sums the
-    estimates for both methods.  project_every (>= 1) is accepted for
+    every step small against the field (dt max ||M||_F <= 1, on SO(2),
+    U(1) and SO(3) the norm of M's skew part): tol is per piece, not per
+    step, and must be finite and > 0.  est_error sums the estimates for
+    both methods.  project_every (>= 1) is accepted for
     schema v1 and changes no result: nothing is projected.
     """
 
@@ -255,34 +261,35 @@ def _step_count(width, h):
     return n + n % 2
 
 
+def _skew(group):
+    """Whether a pass on the group reads only the skew rows of its field
+    (ChartSpec._skew_field): on SO(2), U(1) and SO(3)."""
+    return group.orthogonal and group.k in (2, 3)
+
+
 def _steps(M, dt, group):
     """Cayley-Magnus steps of the linear ODE U' = -M(t) U from a
-    component-major (k, k, paths, 2n + 1) field grid, each step taking the
-    field at its start, middle and end point.  With B = -M and the
-    fourth-order Magnus term Omega = (dt/6)(B0 + 4Bh + B1) +
-    (dt^2/12)[B1, B0], each step is the Cayley map (I - W)^-1 (I + W) of
-    W = (Omega - Omega^3/12)/2, which is exp(Omega) up to -Omega^5/120.  On
-    orthogonal groups Omega is built from the skew part of M, so every step
-    lies on SO(k) to roundoff.
+    component-major field grid (_piece_fields), each step taking the field
+    at its start, middle and end point.  With B = -M and the fourth-order
+    Magnus term Omega = (dt/6)(B0 + 4Bh + B1) + (dt^2/12)[B1, B0], each
+    step is the Cayley map (I - W)^-1 (I + W) of W = (Omega - Omega^3/12)/2,
+    which is exp(Omega) up to -Omega^5/120.  On orthogonal groups Omega is
+    built from the skew part of M, so every step lies on SO(k) to roundoff.
 
-    On SO(2) (and U(1)) W = wJ, and its Cayley map is the rotation by
-    2 atan w: the steps are returned as those angles, a C-contiguous
-    (paths, n) stack, so that a pass's product is one pairwise sum
-    (_product).  On other groups they are matrices, stored component-major
-    and returned as (paths, n, k, k) views: SO(3) takes a closed form,
-    every other group one batched solve."""
-    k = len(M)
-    if group.orthogonal and k in (2, 3):
-        # twice the coordinates of the skew part of M, on J or on E1, E2, E3
-        if k == 2:
-            b = (M[1, 0] - M[0, 1])[None]
-        else:
-            b = np.empty((3,) + M.shape[2:])
-            for i, (p, q) in enumerate(((2, 1), (0, 2), (1, 0))):
-                np.subtract(M[p, q], M[q, p], out=b[i])
-        omega = (b[..., 0:-1:2] + 4.0 * b[..., 1::2] + b[..., 2::2]) * (-dt / 12.0)
+    On SO(2), U(1) and SO(3) the grid is the (r, paths, 2n + 1) stack of
+    skew rows b = M[p, q] - M[q, p], r = 1 or 3, twice the coordinates of
+    the skew part of M on J or on E1, E2, E3.  On SO(2) (and U(1)) W = wJ,
+    and its Cayley map is the rotation by 2 atan w: the steps are returned
+    as those angles, a C-contiguous (paths, n) stack, so that a pass's
+    product is one pairwise sum (_product).  On other groups the grid is
+    M itself, (k, k, paths, 2n + 1), and the steps are matrices, stored
+    component-major and returned as (paths, n, k, k) views: SO(3) takes a
+    closed form, every other group one batched solve."""
+    k = group.k
+    if _skew(group):  # M holds the skew rows b
+        omega = (M[..., 0:-1:2] + 4.0 * M[..., 1::2] + M[..., 2::2]) * (-dt / 12.0)
         if k == 3:
-            omega += _cross(b[..., 2::2], b[..., 0:-1:2]) * (dt * dt / 48.0)
+            omega += _cross(M[..., 2::2], M[..., 0:-1:2]) * (dt * dt / 48.0)
         w = omega * (0.5 + (omega * omega).sum(axis=0) / 24.0)
         return 2.0 * np.arctan(w[0]) if k == 2 else _rows(_cayley3(w))
     eye = np.eye(k)[:, :, None, None]
@@ -321,14 +328,17 @@ def _cayley3(w):
 
 
 def _piece_fields(conn, pieces, n, prev=None):
-    """Grid points X and fields M(t) = sum_mu A_mu(x(t)) xdot^mu(t), both
-    component-major, (dim, pieces, 2n + 1) and (k, k, pieces, 2n + 1), on
-    the 2n + 1 local parameters that n steps need, for pieces (Segments)
-    that share one chart.  Each piece's compiled coordinates and
-    velocities, one containment test and one run of the chart's compiled
-    field, which writes every entry of M as one row, cover the whole
-    stack.  prev, the (X, M) of the n/2-step grids, supplies the even
-    points: np.linspace nests, so only the odd points are evaluated.
+    """Grid points X, (dim, pieces, 2n + 1), and the field grid M on them,
+    both component-major, on the 2n + 1 local parameters that n steps
+    need, for pieces (Segments) that share one chart.  M is what the steps
+    read (_steps) of M(t) = sum_mu A_mu(x(t)) xdot^mu(t): its skew rows,
+    (r, pieces, 2n + 1) with r = 1 or 3, on SO(2), U(1) and SO(3)
+    (ChartSpec._skew_field), else all of it, (k, k, pieces, 2n + 1).  The
+    pieces' compiled coordinates and velocities, written in place, one
+    containment test and one run of the chart's compiled field, which
+    writes each row of M, cover the whole stack.  prev, the (X, M) of the
+    n/2-step grids, supplies the even points: np.linspace nests, so only
+    the odd points are evaluated.
 
     Raises _ChartExit, before any coefficient is evaluated, when a grid
     point lies off the chart."""
@@ -346,14 +356,25 @@ def _piece_fields(conn, pieces, n, prev=None):
         # a start outside (the first grid point) reads ts[0], not ts[-1]
         u_in, u_out = ts[np.maximum(i - 1, 0)], ts[i]
         raise _ChartExit({p: (u_in[p], u_out[p]) for p in np.flatnonzero(~inside.all(axis=1))})
-    M_new = np.empty((k, k, P, m))
-    chart.field(X_new.reshape(dim, -1), V.reshape(dim, -1), M_new.reshape(k, k, -1))
+    rows = (k * (k - 1) // 2,) if _skew(conn.group) else (k, k)
+    M_new = np.empty(rows + (P, m))
+    fill = chart._skew_field if len(rows) == 1 else chart.field
+    fill(X_new.reshape(dim, -1), V.reshape(dim, -1), M_new.reshape(rows + (-1,)))
     if prev is None:
         return X_new, M_new
     X = np.empty((dim, P, len(ts)))
-    M = np.empty((k, k, P, len(ts)))
+    M = np.empty(rows + (P, len(ts)))
     (X[..., 0::2], M[..., 0::2]), X[..., 1::2], M[..., 1::2] = prev, X_new, M_new
     return X, M
+
+
+def _field_norm(M):
+    """max_t ||M(t)||_F over one path's field grid (_piece_fields): on skew
+    rows b, (r, 2n + 1), the norm of M's skew part, sqrt(sum b^2 / 2),
+    which is ||M||_F itself when M is skew."""
+    if M.ndim == 2:
+        return math.sqrt((M * M).sum(axis=0).max() / 2.0)
+    return math.sqrt((M * M).sum(axis=(0, 1)).max())
 
 
 def _tree(S):
@@ -415,8 +436,9 @@ def _rk4_pass(conn, pieces, n, U, prev=None):
     points and its products as the n/2-step products (bit for bit the
     same: same grid, same step); else they are multiplied here.  Returns
     the n-step products, the Richardson estimates ||U_n - U_{n/2}||_F / 15,
-    the grid points X, the fields M and the steps (_steps): (pieces, n)
-    angles on SO(2), else (pieces, n, k, k) matrices."""
+    the grid points X, the field grid M (_piece_fields) and the steps
+    (_steps): (pieces, n) angles on SO(2), else (pieces, n, k, k)
+    matrices."""
     # one step per piece, as a scalar when they all agree, which numpy
     # applies far faster than a broadcast column; the results are the same
     dts = [(piece.t1 - piece.t0) / n for piece in pieces]
@@ -495,7 +517,7 @@ def _walk(conn, gamma, cfg, U, samples):
                     # the estimate reads the error only once every step is
                     # small against the field, |Omega| <= dt max |M|_F <= 1:
                     # two products of larger steps can agree by chance
-                    field = math.sqrt((M * M).sum(axis=(0, 1)).max())
+                    field = _field_norm(M)
                     small = width / n * field <= 1.0
                     scale = max(1.0, frobenius(U_n))
                     # an estimate within the products' resolution eps meets
@@ -592,7 +614,7 @@ def _drive(conn, paths, cfg, samples=None):
             prevs = [ask[4] for ask in batch]
             prev = None
             if prevs[0] is not None:
-                prev = tuple(np.stack(part, axis) for part, axis in zip(zip(*prevs), (0, 1, 2)))
+                prev = tuple(np.stack(part, axis) for part, axis in zip(zip(*prevs), (0, -2, -2)))
             try:
                 U_n, est, X, M, steps = _rk4_pass(conn, pieces, batch[0][2], U, prev)
             except _ChartExit as exit_:
@@ -610,7 +632,7 @@ def _drive(conn, paths, cfg, samples=None):
                 continue
             firsts = _chart_points(pieces[0].chart_id, X[:, :, 0].T)
             lasts = _chart_points(pieces[0].chart_id, X[:, :, -1].T)
-            grids = X.swapaxes(0, 1), M.transpose(2, 0, 1, 3)
+            grids = np.moveaxis(X, -2, 0), np.moveaxis(M, -2, 0)
             for (i, *_), reply in zip(batch, zip(U_n, est, firsts, lasts, *grids, steps)):
                 advance(i, walks[i].send, reply)
 

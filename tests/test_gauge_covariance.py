@@ -7,8 +7,10 @@ two-chart sphere.  The curvature conjugates, g then g^-1 gives back the
 coefficients, and across the two charts the gauge law holds and the
 holonomy of a loop based on the gauged chart conjugates.  On the gauged
 charts, P(gamma^-1) P(gamma) = I, and the flatness verdict reads FLAT on a
-gauged zero connection and on a gauge-trivial A = dp J built from p, and
-CURVED on the gauged curved ones.
+gauged zero connection and on a gauge-trivial A = dp J built from p (and
+A = dp E3 on SO(3), p a cubic), and CURVED on the gauged curved ones.  On
+a three-chart atlas, a gauge on one chart keeps the transitions that do
+not touch it.
 """
 
 import numpy as np
@@ -19,6 +21,7 @@ from holonome.connection import (
     ChartSpec,
     ConnectionForm,
     ExprMatrixFunction,
+    Transition,
     _so2_chart,
     builtin_connection,
     check_transition_compatibility,
@@ -26,10 +29,10 @@ from holonome.connection import (
     gauge_transform,
 )
 from holonome.exprs import cos, diff, lit, sin, var
-from holonome.groups import StructureGroup, frobenius
+from holonome.groups import StructureGroup, frobenius, so3_basis
 from holonome.holonomy import flatness_verdict, holonomy
-from holonome.paths import ChartPoint, PathSpec, Segment, arc_path
-from holonome.transport import SolverConfig, inverse_path_check
+from holonome.paths import ChartPoint, PathSpec, Segment, arc_path, line_path
+from holonome.transport import SolverConfig, inverse_path_check, transport_many
 
 CFG = SolverConfig(h=1e-3)
 # (builtin, chart the gauge acts on)
@@ -219,3 +222,69 @@ def test_gauge_trivial_so2_connection_is_flat(p):
     chart = _so2_chart(0, [-2.0, -2.0], [2.0, 2.0], diff(p, 0), diff(p, 1))
     verdict = flatness_verdict(ConnectionForm(StructureGroup("SO", 2), (chart,)))
     assert verdict.verdict == "FLAT", verdict.as_dict()
+
+
+@st.composite
+def cubics(draw, scale=0.3):
+    """p(x), a sum of the nine monomials x1^i x2^j with 1 <= i + j <= 3,
+    coefficients of size up to scale."""
+    x1, x2 = var(0, 2), var(1, 2)
+    monomials = [x1, x2, x1 * x2, x1**2, x2**2, x1**2 * x2, x1 * x2**2, x1**3, x2**3]
+    cs = draw(st.lists(st.floats(-scale, scale), min_size=9, max_size=9))
+    return sum((lit(c) * m for c, m in zip(cs[1:], monomials[1:])), lit(cs[0]) * monomials[0])
+
+
+@seed(20261122)
+@settings(max_examples=10, deadline=None)
+@given(cubics())
+def test_gauge_trivial_so3_connection_is_flat(p):
+    """A = dp E3 on SO(3), each coefficient the exact derivative of a
+    random cubic p, written entry by entry without gauge_transform, is
+    flat: the flatness verdict, whose passes read the field's three skew
+    rows, reads FLAT, never INCONSISTENT."""
+    e3 = so3_basis()[2]
+    coeffs = tuple(
+        ExprMatrixFunction([[lit(float(e)) * diff(p, mu) if e else 0.0 for e in row] for row in e3], 2)
+        for mu in range(2)
+    )
+    chart = ChartSpec(0, 2, [-2.0, -2.0], [2.0, 2.0], coeffs)
+    verdict = flatness_verdict(ConnectionForm(StructureGroup("SO", 3), (chart,)))
+    assert verdict.verdict == "FLAT", verdict.as_dict()
+
+
+def _three_chart_atlas():
+    """abelian-area(1.5)'s coefficients on three charts that overlap along
+    x1, [-2, 0], [-0.5, 1] and [0.5, 2] by [-2, 2], joined 0 <-> 1 and
+    1 <-> 2 by the identity map and gauge."""
+    x1, x2 = var(0, 2), var(1, 2)
+    a1, a2 = lit(-0.75) * x2, lit(0.75) * x1
+    boxes = ((-2.0, 0.0), (-0.5, 1.0), (0.5, 2.0))
+    charts = tuple(_so2_chart(i, [lo, -2.0], [hi, 2.0], a1, a2) for i, (lo, hi) in enumerate(boxes))
+    same = ExprMatrixFunction(np.eye(2), 2)
+    transitions = tuple(Transition(a, b, (x1, x2), same) for a, b in ((0, 1), (1, 0), (1, 2), (2, 1)))
+    return ConnectionForm(StructureGroup("SO", 2), charts, transitions)
+
+
+@seed(20261123)
+@settings(max_examples=6, deadline=None)
+@given(gauges(2, scale=0.3))
+def test_gauge_on_one_of_three_charts_keeps_the_transitions_off_it(entries):
+    """gauge_transform by a random g on chart 2 of a three-chart atlas
+    keeps the two transitions between charts 0 and 1, which do not touch
+    it, as the same objects, and the gauge law holds on every overlap.  A
+    line from chart 0 into chart 1 transports as before, bit for bit; one
+    that goes on into chart 2 ends in its new trivialization, g(x)^-1 P
+    at its end point x."""
+    conn = _three_chart_atlas()
+    gauged = gauge_transform(conn, entries, chart_id=2)
+    kept = [tr for tr in gauged.transitions if 2 not in (tr.from_chart, tr.to_chart)]
+    assert len(kept) == 2 and all(a is b for a, b in zip(kept, conn.transitions[:2]))
+    check_transition_compatibility(gauged)
+    start = ChartPoint(0, [-1.5, 0.3])
+    paths = [line_path(start, [0.8, -0.2]), line_path(start, [1.7, -0.2])]
+    (short, across), (short_after, across_after) = (transport_many(c, paths, CFG) for c in (conn, gauged))
+    assert short_after.end.chart_id == 1
+    assert np.array_equal(short_after.g.matrix, short.g.matrix)
+    assert across.end.chart_id == across_after.end.chart_id == 2
+    g = ExprMatrixFunction(entries, 2).at(across_after.end.coords)
+    assert frobenius(across_after.g.matrix - g.T @ across.g.matrix) <= 1e-9

@@ -9,7 +9,10 @@ invariant under reparametrization, the holonomy of a loop based at x0
 conjugates as g(x0)^-1 H g(x0) under a random gauge g, and the round trip
 A -> P -> A recovers every coefficient within C h^2.  The one centred probe
 of a table, lift_vector and horizontal_space gives the two-probe symmetric
-difference to roundoff, on these connections and on the builtins.
+difference to roundoff, on these connections and on the builtins.  The
+skew rows that a pass reads on SO(2) and SO(3) are the differences of the
+whole field's entries, bit for bit, also on a chart with an opaque
+coefficient.
 """
 
 import numpy as np
@@ -20,6 +23,7 @@ from holonome.connection import (
     ChartSpec,
     ConnectionForm,
     ExprMatrixFunction,
+    MatrixFunction,
     builtin_connection,
     gauge_transform,
 )
@@ -190,3 +194,62 @@ def test_one_centred_probe_is_the_two_probe_difference(conn, at_and_v, h, p_seed
         lv = lift_vector(oracle, x, p, TangentVector(x, v), h)
         want = two_probe_lift(oracle, x, v, h, p.matrix)
         assert frobenius(lv.vertical_part.matrix - want) <= bound
+
+
+# (p, q) for each generator: E[p, q] = 1 = -E[q, p]
+SKEW_PAIRS = {2: ((1, 0),), 3: ((2, 1), (0, 2), (1, 0))}
+
+
+def field_and_skew_rows(chart, rng, m=50):
+    """The whole field M (ChartSpec.field), (k, k, m), and its skew rows
+    (ChartSpec._skew_field), (r, m), at m random points of the box with
+    random velocities."""
+    k = chart.coefficients[0].k
+    X, V = rng.uniform(LO, HI, (2, m)), rng.normal(size=(2, m))
+    M, b = np.empty((k, k, m)), np.empty((len(SKEW_PAIRS[k]), m))
+    chart.field(X, V, M)
+    chart._skew_field(X, V, b)
+    return M, b
+
+
+@seed(20261120)
+@settings(max_examples=20, deadline=None)
+@given(connections(scale=1.0), st.integers(0, 2**32 - 1))
+def test_skew_rows_are_the_field_differences_bit_for_bit(conn, rng_seed):
+    """On random SO(2) and SO(3) connections, skew row i is
+    M[p, q] - M[q, p] of the whole field, bit for bit, for the pair (p, q)
+    of generator i, so that half the rows are the skew part's coordinates
+    on J, or on E1, E2, E3."""
+    k = conn.group.k
+    M, b = field_and_skew_rows(conn.charts[0], np.random.default_rng(rng_seed))
+    for row, (p, q) in zip(b, SKEW_PAIRS[k]):
+        assert np.array_equal(row, M[p, q] - M[q, p])
+    for gen, (p, q) in zip(GENERATORS[k], SKEW_PAIRS[k]):
+        assert gen[p, q] == 1.0 and gen[q, p] == -1.0
+
+
+class Opaque(MatrixFunction):
+    """A coefficient with no expressions behind it: the values of base."""
+
+    def __init__(self, base):
+        self.base, self.dim, self.k = base, base.dim, base.k
+
+    def value(self, X):
+        return self.base.value(X)
+
+
+@seed(20261121)
+@settings(max_examples=6, deadline=None)
+@given(connections(), arcs(), st.integers(0, 2**32 - 1))
+def test_skew_rows_of_an_opaque_coefficient_come_from_the_whole_field(conn, gamma, rng_seed):
+    """A chart whose second coefficient is opaque writes the whole field
+    and subtracts: its skew rows are the field's differences bit for bit,
+    and its transport equals that of the expression chart within 1e-12."""
+    chart = conn.charts[0]
+    a1, a2 = chart.coefficients
+    opaque = ConnectionForm(conn.group, (ChartSpec(0, 2, chart.lo, chart.hi, (a1, Opaque(a2))),))
+    M, b = field_and_skew_rows(opaque.charts[0], np.random.default_rng(rng_seed))
+    for row, (p, q) in zip(b, SKEW_PAIRS[conn.group.k]):
+        assert np.array_equal(row, M[p, q] - M[q, p])
+    (want,), (got,) = (transport_many(c, [gamma], CFG) for c in (conn, opaque))
+    assert frobenius(got.g.matrix - want.g.matrix) <= 1e-12

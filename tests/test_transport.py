@@ -64,6 +64,7 @@ from holonome.paths import (
 from holonome.transport import (
     AxiomSuite,
     SolverConfig,
+    _field_norm,
     _partial_products,
     _product,
     _steps,
@@ -697,6 +698,14 @@ def cayley_rotation(w):
     return np.eye(3) + np.sin(phi) * K + (1.0 - np.cos(phi)) * K @ K
 
 
+def skew_rows(M):
+    """The rows b = M[p, q] - M[q, p] of a component-major (k, k, ...)
+    field grid, k = 2 or 3, that _steps reads on SO(2) and SO(3): twice the
+    coordinates of the skew part of M on J, or on E1, E2, E3."""
+    pairs = ((1, 0),) if len(M) == 2 else ((2, 1), (0, 2), (1, 0))
+    return np.stack([M[p, q] - M[q, p] for p, q in pairs])
+
+
 def skew_field_grid(rng, k, n):
     """A component-major (k, k, 1, 2n + 1) grid of skew fields, each
     matrix of norm 1."""
@@ -724,7 +733,7 @@ def test_closed_form_steps_are_the_cayley_map_on_the_group(k, n, log_dt, rng_see
     group = StructureGroup("SO", k)
     dt = 10.0**log_dt
     M = skew_field_grid(np.random.default_rng(rng_seed), k, n)
-    steps = _steps(M, dt, group)[0]
+    steps = _steps(skew_rows(M), dt, group)[0]
     if k == 2:  # an SO(2) step comes as its angle
         steps = [rotation2(angle) for angle in steps]
     solved = _steps(M, dt, StructureGroup("GL", k))[0]
@@ -739,6 +748,22 @@ def test_closed_form_steps_are_the_cayley_map_on_the_group(k, n, log_dt, rng_see
         assert np.abs(step - cayley_rotation(w)).max() <= 1e-14
         if frobenius(0.5 * O - O @ O @ O / 24.0) <= 20.0:
             assert np.abs(step - solve).max() <= 1e-14
+
+
+@seed(20261124)
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([2, 3]), st.integers(1, 20), st.floats(1e-3, 1e3), st.integers(0, 2**32 - 1))
+def test_doubling_bound_reads_the_skew_rows_as_the_field(k, n, size, rng_seed):
+    """The doubling bound's max ||M||_F, read from the skew rows b as
+    sqrt(sum b^2 / 2), is the norm of the whole field when it is skew:
+    bit for bit on SO(2), within 4 ulp on SO(3), where the squares add
+    in another order."""
+    M = size * skew_field_grid(np.random.default_rng(rng_seed), k, n)[:, :, 0]
+    want = _field_norm(M)
+    if k == 2:
+        assert _field_norm(skew_rows(M)) == want
+    else:
+        assert abs(_field_norm(skew_rows(M)) - want) <= 4.0 * np.spacing(want)
 
 
 def simpson_grid(rng, n):
@@ -766,7 +791,7 @@ def test_angle_product_is_the_product_of_the_cayley_steps(group, n, span, rng_se
     rng = np.random.default_rng(rng_seed)
     M, dt = simpson_grid(rng, n), span / n
     U = rotation2(rng.uniform(-np.pi, np.pi))
-    got = _product(_steps(M, dt, group), U[None])[0]
+    got = _product(_steps(skew_rows(M), dt, group), U[None])[0]
     b = M[1, 0, 0] - M[0, 1, 0]
     omega = (b[0:-1:2] + 4.0 * b[1::2] + b[2::2]) * (-dt / 12.0)
     ws = omega * (0.5 + omega * omega / 24.0)

@@ -2,12 +2,13 @@
 benchmark workload, so that two checkouts can be compared on how much
 memory their operations fault in:
 
-    python tools/page_faults.py [src-dir] [--rounds N] [--seed S]
+    python tools/page_faults.py [src-dir] [--rounds N] [--seed S] [--workload NAME]
 
 src-dir is the holonome source tree to import (default: this checkout's
 src).  The workloads are the benchmark's own (bench/workloads.py, imported
-as they are), built once each; one warm-up round runs first, then N rounds
-(default 5) are counted.  Faults are this process's minor faults
+as they are), all of them or only the one --workload names, built once
+each; one warm-up round runs first, then N rounds (default 5) are
+counted.  Faults are this process's minor faults
 (getrusage RUSAGE_SELF ru_minflt) over each operation's call alone, not
 over its check.  A fault is a page the process touched for the first time
 since it was mapped, so the count shows memory that is given back to the
@@ -63,15 +64,18 @@ def load_workloads():
 
 
 def main(argv):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("src", nargs="?", default=str(ROOT / "src"))
-    parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args(argv[1:])
     # one thread, as the benchmark runs: pin BLAS before numpy is imported
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     workloads = load_workloads()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("src", nargs="?", default=str(ROOT / "src"))
+    parser.add_argument("--rounds", type=int, default=5)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--workload", choices=sorted(workloads))
+    args = parser.parse_args(argv[1:])
+    if args.workload:
+        workloads = {args.workload: workloads[args.workload]}
     sys.path.insert(0, str(Path(args.src).resolve()))
     import holonome as hn
 
