@@ -9,8 +9,8 @@ a threshold miscalibration) loud instead of silent.
 A HomotopyFamily compiles its coordinates and their t-derivatives over
 (t, s) into one program, and its members share it: each member's segment
 is tagged (family, s), and the transport's path evaluation runs the
-family's program once for all of a batch's members of that family (see
-paths.coords_and_velocities).  A member at s = 0 is left untagged and
+family's program once for each run of a batch's members of that family
+that sit side by side (see paths.coords_and_velocities).  A member at s = 0 is left untagged and
 runs its own program: diff folds its literal zero factor, so a zero of
 its velocity may carry the other sign.  The family keeps that member and
 its compiled program, so a repeated scan compiles nothing.

@@ -17,9 +17,10 @@ b/(t1 - t0), bit for bit what its programs give: one point in Python
 floats, and a batch's straight segments by one broadcast over one array
 of their pairs.  The segment of a homotopy family's member carries the
 tag (family, s), Segment._member, unless s == 0: a batch's members of one
-family run the family's one program over (t, s), bit for bit what their
-own programs give, and compile nothing of their own.  An s = 0 member
-runs its own programs, since diff folds its literal zero factor.
+family that sit side by side run the family's one program over (t, s),
+bit for bit what their own programs give, and compile nothing of their
+own.  An s = 0 member runs its own programs, since diff folds its
+literal zero factor.
 
 The path algebra here (constant paths, juxtaposition, reparametrization,
 reversal) is what the transport axioms quantify over.
@@ -209,17 +210,21 @@ class Segment:
 def coords_and_velocities(segments, us, out):
     """Coordinates and global-t velocities of segments at their local
     parameters us, written component-major into out = (X, V), two
-    (dim, len(segments), len(us)) arrays, and returned.  Each segment's
-    velocities carry its 1/(t1 - t0) chain-rule factor.  The straight
-    segments (Segment._line) are written by one broadcast over one array
-    of their (a_i, b_i) pairs: x = a + b u and the constant velocity
-    b'/(t1 - t0), where b' is b with a zero of either sign written +0.0,
-    as diff folds it.  The members of a homotopy family (Segment._member)
-    run their family's program once, on the columns (u, s) of all of them
-    stacked; the others run their compiled programs, each straight into
-    its rows of X and V.
+    C-contiguous (dim, len(segments), len(us)) arrays, and returned.  Each
+    segment's velocities carry its 1/(t1 - t0) chain-rule factor.  The
+    straight segments (Segment._line) are written by one broadcast over
+    one array of their (a_i, b_i) pairs: x = a + b u and the constant
+    velocity b'/(t1 - t0), where b' is b with a zero of either sign
+    written +0.0, as diff folds it.  Members of one homotopy family
+    (Segment._member) that sit side by side run their family's program
+    once, on the columns (u, s) of all of them stacked; every other
+    segment runs its own compiled program.  Each run writes straight into
+    its rows of X and V, so no scratch beyond the program's own grows with
+    the batch.
     """
     X, V = out
+    if not (X.flags.c_contiguous and V.flags.c_contiguous):  # else a reshape below copies
+        raise ValidationError("coords_and_velocities writes into C-contiguous arrays")
     us = np.asarray(us, dtype=float)
     lines = [seg._line for seg in segments]
     straight = [p for p, line in enumerate(lines) if line is not None]
@@ -231,25 +236,25 @@ def coords_and_velocities(segments, us, out):
         with np.errstate(over="ignore", invalid="ignore"):  # as in a program run
             X[:, at] = exprs._finite_or_raise(a + b * us)
         V[:, at] = exprs._finite_or_raise((b + 0.0) / width)  # -0.0 + 0.0 is +0.0
-    families = {}  # id(family) -> positions of its members
+    runs = []  # [lo, hi, family] of each run of curved segments, family None for one alone
     for p, (seg, line) in enumerate(zip(segments, lines)):
-        if line is None and seg._member is not None:
-            families.setdefault(id(seg._member[0]), []).append(p)
+        family = None if line is not None or seg._member is None else seg._member[0]
+        if family is not None and runs and runs[-1][1] == p and runs[-1][2] is family:
+            runs[-1][1] += 1
         elif line is None:
-            seg._dual_program.run([us], [*X[:, p], *V[:, p]])
-            exprs._finite_or_raise(X[:, p])
-            exprs._finite_or_raise(V[:, p])
-            V[:, p] /= seg.t1 - seg.t0
-    for at in families.values():
-        family = segments[at[0]]._member[0]
-        s = [segments[p]._member[1] for p in at]
-        width = np.array([[segments[p].t1 - segments[p].t0] for p in at])
-        # the coordinates, then their t-derivatives, each (len(at), len(us))
-        block = np.empty((2, X.shape[0], len(at), len(us)))
-        family._dual_program.run([np.tile(us, len(at)), np.repeat(s, len(us))],
-                                 block.reshape(-1, len(at) * len(us)))
-        X[:, at], grads = exprs._finite_or_raise(block)
-        V[:, at] = grads / width
+            runs.append([p, p + 1, family])
+    for lo, hi, family in runs:
+        # rows lo:hi of X and V, each (dim, hi - lo, len(us)), written in place
+        X_run, V_run, flat = X[:, lo:hi], V[:, lo:hi], (hi - lo) * len(us)
+        if family is None:
+            program, cols = segments[lo]._dual_program, [us]
+        else:
+            s = [segments[p]._member[1] for p in range(lo, hi)]
+            program, cols = family._dual_program, [np.tile(us, hi - lo), np.repeat(s, len(us))]
+        program.run(cols, [*X_run.reshape(-1, flat), *V_run.reshape(-1, flat)])
+        exprs._finite_or_raise(X_run)
+        exprs._finite_or_raise(V_run)
+        V_run /= np.array([[segments[p].t1 - segments[p].t0] for p in range(lo, hi)])
     return out
 
 

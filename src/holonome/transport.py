@@ -134,15 +134,15 @@ _MAX_CHART_CHANGES = 8  # per segment: chart exits plus moves
 _JUNCTION_TOL = 1e-10
 _MIN_DOUBLING_STEP = 1e-7
 _EPS = np.finfo(float).eps
-# transport_many splits a group into batches of at most this many k x k
-# field entries (256 KiB of a full field stack M), counting k^2 per grid
-# point also where a pass keeps only the skew rows, so that batches are
-# the same on every group.  It fits four SO(2) paths of 1000 steps (8004
-# entries each), so the lab's scans at h = 1e-3 share the fixed cost of a
-# pass; at 2**13 each such path took a pass alone.  Peak RSS bounds
-# it: on the lab_scenarios benchmark, 2**15 read +2.1%, 2**16 +6.1% and
-# 2**17 +14% against 2**13, for -28%, -34% and -36% of op_cost_p50.
-_BATCH_FLOATS = 2**15
+# transport_many splits a group into batches whose pass holds at most this
+# many numbers (2 MiB) at its peak, as _batch_size counts them: 13
+# abelian-area or 7 pure-gauge or constant-so3 homotopy-family members of
+# 1000 steps, so the lab's scans at h = 1e-3 share the fixed cost of a
+# pass, and a reconstruction table's 50 probes of 50 steps run in one.
+# Peak RSS bounds it: when batches were counted as k^2 field entries per
+# grid point, 2**16 such entries read +6.1% on the lab_scenarios benchmark
+# against 2**15; this budget reads +2.2% against 2**15 of those.
+_BATCH_FLOATS = 2**18
 
 
 @dataclass(frozen=True)
@@ -267,6 +267,44 @@ def _skew(group):
     return group.orthogonal and group.k in (2, 3)
 
 
+def _batch_size(conn, chart_id, n, continuing=False, pieces=()):
+    """How many pieces on a chart one pass of n steps (_rk4_pass) takes:
+    _BATCH_FLOATS over the numbers the pass holds at its peak, 2n + 1 grid
+    points per piece times the numbers per grid point of its largest phase.
+    - The field phase holds the coordinates and velocities X and V, 2 dim
+      rows; the field rows the pass keeps, r on SO(2), U(1) and SO(3), else
+      k^2 (_piece_fields); and the scratch rows (width) of the chart's
+      field program, plus the value and product, 2 k^2, of a coefficient
+      that is not an expression, and on SO(2) and SO(3) the whole field
+      that the skew rows are then taken from.
+    - The coordinates phase holds X and V, and, when pieces holds members
+      of homotopy families, the widest family program's scratch rows and
+      its two input rows (u, s): a family's members that sit side by side
+      run its program at once (paths.coords_and_velocities).
+    - The step phase holds X, the field rows, and what _steps holds at once
+      per step (half of that per grid point): four angles on SO(2) and
+      U(1); on SO(3) three matrices' worth, the Cayley map beside omega,
+      w, w^2 and f w; five matrices on other groups, omega, W and the
+      solve's two operands and result.
+    A pass that continues a doubling also holds the previous pass's grids,
+    stacked, on half the points.  tools/pass_memory.py measures the
+    peaks."""
+    chart = conn.chart(chart_id)
+    dim, k = chart.dim, conn.group.k
+    others = bool(chart._terms[1])
+    if _skew(conn.group):
+        rows, step = k * (k - 1) // 2, 4 if k == 2 else 27
+        width = (chart._field[0].width + 3 * k * k) if others else chart._skew_program.width
+    else:
+        rows, step = k * k, 5 * k * k
+        width = chart._field[0].width + 2 * k * k * others
+    family = max((seg._member[0]._dual_program.width + 2 for seg in pieces if seg._member),
+                 default=0)
+    per_point = max(2 * dim + max(rows + width, family), dim + rows + step / 2)
+    per_point += continuing * (dim + rows) / 2
+    return max(1, int(_BATCH_FLOATS / ((2 * n + 1) * per_point)))
+
+
 def _steps(M, dt, group):
     """Cayley-Magnus steps of the linear ODE U' = -M(t) U from a
     component-major field grid (_piece_fields), each step taking the field
@@ -356,6 +394,7 @@ def _piece_fields(conn, pieces, n, prev=None):
         # a start outside (the first grid point) reads ts[0], not ts[-1]
         u_in, u_out = ts[np.maximum(i - 1, 0)], ts[i]
         raise _ChartExit({p: (u_in[p], u_out[p]) for p in np.flatnonzero(~inside.all(axis=1))})
+    del inside  # not held through the field phase, which _batch_size counts
     rows = (k * (k - 1) // 2,) if _skew(conn.group) else (k, k)
     M_new = np.empty(rows + (P, m))
     fill = chart._skew_field if len(rows) == 1 else chart.field
@@ -583,14 +622,14 @@ def _drive(conn, paths, cfg, samples=None):
 
     Each path runs as a _walk.  The passes the walks ask for are grouped
     by chart, step count and whether they continue a doubling, and each
-    group runs as batches of one _rk4_pass whose field stack holds at most
-    _BATCH_FLOATS entries.  A walk takes its answer, and asks for its next
-    pass, as soon as its batch is done.  A piece whose grid leaves its
-    chart gets its own _ChartExit, and the rest of its batch passes again;
-    a batch that raises anything else runs again piece by piece, so each
-    failure reaches its own path.  The finished products are validated
-    against the group as one stack.  samples, when a list, collects the
-    lift of the one path (see lift_path)."""
+    group runs as batches of _batch_size pieces, one _rk4_pass each, whose
+    peak is within _BATCH_FLOATS numbers.  A walk takes its answer, and
+    asks for its next pass, as soon as its batch is done.  A piece whose
+    grid leaves its chart gets its own _ChartExit, and the rest of its
+    batch passes again; a batch that raises anything else runs again piece
+    by piece, so each failure reaches its own path.  The finished products
+    are validated against the group as one stack.  samples, when a list,
+    collects the lift of the one path (see lift_path)."""
     k = conn.group.k
     eye = np.eye(k)
     out = [None] * len(paths)
@@ -641,10 +680,10 @@ def _drive(conn, paths, cfg, samples=None):
     while asks:
         groups = {}
         for ask in asks:
-            groups.setdefault((ask[1].chart_id, ask[2], ask[4] is None), []).append(ask)
+            groups.setdefault((ask[1].chart_id, ask[2], ask[4] is not None), []).append(ask)
         asks = []
-        for (_, n, _), members in groups.items():
-            size = max(1, _BATCH_FLOATS // ((2 * n + 1) * k * k))
+        for key, members in groups.items():
+            size = _batch_size(conn, *key, [ask[1] for ask in members])
             for lo in range(0, len(members), size):
                 answer(members[lo : lo + size])
     # the finished walks' products, validated as one stack, or one by one

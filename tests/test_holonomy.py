@@ -1,6 +1,8 @@
 """Holonomy, shrinking-loop curvature, homotopy scans, flatness verdicts."""
 
 import importlib.resources
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from holonome.exprs import lit, parse, var
 from holonome.exprs import cos as ecos
 from holonome.exprs import exp
 from holonome.exprs import sin as esin
-from holonome.groups import StructureGroup, frobenius, rotation2, so3_basis
+from holonome.groups import StructureGroup, frobenius, max_spread, rotation2, so3_basis
 from holonome.holonomy import (
     HomotopyFamily,
     flatness_verdict,
@@ -494,6 +496,34 @@ def test_so2_holonomies_stay_on_the_group_to_roundoff(name, loop, cfg):
     where a tree of 2x2 matrix products read up to 4.6e-12."""
     res = holonomy(builtin_connection(name), loop, cfg)
     assert res.g.orthogonality_defect <= 1e-15
+
+
+def test_constant_so3_scans_share_passes_and_keep_their_spreads(monkeypatch):
+    """flatness_verdict(constant-so3) at h = 1e-3 runs its 33 members of
+    1000 steps in ceil(33 / _batch_size) passes, where it ran one pass per
+    member when batches were counted as 9 field entries per grid point.
+    Each spread is the spread of the members transported one by one, bit
+    for bit."""
+    module = sys.modules["holonome.transport"]
+    conn = builtin_connection("constant-so3")
+    families = conn.charts[0]._homotopy_families
+    ss = np.linspace(0.0, 1.0, 11)
+    alone = [max_spread([transport(conn, fam.member(s), CFG).g.matrix for s in ss])
+             for fam in families]
+    passes = []
+    original_pass = module._rk4_pass
+
+    def counting_pass(conn, pieces, *args):
+        passes.append(len(pieces))
+        return original_pass(conn, pieces, *args)
+
+    monkeypatch.setattr(module, "_rk4_pass", counting_pass)
+    verdict = flatness_verdict(conn, CFG)
+    size = module._batch_size(conn, 0, 1000)
+    assert 1 < size < 33
+    assert len(passes) == math.ceil(33 / size)
+    assert passes == [min(size, 33 - lo) for lo in range(0, 33, size)]
+    assert list(verdict.spreads) == alone
 
 
 def test_a_flatness_verdict_compiles_each_family_once(monkeypatch):

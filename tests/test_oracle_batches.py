@@ -218,12 +218,12 @@ def test_transport_many_equals_transport_across_the_batch_cap(name, h, size, rng
     """transport_many(conn, paths) is [transport(conn, gamma) ...] bit for
     bit on random lines and arcs.  Every path has the same step count, so
     one group holds them all, and size = (caps, extra) makes caps * cap +
-    extra paths, where cap is the number of paths one batch holds."""
+    extra paths, where cap is the number of paths one batch holds
+    (_batch_size)."""
     conn = builtin_connection(name)
     cfg = SolverConfig(h=h, project_every=4)
     module = sys.modules["holonome.transport"]
-    n, k = module._step_count(1.0, h), conn.group.k
-    cap = module._BATCH_FLOATS // ((2 * n + 1) * k * k)
+    cap = module._batch_size(conn, 0, module._step_count(1.0, h))
     paths = _random_paths(np.random.default_rng(rng_seed), size[0] * cap + size[1])
     assert [bits(r) for r in transport_many(conn, paths, cfg)] == [
         bits(transport(conn, gamma, cfg)) for gamma in paths

@@ -12,6 +12,7 @@ from holonome.errors import (
     EndpointMismatchError,
     NotMonotoneError,
     OutOfRangeError,
+    ValidationError,
 )
 from holonome.exprs import lit, parse, var
 from holonome.paths import (
@@ -300,3 +301,13 @@ def test_straight_segment_keeps_the_finite_check():
         coords_and_velocities((seg,), [0.0, 1.0], np.empty((2, 1, 1, 2)))
     with pytest.raises(exprs.DomainError, match="overflowed"):
         exprs.evaluate_many(seg._program, [[1.0]])
+
+
+def test_coords_and_velocities_refuses_rows_it_cannot_write_in_place():
+    """A batch's runs of curved segments are written through reshaped views
+    of X and V, so arrays that are not C-contiguous, whose reshape would be
+    a copy, are refused rather than left unwritten."""
+    arc = arc_path(0, (0.0, 0.0), 0.5, 0.0, 1.0).segments[0]
+    out = np.empty((2, 2, 5, 2)).swapaxes(2, 3)  # (2, dim, 2 segments, 5 points)
+    with pytest.raises(ValidationError, match="C-contiguous"):
+        coords_and_velocities((arc, arc), np.linspace(0.0, 1.0, 5), out)

@@ -1182,19 +1182,27 @@ def test_transport_many_shares_passes_across_chart_exits_and_segments(monkeypatc
     assert all(bits(r) == bits(original_transport(conn, g, cfg)) for r, g in zip(results, paths))
 
 
-def test_transport_many_bounds_the_batch_size():
-    """A large group is split into batches, each within the field-stack
-    bound, with unchanged results."""
+def test_transport_many_bounds_the_batch_size(monkeypatch):
+    """A large group is split into passes of _batch_size pieces each, with
+    unchanged results."""
     module = sys.modules["holonome.transport"]
+    passes = []
+    original_pass = module._rk4_pass
+
+    def counting_pass(conn, pieces, *args):
+        passes.append(len(pieces))
+        return original_pass(conn, pieces, *args)
+
+    monkeypatch.setattr(module, "_rk4_pass", counting_pass)
     conn = builtin_connection("constant-so3")
     cfg = SolverConfig(h=0.02)
-    per_batch = module._BATCH_FLOATS // (101 * 9)
-    paths = [
-        line_path(ChartPoint(0, [0.01 * i, 0.0]), [0.01 * i, 0.01]) for i in range(2 * per_batch + 3)
-    ]
-    assert [bits(r) for r in transport_many(conn, paths, cfg)] == [
-        bits(transport(conn, g, cfg)) for g in paths
-    ]
+    per_batch = module._batch_size(conn, 0, 50)
+    count = 2 * per_batch + 3
+    xs = np.linspace(-1.9, 1.9, count)
+    paths = [line_path(ChartPoint(0, [x, 0.0]), [x, 0.01]) for x in xs]
+    results = transport_many(conn, paths, cfg)
+    assert passes == [per_batch, per_batch, 3]
+    assert [bits(r) for r in results] == [bits(transport(conn, g, cfg)) for g in paths]
 
 
 class UndefinedAbove(MatrixFunction):
