@@ -6,14 +6,14 @@ spread scan over finite homotopy families with fixed endpoints.  The two
 tests must agree; the INCONSISTENT verdict makes a disagreement (a bug or
 a threshold miscalibration) loud instead of silent.
 
-A HomotopyFamily compiles its coordinates and their t-derivatives over
-(t, s) into one program, and its members share it: each member's segment
-is tagged (family, s), and the transport's path evaluation runs the
-family's program once for each run of a batch's members of that family
-that sit side by side (see paths.coords_and_velocities).  A member at s = 0 is left untagged and
-runs its own program: diff folds its literal zero factor, so a zero of
-its velocity may carry the other sign.  The family keeps that member and
-its compiled program, so a repeated scan compiles nothing.
+A HomotopyFamily's coordinates over (t, s) are one path source
+(paths._Source), compiled once, and its members see that source at their
+s: the transport's path evaluation runs the family's program once for
+each run of a batch's members of that family that sit side by side (see
+paths.coords_and_velocities).  A member at s = 0 is the standalone path
+gamma_0, with its own source and program: diff folds its literal zero
+factor, so a zero of its velocity may carry the other sign.  The family
+keeps that member, so a repeated scan compiles nothing.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from . import exprs
 from .connection import is_flat
 from .errors import NotClosedError, ValidationError
-from .exprs import lit, substitute, var
+from .exprs import lit, var
 from .groups import (
     GroupElement,
     _check_sweep,
@@ -37,7 +37,7 @@ from .groups import (
     neville_at_zero,
     rotation_angle,
 )
-from .paths import path_from_exprs, path_point
+from .paths import PathSpec, _Source, _view, path_from_exprs, path_point
 from .transport import SolverConfig, _results, engine_oracle, transport
 
 __all__ = [
@@ -94,9 +94,7 @@ def holonomy(conn, loop, cfg=None):
         else:
             tr = conn.find_transition(result.end.chart_id, result.start.chart_id)
             if tr is None:
-                raise NotClosedError(
-                    "no transition connects the loop's start and end charts"
-                )
+                raise NotClosedError("no transition connects the loop's start and end charts")
             factor = np.linalg.inv(tr.gauge_at(result.end.coords))
         g = GroupElement(factor @ g.matrix, g.group)
     return HolonomyResult(result, g, rotation_angle(g))
@@ -153,13 +151,11 @@ def shrinking_loop_curvature(oracle, x, mu, nu, eps_sweep=(0.2, 0.1, 0.05)):
     diffs = [frobenius(a - b) for a, b in zip(estimates, estimates[1:])]
     degenerate = max(diffs) < 1e-9
     extrapolated = neville_at_zero(eps_sweep, estimates)
-    if degenerate or len(diffs) < 2:
-        return ShrinkingCurvatureReport(
-            tuple(eps_sweep), tuple(estimates), extrapolated, None, degenerate
-        )
-    order = float(np.log(diffs[0] / diffs[1]) / np.log(eps_sweep[0] / eps_sweep[1]))
+    order = None
+    if not degenerate and len(diffs) > 1:
+        order = float(np.log(diffs[0] / diffs[1]) / np.log(eps_sweep[0] / eps_sweep[1]))
     return ShrinkingCurvatureReport(
-        tuple(eps_sweep), tuple(estimates), extrapolated, order, False
+        tuple(eps_sweep), tuple(estimates), extrapolated, order, degenerate
     )
 
 
@@ -184,7 +180,7 @@ class HomotopyFamily:
             )
         # both ends in one run of one program: (t, s) for t in (0, 1), s on 21 samples
         ts_ss = np.stack([np.repeat([0.0, 1.0], 21), np.tile(np.linspace(0.0, 1.0, 21), 2)], axis=1)
-        ends = exprs.evaluate_many(coords, ts_ss).reshape(2, 21, -1)
+        ends = exprs.evaluate_many(self._src.program, ts_ss).reshape(2, 21, -1)
         for t_end, pts in zip((0.0, 1.0), ends):
             drift = np.max(np.abs(pts - pts[0]))
             if drift > 1e-10:
@@ -193,33 +189,26 @@ class HomotopyFamily:
                 )
 
     @cached_property
-    def _dual_program(self):
-        """The coordinates and their t-derivatives over (x1, x2) = (t, s),
-        which every member but s = 0 runs in place of its own."""
-        return exprs.Program(self.coords, 1)
+    def _src(self):
+        """The coordinates over (x1, x2) = (t, s), which every member but
+        s = 0 sees at its s."""
+        return _Source(self.coords)
 
     @cached_property
     def _base(self):
-        """gamma_0, kept with the program it compiles, as the family keeps
-        _dual_program: its segment is left untagged, since diff folds a
-        literal zero factor, so at s = 0 a velocity zero may carry another
+        """gamma_0, kept with the programs it compiles: a plain path of the
+        coordinates the family's source has at s = 0, since diff folds
+        their literal zero factor, so a velocity zero may carry another
         sign than the family's program gives it."""
-        return self._path(0.0)
-
-    def _path(self, s):
-        """gamma_s, untagged."""
-        t = var(0, 1)
-        return path_from_exprs(self.chart_id, [substitute(c, [t, lit(s)]) for c in self.coords])
+        return path_from_exprs(self.chart_id, list(_view(0, self._src, 0.0, 1.0, s=0.0).coords))
 
     def member(self, s):
-        """The path gamma_s as a PathSpec.  Unless s == 0, its segment is
-        tagged (self, s), so that it runs the family's program; gamma_0 is
-        built once and kept (_base)."""
+        """The path gamma_s as a PathSpec: one segment that sees the
+        family's source at s, unless s == 0, whose path is built once and
+        kept (_base)."""
         if s == 0.0:
             return self._base
-        gamma = self._path(s)
-        gamma.segments[0].__dict__["_member"] = (self, float(s))
-        return gamma
+        return PathSpec((_view(self.chart_id, self._src, 0.0, 1.0, s=float(s)),))
 
 
 @dataclass(frozen=True)
@@ -266,8 +255,12 @@ def standard_homotopy_families(conn, chart_id=None, s_samples=11):
     """Three canned fixed-endpoint families inside one chart, chosen to
     sweep coordinate area so curvature cannot hide.
 
-    The first family sweeps area from 0 to 1 between its endpoints (bump
-    amplitude (pi/2) sin(pi t) scaled to the chart)."""
+    The first family runs along a horizontal span of length 1 through the
+    box centre, with a bump (pi/2) s sin(pi t) above it, so gamma_s
+    encloses area s with gamma_0.  That needs a half-width >= 0.5 and a
+    half-height >= pi/2; on a smaller box the span and the bump shrink by
+    one factor f < 1, into 0.9 of the box, and gamma_s encloses area
+    s f^2.  The other two are scaled to the chart."""
     chart = conn.charts[0] if chart_id is None else conn.chart(chart_id)
     return _canned_families(chart, s_samples)
 
@@ -284,33 +277,23 @@ def _canned_families(chart, s_samples):
 
     # unit scale: the area-sweep family is built on a horizontal span of
     # length 1 with bump amplitude (pi/2) s sin(pi t), enclosing area s
-    x_left = center[0] - 0.5
-    base_y = center[1]
-    fam_area = HomotopyFamily(
-        chart.chart_id,
-        (lit(x_left) + t, lit(base_y) + lit(np.pi / 2.0) * s * bump),
-        s_samples,
-    )
+    x_left, along, amplitude = center[0] - 0.5, t, np.pi / 2.0
+    fit = min(2.0 * half[0], half[1] / amplitude)
+    if fit < 1.0:  # a box too small for it: shrink it into 0.9 of the box
+        x_left, along, amplitude = center[0] - 0.45 * fit, lit(0.9 * fit) * t, 0.9 * fit * amplitude
+    fam_area = HomotopyFamily(chart.chart_id, (
+        lit(x_left) + along, lit(center[1]) + lit(amplitude) * s * bump,
+    ), s_samples)
     # transverse sweep of the other diagonal, scaled to the chart
-    fam_diag = HomotopyFamily(
-        chart.chart_id,
-        (
-            lit(center[0] - 0.4 * half[0]) + lit(0.8 * half[0]) * t,
-            lit(center[1] - 0.4 * half[1])
-            + lit(0.8 * half[1]) * t
-            - lit(0.5 * half[1]) * s * bump,
-        ),
-        s_samples,
-    )
+    fam_diag = HomotopyFamily(chart.chart_id, (
+        lit(center[0] - 0.4 * half[0]) + lit(0.8 * half[0]) * t,
+        lit(center[1] - 0.4 * half[1]) + lit(0.8 * half[1]) * t - lit(0.5 * half[1]) * s * bump,
+    ), s_samples)
     # vertical span with a first-coordinate bulge
-    fam_vert = HomotopyFamily(
-        chart.chart_id,
-        (
-            lit(center[0]) + lit(0.45 * half[0]) * s * bump,
-            lit(center[1] - 0.5 * half[1]) + lit(half[1]) * t,
-        ),
-        s_samples,
-    )
+    fam_vert = HomotopyFamily(chart.chart_id, (
+        lit(center[0]) + lit(0.45 * half[0]) * s * bump,
+        lit(center[1] - 0.5 * half[1]) + lit(half[1]) * t,
+    ), s_samples)
     return (fam_area, fam_diag, fam_vert)
 
 

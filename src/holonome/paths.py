@@ -1,26 +1,30 @@
 """Chart points, tangent vectors, and piecewise-smooth parametric paths.
 
-A path is a list of segments; each segment names a chart and carries one
-coordinate expression per axis in the local parameter x1 in [0, 1], plus the
-global parameter subrange it occupies.  The global parameter always runs
-over [0, 1].  Velocities come from exact symbolic derivatives (exprs.diff),
-rescaled by the segment chain rule.  A segment compiles its coordinates,
-and its coordinates with their derivatives, into exprs Programs on first
-use, so a path evaluated again and again compiles once.  A straight
-segment, whose every coordinate has the AST lit(a) + lit(b)*x1, compiles
-nothing.  Segment._line reads that shape from the AST alone and keeps the
-(a_i, b_i) pairs as Python floats; _line_segment, which builds line_path
-and the reconstruction probes, fills them in from the floats it writes
-into the AST, so a probe never parses its own.  Such a segment is
-evaluated in closed form, a + b u with the constant velocity
-b/(t1 - t0), bit for bit what its programs give: one point in Python
-floats, and a batch's straight segments by one broadcast over one array
-of their pairs.  The segment of a homotopy family's member carries the
-tag (family, s), Segment._member, unless s == 0: a batch's members of one
-family that sit side by side run the family's one program over (t, s),
-bit for bit what their own programs give, and compile nothing of their
-own.  An s = 0 member runs its own programs, since diff folds its
-literal zero factor.
+A path is a list of segments over the global parameter range [0, 1]; each
+segment names a chart and the subrange [t0, t1] it occupies.  A segment
+is a source seen through an affine window: its local parameter u in
+[0, 1] reads the source at w0 + (w1 - w0) u.  A source (_Source) is one
+of two things.  Either it is coordinate expressions, over x1, or over
+(x1, x2) = (u, s) for a homotopy family with s bound per segment, which
+it compiles with their exact derivatives (exprs.diff) into exprs
+Programs on first use.  Or it is the pairs (a_i, b_i) of a straight line
+a + b u, as Python floats, which a segment that sees it whole evaluates
+in closed form, bit for bit what its programs would give: one point in
+Python floats, and a batch's straight segments by one broadcast over one
+array of their pairs.
+
+Restriction (subpath), reversal (the window [1, 0]), juxtaposition, the
+two parts of a chart exit and a family's members are new windows on
+their sources, and build no substituted copy.  A segment that sees its
+source whole runs the source's own programs.  A narrower window runs the
+source's windowed pair, compiled once per source, with the affine map
+inside and w0, w1 - w0 as inputs, so its arithmetic is that of a
+substituted copy and its velocities carry the chain-rule factor
+(w1 - w0)/(t1 - t0): a path evaluated again and again, and every piece
+cut from it, compiles nothing after its first evaluation.
+Segment.coords, the coordinates as expressions in x1, is built from the
+source when first read.  A batch's segments that sit side by side and
+see one source whole run its program once (coords_and_velocities).
 
 The path algebra here (constant paths, juxtaposition, reparametrization,
 reversal) is what the transport axioms quantify over.
@@ -130,69 +134,140 @@ class TangentVector:
         object.__setattr__(self, "components", c)
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One smooth piece of a path.
+def _line_of(coords):
+    """The (a_i, b_i) pairs, as Python floats, when every coordinate's AST
+    is lit(a_i) + lit(b_i)*x1, else None."""
+    ab = []
+    for c in coords:
+        match c.ast:
+            case ("add", ("num", a), ("mul", ("num", b), ("var", 0))):
+                ab.append((a, b))
+            case _:
+                return None
+    return tuple(ab)
 
-    coords are expressions in the local parameter x1 in [0, 1]; (t0, t1) is
-    the global parameter subrange, with t1 > t0.
-    """
 
-    chart_id: int
-    coords: tuple
-    t0: float
-    t1: float
+class _Source:
+    """What segments evaluate: coordinate expressions, over x1, or over
+    (x1, x2) = (u, s) for a homotopy family, with their programs compiled
+    on first use; or, when line holds the pairs (a_i, b_i), the straight
+    line a + b u, whose coordinates lit(a_i) + lit(b_i)*x1 are built only
+    when read.  moved(tr) is the source composed with a transition's
+    coordinate map, kept per transition."""
 
-    # (family, s) on the one segment of a HomotopyFamily member with s != 0,
-    # which that member fills in: coords_and_velocities then runs the
-    # family's program at (u, s) in place of this segment's _dual_program
-    _member = None
-
-    def __post_init__(self):
-        if not self.t1 > self.t0:
-            raise OutOfRangeError(f"empty segment range [{self.t0}, {self.t1}]")
-        coords = tuple(c.with_dim(1) if c.dim == 0 else c for c in self.coords)
-        for c in coords:
-            if c.dim != 1:
-                raise OutOfRangeError("segment coordinates must be functions of x1 only")
-        object.__setattr__(self, "coords", coords)
-
-    @property
-    def dim(self):
-        return len(self.coords)
+    def __init__(self, coords=None, line=None):
+        if coords is not None:
+            self.coords = coords
+        self.line = line
+        self._moved = {}  # id(tr) -> (tr, source), tr kept so its id stays its own
 
     @cached_property
-    def _program(self):
+    def coords(self):
+        return tuple(Expr(("add", ("num", a), ("mul", ("num", b), ("var", 0))), 1)
+                     for a, b in self.line)
+
+    @cached_property
+    def program(self):
         return exprs.Program(self.coords)
 
     @cached_property
-    def _dual_program(self):
+    def dual_program(self):
+        """The coordinates and their derivatives in x1 = u."""
         return exprs.Program(self.coords, 1)
 
     @cached_property
-    def _line(self):
-        """The (a_i, b_i) pairs, as Python floats, when every coordinate's
-        AST is lit(a_i) + lit(b_i)*x1, as _line_segment builds it for
-        line_path and the reconstruction probes (and fills this in): the
-        segment is then the line a + b u.  None for any other AST: the
-        segment runs its compiled programs.  Both give the same bits."""
-        ab = []
-        for c in self.coords:
-            ast = c.ast
-            if not (
-                ast[0] == "add"
-                and ast[1][0] == "num"
-                and ast[2][0] == "mul"
-                and ast[2][1][0] == "num"
-                and ast[2][2] == ("var", 0)
-            ):
-                return None
-            ab.append((ast[1][1], ast[2][1][1]))
-        return tuple(ab)
+    def windowed(self):
+        """The value program and the dual program of the coordinates at
+        x3 + x4 x1, the window [w0, w1] = [x3, x3 + x4] seen at x1, with s at
+        x2 on a family's: the affine map runs inside, as in a substituted
+        copy, and the derivatives in x1 carry its factor x4 = w1 - w0."""
+        at = [var(2, 4) + var(3, 4) * var(0, 4), var(1, 4)]
+        coords = tuple(substitute(c, at) for c in self.coords)
+        return exprs.Program(coords), exprs.Program(coords, 1)
+
+    def run(self, dual, window, cols, out):
+        """Run the value or the dual program on the input columns
+        cols = [u, s]: its own on the window [0, 1], else the windowed one,
+        with w0 and w1 - w0 as scalars."""
+        if window is None:
+            (self.dual_program if dual else self.program).run(cols, out)
+        else:
+            w0, w1 = window
+            self.windowed[dual].run(cols + [np.array(w0), np.array(w1 - w0)], out)
+
+    def moved(self, tr):
+        if id(tr) not in self._moved:
+            composed = tuple(substitute(c, self.coords) for c in tr.coord_map)
+            self._moved[id(tr)] = (tr, _Source(composed))
+        return self._moved[id(tr)][1]
+
+
+class Segment:
+    """One smooth piece of a path: a source (_Source) seen through the
+    window u -> w0 + (w1 - w0) u (_window, None for [0, 1]), at s (_s) when
+    the source is a homotopy family's, over the global parameter subrange
+    [t0, t1], t1 > t0.
+
+    Segment(chart_id, coords, t0, t1) makes the source from coordinate
+    expressions in the local parameter x1 in [0, 1]: a line when every
+    coordinate's AST is lit(a_i) + lit(b_i)*x1.  coords reads them back;
+    on a segment made any other way it is built from the source, the
+    window and s on first read.
+    """
+
+    def __init__(self, chart_id, coords, t0, t1):
+        coords = tuple(c.with_dim(1) if c.dim == 0 else c for c in coords)
+        if any(c.dim != 1 for c in coords):
+            raise OutOfRangeError("segment coordinates must be functions of x1 only")
+        self._see(chart_id, _Source(coords, _line_of(coords)), t0, t1)
+
+    def _see(self, chart_id, src, t0, t1, window=None, s=None):
+        if not t1 > t0:
+            raise OutOfRangeError(f"empty segment range [{t0}, {t1}]")
+        self.chart_id, self.t0, self.t1 = chart_id, t0, t1
+        self._src, self._s = src, s
+        self._window = None if window == (0.0, 1.0) else window
+        return self
+
+    def _part(self, t0, t1, u0=0.0, u1=1.0):
+        """The stretch [u0, u1] of this segment over the global range
+        [t0, t1]: its source through the window of its window."""
+        window = self._window
+        if (u0, u1) != (0.0, 1.0):
+            w0, w1 = window or (0.0, 1.0)
+            window = (w0 + (w1 - w0) * u0, w0 + (w1 - w0) * u1)
+        return _view(self.chart_id, self._src, t0, t1, window, self._s)
+
+    @cached_property
+    def coords(self):
+        if self._window is None and self._s is None:
+            return self._src.coords
+        u = var(0)
+        if self._window is not None:
+            w0, w1 = self._window
+            u = lit(w0) + lit(w1 - w0) * u
+        args = [u] if self._s is None else [u, lit(self._s)]
+        return tuple(substitute(c, args) for c in self._src.coords)
+
+    @property
+    def dim(self):
+        return len(self._src.line or self._src.coords)
+
+    def _fields(self):
+        return self.chart_id, self.coords, self.t0, self.t1
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is Segment else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return "Segment(chart_id={!r}, coords={!r}, t0={!r}, t1={!r})".format(*self._fields())
 
     def point_at(self, u):
-        line = self._line
-        if line is not None:
+        line = self._src.line
+        if line is not None and self._window is None:
             # Python floats round as numpy's float64 ops do, at a fraction
             # of their fixed cost on a few entries
             u = float(u)
@@ -202,31 +277,38 @@ class Segment:
             return np.array(x)
         # a one-point evaluation is all fixed cost: the program runs
         # directly, without evaluate_many's input checks and allocations
-        out = np.empty(len(self.coords))
-        self._program.run([np.array([u], dtype=float)], out[:, None])
+        out = np.empty(self.dim)
+        cols = [np.array([u], dtype=float), None if self._s is None else np.array([self._s])]
+        self._src.run(False, self._window, cols, out[:, None])
         return exprs._finite_or_raise(out)
+
+
+def _view(chart_id, src, t0, t1, window=None, s=None):
+    """The Segment over [t0, t1] that sees src through window at s."""
+    return object.__new__(Segment)._see(chart_id, src, t0, t1, window, s)
 
 
 def coords_and_velocities(segments, us, out):
     """Coordinates and global-t velocities of segments at their local
     parameters us, written component-major into out = (X, V), two
     C-contiguous (dim, len(segments), len(us)) arrays, and returned.  Each
-    segment's velocities carry its 1/(t1 - t0) chain-rule factor.  The
-    straight segments (Segment._line) are written by one broadcast over
-    one array of their (a_i, b_i) pairs: x = a + b u and the constant
-    velocity b'/(t1 - t0), where b' is b with a zero of either sign
-    written +0.0, as diff folds it.  Members of one homotopy family
-    (Segment._member) that sit side by side run their family's program
-    once, on the columns (u, s) of all of them stacked; every other
-    segment runs its own compiled program.  Each run writes straight into
-    its rows of X and V, so no scratch beyond the program's own grows with
-    the batch.
+    segment reads its source at w0 + (w1 - w0) u, so its velocities carry
+    the chain-rule factor (w1 - w0)/(t1 - t0).  The straight segments that
+    see their line whole are written by one broadcast over one array of
+    their (a_i, b_i) pairs: x = a + b u and the constant velocity
+    b'/(t1 - t0), where b' is b with a zero of either sign written +0.0, as
+    diff folds it.  The curved segments that see a shared source whole and
+    sit side by side run its program once, on the columns (u, and s for a
+    family) of all of them stacked; a segment with a narrower window runs
+    its source's windowed program (_Source.windowed) alone.  Each run
+    writes straight into its rows of X and V, so no scratch beyond the
+    program's own grows with the batch.
     """
     X, V = out
     if not (X.flags.c_contiguous and V.flags.c_contiguous):  # else a reshape below copies
         raise ValidationError("coords_and_velocities writes into C-contiguous arrays")
     us = np.asarray(us, dtype=float)
-    lines = [seg._line for seg in segments]
+    lines = [seg._src.line if seg._window is None else None for seg in segments]
     straight = [p for p, line in enumerate(lines) if line is not None]
     if straight:
         # (dim, len(straight), 1) each
@@ -236,25 +318,24 @@ def coords_and_velocities(segments, us, out):
         with np.errstate(over="ignore", invalid="ignore"):  # as in a program run
             X[:, at] = exprs._finite_or_raise(a + b * us)
         V[:, at] = exprs._finite_or_raise((b + 0.0) / width)  # -0.0 + 0.0 is +0.0
-    runs = []  # [lo, hi, family] of each run of curved segments, family None for one alone
-    for p, (seg, line) in enumerate(zip(segments, lines)):
-        family = None if line is not None or seg._member is None else seg._member[0]
-        if family is not None and runs and runs[-1][1] == p and runs[-1][2] is family:
-            runs[-1][1] += 1
-        elif line is None:
-            runs.append([p, p + 1, family])
-    for lo, hi, family in runs:
+    runs = []  # [lo, hi] of each run of segments that run a program
+    for p, seg in enumerate(segments):
+        if lines[p] is None:
+            last = segments[p - 1] if runs and runs[-1][1] == p else None
+            if last is not None and last._src is seg._src and last._window is None is seg._window:
+                runs[-1][1] += 1
+            else:
+                runs.append([p, p + 1])
+    for lo, hi in runs:
         # rows lo:hi of X and V, each (dim, hi - lo, len(us)), written in place
-        X_run, V_run, flat = X[:, lo:hi], V[:, lo:hi], (hi - lo) * len(us)
-        if family is None:
-            program, cols = segments[lo]._dual_program, [us]
-        else:
-            s = [segments[p]._member[1] for p in range(lo, hi)]
-            program, cols = family._dual_program, [np.tile(us, hi - lo), np.repeat(s, len(us))]
-        program.run(cols, [*X_run.reshape(-1, flat), *V_run.reshape(-1, flat)])
+        run, X_run, V_run, flat = segments[lo:hi], X[:, lo:hi], V[:, lo:hi], (hi - lo) * len(us)
+        cols = [us if hi == lo + 1 else np.tile(us, hi - lo),
+                None if run[0]._s is None else np.repeat([seg._s for seg in run], len(us))]
+        outs = [*X_run.reshape(-1, flat), *V_run.reshape(-1, flat)]
+        run[0]._src.run(True, run[0]._window, cols, outs)
         exprs._finite_or_raise(X_run)
         exprs._finite_or_raise(V_run)
-        V_run /= np.array([[segments[p].t1 - segments[p].t0] for p in range(lo, hi)])
+        V_run /= np.array([[seg.t1 - seg.t0] for seg in run])
     return out
 
 
@@ -304,11 +385,8 @@ class PathSpec:
         t = min(max(t, 0.0), 1.0)
         starts = self._starts
         if side == "left":
-            i = bisect.bisect_left(starts, t) - 1
-            i = max(i, 0)
-        else:
-            i = bisect.bisect_right(starts, t) - 1
-        return min(i, len(self.segments) - 1)
+            return max(bisect.bisect_left(starts, t) - 1, 0)
+        return min(bisect.bisect_right(starts, t) - 1, len(self.segments) - 1)
 
 
 def path_point(gamma, t, side="right"):
@@ -348,9 +426,7 @@ def path_from_exprs(chart_id, coords, ranges=None):
     n = len(coords)
     if ranges is None:
         ranges = [(i / n, (i + 1) / n) for i in range(n)]
-    segs = [
-        Segment(chart_id, tuple(cs), r[0], r[1]) for cs, r in zip(coords, ranges)
-    ]
+    segs = (Segment(chart_id, tuple(cs), r[0], r[1]) for cs, r in zip(coords, ranges))
     return PathSpec(tuple(segs))
 
 
@@ -363,33 +439,26 @@ def path_from_strings(chart_id, sources, ranges=None):
 
 
 def constant_path(x):
-    """The constant path at a chart point."""
-    return path_from_exprs(x.chart_id, [lit(c) for c in x.coords])
+    """The constant path at a chart point: the straight segment of slope
+    zero, which compiles nothing."""
+    return _line_segment(x.chart_id, x.coords, [0.0] * x.dim)
 
 
 def line_path(a, b_coords, chart_id=None):
     """Straight coordinate path from point a to coordinates b."""
-    if isinstance(a, ChartPoint):
-        chart_id = a.chart_id if chart_id is None else chart_id
-        a_coords = a.coords
-    else:
-        a_coords = np.asarray(a, dtype=float)
-        chart_id = 0 if chart_id is None else chart_id
+    if chart_id is None:
+        chart_id = a.chart_id if isinstance(a, ChartPoint) else 0
+    a = a.coords if isinstance(a, ChartPoint) else np.asarray(a, dtype=float)
     b = np.asarray(b_coords, dtype=float)
-    return _line_segment(chart_id, a_coords, [bi - ai for ai, bi in zip(a_coords, b)])
+    return _line_segment(chart_id, a, [bi - ai for ai, bi in zip(a, b)])
 
 
 def _line_segment(chart_id, a, b):
-    """The one-segment path a + b u, u in [0, 1], its coordinates built in
-    one step as the AST lit(a_i) + lit(b_i)*x1, with Segment._line filled
-    in from the same floats."""
-    ab = tuple((float(ai), float(bi)) for ai, bi in zip(a, b))
-    coords = tuple(
-        Expr(("add", ("num", ai), ("mul", ("num", bi), ("var", 0))), 1) for ai, bi in ab
-    )
-    seg = Segment(chart_id, coords, 0.0, 1.0)
-    seg.__dict__["_line"] = ab  # what the cached property would parse from coords
-    return PathSpec((seg,))
+    """The one-segment path a + b u, u in [0, 1], on a line source of the
+    pairs (a_i, b_i) as Python floats: its coordinate ASTs are built only
+    when read."""
+    line = tuple((float(ai), float(bi)) for ai, bi in zip(a, b))
+    return PathSpec((_view(chart_id, _Source(line=line), 0.0, 1.0),))
 
 
 def arc_path(chart_id, center, radius, theta0, theta1):
@@ -404,14 +473,6 @@ def arc_path(chart_id, center, radius, theta0, theta1):
 
 
 # --- path algebra ---------------------------------------------------------------
-
-def _rescale(segs, lo, hi):
-    width = hi - lo
-    return [
-        Segment(s.chart_id, s.coords, lo + s.t0 * width, lo + s.t1 * width)
-        for s in segs
-    ]
-
 
 def juxtapose(gamma1, gamma2, atlas=None):
     """Concatenate: run gamma1 over [0, 1/2], then gamma2 over [1/2, 1].
@@ -434,8 +495,11 @@ def juxtapose(gamma1, gamma2, atlas=None):
         )
     if gap > _ENDPOINT_TOL:
         raise EndpointMismatchError(f"endpoints differ by {gap:.3e}")
-    segs = _rescale(gamma1.segments, 0.0, 0.5) + _rescale(gamma2.segments, 0.5, 1.0)
-    return PathSpec(tuple(segs))
+    return PathSpec(tuple(
+        seg._part(lo + seg.t0 * (hi - lo), lo + seg.t1 * (hi - lo))
+        for gamma, lo, hi in ((gamma1, 0.0, 0.5), (gamma2, 0.5, 1.0))
+        for seg in gamma.segments
+    ))
 
 
 def _check_monotone(alpha):
@@ -498,36 +562,27 @@ def reparametrize(gamma, alpha):
 
 
 def reverse_path(gamma):
-    """Orientation reversal: result(t) = gamma(1 - t)."""
-    u = var(0)
-    flipped = lit(1.0) - u
-    segs = []
-    for seg in reversed(gamma.segments):
-        coords = tuple(substitute(c, [flipped]) for c in seg.coords)
-        segs.append(Segment(seg.chart_id, coords, 1.0 - seg.t1, 1.0 - seg.t0))
-    return PathSpec(tuple(segs))
+    """Orientation reversal: result(t) = gamma(1 - t), each segment seen
+    through the window [1, 0]."""
+    return PathSpec(tuple(
+        seg._part(1.0 - seg.t1, 1.0 - seg.t0, 1.0, 0.0) for seg in reversed(gamma.segments)
+    ))
 
 
 def subpath(gamma, a, b):
-    """Restriction of gamma to global [a, b], rescaled onto [0, 1]."""
+    """Restriction of gamma to global [a, b], rescaled onto [0, 1]: each
+    segment it meets seen through the window of the stretch it keeps."""
     if not (0.0 <= a < b <= 1.0 + 1e-15):
         raise OutOfRangeError(f"invalid subrange [{a}, {b}]")
     b = min(b, 1.0)
-    u = var(0)
     width = b - a
+    kept = [(seg, max(seg.t0, a), min(seg.t1, b)) for seg in gamma.segments]
+    kept = [(seg, lo, hi) for seg, lo, hi in kept if hi - lo >= 1e-15]
     segs = []
-    for seg in gamma.segments:
-        lo = max(seg.t0, a)
-        hi = min(seg.t1, b)
-        if hi - lo < 1e-15:
-            continue
-        # new local u -> global t -> old local parameter
-        t_of_u = lit(lo) + lit(hi - lo) * u
-        u_old = (t_of_u - lit(seg.t0)) / lit(seg.t1 - seg.t0)
-        coords = tuple(substitute(c, [u_old]) for c in seg.coords)
-        segs.append(Segment(seg.chart_id, coords, (lo - a) / width, (hi - a) / width))
-    # snap roundoff at the ends so PathSpec's coverage check passes
-    first, last = segs[0], segs[-1]
-    segs[0] = Segment(first.chart_id, first.coords, 0.0, first.t1)
-    segs[-1] = Segment(last.chart_id, last.coords, last.t0, 1.0)
+    for i, (seg, lo, hi) in enumerate(kept):
+        # snap roundoff at the ends so PathSpec's coverage check passes
+        t0 = 0.0 if i == 0 else (lo - a) / width
+        t1 = 1.0 if i == len(kept) - 1 else (hi - a) / width
+        span = seg.t1 - seg.t0
+        segs.append(seg._part(t0, t1, (lo - seg.t0) / span, (hi - seg.t0) / span))
     return PathSpec(tuple(segs))

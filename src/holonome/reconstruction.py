@@ -392,6 +392,13 @@ class RoundtripReport:
         return {**asdict(self), "passed": self.passed}
 
 
+def _default_box(chart):
+    """(lo, hi) of the box centre +- a quarter of the chart's extent:
+    roundtrip_report's grid, and the reconstruct task's by default."""
+    center, quarter = 0.5 * (chart.lo + chart.hi), 0.25 * (chart.hi - chart.lo)
+    return center - quarter, center + quarter
+
+
 def roundtrip_report(
     conn,
     cfg=None,
@@ -411,9 +418,7 @@ def roundtrip_report(
     _check_sweep(hs, "hs")
     cfg = cfg or SolverConfig(h=0.02)
     chart = conn.charts[0] if chart_id is None else conn.chart(chart_id)
-    center = 0.5 * (chart.lo + chart.hi)
-    quarter = 0.25 * (chart.hi - chart.lo)
-    grid = box_grid(chart.chart_id, center - quarter, center + quarter, grid_shape)
+    grid = box_grid(chart.chart_id, *_default_box(chart), grid_shape)
     oracle = engine_oracle(conn, cfg)
 
     X = np.stack([pt.coords for pt in grid])
@@ -432,7 +437,5 @@ def roundtrip_report(
     errors = tuple(sweep_error(h) for h in hs)
     final_error = sweep_error(h_final)
     degenerate = max(max(errors), final_error) < 1e-8
-    if degenerate:
-        return RoundtripReport(tuple(hs), errors, h_final, final_error, None, True)
-    order = loglog_slope(hs, errors)
-    return RoundtripReport(tuple(hs), errors, h_final, final_error, order, False)
+    order = None if degenerate else loglog_slope(hs, errors)
+    return RoundtripReport(tuple(hs), errors, h_final, final_error, order, degenerate)

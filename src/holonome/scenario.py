@@ -52,7 +52,7 @@ from .holonomy import (
     shrinking_loop_curvature,
 )
 from .paths import ChartPoint, PathSpec, Segment, box_grid
-from .reconstruction import reconstruct_connection, roundtrip_report
+from .reconstruction import _default_box, reconstruct_connection, roundtrip_report
 from .transport import (
     SolverConfig,
     engine_oracle,
@@ -419,10 +419,8 @@ def _run_task(scenario, task, index, out_dir, trace_csv):
         chart = conn.chart(task.get("chart", conn.charts[0].chart_id))
         grid_doc = task.get("grid", {})
         shape = grid_doc.get("shape", 5)
-        center = 0.5 * (chart.lo + chart.hi)
-        quarter = 0.25 * (chart.hi - chart.lo)
-        lo = np.asarray(grid_doc.get("lo", center - quarter), dtype=float)
-        hi = np.asarray(grid_doc.get("hi", center + quarter), dtype=float)
+        lo, hi = (np.asarray(grid_doc.get(end, box), dtype=float)
+                  for end, box in zip(("lo", "hi"), _default_box(chart)))
         if len(lo) != chart.dim or len(hi) != chart.dim:
             raise ValidationError(f"grid lo and hi need {chart.dim} coordinates each")
         h = task.get("h", 1e-3)

@@ -14,6 +14,10 @@ the exit is bisected (to 1e-12 in t) from the last grid point inside, the
 piece ends at the last point inside, and the rest starts at the first
 point outside, re-expressed on the chart that holds it, with the
 transition gauge factor g(x*)^-1 applied to the accumulated transport.
+Both parts are windows on the piece's source (paths.Segment._part), and
+the rest's source composed with the transition's coordinate map is kept
+by that source (paths._Source.moved), so a repeated crossing compiles
+nothing.
 
 The right-hand side is linear in U, so each step is a matrix applied to U.
 It takes the field at the step's start, middle and end, RK4's grid of
@@ -84,7 +88,7 @@ from .errors import (
     StepUnderflowError,
     ValidationError,
 )
-from .exprs import lit, parse, substitute, var
+from .exprs import lit, parse, var
 from .groups import (
     GroupElement,
     _check_sweep,
@@ -99,8 +103,8 @@ from .groups import (
 from .paths import (
     ChartPoint,
     PathSpec,
-    Segment,
     _chart_points,
+    _view,
     arc_path,
     constant_path,
     coords_and_velocities,
@@ -198,12 +202,6 @@ class LiftedPath:
     start_fiber_point: GroupElement
 
 
-def _compose_affine(coords, w0, w1):
-    """Restrict exprs in w to [w0, w1], rescaled onto a fresh [0, 1]."""
-    inner = lit(w0) + lit(w1 - w0) * var(0)
-    return tuple(substitute(c, [inner]) for c in coords)
-
-
 class _ChartExit(OutsideChartError):
     """Field grids of a stack of pieces that leave their chart.  exits maps
     the position of each piece that leaves to (u_in, u_out), the local
@@ -229,13 +227,15 @@ def _bisect_exit(chart, piece, lo, hi):
 
 def _move(conn, piece, x0):
     """The piece re-expressed, through a transition, on a chart whose box
-    holds its start point x0."""
+    holds its start point x0: the same window on its source composed with
+    the transition's coordinate map, which the source keeps, so a repeated
+    crossing compiles nothing."""
     for tr in conn.transitions:
         if tr.from_chart == piece.chart_id and conn.chart(tr.to_chart).contains(
             tr.map_coords(x0)
         ):
-            coords = tuple(substitute(c, piece.coords) for c in tr.coord_map)
-            return Segment(tr.to_chart, coords, piece.t0, piece.t1)
+            src = piece._src.moved(tr)
+            return _view(tr.to_chart, src, piece.t0, piece.t1, piece._window, piece._s)
     raise OutsideChartError(
         f"path point at t={piece.t0:.6g} lies outside every reachable chart"
     )
@@ -277,10 +277,12 @@ def _batch_size(conn, chart_id, n, continuing=False, pieces=()):
       field program, plus the value and product, 2 k^2, of a coefficient
       that is not an expression, and on SO(2) and SO(3) the whole field
       that the skew rows are then taken from.
-    - The coordinates phase holds X and V, and, when pieces holds members
-      of homotopy families, the widest family program's scratch rows and
-      its two input rows (u, s): a family's members that sit side by side
-      run its program at once (paths.coords_and_velocities).
+    - The coordinates phase holds X and V, and, when pieces share a
+      curved source (the members of a homotopy family, or windows of one
+      path), the widest shared program's scratch rows and its two input
+      rows, (u, s) or the windows' u and their stack: the pieces of one
+      source that sit side by side run its program at once
+      (paths.coords_and_velocities).
     - The step phase holds X, the field rows, and what _steps holds at once
       per step (half of that per grid point): four angles on SO(2) and
       U(1); on SO(3) three matrices' worth, the Cayley map beside omega,
@@ -298,7 +300,8 @@ def _batch_size(conn, chart_id, n, continuing=False, pieces=()):
     else:
         rows, step = k * k, 5 * k * k
         width = chart._field[0].width + 2 * k * k * others
-    family = max((seg._member[0]._dual_program.width + 2 for seg in pieces if seg._member),
+    family = max((b._src.dual_program.width + 2 for a, b in zip(pieces, pieces[1:])
+                  if a._src is b._src and b._src.line is None and a._window is None is b._window),
                  default=0)
     per_point = max(2 * dim + max(rows + width, family), dim + rows + step / 2)
     per_point += continuing * (dim + rows) / 2
@@ -394,15 +397,15 @@ def _piece_fields(conn, pieces, n, prev=None):
         # a start outside (the first grid point) reads ts[0], not ts[-1]
         u_in, u_out = ts[np.maximum(i - 1, 0)], ts[i]
         raise _ChartExit({p: (u_in[p], u_out[p]) for p in np.flatnonzero(~inside.all(axis=1))})
-    del inside  # not held through the field phase, which _batch_size counts
+    del inside, ts  # not held through the field phase, which _batch_size counts
     rows = (k * (k - 1) // 2,) if _skew(conn.group) else (k, k)
     M_new = np.empty(rows + (P, m))
     fill = chart._skew_field if len(rows) == 1 else chart.field
     fill(X_new.reshape(dim, -1), V.reshape(dim, -1), M_new.reshape(rows + (-1,)))
     if prev is None:
         return X_new, M_new
-    X = np.empty((dim, P, len(ts)))
-    M = np.empty(rows + (P, len(ts)))
+    X = np.empty((dim, P, 2 * n + 1))
+    M = np.empty(rows + (P, 2 * n + 1))
     (X[..., 0::2], M[..., 0::2]), X[..., 1::2], M[..., 1::2] = prev, X_new, M_new
     return X, M
 
@@ -524,9 +527,9 @@ def _walk(conn, gamma, cfg, U, samples):
     est = 0.0
     for seg in gamma.segments:
         dim = conn.chart(seg.chart_id).dim
-        if len(seg.coords) != dim:
+        if seg.dim != dim:
             raise ValidationError(
-                f"segment on chart {seg.chart_id} has {len(seg.coords)} coordinates, "
+                f"segment on chart {seg.chart_id} has {seg.dim} coordinates, "
                 f"the chart is {dim}-dimensional"
             )
         pending = [seg]
@@ -594,11 +597,9 @@ def _walk(conn, gamma, cfg, U, samples):
                 changes += 1
                 lo, hi = _bisect_exit(chart, piece, *exit_.exits[0])
                 if hi < 1.0:  # else the exit is within _CROSSING_TOL of the end
-                    rest = _compose_affine(piece.coords, hi, 1.0)
-                    pending.append(Segment(piece.chart_id, rest, piece.t0 + hi * width, piece.t1))
+                    pending.append(piece._part(piece.t0 + hi * width, piece.t1, hi, 1.0))
                 if lo > 0.0:
-                    part = _compose_affine(piece.coords, 0.0, lo)
-                    pending.append(Segment(piece.chart_id, part, piece.t0, piece.t0 + lo * width))
+                    pending.append(piece._part(piece.t0, piece.t0 + lo * width, 0.0, lo))
                     continue
                 U_n, n, e, last = U_in, 0, 0.0, here
             start = start or here or first
@@ -612,6 +613,7 @@ def _walk(conn, gamma, cfg, U, samples):
             total_steps += n
             est += e
             end = last
+            X = M = steps = prev = None  # not held through the next piece's pass
     return start, end, U, total_steps, est
 
 

@@ -341,6 +341,38 @@ def test_flatness_verdicts_never_inconsistent(name, expected):
     assert verdict.verdict != "INCONSISTENT"
 
 
+def slope_connection(c, lo, hi):
+    """SO(2) with A1 = 0 and A2 = c x1 J on the box [lo, hi]: constant
+    curvature F12 = c J, and zero at c = 0."""
+    a2 = lit(c) * var(0, 2)
+    coeffs = (ExprMatrixFunction(np.zeros((2, 2)), 2),
+              ExprMatrixFunction([[lit(0.0), -a2], [a2, lit(0.0)]], 2))
+    return ConnectionForm(StructureGroup("SO", 2), [ChartSpec(0, 2, lo, hi, coeffs)], [])
+
+
+def test_a_zero_connection_on_a_box_lower_than_pi_reads_flat():
+    """Half-height 1.5 < pi/2: the area family is shrunk into the box,
+    where it once left the chart and raised OutsideChartError."""
+    verdict = flatness_verdict(slope_connection(0.0, [-2.0, -1.5], [2.0, 1.5]), CFG)
+    assert verdict.verdict == "FLAT"
+    assert verdict.spreads == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("lo, hi", [([-0.3, -0.2], [0.3, 0.2]), ([-0.2, -1.0], [0.2, 1.0]),
+                                    ([-2.0, -2.0], [2.0, 2.0])])
+def test_the_area_family_sweeps_the_area_its_docstring_states(lo, hi):
+    """Under constant curvature c the area family's spread is that of a
+    rotation by c times the area gamma_1 encloses with gamma_0: f^2, with
+    f = 0.9 min(2 half-width, half-height / (pi/2)) on a box too small for
+    the unit family, else 1."""
+    c = 2.0
+    half = 0.5 * (np.array(hi) - np.array(lo))
+    f = min(1.0, 0.9 * min(2.0 * half[0], half[1] / (np.pi / 2.0)))
+    verdict = flatness_verdict(slope_connection(c, lo, hi), CFG)
+    assert verdict.verdict == "CURVED"
+    assert verdict.spreads[0] == pytest.approx(2.0 * np.sqrt(2.0) * np.sin(c * f * f / 2.0), rel=1e-9)
+
+
 def strip_connection(c, w):
     """SO(2) with A1 = 0 and A2 = c (1 + tanh((x1 - 0.33)/w))/2 J, written
     c / (1 + exp(-2 (x1 - 0.33)/w)) J, on [-2, 2]^2: its curvature
@@ -416,13 +448,13 @@ def bare_factor_family():
 
 def assert_as_untagged(segs):
     """coords_and_velocities of segs in one batch gives, values and zero
-    signs, what each segment gives untagged and alone: its own compiled
-    programs."""
+    signs, what each segment gives alone as a plain Segment of its
+    coordinates: its own compiled programs."""
     for us in GRIDS:
         X, V = coords_and_velocities(segs, us, np.empty((2, 2, len(segs), len(us))))
         for p, seg in enumerate(segs):
             plain = Segment(seg.chart_id, seg.coords, seg.t0, seg.t1)
-            assert plain._member is None
+            assert plain._s is None and plain._src is not seg._src
             x, v = coords_and_velocities([plain], us, np.empty((2, 2, 1, len(us))))
             assert X[:, p].tobytes() == x[:, 0].tobytes()
             assert V[:, p].tobytes() == v[:, 0].tobytes()
@@ -431,8 +463,8 @@ def assert_as_untagged(segs):
 def members(fam, ss):
     segs = [fam.member(s).segments[0] for s in ss]
     for seg, s in zip(segs, ss):
-        assert (seg._member is None) == (s == 0.0)
-        assert seg._member is None or seg._member == (fam, s)
+        assert (seg._s is None) == (s == 0.0)
+        assert seg._s is None or (seg._src, seg._s) == (fam._src, s)
     return segs
 
 
@@ -457,9 +489,8 @@ def test_a_batch_of_two_families_and_a_straight_segment_equals_its_parts_bit_for
     area, diag, _ = standard_homotopy_families(builtin_connection("abelian-area(1.5)"))
     straight = line_path(ChartPoint(0, [-0.5, 0.1]), [0.7, -0.3]).segments[0]
     arc = arc_path(0, (0.1, -0.2), 0.9, 0.0, 2.0).segments[0]
-    # a tagged segment on [0.25, 0.75]: its velocities carry the factor 2
-    narrow = Segment(0, area.member(0.6).segments[0].coords, 0.25, 0.75)
-    narrow.__dict__["_member"] = (area, 0.6)
+    # a member's segment on [0.25, 0.75]: its velocities carry the factor 2
+    narrow = area.member(0.6).segments[0]._part(0.25, 0.75)
     segs = (members(area, [0.5, 0.0]) + [straight] + members(diag, [0.3, 1.0])
             + members(area, [1.0]) + [arc, narrow] + members(bare_factor_family(), [0.7]))
     assert_as_untagged(segs)

@@ -202,11 +202,76 @@ def test_segment_compiles_each_program_once(monkeypatch):
     assert np.allclose(out[1, :, 0, 1], [-2.0 * np.sin(2.0), 2.0 * np.cos(2.0)], atol=1e-14)
 
 
+def test_windows_of_an_arc_compile_nothing_beyond_its_programs(monkeypatch):
+    """subpath, reverse_path and juxtapose of an arc, their compositions
+    and a constant path, evaluated by path_point, path_velocity and
+    coords_and_velocities, compile the arc source's programs once each and
+    nothing else: its value and dual programs, and the windowed pair that
+    every narrower window runs.  Every piece is a window on the arc's
+    source, or a line seen whole."""
+    arc = arc_path(0, (0.1, -0.2), 0.9, 0.0, 2.0)
+    compiled = []
+    original = exprs.Program.__init__
+
+    def counting(self, es, grad_axes=0):
+        compiled.append(grad_axes)
+        original(self, es, grad_axes)
+
+    monkeypatch.setattr(exprs.Program, "__init__", counting)
+    back = reverse_path(arc)
+    pieces = [subpath(arc, 0.2, 0.7), back, juxtapose(arc, back), reverse_path(back),
+              subpath(reverse_path(subpath(arc, 0.1, 0.9)), 0.3, 1.0),
+              constant_path(ChartPoint(0, [0.3, 0.4]))]
+    us = np.linspace(0.0, 1.0, 5)
+    for gamma in pieces:
+        for t in (0.0, 0.4, 1.0):
+            path_point(gamma, t)
+            path_velocity(gamma, t)
+        n = len(gamma.segments)
+        coords_and_velocities(gamma.segments, us, np.empty((2, 2, n, len(us))))
+    assert sorted(compiled) == [0, 0, 1, 1]
+    assert all(seg._src is arc.segments[0]._src for gamma in pieces[:-1] for seg in gamma.segments)
+    assert reverse_path(back).segments[0]._window is None  # [1, 0] of [1, 0] is [0, 1]
+
+
+_cuts = st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(sorted).filter(
+    lambda ab: ab[1] - ab[0] >= 1e-3)
+
+
+def assert_same_points(gamma, want, ts):
+    """gamma and want agree at ts within 1e-15 in coordinates and 1e-14 in
+    velocities, away from either path's breakpoints."""
+    cuts = gamma.breakpoints + want.breakpoints
+    for t in ts:
+        if all(abs(t - c) > 1e-9 for c in cuts):
+            assert np.abs(path_point(gamma, t).coords - path_point(want, t).coords).max() <= 1e-15
+            got, ref = path_velocity(gamma, t).components, path_velocity(want, t).components
+            assert np.abs(got - ref).max() <= 1e-14
+
+
+@seed(20261021)
+@settings(max_examples=100, deadline=None)
+@given(_cuts, _cuts)
+def test_a_window_of_a_window_is_the_composed_window(outer, inner):
+    """subpath of a subpath is the subpath of the composed range, and the
+    reversal of a subpath is the window [b, a] on the source, pointwise,
+    on a path of two arcs that may put a breakpoint inside the window."""
+    arc = arc_path(0, (0.1, -0.2), 0.9, 0.0, 2.0)
+    other = arc_path(0, (0.1 + 0.9 * np.cos(2.0) - 1.2, -0.2 + 0.9 * np.sin(2.0)), 1.2, 0.0, -1.5)
+    gamma = juxtapose(arc, other)
+    (a, b), (c, d) = outer, inner
+    ts = np.linspace(0.0, 1.0, 9)
+    assert_same_points(subpath(subpath(gamma, a, b), c, d),
+                       subpath(gamma, a + (b - a) * c, a + (b - a) * d), ts)
+    window = PathSpec((arc.segments[0]._part(0.0, 1.0, b, a),))
+    assert_same_points(reverse_path(subpath(arc, a, b)), window, ts)
+
+
 def test_segment_programs_are_freed_with_the_segment():
     seg = Segment(0, (lit(0.1) + var(0), lit(0.2) * var(0)), 0.0, 1.0)
     seg.point_at(0.5)
     coords_and_velocities((seg,), [0.5], np.empty((2, 2, 1, 1)))
-    programs = [weakref.ref(seg._program), weakref.ref(seg._dual_program)]
+    programs = [weakref.ref(seg._src.program), weakref.ref(seg._src.dual_program)]
     del seg
     assert [ref() for ref in programs] == [None, None]
 
@@ -243,7 +308,7 @@ def _segments(draw, straight):
 def _programmed(seg, us):
     """Coordinates and global-t velocities of seg from its compiled
     programs, as (dim, len(us)) arrays."""
-    pts, grads = exprs.evaluate_dual_many(seg._dual_program, np.asarray(us)[:, None])
+    pts, grads = exprs.evaluate_dual_many(seg._src.dual_program, np.asarray(us)[:, None])
     return pts.T, grads[:, :, 0].T / (seg.t1 - seg.t0)
 
 
@@ -258,7 +323,7 @@ def test_straight_segments_equal_their_programs_bit_for_bit(picks, us):
     look-alikes of a line, which take the program route."""
     segs = [data.draw(_segments(straight)) for straight, data in picks]
     for seg, (straight, _) in zip(segs, picks):
-        assert (seg._line is not None) == straight
+        assert (seg._src.line is not None) == straight
     X, V = coords_and_velocities(segs, us, np.empty((2, 2, len(segs), len(us))))
     for p, seg in enumerate(segs):
         want_x, want_v = _programmed(seg, us)
@@ -268,7 +333,7 @@ def test_straight_segments_equal_their_programs_bit_for_bit(picks, us):
         for j, u in enumerate(us):
             assert seg.point_at(u).tobytes() == want_x[:, j].tobytes()
             at = path_point(gamma, u).coords
-            program = exprs.evaluate_many(seg._program, [[u]])[0]
+            program = exprs.evaluate_many(seg._src.program, [[u]])[0]
             assert at.tobytes() == program.tobytes()
             vel = path_velocity(gamma, u)
             want = _programmed(gamma.segments[0], [u])
@@ -280,27 +345,27 @@ def test_straight_segments_equal_their_programs_bit_for_bit(picks, us):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(_offsets, _slopes), min_size=1, max_size=4), st.booleans())
 def test_line_segment_fills_in_the_line_it_would_parse(pairs, as_arrays):
-    """_line_segment's filled-in _line holds the bytes, -0.0 included, and
+    """_line_segment's line source holds the bytes, -0.0 included, and
     the Python floats that a fresh Segment parses from its coordinates."""
     a, b = (list(c) for c in zip(*pairs))
     if as_arrays:
         a, b = np.array(a), np.array(b)
     [seg] = paths._line_segment(3, a, b).segments
-    fresh = Segment(seg.chart_id, seg.coords, 0.0, 1.0)._line
-    assert np.array(seg._line).tobytes() == np.array(fresh).tobytes()
-    assert {type(v) for pair in seg._line for v in pair} == {float}
+    fresh = Segment(seg.chart_id, seg.coords, 0.0, 1.0)._src.line
+    assert np.array(seg._src.line).tobytes() == np.array(fresh).tobytes()
+    assert {type(v) for pair in seg._src.line for v in pair} == {float}
 
 
 def test_straight_segment_keeps_the_finite_check():
     """A line that overflows raises the DomainError its program raises."""
     seg = Segment(0, (lit(1e308) + lit(1e308) * var(0),), 0.0, 1.0)
-    assert seg._line is not None
+    assert seg._src.line is not None
     with pytest.raises(exprs.DomainError, match="overflowed"):
         seg.point_at(1.0)
     with pytest.raises(exprs.DomainError, match="overflowed"):
         coords_and_velocities((seg,), [0.0, 1.0], np.empty((2, 1, 1, 2)))
     with pytest.raises(exprs.DomainError, match="overflowed"):
-        exprs.evaluate_many(seg._program, [[1.0]])
+        exprs.evaluate_many(seg._src.program, [[1.0]])
 
 
 def test_coords_and_velocities_refuses_rows_it_cannot_write_in_place():

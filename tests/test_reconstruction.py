@@ -807,7 +807,7 @@ def test_table_asks_the_straight_probes_along_each_axis(points, h):
     of each point and axis: one segment over [0, 1] whose coordinate ASTs
     are lit(a_i) + lit(b_i)*x1 with a = x - h e_mu and b = 2 h e_mu as
     numpy computes them (compared by repr, so a -0.0 coordinate off the
-    axis counts), and whose _line holds the bytes a fresh Segment parses
+    axis counts), and whose line source holds the bytes a fresh Segment parses
     from those coordinates."""
     grid = [ChartPoint(2, p) for p in points]
     asked = []
@@ -825,8 +825,8 @@ def test_table_asks_the_straight_probes_along_each_axis(points, h):
         ast = [("add", ("num", float(ai)), ("mul", ("num", float(bi)), ("var", 0)))
                for ai, bi in zip(a, b)]
         assert repr([c.ast for c in seg.coords]) == repr(ast)
-        fresh = Segment(seg.chart_id, seg.coords, 0.0, 1.0)._line
-        assert np.array(seg._line).tobytes() == np.array(fresh).tobytes()
+        fresh = Segment(seg.chart_id, seg.coords, 0.0, 1.0)._src.line
+        assert np.array(seg._src.line).tobytes() == np.array(fresh).tobytes()
 
 
 @pytest.mark.parametrize("h", [5e-7, 0.02, float("nan")])

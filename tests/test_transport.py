@@ -535,6 +535,30 @@ def test_crossing_into_a_gauge_transformed_chart_compiles_its_map_once(monkeypat
     assert sum(compiled) <= 1
 
 
+def test_a_warm_two_chart_holonomy_compiles_nothing(monkeypatch):
+    """A second holonomy of the loop that leaves chart 0 into chart 1
+    compiles no program, and gives the first one's bits: the parts of each
+    chart exit are windows on the loop's source, and the source keeps
+    what it composed with each transition's coordinate map."""
+    from holonome.holonomy import holonomy
+
+    conn = builtin_connection("levi-civita-s2-twochart")
+    loop = arc_path(0, (3.0, 0.1), 2.0, np.pi, 3.0 * np.pi)
+    first = holonomy(conn, loop, CFG)
+    compiled = []
+    original = exprs.Program.__init__
+
+    def counting(self, es, grad_axes=0):
+        compiled.append(grad_axes)
+        original(self, es, grad_axes)
+
+    monkeypatch.setattr(exprs.Program, "__init__", counting)
+    again = holonomy(conn, loop, CFG)
+    assert compiled == []
+    assert again.transport.end.chart_id == 1
+    assert again.g.matrix.tobytes() == first.g.matrix.tobytes()
+
+
 def test_exit_within_crossing_tolerance_of_the_end_is_dropped():
     """A segment that leaves chart 0 within 1e-12 of its end stops at its
     last point inside chart 0; the empty rest is not integrated (0 / 0)."""

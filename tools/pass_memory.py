@@ -40,7 +40,8 @@ def pass_peak(conn, n, continuing=False):
     chart, k = conn.charts[0], conn.group.k
     worst = (0, 0)
     for family in chart._homotopy_families:
-        tagged = [family.member(1.0).segments[0]]
+        # two members, so that _batch_size counts the family's shared program
+        tagged = [family.member(s).segments[0] for s in (0.5, 1.0)]
         count = module._batch_size(conn, chart.chart_id, n, continuing, tagged)
         pieces = [family.member((j + 1) / count).segments[0] for j in range(count)]
         U = np.broadcast_to(np.eye(k), (count, k, k)).copy()
