@@ -10,11 +10,16 @@ einsum over those rows (_mul) replaces a per-matrix product.  The
 integrator's steps lie on the group (see transport._step_matrices), so
 nothing on its path is projected; the polar projection, one batched SVD,
 serves project_to_group and group_exp.  The logarithm runs on (m, k, k)
-stacks (inverse scaling and squaring, Higham, Functions of Matrices,
-2008, 11.5): each matrix takes its own count of Denman-Beavers square
-roots, through one batched inverse per step, and of series terms, so its
-log is bit for bit the log of a stack of one; group_log is that stack of
-one.  Stacks of group and algebra matrices are validated once, through
+stacks, and group_log is a stack of one.  On SO(2), U(1) and SO(3)
+(_closed_form) it is closed form over the whole stack: theta J with
+theta = atan2(S10 - S01, S00 + S11) on SO(2), and on SO(3) the inverse of
+Rodrigues' formula, theta / sin(theta) (S - S^T)/2 with theta read by
+atan2 from the axial part and the trace (_axial), which rotation_angle
+shares.  GL and SO(k >= 4) take inverse scaling and squaring (Higham,
+Functions of Matrices, 2008, 11.5): each matrix takes its own count of
+Denman-Beavers square roots, through one batched inverse per step, and
+of series terms, so its log is bit for bit the log of a stack of one.
+Stacks of group and algebra matrices are validated once, through
 their worst members.  frobenius computes what np.linalg.norm(m, "fro")
 does, bit for bit, without its fixed cost, and the det sign that SO(2)
 and SO(3) elements must pass comes from the cofactor formula in Python
@@ -138,16 +143,12 @@ def _check_group_matrix(m, group):
     """Raises GroupInvariantError unless m is a k x k element of group.
     Every comparison fails closed: a NaN defect or det does not pass."""
     if m.shape != (group.k, group.k):
-        raise GroupInvariantError(
-            f"expected a {group.k}x{group.k} matrix, got shape {m.shape}"
-        )
+        raise GroupInvariantError(f"expected a {group.k}x{group.k} matrix, got shape {m.shape}")
     if group.orthogonal:
         det = _det_orthogonal(m)
         defect = frobenius(m.T @ m - _identity(group.k))
         if not defect <= _ORTHO_TOL:
-            raise GroupInvariantError(
-                f"matrix is not orthogonal: ||g^T g - I||_F = {defect:.3e}"
-            )
+            raise GroupInvariantError(f"matrix is not orthogonal: ||g^T g - I||_F = {defect:.3e}")
         if not det > 0:
             raise GroupInvariantError("special orthogonal matrix needs det > 0")
     else:
@@ -270,9 +271,7 @@ def group_inverse(g):
 def _expm(m):
     """Scaling-and-squaring with a truncated Taylor series (desk scale k <= 4)."""
     nrm = frobenius(m)
-    s = 0
-    if nrm > 0.25:
-        s = int(np.ceil(np.log2(nrm / 0.25)))
+    s = int(np.ceil(np.log2(nrm / 0.25))) if nrm > 0.25 else 0
     b = m / (2.0**s)
     k = m.shape[0]
     acc = np.eye(k)
@@ -341,24 +340,52 @@ def _logm(S):
     return acc * (2.0**s)[:, None, None]
 
 
+def _closed_form(group):
+    """Whether the group is SO(2), U(1) or SO(3), on which a log here
+    (_algebra_logs) and a transport step (transport._steps) take closed
+    forms that read only the skew part of a matrix."""
+    return group.orthogonal and group.k in (2, 3)
+
+
+def _axial(S):
+    """The skew parts A = (S - S^T)/2 of a (m, 3, 3) stack, the norms |a| of
+    their axial vectors (sin theta on SO(3)), and the rotation angles
+    theta = atan2(|a|, (tr S - 1)/2) in [0, pi], which keep their relative
+    accuracy down to theta = 0 and up to pi, where arccos of the trace term
+    loses them."""
+    A = 0.5 * (S - S.swapaxes(-1, -2))
+    sin = np.sqrt(A[:, 2, 1] ** 2 + A[:, 0, 2] ** 2 + A[:, 1, 0] ** 2)
+    return A, sin, np.arctan2(sin, 0.5 * (S[:, 0, 0] + S[:, 1, 1] + S[:, 2, 2] - 1.0))
+
+
 def _algebra_logs(S, group):
-    """The principal logs of a (m, k, k) stack of group matrices inside the
-    branch (_check_branch), as one checked stack; on SO/U1 the roundoff of
-    each log is cleaned up to the skew matrix it must be."""
+    """The principal logs of a (m, k, k) stack of finite group matrices
+    inside the branch (_check_branch).  On SO(2) and U(1), theta J with
+    theta = atan2(S10 - S01, S00 + S11); on SO(3), theta / |a| times the
+    skew part (_axial), the factor 1 where |a| = 0: closed forms that are
+    skew by construction, finite in the branch, and exactly zero at the
+    identity.  Else _logm, whose roundoff on SO(k) is cleaned up to the
+    skew matrix each log must be, checked as one stack."""
+    if _closed_form(group):
+        if group.k == 2:  # + 0.0 writes every zero of theta J as +0.0
+            theta = np.arctan2(S[:, 1, 0] - S[:, 0, 1], S[:, 0, 0] + S[:, 1, 1])
+            return theta[:, None, None] * so2_generator() + 0.0
+        A, sin, theta = _axial(S)
+        return np.divide(theta, sin, out=np.ones(len(S)), where=sin > 0.0)[:, None, None] * A
     a = _logm(S)
     if group.orthogonal:
         a = 0.5 * (a - a.swapaxes(-1, -2))
     return _algebra_checked(a, group)
 
 
-def _check_branch(m):
+def _check_branch(m, dist=None):
     """Raises OutOfBranchError unless ||m - I||_F < 1, the principal branch
-    on which group_log inverts group_exp."""
-    dist = frobenius(m - _identity(len(m)))
+    on which group_log inverts group_exp.  dist is that norm when it was
+    taken already, as one of a stack's (_norms, bit for bit frobenius)."""
+    if dist is None:
+        dist = frobenius(m - _identity(len(m)))
     if not dist < 1.0:
-        raise OutOfBranchError(
-            f"||g - I||_F = {dist:.3f} >= 1: outside the principal branch"
-        )
+        raise OutOfBranchError(f"||g - I||_F = {dist:.3f} >= 1: outside the principal branch")
 
 
 def group_exp(a):
@@ -431,9 +458,7 @@ def project_to_group(m, group):
 
 def max_spread(mats):
     """Largest pairwise Frobenius distance, max_{i<j} ||m_i - m_j||_F."""
-    return max(
-        (frobenius(a - b) for i, a in enumerate(mats) for b in mats[i + 1:]), default=0.0
-    )
+    return max((frobenius(a - b) for i, a in enumerate(mats) for b in mats[i + 1:]), default=0.0)
 
 
 def _check_sweep(steps, what):
@@ -483,12 +508,12 @@ def so3_basis():
 def rotation_angle(g):
     """Rotation angle of a group element, in (-pi, pi].
 
-    SO(2)/U(1): signed angle via atan2.  SO(3): unsigned angle from the
-    trace, in [0, pi].  Returns None for other groups.
+    SO(2)/U(1): signed angle via atan2.  SO(3): unsigned angle in [0, pi],
+    by atan2 from the axial part and the trace, as the log reads it
+    (_axial).  Returns None for other groups.
     """
     if g.group.k == 2 and g.group.orthogonal:
         return float(np.arctan2(g.matrix[1, 0], g.matrix[0, 0]))
     if g.group.k == 3 and g.group.orthogonal:
-        c = (np.trace(g.matrix) - 1.0) / 2.0
-        return float(np.arccos(np.clip(c, -1.0, 1.0)))
+        return float(_axial(g.matrix[None])[2][0])
     return None

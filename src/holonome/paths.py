@@ -456,9 +456,12 @@ def line_path(a, b_coords, chart_id=None):
 def _line_segment(chart_id, a, b):
     """The one-segment path a + b u, u in [0, 1], on a line source of the
     pairs (a_i, b_i) as Python floats: its coordinate ASTs are built only
-    when read."""
+    when read.  One segment over [0, 1] passes PathSpec's checks by
+    construction, so they are not run."""
     line = tuple((float(ai), float(bi)) for ai, bi in zip(a, b))
-    return PathSpec((_view(chart_id, _Source(line=line), 0.0, 1.0),))
+    path = object.__new__(PathSpec)
+    object.__setattr__(path, "segments", (_view(chart_id, _Source(line=line), 0.0, 1.0),))
+    return path
 
 
 def arc_path(chart_id, center, radius, theta0, theta1):

@@ -27,19 +27,22 @@ Every check here builds all its probe paths first and asks for them
 through transport._asker: an oracle with a many method (engine_oracle's)
 gets them all in one list and may answer a probe with the exception it
 met there; any other oracle is asked for each probe only when the check
-reaches it.  _probe_element turns an answer into a group element or an
+reaches it.  _differences turns an answer into a group element or an
 OracleFailureError.
 
-One probe walk (_differences) serves a table and the lifts: it takes
-each probe's answer D = P(x - hv -> x + hv) as it arrives and tests it
-against the principal branch ||D - I||_F < 1, stopping at the first probe
-that fails or leaves the branch.  A table walks its grid point by point,
-and a point whose walk stops drops with that reason; lift_vector and
-horizontal_space walk the probes of their vectors, and a stop raises.
-Then the kept differences are validated as one stack, one stacked
-logarithm (groups._logm, bit for bit per matrix) gives every Omega, and
-the vertical parts are checked for skewness as one stack
-(_vertical_parts).
+One probe walk (_differences) serves a table, the lifts and the lemma:
+it takes each probe's answer D = P(x - hv -> x + hv) in order and tests
+it against the principal branch ||D - I||_F < 1, stopping at the first
+probe that fails or leaves the branch; when the oracle's many has
+answered, the distances are taken as one stack first (_branch_distances).
+A table walks its grid point by point, and a point whose walk stops drops
+with that reason; lift_vector and horizontal_space walk the probes of
+their vectors, and a stop raises.  Then the kept differences are
+validated as one stack, unless every answer is a GroupElement of the
+group, validated when it was made; one stacked logarithm
+(groups._algebra_logs: closed form on SO(2), U(1) and SO(3), else
+groups._logm) gives every Omega, and the vertical parts are checked for
+skewness as one stack (_vertical_parts).
 """
 
 from __future__ import annotations
@@ -58,21 +61,22 @@ from .errors import (
 )
 from .groups import (
     AlgebraElement,
+    GroupElement,
     _algebra_checked,
     _algebra_logs,
     _check_branch,
     _check_sweep,
+    _norms,
     _validated,
     frobenius,
     group_inverse,
-    group_log,
     identity_element,
     loglog_slope,
     max_spread,
     neville_at_zero,
 )
 from .paths import TangentVector, _line_segment, box_grid, path_point, path_velocity, subpath
-from .transport import SolverConfig, _answered, _asker, engine_oracle
+from .transport import SolverConfig, TransportResult, _answered, _asker, engine_oracle
 
 __all__ = [
     "LiftedVector",
@@ -120,10 +124,8 @@ class HorizontalBasis:
             )
 
     def condition_number(self):
-        rows = [
-            np.concatenate([lv.base_part.components, lv.vertical_part.matrix.ravel()])
-            for lv in self.lifts
-        ]
+        rows = [np.concatenate([lv.base_part.components, lv.vertical_part.matrix.ravel()])
+                for lv in self.lifts]
         s = np.linalg.svd(np.stack(rows), compute_uv=False)
         return float(s[0] / s[-1]) if s[-1] > 0 else np.inf
 
@@ -135,44 +137,62 @@ def _check_step(h):
 
 def _probes(x, vectors, h):
     """The straight probe a + b u, u in [0, 1], with a = x - h v and
-    b = 2 h v in Python floats, of each vector v (its components) at x, for
-    a checked step h: it runs from x - hv to x + hv through x at u = 1/2."""
+    b = 2 h v in Python floats, of each vector v (a list of its components)
+    at x, for a checked step h: it runs from x - hv to x + hv through x at
+    u = 1/2."""
     a = x.coords.tolist()
     return [_line_segment(x.chart_id, [ai - h * c for ai, c in zip(a, v)], [2.0 * h * c for c in v])
             for v in vectors]
 
 
-def _probe_element(ask, i, what="a probe path"):
-    """The group element of the answer ask(i).  An OutOfBranchError passes
-    as it is; any other failure raises OracleFailureError, naming what was
-    asked for."""
-    try:
-        return _answered(ask(i)).g
-    except OutOfBranchError:
-        raise
-    except Exception as err:
-        raise OracleFailureError(f"oracle failed on {what}: {err}") from err
+def _made(g, group):
+    """Whether g is a GroupElement of the group, validated when it was
+    made."""
+    return type(g) is GroupElement and g.group == group
 
 
-def _differences(ask, start, stop):
-    """D = P(x - hv -> x + hv), the answers for the probes i in
-    range(start, stop), asked in order, as matrices; each D is tested
-    against the principal branch (_check_branch) as it arrives, so the
-    walk asks no further than the first probe that fails or leaves the
-    branch.  The one probe walk of reconstruct_connection and _lifts."""
-    formed = []
+def _branch_distances(ask, group):
+    """||D - I||_F of every answer, bit for bit as _check_branch takes it,
+    as one stack (_norms), when the oracle's many has answered (ask is a
+    list) and every answer is a TransportResult whose g is a GroupElement
+    of the group; else None, and each D is tested as the walk reaches it."""
+    if isinstance(ask, list) and all(type(r) is TransportResult and _made(r.g, group) for r in ask):
+        return _norms(np.array([r.g.matrix for r in ask]) - np.eye(group.k)).tolist()
+    return None
+
+
+def _differences(ask, start, stop, dist=None, what="a probe path"):
+    """The group elements g, D = g.matrix = P(x - hv -> x + hv), of the
+    answers for the probes i in range(start, stop), asked in order.  A
+    failed answer raises OracleFailureError, naming what was asked for, or
+    its OutOfBranchError as it is; each D is tested against the principal
+    branch (_check_branch), by its distance dist[i] when dist
+    (_branch_distances) holds them, so the walk asks no further than the
+    first probe that fails or leaves the branch.  The one probe walk of
+    reconstruct_connection, _lifts and lemma_independence_check."""
+    gs = []
     for i in range(start, stop):
-        formed.append(_probe_element(ask, i).matrix)
-        _check_branch(formed[-1])
-    return formed
+        try:
+            gs.append(_answered(ask(i)).g)
+        except OutOfBranchError:
+            raise
+        except Exception as err:
+            raise OracleFailureError(f"oracle failed on {what}: {err}") from err
+        _check_branch(gs[-1].matrix, None if dist is None else dist[i])
+    return gs
 
 
-def _vertical_parts(formed, h, p):
-    """Validates the probe differences D in formed as one stack, and
-    returns, as one checked stack, the vertical parts at p of their lifts:
-    Omega = log(D) / (2h), translated to p and left-trivialized there."""
+def _vertical_parts(gs, h, p):
+    """The vertical parts at p of the lifts whose probes answered the group
+    elements gs, as one checked stack: Omega = log(D) / (2h), translated
+    to p and left-trivialized there.  The differences D are validated as
+    one stack unless every g is a GroupElement of p's group, which was
+    validated when it was made."""
     group = p.group
-    omega = _algebra_logs(_validated(formed, group), group) / (2.0 * h)
+    D = np.array([g.matrix for g in gs], dtype=float)
+    if not all(_made(g, group) for g in gs):
+        D = _validated(D, group)
+    omega = _algebra_logs(D, group) / (2.0 * h)
     vert = group_inverse(p).matrix @ omega @ p.matrix
     if group.orthogonal:
         vert = 0.5 * (vert - vert.swapaxes(-1, -2))
@@ -190,7 +210,7 @@ def _lifts(oracle, x, p, vs, h):
         if v.base.chart_id != x.chart_id or np.max(np.abs(v.base.coords - x.coords)) > 1e-12:
             raise VelocityMismatchError("tangent vector is not based at the given point")
     ask = _asker(oracle, _probes(x, [v.components.tolist() for v in vs], h))
-    vert = _vertical_parts(_differences(ask, 0, len(vs)), h, p)
+    vert = _vertical_parts(_differences(ask, 0, len(vs), _branch_distances(ask, p.group)), h, p)
     return [LiftedVector(v, AlgebraElement(m, p.group), (x, p)) for v, m in zip(vs, vert)]
 
 
@@ -226,14 +246,11 @@ def split_horizontal_vertical(basis, base_components, fiber_component):
     if len(c) != len(basis.lifts):
         raise IllConditionedBasisError("base components do not match the basis size")
     fiber = np.asarray(fiber_component, dtype=float)
-    horiz_vert = np.zeros_like(fiber)
-    for c_mu, lv in zip(c, basis.lifts):
-        horiz_vert = horiz_vert + c_mu * lv.vertical_part.matrix
+    horiz_vert = sum((c_mu * lv.vertical_part.matrix for c_mu, lv in zip(c, basis.lifts)),
+                     np.zeros_like(fiber))
     vertical = fiber - horiz_vert
     group = basis.lifts[0].vertical_part.group
-    horizontal = LiftedVector(
-        TangentVector(x, c), AlgebraElement(horiz_vert, group), basis.at
-    )
+    horizontal = LiftedVector(TangentVector(x, c), AlgebraElement(horiz_vert, group), basis.at)
     return horizontal, AlgebraElement(vertical, group)
 
 
@@ -255,8 +272,9 @@ def lemma_independence_check(oracle, x, p, v, curved_paths, hs=(1e-2, 5e-3, 2.5e
 
     Each supplied path must start at x with velocity v (checked within
     1e-10).  For every h the lifted velocity is estimated from the path
-    restricted to [0, h]; the report carries the max pairwise deviation per
-    h, the log-log slope (expected about 1: curvature enters at second
+    restricted to [0, h], all of them walked by _differences and their logs
+    taken as one stack (_vertical_parts); the report carries the max
+    pairwise deviation per h, the log-log slope (expected about 1: curvature enters at second
     order along the path), and the polynomial h -> 0 extrapolation.
     """
     if len(curved_paths) < 2:
@@ -270,17 +288,12 @@ def lemma_independence_check(oracle, x, p, v, curved_paths, hs=(1e-2, 5e-3, 2.5e
         if np.max(np.abs(vel.components - v.components)) > 1e-10:
             raise VelocityMismatchError("paths do not share the initial velocity")
 
-    pinv = group_inverse(p).matrix
     n = len(curved_paths)
     ask = _asker(oracle, [subpath(gamma, 0.0, h) for h in hs for gamma in curved_paths])
-    devs = []
-    for j, h in enumerate(hs):
-        estimates = []
-        for i in range(j * n, j * n + n):
-            u_h = _probe_element(ask, i, "a restriction")
-            omega = group_log(u_h).matrix / h
-            estimates.append(pinv @ omega @ p.matrix)
-        devs.append(max_spread(estimates))
+    gs = _differences(ask, 0, n * len(hs), _branch_distances(ask, p.group), "a restriction")
+    # log(U_h) / h is _vertical_parts' log(D) / (2 (h / 2)), to the bit
+    estimates = _vertical_parts(gs, np.repeat(hs, n)[:, None, None] / 2.0, p)
+    devs = [max_spread(estimates[j * n : j * n + n]) for j in range(len(hs))]
 
     degenerate = max(devs) < 1e-10
     if degenerate:
@@ -319,18 +332,14 @@ class ReconstructionTable:
             writer.writerow(
                 ["chart_id"] + [f"x{d + 1}" for d in range(dim)] + ["mu", "i", "j", "value", "h"]
             )
-            for idx, pt in enumerate(self.points):
-                for mu in range(dim):
-                    if (idx, mu) not in self.entries:
-                        continue
-                    mat = self.entries[(idx, mu)]
-                    for i in range(mat.shape[0]):
-                        for j in range(mat.shape[1]):
-                            writer.writerow(
-                                [pt.chart_id]
-                                + [repr(float(c)) for c in pt.coords]
-                                + [mu + 1, i + 1, j + 1, repr(float(mat[i, j])), repr(self.h)]
-                            )
+            for (idx, mu), mat in sorted(self.entries.items()):
+                pt = self.points[idx]
+                for (i, j), value in np.ndenumerate(mat):
+                    writer.writerow(
+                        [pt.chart_id]
+                        + [repr(float(c)) for c in pt.coords]
+                        + [mu + 1, i + 1, j + 1, repr(float(value)), repr(self.h)]
+                    )
         finally:
             if own:
                 fh.close()
@@ -355,19 +364,20 @@ def reconstruct_connection(oracle, grid, h, group):
     """
     _check_step(h)
     ask = _asker(oracle, [probe for x in grid for probe in _probes(x, np.eye(x.dim).tolist(), h)])
-    formed, keys, dropped = [], [], []
+    dist = _branch_distances(ask, group)
+    gs, keys, dropped = [], [], []
     end = 0
     for idx, x in enumerate(grid):
         start, end = end, end + x.dim
         try:
-            formed += _differences(ask, start, end)
+            gs += _differences(ask, start, end, dist)
         except (OracleFailureError, OutOfBranchError) as err:
             dropped.append((x, str(err)))
             continue
         keys += [(idx, mu) for mu in range(x.dim)]
     entries = {}
-    if formed:
-        entries = dict(zip(keys, -_vertical_parts(formed, h, identity_element(group))))
+    if gs:
+        entries = dict(zip(keys, -_vertical_parts(gs, h, identity_element(group))))
     return ReconstructionTable(tuple(grid), entries, h, tuple(dropped))
 
 
@@ -426,13 +436,8 @@ def roundtrip_report(
 
     def sweep_error(h):
         table = reconstruct_connection(oracle, grid, h, conn.group)
-        worst = 0.0
-        for idx in range(len(grid)):
-            for mu in range(chart.dim):
-                if (idx, mu) not in table.entries:
-                    continue
-                worst = max(worst, frobenius(table.entries[(idx, mu)] - true[mu][idx]))
-        return worst
+        # in the table's (point, mu) order, from 0.0, as max takes them
+        return max([0.0] + [frobenius(m - true[mu][idx]) for (idx, mu), m in table.entries.items()])
 
     errors = tuple(sweep_error(h) for h in hs)
     final_error = sweep_error(h_final)

@@ -92,9 +92,11 @@ from .exprs import lit, parse, var
 from .groups import (
     GroupElement,
     _check_sweep,
+    _closed_form,
     _components,
     _elements,
     _mul,
+    _norms,
     _rows,
     frobenius,
     loglog_slope,
@@ -103,6 +105,7 @@ from .groups import (
 from .paths import (
     ChartPoint,
     PathSpec,
+    Segment,
     _chart_points,
     _view,
     arc_path,
@@ -236,9 +239,7 @@ def _move(conn, piece, x0):
         ):
             src = piece._src.moved(tr)
             return _view(tr.to_chart, src, piece.t0, piece.t1, piece._window, piece._s)
-    raise OutsideChartError(
-        f"path point at t={piece.t0:.6g} lies outside every reachable chart"
-    )
+    raise OutsideChartError(f"path point at t={piece.t0:.6g} lies outside every reachable chart")
 
 
 def _gauge_between(conn, end, start):
@@ -259,12 +260,6 @@ def _step_count(width, h):
     """The smallest even step count whose step is <= h."""
     n = math.ceil(width / h)
     return n + n % 2
-
-
-def _skew(group):
-    """Whether a pass on the group reads only the skew rows of its field
-    (ChartSpec._skew_field): on SO(2), U(1) and SO(3)."""
-    return group.orthogonal and group.k in (2, 3)
 
 
 def _batch_size(conn, chart_id, n, continuing=False, pieces=()):
@@ -294,7 +289,7 @@ def _batch_size(conn, chart_id, n, continuing=False, pieces=()):
     chart = conn.chart(chart_id)
     dim, k = chart.dim, conn.group.k
     others = bool(chart._terms[1])
-    if _skew(conn.group):
+    if _closed_form(conn.group):
         rows, step = k * (k - 1) // 2, 4 if k == 2 else 27
         width = (chart._field[0].width + 3 * k * k) if others else chart._skew_program.width
     else:
@@ -327,7 +322,7 @@ def _steps(M, dt, group):
     component-major and returned as (paths, n, k, k) views: SO(3) takes a
     closed form, every other group one batched solve."""
     k = group.k
-    if _skew(group):  # M holds the skew rows b
+    if _closed_form(group):  # M holds the skew rows b
         omega = (M[..., 0:-1:2] + 4.0 * M[..., 1::2] + M[..., 2::2]) * (-dt / 12.0)
         if k == 3:
             omega += _cross(M[..., 2::2], M[..., 0:-1:2]) * (dt * dt / 48.0)
@@ -398,7 +393,7 @@ def _piece_fields(conn, pieces, n, prev=None):
         u_in, u_out = ts[np.maximum(i - 1, 0)], ts[i]
         raise _ChartExit({p: (u_in[p], u_out[p]) for p in np.flatnonzero(~inside.all(axis=1))})
     del inside, ts  # not held through the field phase, which _batch_size counts
-    rows = (k * (k - 1) // 2,) if _skew(conn.group) else (k, k)
+    rows = (k * (k - 1) // 2,) if _closed_form(conn.group) else (k, k)
     M_new = np.empty(rows + (P, m))
     fill = chart._skew_field if len(rows) == 1 else chart.field
     fill(X_new.reshape(dim, -1), V.reshape(dim, -1), M_new.reshape(rows + (-1,)))
@@ -477,10 +472,10 @@ def _rk4_pass(conn, pieces, n, U, prev=None):
     (products, X, M) of the n/2-step pass, gives its grids as the even
     points and its products as the n/2-step products (bit for bit the
     same: same grid, same step); else they are multiplied here.  Returns
-    the n-step products, the Richardson estimates ||U_n - U_{n/2}||_F / 15,
-    the grid points X, the field grid M (_piece_fields) and the steps
-    (_steps): (pieces, n) angles on SO(2), else (pieces, n, k, k)
-    matrices."""
+    the n-step products, the Richardson estimates ||U_n - U_{n/2}||_F / 15
+    as a list of floats from one stacked norm (groups._norms), the grid
+    points X, the field grid M (_piece_fields) and the steps (_steps):
+    (pieces, n) angles on SO(2), else (pieces, n, k, k) matrices."""
     # one step per piece, as a scalar when they all agree, which numpy
     # applies far faster than a broadcast column; the results are the same
     dts = [(piece.t1 - piece.t0) / n for piece in pieces]
@@ -488,21 +483,18 @@ def _rk4_pass(conn, pieces, n, U, prev=None):
     X, M = _piece_fields(conn, pieces, n, None if prev is None else prev[1:])
     fine = _steps(M, dt, conn.group)
     U_fine = _product(fine, U)
-    if prev is not None:
-        U_coarse = prev[0]
-    else:
-        U_coarse = _product(_steps(M[..., ::2], 2.0 * dt, conn.group), U)
-    est = [frobenius(d) / 15.0 for d in U_fine - U_coarse]
+    U_coarse = _product(_steps(M[..., ::2], 2.0 * dt, conn.group), U) if prev is None else prev[0]
+    est = (_norms(U_fine - U_coarse) / 15.0).tolist()
     return U_fine, est, X, M, fine
 
 
 def _walk(conn, gamma, cfg, U, samples):
     """The transport of one path, as a generator that _drive runs.  Each
     pass of the integrator it needs is yielded as (piece, n, U_in, prev)
-    and answered with the pass's (U, est, first, last, X, M, steps) for
-    that piece, first and last being the ChartPoints of its grid ends, or
-    with a _ChartExit thrown in.  Returns (start, end, U, steps, est); U is
-    the identity on entry.
+    and answered with the piece's product, estimate and grid ends and its
+    batch's grids, (U, est, first, last, X, M, steps, p), p being the
+    piece's place in the batch, or with a _ChartExit thrown in.  Returns
+    (start, end, U, steps, est); U is the identity on entry.
 
     Integrates segment by segment, cutting pieces where their field grids
     leave their charts.  The path's first piece is tested on its own grid
@@ -553,13 +545,13 @@ def _walk(conn, gamma, cfg, U, samples):
             prev_est, prev = math.inf, None
             try:
                 while True:
-                    U_n, e, first, last, X, M, steps = yield piece, n, U_in, prev
+                    U_n, e, first, last, X, M, steps, p = yield piece, n, U_in, prev
                     if cfg.method == "rk4-fixed":
                         break
                     # the estimate reads the error only once every step is
                     # small against the field, |Omega| <= dt max |M|_F <= 1:
                     # two products of larger steps can agree by chance
-                    field = _field_norm(M)
+                    field = _field_norm(M[..., p, :])
                     small = width / n * field <= 1.0
                     scale = max(1.0, frobenius(U_n))
                     # an estimate within the products' resolution eps meets
@@ -585,7 +577,7 @@ def _walk(conn, gamma, cfg, U, samples):
                             f"doubling cannot meet tol={cfg.tol:g} "
                             f"with h >= {_MIN_DOUBLING_STEP:g}"
                         )
-                    prev_est, prev = e, (U_n, X, M)
+                    prev_est, prev = e, (U_n, X[:, p], M[..., p, :])
                     n *= 2
             except _ChartExit as exit_:
                 here = here or ChartPoint(piece.chart_id, piece.point_at(0.0))
@@ -604,17 +596,24 @@ def _walk(conn, gamma, cfg, U, samples):
                 U_n, n, e, last = U_in, 0, 0.0, here
             start = start or here or first
             if n and samples is not None:
-                points = _chart_points(piece.chart_id, X[:, 2::2].T)
+                points = _chart_points(piece.chart_id, X[:, p, 2::2].T)
                 samples.extend(
                     (piece.t0 + (j + 1) * (width / n), pt, Uj)
-                    for j, (pt, Uj) in enumerate(zip(points, _partial_products(steps, U_in)))
+                    for j, (pt, Uj) in enumerate(zip(points, _partial_products(steps[p], U_in)))
                 )
-            U = U_n
+            U, end = U_n, last
             total_steps += n
             est += e
-            end = last
             X = M = steps = prev = None  # not held through the next piece's pass
     return start, end, U, total_steps, est
+
+
+def _one_pass(gamma, dims):
+    """The one segment of a path whose rk4-fixed walk is a single pass from
+    the identity, before any chart exit, or None: a PathSpec of one
+    Segment on a chart of its dimension (dims maps chart ids to them)."""
+    seg = gamma.segments[0] if type(gamma) is PathSpec and len(gamma.segments) == 1 else None
+    return seg if type(seg) is Segment and dims.get(seg.chart_id) == seg.dim else None
 
 
 def _drive(conn, paths, cfg, samples=None):
@@ -629,18 +628,26 @@ def _drive(conn, paths, cfg, samples=None):
     asks for its next pass, as soon as its batch is done.  A piece whose
     grid leaves its chart gets its own _ChartExit, and the rest of its
     batch passes again; a batch that raises anything else runs again piece
-    by piece, so each failure reaches its own path.  The finished products
-    are validated against the group as one stack.  samples, when a list,
-    collects the lift of the one path (see lift_path)."""
+    by piece, so each failure reaches its own path.  A path whose rk4-fixed
+    walk is one pass (_one_pass) is asked for as that walk's first pass
+    would be, and settled from the pass's answer, without its generator;
+    its walk starts, and is handed the failure, only when the pass fails
+    for it.  The finished products are validated against the group as one
+    stack.  samples, when a list, collects the lift of the one path (see
+    lift_path)."""
     k = conn.group.k
     eye = np.eye(k)
     out = [None] * len(paths)
-    walks = [_walk(conn, gamma, cfg, eye, samples) for gamma in paths]
+    walks = [None] * len(paths)
     asks = []
+    dims = {chart.chart_id: chart.dim for chart in conn.charts}
 
     def advance(i, step, arg=None):
         try:
-            asks.append((i,) + step(arg))
+            if walks[i] is None:  # a path asked for directly: its pass failed
+                walks[i] = _walk(conn, paths[i], cfg, eye, samples)
+                next(walks[i])  # the walk's first ask, that same pass
+            asks.append((i,) + getattr(walks[i], step)(arg))
         except StopIteration as stop:
             out[i] = stop.value
         except Exception as err:
@@ -660,7 +667,7 @@ def _drive(conn, paths, cfg, samples=None):
                 U_n, est, X, M, steps = _rk4_pass(conn, pieces, batch[0][2], U, prev)
             except _ChartExit as exit_:
                 for p, at in exit_.exits.items():
-                    advance(batch[p][0], walks[batch[p][0]].throw, _ChartExit({0: at}))
+                    advance(batch[p][0], "throw", _ChartExit({0: at}))
                 stay = [ask for p, ask in enumerate(batch) if p not in exit_.exits]
                 if stay:
                     todo.append(stay)
@@ -669,16 +676,24 @@ def _drive(conn, paths, cfg, samples=None):
                 if len(batch) > 1:
                     todo += [[ask] for ask in batch]
                 else:
-                    advance(batch[0][0], walks[batch[0][0]].throw, err)
+                    advance(batch[0][0], "throw", err)
                 continue
-            firsts = _chart_points(pieces[0].chart_id, X[:, :, 0].T)
-            lasts = _chart_points(pieces[0].chart_id, X[:, :, -1].T)
-            grids = np.moveaxis(X, -2, 0), np.moveaxis(M, -2, 0)
-            for (i, *_), reply in zip(batch, zip(U_n, est, firsts, lasts, *grids, steps)):
-                advance(i, walks[i].send, reply)
+            # each piece's grid ends, (first, last) in turn, as one copy
+            ends = _chart_points(pieces[0].chart_id, X[:, :, [0, -1]].reshape(len(X), -1).T)
+            for p, (i, _, n, *_) in enumerate(batch):
+                first, last = ends[2 * p : 2 * p + 2]
+                if walks[i] is None:
+                    out[i] = (first, last, U_n[p], n, est[p])
+                else:
+                    advance(i, "send", (U_n[p], est[p], first, last, X, M, steps, p))
 
-    for i, walk in enumerate(walks):
-        advance(i, walk.send)
+    for i, gamma in enumerate(paths):
+        seg = _one_pass(gamma, dims) if cfg.method == "rk4-fixed" and samples is None else None
+        if seg is None:
+            walks[i] = _walk(conn, gamma, cfg, eye, samples)
+            advance(i, "send")
+        else:
+            asks.append((i, seg, _step_count(seg.t1 - seg.t0, cfg.h), eye, None))
     while asks:
         groups = {}
         for ask in asks:
@@ -759,21 +774,29 @@ def engine_oracle(conn, cfg=None):
     return oracle
 
 
+class _Answers(list):
+    """The answers of an oracle's many method, one per path, asked for as
+    ask(i): a caller that finds ask is a list knows every answer is in."""
+
+    __call__ = list.__getitem__
+
+
 def _asker(oracle, paths):
     """ask(i), the oracle's answer for paths[i]: its result, or the
     exception it met there.  An oracle whose many method answers the whole
-    list, one answer per path, is asked once, here.  Any other oracle,
-    whose many is missing, raises or answers another number of paths, is
-    asked for paths[i] only when ask(i) runs, so a caller that stops early
-    asks no further.  The one reader of an oracle's many method."""
+    list, one answer per path, is asked once, here, and ask is that list
+    (_Answers).  Any other oracle, whose many is missing, raises or answers
+    another number of paths, is asked for paths[i] only when ask(i) runs,
+    so a caller that stops early asks no further.  The one reader of an
+    oracle's many method."""
     many = getattr(oracle, "many", None)
     if many is not None:
         try:
-            answers = list(many(paths))
+            answers = _Answers(many(paths))
         except Exception:
             answers = None
         if answers is not None and len(answers) == len(paths):
-            return answers.__getitem__
+            return answers
 
     def ask(i):
         try:
@@ -918,10 +941,7 @@ def standard_axiom_suite(conn, chart_id=None):
         curved,
         line_path(b, c.coords),
     )
-    reparams = (
-        parse("x1^2", 1),
-        u - exprs.sin(lit(2.0 * np.pi) * u) / lit(4.0 * np.pi),
-    )
+    reparams = (parse("x1^2", 1), u - exprs.sin(lit(2.0 * np.pi) * u) / lit(4.0 * np.pi))
     juxtapositions = (
         (line_path(a, b.coords), line_path(b, c.coords)),
         (line_path(a, b.coords), juxtapose(line_path(b, c.coords), line_path(c, a.coords))),

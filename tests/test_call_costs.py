@@ -18,6 +18,8 @@ _NAMES = (
     "Segment.point_at arc",
     "_rk4_pass SO(2) n=1000",
     "_rk4_pass SO(3) n=1000",
+    "_vertical_parts 50 SO(3)",
+    "reconstruct 5x5 SO(3)",
 )
 
 

@@ -27,6 +27,7 @@ from oracles import jacobi_polar, taylor_expm
 SO2 = StructureGroup("SO", 2)
 SO3 = StructureGroup("SO", 3)
 GL2 = StructureGroup("GL", 2)
+SO4 = StructureGroup("SO", 4)
 J = so2_generator()
 
 
@@ -314,15 +315,16 @@ def log_stack(rng, group, m, dists):
 @seed(20261024)
 @settings(max_examples=40, deadline=None)
 @given(
-    st.sampled_from([SO2, SO3, GL2]),
+    st.sampled_from([GL2, SO4]),
     st.integers(1, 12),
     st.lists(st.sampled_from([1e-6, 0.01, 0.2, 0.3, 0.6, 0.95]), min_size=1, max_size=4),
     st.integers(0, 2**32 - 1),
 )
 def test_log_of_each_matrix_is_its_own(group, m, dists, rng_seed):
-    """_logm(S)[i] equals _logm(S[i:i+1])[0] bit for bit: each matrix
-    takes its own count of square roots (past 0.25) and of series terms,
-    whatever the rest of the stack needs."""
+    """_logm(S)[i] equals _logm(S[i:i+1])[0] bit for bit, on GL(2) and
+    SO(4), the groups it serves: each matrix takes its own count of square
+    roots (past 0.25) and of series terms, whatever the rest of the stack
+    needs."""
     stack = log_stack(np.random.default_rng(rng_seed), group, m, dists)
     got = groups._logm(stack)
     for i in range(m):
@@ -331,10 +333,10 @@ def test_log_of_each_matrix_is_its_own(group, m, dists, rng_seed):
 
 def test_stacked_log_takes_square_roots_where_needed():
     """Past ||g - I||_F = 0.25 a matrix takes Denman-Beavers square roots:
-    its log still inverts group_exp within 1e-12, on SO(2), SO(3) and
-    GL(2), through group_log, a stack of one."""
+    its log still inverts group_exp within 1e-12, on SO(4) and GL(2),
+    through group_log, a stack of one."""
     rng = np.random.default_rng(41)
-    for group in (SO2, SO3, GL2):
+    for group in (SO4, GL2):
         stack = log_stack(rng, group, 6, [0.05, 0.4, 0.9])
         assert (np.linalg.norm(stack - np.eye(group.k), axis=(1, 2)) > 0.25).sum() >= 2
         for g in stack:
@@ -502,3 +504,42 @@ def test_project_to_gl_checks_the_det_and_keeps_the_matrix():
     assert g.group == GL2 and g.matrix.tobytes() == m.tobytes()
     with pytest.raises(SingularInputError, match="numerically singular"):
         project_to_group([[1.0, 2.0], [2.0, 4.0]], GL2)
+
+
+# --- closed-form logs and angles on SO(2), U(1) and SO(3) -------------------------
+
+@pytest.mark.parametrize("theta", [1e-8, 1e-4, 1.0, np.pi - 1e-6])
+def test_so3_rotation_angle_keeps_small_and_large_angles(theta):
+    """rotation_angle reads theta within 1e-12 relative from a rotation
+    built by Rodrigues' formula, down to 1e-8 (where arccos of the trace
+    term read 0.0) and up to pi - 1e-6."""
+    e1, e2, e3 = so3_basis()
+    n = np.array([0.3, -0.5, 0.8]) / np.linalg.norm([0.3, -0.5, 0.8])
+    K = n[0] * e1 + n[1] * e2 + n[2] * e3
+    R = np.eye(3) + np.sin(theta) * K + 2.0 * np.sin(theta / 2.0) ** 2 * (K @ K)
+    assert abs(rotation_angle(GroupElement(R, SO3)) - theta) <= 1e-12 * theta
+
+
+@seed(20261101)
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([SO2, StructureGroup("U1", 2), SO3]),
+    st.integers(1, 8),
+    st.lists(st.sampled_from([0.0, 1e-12, 1e-6, 0.01, 0.3, 0.95]), min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+def test_closed_form_logs_match_the_general_log(group, m, dists, rng_seed):
+    """On SO(2), U(1) and SO(3) the closed-form logs equal _logm's, cleaned
+    up to skew, within 1e-14 per entry, at ||g - I||_F from 0 to 0.95; the
+    identity's log is exactly zero, and group_exp(group_log(g)) comes back
+    to g within 1e-12."""
+    stack = log_stack(np.random.default_rng(rng_seed), group, m, dists)
+    assert not groups._algebra_logs(np.eye(group.k)[None], group).any()
+    got = groups._algebra_logs(stack, group)
+    general = groups._logm(stack)
+    assert np.abs(got - 0.5 * (general - general.swapaxes(-1, -2))).max() <= 1e-14
+    for g, log in zip(stack, got):
+        if np.array_equal(g, np.eye(group.k)):
+            assert not log.any()
+        back = group_exp(group_log(GroupElement(g, group))).matrix
+        assert frobenius(back - g) <= 1e-12

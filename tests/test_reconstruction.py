@@ -1,5 +1,6 @@
 """Converse direction: lifted velocities, horizontal spaces, round trips."""
 
+import dataclasses
 import io
 import re
 from types import SimpleNamespace
@@ -20,6 +21,7 @@ from holonome.connection import (
 )
 from holonome import reconstruction
 from holonome.errors import (
+    GroupInvariantError,
     IllConditionedBasisError,
     OutOfBranchError,
     OutOfRangeError,
@@ -949,3 +951,35 @@ def test_an_oracle_answering_nonfinite_matrices_drops_every_point(group, bad, rn
     assert [x for x, _ in table.dropped] == grid
     for _, reason in table.dropped:
         assert re.fullmatch(r"oracle failed on a probe path: .*(NaN or inf|not orthogonal).*", reason)
+
+
+def test_only_group_elements_of_the_table_group_skip_the_second_validation():
+    """A table takes the GroupElements of its group that an oracle answers
+    as validated when they were made, and validates every other answer as
+    before: a duck-typed g whose matrix is not orthogonal and a GL(3)
+    element are refused with GroupInvariantError, by a path-by-path oracle
+    and by one whose many answers TransportResults.  A table of the
+    engine's GroupElement answers equals, bit for bit, the table of the
+    same matrices answered duck-typed, which are validated."""
+    conn = builtin_connection("constant-so3(0.8,0.6)")
+    grid = box_grid(0, [-0.5, -0.5], [0.5, 0.5], 3)
+    engine = engine_oracle(conn, CFG)
+    skewed = np.eye(3) + 0.01 * np.diag([1.0, -1.0, 0.5])  # in the branch, not orthogonal
+    gl3 = StructureGroup("GL", 3)
+    for g in (SimpleNamespace(matrix=skewed, group=SO3), GroupElement(skewed, gl3)):
+        def oracle(gamma, g=g):
+            return dataclasses.replace(transport(conn, gamma, CFG), g=g)
+
+        with pytest.raises(GroupInvariantError, match="not orthogonal"):
+            reconstruct_connection(oracle, grid, 1e-3, SO3)
+        oracle.many = lambda paths: [oracle(gamma) for gamma in paths]
+        with pytest.raises(GroupInvariantError, match="not orthogonal"):
+            reconstruct_connection(oracle, grid, 1e-3, SO3)
+
+    def duck(gamma):
+        return SimpleNamespace(g=SimpleNamespace(matrix=engine(gamma).g.matrix, group=SO3))
+
+    table = reconstruct_connection(engine, grid, 1e-3, SO3)
+    forced = reconstruct_connection(duck, grid, 1e-3, SO3)
+    assert len(table.entries) == 2 * len(grid) and table.entries.keys() == forced.entries.keys()
+    assert all(m.tobytes() == forced.entries[key].tobytes() for key, m in table.entries.items())

@@ -17,13 +17,18 @@ calls, all in one process.  The calls:
 - an arc's Segment.point_at, a one-point program run;
 - _rk4_pass of one 1000-step arc from the identity, on abelian-area(1.5)
   (SO(2), whose steps are angles) and on constant-so3(0.8,0.6): the field
-  on 2001 points, then the step and product layer, fine and coarse.
+  on 2001 points, then the step and product layer, fine and coarse;
+- _vertical_parts of 50 SO(3) probe differences, near the identity as a
+  probe's are: the stacked log, the translation to p and the skew check;
+- one reconstruct_connection of constant-so3(0.8,0.6) on a 5x5 grid with
+  engine_oracle (solver h = 0.02) as its oracle, 50 probes in all.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib
+import inspect
 import os
 import sys
 import timeit
@@ -53,6 +58,16 @@ def calls(hn):
         conn = hn.builtin_connection(name)
         return lambda: transport._rk4_pass(conn, arc.segments, 1000, np.eye(conn.group.k)[None])
 
+    so3_conn = hn.builtin_connection("constant-so3(0.8,0.6)")
+    oracle = hn.engine_oracle(so3_conn, hn.SolverConfig(h=0.02))
+    grid = paths.box_grid(0, [-0.6, -0.6], [0.6, 0.6], 5)
+    omegas = np.random.default_rng(0).normal(scale=0.02, size=(50, 3))
+    diffs = [hn.group_exp(hn.AlgebraElement(a * e1 + b * e2 + c * e3, so3)) for a, b, c in omegas]
+    # a tree whose _vertical_parts reads the answers' matrices, not their elements
+    if "formed" in inspect.signature(reconstruction._vertical_parts).parameters:
+        diffs = [g.matrix for g in diffs]
+    eye3 = hn.identity_element(so3)
+
     return [
         ("path_point line", lambda: hn.path_point(line, 0.5)),
         ("path_point arc", lambda: hn.path_point(arc, 0.5)),
@@ -65,6 +80,8 @@ def calls(hn):
         ("Segment.point_at arc", lambda: arc.segments[0].point_at(0.3)),
         ("_rk4_pass SO(2) n=1000", rk4_pass("abelian-area(1.5)")),
         ("_rk4_pass SO(3) n=1000", rk4_pass("constant-so3(0.8,0.6)")),
+        ("_vertical_parts 50 SO(3)", lambda: reconstruction._vertical_parts(diffs, 1e-3, eye3)),
+        ("reconstruct 5x5 SO(3)", lambda: hn.reconstruct_connection(oracle, grid, 1e-3, so3)),
     ]
 
 
