@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -115,6 +116,13 @@ class Expr:
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a non-negative int")
         return Expr(("pow", self.ast, k), self.dim)
+
+    @cached_property
+    def _dual_program(self):
+        """The Program of this expression and its gradient in x1..x<dim>,
+        compiled on first use, so an expression evaluated again and again
+        (a reparametrization's alpha) compiles once."""
+        return Program((self,), self.dim)
 
     def with_dim(self, dim):
         """Retag the ambient dimension (checks every variable index)."""

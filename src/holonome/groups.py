@@ -21,12 +21,13 @@ Denman-Beavers square roots, through one batched inverse per step, and
 of series terms, so its log is bit for bit the log of a stack of one.
 Stacks of group and algebra matrices are validated once, through
 their worst members.  frobenius computes what np.linalg.norm(m, "fro")
-does, bit for bit, without its fixed cost, and the det sign that SO(2)
-and SO(3) elements must pass comes from the cofactor formula in Python
-floats; larger SO(k) and GL keep np.linalg.det.  Every membership and
-branch comparison fails closed, so a NaN entry fails it, and a matrix
-with a NaN or inf entry raises its typed error before any numpy call
-that would warn on it.
+does, bit for bit, without its fixed cost.  The det sign and the
+orthogonality defect ||g^T g - I||_F that SO(2), U(1) and SO(3) elements
+must pass come from the cofactor formula and the entries of g^T g written
+out in Python floats; larger SO(k) keeps np.linalg.det and frobenius, and
+GL np.linalg.det.  Every membership and branch comparison fails closed,
+so a NaN entry fails it, and a matrix with a NaN or inf entry raises its
+typed error before any numpy call that would warn on it.
 """
 
 from __future__ import annotations
@@ -117,36 +118,47 @@ def _finite(m, what):
         raise GroupInvariantError(f"{what} has NaN or inf entries")
 
 
-def _det_orthogonal(m):
-    """det of a square matrix, read before its orthogonality defect: by
-    cofactors in Python floats for k = 2 and 3, where numpy's fixed cost
-    is most of the work, and by np.linalg.det for larger k.  Raises
-    GroupInvariantError on a NaN or inf entry, before m^T m or det can
-    warn on it; on k = 2 and 3 that is a non-finite cofactor det, since
+def _det_and_defect(m):
+    """det of a square matrix and its orthogonality defect ||m^T m - I||_F:
+    on k = 2 and 3 by cofactors and by the entries of m^T m, written out in
+    Python floats from the rows of m.tolist(), where numpy's fixed cost is
+    most of the work; on larger k by np.linalg.det and frobenius.  The
+    written-out defect may differ from frobenius in its last bits, which
+    moves no comparison with a tolerance except at the tolerance itself.
+    Raises GroupInvariantError on a NaN or inf entry, before m^T m or det
+    can warn on it; on k = 2 and 3 that is a non-finite cofactor det, since
     every entry enters it and no sum or product of floats turns a NaN or
     inf finite (a det that overflows raises too, before m^T m would)."""
     if len(m) == 2:
         (a, b), (c, d) = m.tolist()
         det = a * d - b * c
+        p, q, r = a * a + c * c - 1.0, b * b + d * d - 1.0, a * b + c * d
+        sq = p * p + q * q + 2.0 * r * r
     elif len(m) == 3:
         (a, b, c), (d, e, f), (g, h, i) = m.tolist()
         det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        p = a * a + d * d + g * g - 1.0  # the diagonal of m^T m - I, then the rest
+        q = b * b + e * e + h * h - 1.0
+        r = c * c + f * f + i * i - 1.0
+        x, y, z = a * b + d * e + g * h, a * c + d * f + g * i, b * c + e * f + h * i
+        sq = p * p + q * q + r * r + 2.0 * (x * x + y * y + z * z)
     else:
         _finite(m, "matrix")
-        return np.linalg.det(m)
+        return np.linalg.det(m), frobenius(m.T @ m - _identity(len(m)))
     if not math.isfinite(det):
         raise GroupInvariantError(f"matrix has NaN or inf entries or overflows: det = {det}")
-    return det
+    return det, math.sqrt(sq)
 
 
 def _check_group_matrix(m, group):
-    """Raises GroupInvariantError unless m is a k x k element of group.
+    """Raises GroupInvariantError unless m is a k x k element of group:
+    on SO/U1, ||m^T m - I||_F <= 1e-9 and det > 0 (_det_and_defect, in
+    Python floats on k = 2 and 3); on GL, finite with |det| > 1e-12.
     Every comparison fails closed: a NaN defect or det does not pass."""
     if m.shape != (group.k, group.k):
         raise GroupInvariantError(f"expected a {group.k}x{group.k} matrix, got shape {m.shape}")
     if group.orthogonal:
-        det = _det_orthogonal(m)
-        defect = frobenius(m.T @ m - _identity(group.k))
+        det, defect = _det_and_defect(m)
         if not defect <= _ORTHO_TOL:
             raise GroupInvariantError(f"matrix is not orthogonal: ||g^T g - I||_F = {defect:.3e}")
         if not det > 0:

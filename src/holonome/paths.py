@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -92,10 +93,10 @@ class ChartPoint:
 
 def _wrap_point(chart_id, coords):
     """A ChartPoint on coords itself, a read-only float array that nothing
-    else writes, without ChartPoint's copy and flag-set."""
+    else writes, without ChartPoint's copy and flag-set: its fields are
+    written into its __dict__, past the frozen dataclass's __setattr__."""
     pt = object.__new__(ChartPoint)
-    object.__setattr__(pt, "chart_id", chart_id)
-    object.__setattr__(pt, "coords", coords)
+    pt.__dict__["chart_id"], pt.__dict__["coords"] = chart_id, coords
     return pt
 
 
@@ -266,20 +267,24 @@ class Segment:
         return "Segment(chart_id={!r}, coords={!r}, t0={!r}, t1={!r})".format(*self._fields())
 
     def point_at(self, u):
+        """The coordinates at local parameter u, as a fresh read-only array:
+        the one evaluation of a point, which path_point reads."""
         line = self._src.line
         if line is not None and self._window is None:
             # Python floats round as numpy's float64 ops do, at a fraction
-            # of their fixed cost on a few entries
+            # of their fixed cost on a few entries; the array on their
+            # packed bytes is read-only without a flag-set
             u = float(u)
             x = [a + b * u for a, b in line]
             if not all(map(math.isfinite, x)):
                 raise DomainError("evaluation overflowed to inf/nan")
-            return np.array(x)
+            return np.frombuffer(struct.pack("d" * len(x), *x))
         # a one-point evaluation is all fixed cost: the program runs
         # directly, without evaluate_many's input checks and allocations
         out = np.empty(self.dim)
         cols = [np.array([u], dtype=float), None if self._s is None else np.array([self._s])]
         self._src.run(False, self._window, cols, out[:, None])
+        out.flags.writeable = False
         return exprs._finite_or_raise(out)
 
 
@@ -380,8 +385,6 @@ class PathSpec:
         breakpoints (the left one at t = 1), side="left" flips that."""
         if t < -1e-12 or t > 1.0 + 1e-12:
             raise OutOfRangeError(f"parameter {t} outside [0, 1]")
-        if len(self.segments) == 1:
-            return 0
         t = min(max(t, 0.0), 1.0)
         starts = self._starts
         if side == "left":
@@ -390,13 +393,15 @@ class PathSpec:
 
 
 def path_point(gamma, t, side="right"):
-    """Evaluate a path at global parameter t."""
-    i = gamma.segment_index_at(t, side)
-    seg = gamma.segments[i]
+    """Evaluate a path at global parameter t: a ChartPoint on a fresh
+    read-only array (Segment.point_at).  A one-segment path takes its
+    segment without the search once t is in range; else segment_index_at
+    finds it, or raises."""
+    segs = gamma.segments
+    i = 0 if len(segs) == 1 and -1e-12 <= t <= 1.0 + 1e-12 else gamma.segment_index_at(t, side)
+    seg = segs[i]
     u = (min(max(t, 0.0), 1.0) - seg.t0) / (seg.t1 - seg.t0)
-    coords = seg.point_at(u)  # a fresh array
-    coords.flags.writeable = False
-    return _wrap_point(seg.chart_id, coords)
+    return _wrap_point(seg.chart_id, seg.point_at(u))
 
 
 def path_velocity(gamma, t, side="right"):
@@ -454,13 +459,19 @@ def line_path(a, b_coords, chart_id=None):
 
 
 def _line_segment(chart_id, a, b):
+    """The one-segment path a + b u, u in [0, 1], of the pairs (a_i, b_i)
+    as Python floats (_line_path)."""
+    return _line_path(chart_id, tuple((float(ai), float(bi)) for ai, bi in zip(a, b)))
+
+
+def _line_path(chart_id, line):
     """The one-segment path a + b u, u in [0, 1], on a line source of the
-    pairs (a_i, b_i) as Python floats: its coordinate ASTs are built only
-    when read.  One segment over [0, 1] passes PathSpec's checks by
-    construction, so they are not run."""
-    line = tuple((float(ai), float(bi)) for ai, bi in zip(a, b))
+    pairs line = ((a_i, b_i), ...) of Python floats: its coordinate ASTs
+    are built only when read.  One segment over [0, 1] passes PathSpec's
+    checks by construction, so they are not run, and its fields are
+    written past the frozen dataclass's __setattr__."""
     path = object.__new__(PathSpec)
-    object.__setattr__(path, "segments", (_view(chart_id, _Source(line=line), 0.0, 1.0),))
+    path.__dict__["segments"] = (_view(chart_id, _Source(line=line), 0.0, 1.0),)
     return path
 
 
@@ -507,7 +518,7 @@ def juxtapose(gamma1, gamma2, atlas=None):
 
 def _check_monotone(alpha):
     ts = np.linspace(0.0, 1.0, _MONOTONE_SAMPLES)[:, None]
-    vals, grads = exprs.evaluate_dual_many((alpha,), ts)
+    vals, grads = exprs.evaluate_dual_many(alpha._dual_program, ts)
     vals, slopes = vals[:, 0], grads[:, 0, 0]
     if abs(vals[0]) > 1e-9 or abs(vals[-1] - 1.0) > 1e-9:
         raise NotMonotoneError(
@@ -524,12 +535,12 @@ def _check_monotone(alpha):
 
 
 def _invert_monotone(alpha, target):
-    """Solve alpha(t) = target on [0, 1] by bisection."""
-    program = exprs.Program((alpha,))
+    """Solve alpha(t) = target on [0, 1] by bisection, reading alpha's
+    values from the dual program _check_monotone ran."""
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if exprs.evaluate_many(program, [[mid]])[0, 0] < target:
+        if exprs.evaluate_dual_many(alpha._dual_program, [[mid]])[0][0, 0] < target:
             lo = mid
         else:
             hi = mid
@@ -542,7 +553,9 @@ def reparametrize(gamma, alpha):
     """Precompose: result(t) = gamma(alpha(t)).
 
     alpha is an Expr in x1 with alpha(0) = 0, alpha(1) = 1, weakly
-    increasing (checked at 101 sample points).
+    increasing (checked at 101 sample points).  The checks and the
+    breakpoints' bisection run alpha's dual program, which each Expr
+    compiles once (Expr._dual_program).
     """
     alpha = alpha.with_dim(1) if alpha.dim == 0 else alpha
     _check_monotone(alpha)

@@ -39,20 +39,24 @@ A table walks its grid point by point, and a point whose walk stops drops
 with that reason; lift_vector and horizontal_space walk the probes of
 their vectors, and a stop raises.  Then the kept differences are
 validated as one stack, unless every answer is a GroupElement of the
-group, validated when it was made; one stacked logarithm
-(groups._algebra_logs: closed form on SO(2), U(1) and SO(3), else
-groups._logm) gives every Omega, and the vertical parts are checked for
-skewness as one stack (_vertical_parts).
+group, validated when it was made; when that check fails, a table checks
+each kept point's answers again and drops the points that fail with the
+check's message, where the lifts and the lemma raise.  One stacked
+logarithm (groups._algebra_logs: closed form on SO(2), U(1) and SO(3),
+else groups._logm) gives every Omega, and the vertical parts are checked
+for skewness as one stack (_vertical_parts).
 """
 
 from __future__ import annotations
 
 import csv
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import (
+    GroupInvariantError,
     IllConditionedBasisError,
     OracleFailureError,
     OutOfBranchError,
@@ -75,7 +79,7 @@ from .groups import (
     max_spread,
     neville_at_zero,
 )
-from .paths import TangentVector, _line_segment, box_grid, path_point, path_velocity, subpath
+from .paths import TangentVector, _line_path, box_grid, path_point, path_velocity, subpath
 from .transport import SolverConfig, TransportResult, _answered, _asker, engine_oracle
 
 __all__ = [
@@ -135,14 +139,19 @@ def _check_step(h):
         raise OutOfRangeError(f"probe step h={h:g} outside [1e-6, 1e-2]")
 
 
-def _probes(x, vectors, h):
+def _probes(points, vectors, h):
     """The straight probe a + b u, u in [0, 1], with a = x - h v and
     b = 2 h v in Python floats, of each vector v (a list of its components)
-    at x, for a checked step h: it runs from x - hv to x + hv through x at
-    u = 1/2."""
-    a = x.coords.tolist()
-    return [_line_segment(x.chart_id, [ai - h * c for ai, c in zip(a, v)], [2.0 * h * c for c in v])
-            for v in vectors]
+    at each point x, point by point, for a checked step h: it runs from
+    x - hv to x + hv through x at u = 1/2.  Each is a one-segment line path
+    (paths._line_path) on the pairs (a_i, b_i) written here."""
+    h = float(h)
+    probes = []
+    for x in points:
+        a, chart_id = x.coords.tolist(), x.chart_id
+        probes += [_line_path(chart_id, tuple([(ai - h * c, 2.0 * h * c) for ai, c in zip(a, v)]))
+                   for v in vectors]
+    return probes
 
 
 def _made(g, group):
@@ -209,7 +218,7 @@ def _lifts(oracle, x, p, vs, h):
     for v in vs:
         if v.base.chart_id != x.chart_id or np.max(np.abs(v.base.coords - x.coords)) > 1e-12:
             raise VelocityMismatchError("tangent vector is not based at the given point")
-    ask = _asker(oracle, _probes(x, [v.components.tolist() for v in vs], h))
+    ask = _asker(oracle, _probes([x], [v.components.tolist() for v in vs], h))
     vert = _vertical_parts(_differences(ask, 0, len(vs), _branch_distances(ask, p.group)), h, p)
     return [LiftedVector(v, AlgebraElement(m, p.group), (x, p)) for v, m in zip(vs, vert)]
 
@@ -309,8 +318,9 @@ def lemma_independence_check(oracle, x, p, v, curved_paths, hs=(1e-2, 5e-3, 2.5e
 class ReconstructionTable:
     """Reconstructed coefficients A_mu(x_i) on a grid of chart points.
 
-    entries maps (grid index, mu) to a k x k matrix; dropped lists grid
-    points where the oracle failed (chart edge), with the reason.
+    entries maps (grid index, mu) to a k x k matrix; dropped lists, in
+    grid order, the grid points where the oracle failed (chart edge) or
+    answered off the group, with the reason.
     """
 
     points: tuple
@@ -325,8 +335,7 @@ class ReconstructionTable:
         """Write rows chart_id, x-coords, mu, i, j, value, h (1-based
         mu/i/j).  ``target`` is a path or a writable file object."""
         own = isinstance(target, (str, bytes))
-        fh = open(target, "w", newline="") if own else target
-        try:
+        with open(target, "w", newline="") if own else nullcontext(target) as fh:
             dim = self.points[0].dim if self.points else 0
             writer = csv.writer(fh)
             writer.writerow(
@@ -340,9 +349,6 @@ class ReconstructionTable:
                         + [repr(float(c)) for c in pt.coords]
                         + [mu + 1, i + 1, j + 1, repr(float(value)), repr(self.h)]
                     )
-        finally:
-            if own:
-                fh.close()
 
 
 def reconstruct_connection(oracle, grid, h, group):
@@ -357,28 +363,45 @@ def reconstruct_connection(oracle, grid, h, group):
     oracle errors, or whose D = P(x - h e_mu -> x + h e_mu) lies outside
     the log's principal branch, are dropped and reported, never
     interpolated: each probe is branch-tested as it arrives
-    (_differences).  The differences of
-    the points kept are then validated, and their logs taken, as one
-    stack.  An h outside [1e-6, 1e-2] raises OutOfRangeError before
-    anything is asked, also on an empty grid.
+    (_differences).  The differences of the points kept are then
+    validated, and their logs taken, as one stack; when that check fails,
+    each kept point's answers are checked again, and a point whose answer
+    is off the group drops with the check's message.  dropped keeps the
+    grid's order.  An h outside [1e-6, 1e-2], or grid points of different
+    dimensions, raise OutOfRangeError before anything is asked, the step
+    also on an empty grid.
     """
     _check_step(h)
-    ask = _asker(oracle, [probe for x in grid for probe in _probes(x, np.eye(x.dim).tolist(), h)])
+    n = grid[0].dim if grid else 0
+    if any(x.dim != n for x in grid):
+        raise OutOfRangeError("grid points must all have the same dimension")
+    ask = _asker(oracle, _probes(grid, np.eye(n).tolist(), h))
     dist = _branch_distances(ask, group)
-    gs, keys, dropped = [], [], []
-    end = 0
+    answers, dropped = {}, {}  # grid index -> the point's group elements; (point, reason)
     for idx, x in enumerate(grid):
-        start, end = end, end + x.dim
         try:
-            gs += _differences(ask, start, end, dist)
+            answers[idx] = _differences(ask, idx * n, idx * n + n, dist)
         except (OracleFailureError, OutOfBranchError) as err:
-            dropped.append((x, str(err)))
-            continue
-        keys += [(idx, mu) for mu in range(x.dim)]
-    entries = {}
-    if gs:
-        entries = dict(zip(keys, -_vertical_parts(gs, h, identity_element(group))))
-    return ReconstructionTable(tuple(grid), entries, h, tuple(dropped))
+            dropped[idx] = (x, str(err))
+
+    def parts():
+        gs = [g for point in answers.values() for g in point]
+        return -_vertical_parts(gs, h, identity_element(group)) if gs else ()
+
+    try:
+        vert = parts()
+    except GroupInvariantError:
+        # an answer off the group: each point's answers are checked again,
+        # and the points that fail drop with the check's message
+        for idx, point in list(answers.items()):
+            try:
+                _validated([g.matrix for g in point], group)
+            except GroupInvariantError as err:
+                dropped[idx] = (grid[idx], str(err))
+                del answers[idx]
+        vert = parts()
+    entries = dict(zip([(idx, mu) for idx in answers for mu in range(n)], vert))
+    return ReconstructionTable(tuple(grid), entries, h, tuple(dropped[i] for i in sorted(dropped)))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ _NAMES = (
     "_rk4_pass SO(3) n=1000",
     "_vertical_parts 50 SO(3)",
     "reconstruct 5x5 SO(3)",
+    "reconstruct 9x9 SO(2) black box",
 )
 
 

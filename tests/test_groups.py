@@ -1,5 +1,8 @@
 """Structure groups, exp/log, and the polar projection."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -395,6 +398,51 @@ def test_orthogonality_defect_just_over_the_tolerance_raises(k):
     GroupElement(np.sqrt(1.0 + 0.9e-9 / np.sqrt(k)) * r, group)
     with pytest.raises(GroupInvariantError, match="not orthogonal"):
         GroupElement(np.sqrt(1.0 + 1.1e-9 / np.sqrt(k)) * r, group)
+
+
+@seed(20261028)
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([SO2, StructureGroup("U1", 2), SO3]),
+    st.floats(-12.0, -6.0),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_written_out_check_accepts_what_frobenius_accepts(group, log_defect, reflect, rng_seed, data):
+    """On SO(2), U(1) and SO(3) the check written out in Python floats
+    accepts a near-orthogonal matrix, with a defect from 1e-12 to 1e-6,
+    exactly when frobenius(m^T m - I) <= 1e-9 and det > 0, for every
+    sample outside a factor-2 band around 1e-9, with reflections among
+    them, and the defect it reads is frobenius's to roundoff; a NaN or inf
+    entry anywhere raises GroupInvariantError without a numpy warning."""
+    rng = np.random.default_rng(rng_seed)
+    k = group.k
+    r = random_rotation(rng, k)
+    if reflect:
+        r = r @ np.diag([-1.0] + [1.0] * (k - 1))
+    noise = rng.normal(size=(k, k))
+    # the defect of r + e N is e ||r^T N + N^T r||_F to first order in e
+    m = r + 10.0**log_defect / frobenius(r.T @ noise + noise.T @ r) * noise
+    defect = frobenius(m.T @ m - np.eye(k))
+    # the written-out defect and det differ from numpy's by roundoff only
+    det, written = groups._det_and_defect(m)
+    assert abs(written - defect) <= 1e-14 and abs(det - np.linalg.det(m)) <= 1e-14
+    if not 0.5e-9 <= defect <= 2e-9:
+        try:
+            GroupElement(m, group)
+            accepted = True
+        except GroupInvariantError as err:
+            accepted = False
+            assert re.fullmatch(r"matrix is not orthogonal: .*|special orthogonal matrix needs det > 0",
+                                str(err))
+        assert accepted == (defect <= 1e-9 and np.linalg.det(m) > 0)
+    m[data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))] = data.draw(
+        st.sampled_from([np.nan, np.inf, -np.inf]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(GroupInvariantError, match="NaN or inf"):
+            GroupElement(m, group)
 
 
 def test_singular_gl_matrices_raise():

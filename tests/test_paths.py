@@ -356,6 +356,47 @@ def test_line_segment_fills_in_the_line_it_would_parse(pairs, as_arrays):
     assert {type(v) for pair in seg._src.line for v in pair} == {float}
 
 
+@seed(20261028)
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_offsets, min_size=1, max_size=4),
+    st.data(),
+    st.sampled_from([1e-2, 1e-3, 1e-6]),
+    st.lists(_params, min_size=1, max_size=4),
+    st.floats(1.1e-12, 1.0),
+)
+def test_path_point_on_straight_probes_and_lines(x, data, h, ts, beyond):
+    """path_point on the straight paths that _probes and line_path build,
+    at random a, b and t in [0, 1], reads the bits that evaluate_many of
+    the segment's coordinate expressions, built from its line when read,
+    gives at u = t; the coordinates are read-only and a new array on each
+    call.  A t further than 1e-12 outside [0, 1] raises OutOfRangeError,
+    and a point that overflows raises DomainError."""
+    from holonome.reconstruction import _probes
+
+    n = len(x)
+    vectors = [[data.draw(_slopes) for _ in range(n)] for _ in range(2)]
+    to = [data.draw(_offsets) for _ in range(n)]
+    straight = _probes([ChartPoint(2, x)], vectors, h) + [line_path(ChartPoint(2, x), to)]
+    for gamma in straight:
+        [seg] = gamma.segments
+        for t in ts:
+            first, again = path_point(gamma, t), path_point(gamma, t)
+            want = exprs.evaluate_many(seg.coords, [[t]])[0]
+            assert first.chart_id == 2 and first.coords.tobytes() == want.tobytes()
+            assert not first.coords.flags.writeable
+            with pytest.raises(ValueError):
+                first.coords[0] = 1.0
+            assert again.coords is not first.coords and again is not first
+        for t in (-beyond, 1.0 + beyond):
+            with pytest.raises(OutOfRangeError):
+                path_point(gamma, t)
+    huge = paths._line_path(0, ((1e308, 1e308),) * n)
+    path_point(huge, 0.0)
+    with pytest.raises(exprs.DomainError, match="overflowed"):
+        path_point(huge, 1.0)
+
+
 def test_straight_segment_keeps_the_finite_check():
     """A line that overflows raises the DomainError its program raises."""
     seg = Segment(0, (lit(1e308) + lit(1e308) * var(0),), 0.0, 1.0)

@@ -957,10 +957,11 @@ def test_only_group_elements_of_the_table_group_skip_the_second_validation():
     """A table takes the GroupElements of its group that an oracle answers
     as validated when they were made, and validates every other answer as
     before: a duck-typed g whose matrix is not orthogonal and a GL(3)
-    element are refused with GroupInvariantError, by a path-by-path oracle
-    and by one whose many answers TransportResults.  A table of the
-    engine's GroupElement answers equals, bit for bit, the table of the
-    same matrices answered duck-typed, which are validated."""
+    element are refused, by a path-by-path oracle and by one whose many
+    answers TransportResults, and every point drops with the check's
+    message.  A table of the engine's GroupElement answers equals, bit for
+    bit, the table of the same matrices answered duck-typed, which are
+    validated."""
     conn = builtin_connection("constant-so3(0.8,0.6)")
     grid = box_grid(0, [-0.5, -0.5], [0.5, 0.5], 3)
     engine = engine_oracle(conn, CFG)
@@ -970,11 +971,12 @@ def test_only_group_elements_of_the_table_group_skip_the_second_validation():
         def oracle(gamma, g=g):
             return dataclasses.replace(transport(conn, gamma, CFG), g=g)
 
-        with pytest.raises(GroupInvariantError, match="not orthogonal"):
-            reconstruct_connection(oracle, grid, 1e-3, SO3)
-        oracle.many = lambda paths: [oracle(gamma) for gamma in paths]
-        with pytest.raises(GroupInvariantError, match="not orthogonal"):
-            reconstruct_connection(oracle, grid, 1e-3, SO3)
+        for many in (False, True):
+            if many:
+                oracle.many = lambda paths: [oracle(gamma) for gamma in paths]
+            table = reconstruct_connection(oracle, grid, 1e-3, SO3)
+            assert table.entries == {} and [x for x, _ in table.dropped] == grid
+            assert all(reason.startswith("matrix is not orthogonal") for _, reason in table.dropped)
 
     def duck(gamma):
         return SimpleNamespace(g=SimpleNamespace(matrix=engine(gamma).g.matrix, group=SO3))
@@ -983,3 +985,46 @@ def test_only_group_elements_of_the_table_group_skip_the_second_validation():
     forced = reconstruct_connection(duck, grid, 1e-3, SO3)
     assert len(table.entries) == 2 * len(grid) and table.entries.keys() == forced.entries.keys()
     assert all(m.tobytes() == forced.entries[key].tobytes() for key, m in table.entries.items())
+
+
+def test_an_answer_off_the_group_drops_only_its_point():
+    """A duck-typed answer off the group drops only its grid point, with
+    the check's message as its reason and the grid's order kept among the
+    dropped, by a path-by-path oracle and by one whose many answers; the
+    other points' entries are those of the table without it, bit for bit.
+    lift_vector, horizontal_space and lemma_independence_check drop
+    nothing and raise GroupInvariantError on such an answer."""
+    conn = builtin_connection("constant-so3(0.8,0.6)")
+    grid = box_grid(0, [-0.5, -0.5], [0.5, 0.5], 3)
+    engine = engine_oracle(conn, CFG)
+    skewed = SimpleNamespace(matrix=np.eye(3) + 0.01 * np.diag([1.0, -1.0, 0.5]), group=SO3)
+
+    def oracle(gamma):
+        mid = path_point(gamma, 0.5).coords
+        if np.allclose(mid, grid[7].coords):
+            raise ValueError("no answer here")
+        res = engine(gamma)
+        return dataclasses.replace(res, g=skewed) if np.allclose(mid, grid[4].coords) else res
+
+    clean = reconstruct_connection(engine, grid, 1e-3, SO3)
+    for many in (False, True):
+        if many:
+            oracle.many = lambda paths: [oracle(gamma) for gamma in paths]
+        table = reconstruct_connection(oracle, grid, 1e-3, SO3)
+        assert [x for x, _ in table.dropped] == [grid[4], grid[7]]
+        assert table.dropped[0][1].startswith("matrix is not orthogonal: ||g^T g - I||_F = ")
+        assert table.dropped[1][1] == "oracle failed on a probe path: no answer here"
+        assert table.entries.keys() == {key for key in clean.entries if key[0] not in (4, 7)}
+        assert all(m.tobytes() == clean.entries[key].tobytes() for key, m in table.entries.items())
+
+    def off(gamma):
+        return SimpleNamespace(g=skewed)
+
+    x, p = grid[4], identity_element(SO3)
+    with pytest.raises(GroupInvariantError, match="not orthogonal"):
+        lift_vector(off, x, p, TangentVector(x, [1.0, 0.0]), 1e-3)
+    with pytest.raises(GroupInvariantError, match="not orthogonal"):
+        horizontal_space(off, x, p, 1e-3)
+    with pytest.raises(GroupInvariantError, match="not orthogonal"):
+        lemma_independence_check(off, x, p, TangentVector(x, [1.0, 0.0]),
+                                 same_velocity_paths(x.coords, np.array([1.0, 0.0])))

@@ -6,14 +6,15 @@ pass, so that two checkouts can be compared on their cost per call:
 
 src-dir is the holonome source tree to import (default: this checkout's
 src).  Each figure is the best of N timeit repeats (default 7) of 1000
-calls, all in one process.  The calls:
+calls, or of as many as fill about 0.2 s when that is fewer (a whole
+reconstruction or integrator pass), all in one process.  The calls:
 
 - path_point on a straight line and on a circular arc;
 - _line_segment, which builds one straight probe path;
 - GroupElement of an SO(2) and of an SO(3) matrix, with its checks;
 - frobenius and _check_branch of a 3x3 matrix;
-- _probes of one unit vector, which builds its one centred probe path,
-  x - hv -> x + hv;
+- _probes of one unit vector at one point, which builds its one centred
+  probe path, x - hv -> x + hv;
 - an arc's Segment.point_at, a one-point program run;
 - _rk4_pass of one 1000-step arc from the identity, on abelian-area(1.5)
   (SO(2), whose steps are angles) and on constant-so3(0.8,0.6): the field
@@ -21,7 +22,9 @@ calls, all in one process.  The calls:
 - _vertical_parts of 50 SO(3) probe differences, near the identity as a
   probe's are: the stacked log, the translation to p and the skew check;
 - one reconstruct_connection of constant-so3(0.8,0.6) on a 5x5 grid with
-  engine_oracle (solver h = 0.02) as its oracle, 50 probes in all.
+  engine_oracle (solver h = 0.02) as its oracle, 50 probes in all;
+- one reconstruct_connection of abelian-area(1.5) on a 9x9 grid with a
+  closed-form oracle (blackbox below), 162 probes in all.
 """
 
 from __future__ import annotations
@@ -36,6 +39,28 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 NUMBER = 1000
+SPAN = 0.2  # a repeat runs fewer than NUMBER calls when they would take longer
+
+
+def blackbox(hn, group, strength):
+    """A transport oracle that never calls the engine, as the benchmark's
+    converse_blackbox oracle is: it reads each straight probe's start, end
+    and midpoint with path_point and answers the exact abelian-area
+    transport, exp(-strength/2 (a1 d2 - a2 d1) J) along a + t d, as a
+    GroupElement."""
+    import math
+    from types import SimpleNamespace
+
+    def oracle(gamma):
+        a, b, mid = (hn.path_point(gamma, t) for t in (0.0, 1.0, 0.5))
+        (a1, a2), (b1, b2), (m1, m2) = a.coords, b.coords, mid.coords
+        if max(abs(m1 - 0.5 * (a1 + b1)), abs(m2 - 0.5 * (a2 + b2))) > 1e-12:
+            raise ValueError("the closed-form oracle only answers straight probes")
+        theta = -0.5 * strength * (a1 * (b2 - a2) - a2 * (b1 - a1))
+        c, s = math.cos(theta), math.sin(theta)
+        return SimpleNamespace(start=a, end=b, g=hn.GroupElement([[c, -s], [s, c]], group))
+
+    return oracle
 
 
 def calls(hn):
@@ -53,6 +78,8 @@ def calls(hn):
     arc = hn.arc_path(0, (0.0, 0.0), 1.1, 0.4, 2.0)
     coords, step = np.array([0.1, 0.2]), np.array([1e-3, 0.0])
     at, unit = hn.ChartPoint(0, coords), [[1.0, 0.0]]
+    # a tree whose _probes takes one point, not a list of them
+    probe_at = [at] if "points" in inspect.signature(reconstruction._probes).parameters else at
 
     def rk4_pass(name):
         conn = hn.builtin_connection(name)
@@ -67,6 +94,8 @@ def calls(hn):
     if "formed" in inspect.signature(reconstruction._vertical_parts).parameters:
         diffs = [g.matrix for g in diffs]
     eye3 = hn.identity_element(so3)
+    grid9 = paths.box_grid(0, [-0.6, -0.6], [0.6, 0.6], 9)
+    closed = blackbox(hn, so2, 1.5)
 
     return [
         ("path_point line", lambda: hn.path_point(line, 0.5)),
@@ -76,19 +105,24 @@ def calls(hn):
         ("GroupElement SO(3)", lambda: hn.GroupElement(r3, so3)),
         ("frobenius", lambda: groups.frobenius(r3)),
         ("_check_branch", lambda: groups._check_branch(r3)),
-        ("_probes", lambda: reconstruction._probes(at, unit, 1e-3)),
+        ("_probes", lambda: reconstruction._probes(probe_at, unit, 1e-3)),
         ("Segment.point_at arc", lambda: arc.segments[0].point_at(0.3)),
         ("_rk4_pass SO(2) n=1000", rk4_pass("abelian-area(1.5)")),
         ("_rk4_pass SO(3) n=1000", rk4_pass("constant-so3(0.8,0.6)")),
         ("_vertical_parts 50 SO(3)", lambda: reconstruction._vertical_parts(diffs, 1e-3, eye3)),
         ("reconstruct 5x5 SO(3)", lambda: hn.reconstruct_connection(oracle, grid, 1e-3, so3)),
+        ("reconstruct 9x9 SO(2) black box",
+         lambda: hn.reconstruct_connection(closed, grid9, 1e-3, so2)),
     ]
 
 
 def per_call_us(fn, repeat):
-    """Best of `repeat` timeit repeats of NUMBER calls, in microseconds per
-    call."""
-    return min(timeit.Timer(fn).repeat(repeat, NUMBER)) / NUMBER * 1e6
+    """Best of `repeat` timeit repeats of `number` calls, in microseconds
+    per call: NUMBER calls, or as many as one first call says fill about
+    SPAN seconds when that is fewer."""
+    timer = timeit.Timer(fn)
+    number = max(1, min(NUMBER, int(SPAN / timer.timeit(1))))
+    return min(timer.repeat(repeat, number)) / number * 1e6
 
 
 def main(argv):
@@ -102,9 +136,9 @@ def main(argv):
     sys.path.insert(0, str(Path(args.src).resolve()))
     import holonome as hn
 
-    print(f"{'call':24s} {'us/call':>8s}")
+    print(f"{'call':32s} {'us/call':>8s}")
     for name, fn in calls(hn):
-        print(f"{name:24s} {per_call_us(fn, args.repeat):8.2f}")
+        print(f"{name:32s} {per_call_us(fn, args.repeat):8.2f}")
 
 
 if __name__ == "__main__":
