@@ -31,6 +31,7 @@ from holonome.paths import (
     reverse_path,
     subpath,
 )
+from holonome.reconstruction import _probes
 
 
 def test_line_path_velocity_is_constant():
@@ -372,8 +373,6 @@ def test_path_point_on_straight_probes_and_lines(x, data, h, ts, beyond):
     gives at u = t; the coordinates are read-only and a new array on each
     call.  A t further than 1e-12 outside [0, 1] raises OutOfRangeError,
     and a point that overflows raises DomainError."""
-    from holonome.reconstruction import _probes
-
     n = len(x)
     vectors = [[data.draw(_slopes) for _ in range(n)] for _ in range(2)]
     to = [data.draw(_offsets) for _ in range(n)]

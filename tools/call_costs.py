@@ -121,7 +121,7 @@ def per_call_us(fn, repeat):
     per call: NUMBER calls, or as many as one first call says fill about
     SPAN seconds when that is fewer."""
     timer = timeit.Timer(fn)
-    number = max(1, min(NUMBER, int(SPAN / timer.timeit(1))))
+    number = max(1, min(NUMBER, int(SPAN / max(timer.timeit(1), 1e-9))))
     return min(timer.repeat(repeat, number)) / number * 1e6
 
 
